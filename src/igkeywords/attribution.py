@@ -82,22 +82,6 @@ def integrated_gradients(params: ModelParams, doc: Document, class_index: int,
                              doc_id=doc.id, baseline_kind=kind, steps=steps)
 
 
-def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
-                        steps: int) -> np.ndarray:
-    """Generic midpoint-rule IG given any gradient callable on [T, d] inputs.
-
-    Used as an architecture-independent reference path in tests.
-    """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    total = np.zeros_like(inputs, dtype=float)
-    delta = inputs - baseline
-    for s in range(1, steps + 1):
-        alpha = (s - 0.5) / steps
-        total += gradient_fn(baseline + alpha * delta)
-    return delta * (total / steps)
-
-
 def logit_value(params: ModelParams, inputs: np.ndarray,
                 class_index: int) -> float:
     logits, _ = forward_from_embeddings(params, inputs)

@@ -159,9 +159,14 @@ def _cmd_synth(args) -> int:
 def _scan_classes(path) -> list[str]:
     labels = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 labels.update(json.loads(line).get("labels", []))
+            except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+                raise CorpusParseError(
+                    f"{path}: malformed record on line {lineno}: {exc}") from exc
     return sorted(labels)
 
 
@@ -213,9 +218,7 @@ def _cmd_report(args) -> int:
         min_doc_frequency=saved["min_doc_frequency"],
         mean_mode=saved["mean_mode"], top_n=saved["top_n"],
         master_seed=saved["master_seed"])
-    rounds = pipeline.load_round_artifacts(run_dir)
-    if not rounds:
-        raise ValidationError(f"no round artifacts found in {run_dir}")
+    rounds = pipeline.load_round_artifacts(run_dir, saved["rounds"])
     aggregates = pipeline.load_aggregates(run_dir)
     keywords = pipeline.filter_keywords(aggregates, config,
                                         class_order=saved["classes"])

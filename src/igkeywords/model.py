@@ -4,6 +4,13 @@ Architecture: subword embedding lookup -> mean pooling -> one hidden
 layer (tanh by default) -> per-class logits.  The backward pass is
 written out by hand so that gradients with respect to the input token
 embeddings are exact and cheap.
+
+Training works a batch at a time with no per-document Python: the mean
+pooling and the embedding-gradient scatter are each one ``np.bincount``
+over the batch's pieces, and the parameters, gradients and Adam moments
+each sit in one flat buffer, so an optimizer step is one elementwise
+update.  ``forward`` and ``input_gradients`` keep the single-document
+path that the gradient tests and IG use.
 """
 
 from __future__ import annotations
@@ -71,12 +78,6 @@ class ModelParams:
     def dims(self) -> tuple[int, int, int]:
         return (self.hidden_weights.shape[0], self.hidden_weights.shape[1],
                 self.num_classes)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.embedding.copy(), self.hidden_weights.copy(),
-                           self.hidden_bias.copy(), self.output_weights.copy(),
-                           self.output_bias.copy(), dict(self.vocab),
-                           self.activation)
 
 
 @dataclass
@@ -223,15 +224,32 @@ def _prepare_docs(params: ModelParams, corpus: Corpus):
 
 
 def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
-                         targets, batch: np.ndarray):
-    """Mean BCE over a batch of documents plus gradients for every weight."""
+                         targets, batch: np.ndarray, out=None):
+    """Mean BCE over a batch of documents plus gradients for every weight.
+
+    Pooling and the embedding-gradient scatter are each one ``np.bincount``
+    over the batch's pieces.  ``bincount`` adds in input order, so both
+    perform the same sequential sums as a per-document ``mean(axis=0)`` and
+    ``np.add.at``, bit for bit.  When ``out`` (arrays keyed by parameter
+    name) is given, the gradients are written into it and it is returned.
+    """
+    embedding = params.embedding
+    d = embedding.shape[1]
     n_batch = batch.size
-    pooled = np.empty((n_batch, params.embedding.shape[1]))
-    spans = []
-    for row, b in enumerate(batch):
-        span = all_ids[offsets[b]:offsets[b] + int(lengths[b])]
-        spans.append(span)
-        pooled[row] = params.embedding[span].mean(axis=0)
+    lens = lengths[batch]
+    counts = lens.astype(np.intp)
+    ends = np.cumsum(counts)
+    # position in all_ids of every piece of the batch, document by document
+    pos = np.arange(ends[-1]) + np.repeat(offsets[batch] - (ends - counts),
+                                          counts)
+    pieces = all_ids[pos]
+    # bin of every (piece, column) cell: its batch row's cell in pooled
+    row_bins = np.repeat(np.arange(n_batch * d).reshape(n_batch, d), counts,
+                         axis=0)
+    pooled = np.bincount(row_bins.ravel(),
+                         weights=np.take(embedding, pieces, axis=0).ravel(),
+                         minlength=n_batch * d).reshape(n_batch, d)
+    pooled /= lens[:, None]
 
     hidden_pre = pooled @ params.hidden_weights + params.hidden_bias
     hidden_post = _activate(params, hidden_pre)
@@ -250,13 +268,19 @@ def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
     d_b_hid = d_pre.sum(axis=0)
     d_pooled = d_pre @ params.hidden_weights.T
 
-    d_emb = np.zeros_like(params.embedding)
-    for row, span in enumerate(spans):
-        np.add.at(d_emb, span, d_pooled[row] / span.size)
+    piece_grads = np.repeat(d_pooled / lens[:, None], counts, axis=0)
+    cell_bins = np.take(np.arange(embedding.size).reshape(embedding.shape),
+                        pieces, axis=0)
+    d_emb = np.bincount(cell_bins.ravel(), weights=piece_grads.ravel(),
+                        minlength=embedding.size).reshape(embedding.shape)
 
     grads = {"embedding": d_emb, "hidden_weights": d_w_hid,
              "hidden_bias": d_b_hid, "output_weights": d_w_out,
              "output_bias": d_b_out}
+    if out is not None:
+        for name, grad in grads.items():
+            out[name][...] = grad
+        grads = out
     return loss, grads
 
 
@@ -264,46 +288,61 @@ _PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
                 "output_weights", "output_bias")
 
 
+def _flat_views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """One view per parameter name into a flat buffer, packed in order."""
+    views, start = {}, 0
+    for name, shape in zip(_PARAM_NAMES, shapes):
+        size = int(np.prod(shape))
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
 def train(params: ModelParams, train_corpus: Corpus,
           config: TrainConfig) -> ModelParams:
-    """Minimize mean per-class BCE with seeded shuffling; returns new params."""
+    """Minimize mean per-class BCE with seeded shuffling; returns new params.
+
+    The five parameters, their gradients and the Adam moments each live in
+    one flat buffer (the returned fields are views into it), so every
+    optimizer step is one elementwise update over all weights.
+    """
     if not train_corpus.documents:
         raise ValidationError("training corpus is empty")
-    params = params.copy()
+    shapes = [getattr(params, k).shape for k in _PARAM_NAMES]
+    flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
+    params = replace(params, vocab=dict(params.vocab),
+                     **_flat_views(flat, shapes))
+    grad = np.zeros_like(flat)
+    grad_views = _flat_views(grad, shapes)
+    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     all_ids, offsets, lengths, targets = _prepare_docs(params, train_corpus)
     n_docs = len(train_corpus.documents)
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
-
-    if config.optimizer == "adam":
-        m_state = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_NAMES}
-        v_state = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_NAMES}
-        step = 0
+    step = 0
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_docs)
         for start in range(0, n_docs, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = batch_loss_and_grads(
-                params, all_ids, offsets, lengths, targets, batch)
+            loss, _ = batch_loss_and_grads(
+                params, all_ids, offsets, lengths, targets, batch,
+                out=grad_views)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"(learning_rate={config.learning_rate})")
             if config.optimizer == "sgd":
-                for k in _PARAM_NAMES:
-                    getattr(params, k)[...] -= config.learning_rate * grads[k]
+                flat -= config.learning_rate * grad
             else:
                 step += 1
                 b1, b2 = config.adam_beta1, config.adam_beta2
-                for k in _PARAM_NAMES:
-                    m_state[k] = b1 * m_state[k] + (1 - b1) * grads[k]
-                    v_state[k] = b2 * v_state[k] + (1 - b2) * grads[k] ** 2
-                    m_hat = m_state[k] / (1 - b1 ** step)
-                    v_hat = v_state[k] / (1 - b2 ** step)
-                    getattr(params, k)[...] -= (
-                        config.learning_rate * m_hat
-                        / (np.sqrt(v_hat) + config.adam_eps))
+                m_state = b1 * m_state + (1 - b1) * grad
+                v_state = b2 * v_state + (1 - b2) * grad ** 2
+                m_hat = m_state / (1 - b1 ** step)
+                v_hat = v_state / (1 - b2 ** step)
+                flat -= (config.learning_rate * m_hat
+                         / (np.sqrt(v_hat) + config.adam_eps))
     return params
 
 

@@ -267,8 +267,19 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     return result
 
 
+def _round_file(round_index: int) -> str:
+    return f"round_{round_index:04d}.json"
+
+
 def write_round_artifacts(result: PipelineResult, out_dir) -> None:
+    """Write one artifact per round and delete round artifacts left in
+    ``out_dir`` by an earlier run that are not part of this one."""
     os.makedirs(out_dir, exist_ok=True)
+    written = {_round_file(rr.round_index) for rr in result.rounds}
+    for name in os.listdir(out_dir):
+        if (name.startswith("round_") and name.endswith(".json")
+                and name not in written):
+            os.remove(os.path.join(out_dir, name))
     for rr in result.rounds:
         payload = {
             "round_index": rr.round_index,
@@ -281,27 +292,27 @@ def write_round_artifacts(result: PipelineResult, out_dir) -> None:
             payload["selections"] = [
                 [r.class_name, r.word, r.doc_id, r.score]
                 for r in rr.selections]
-        path = os.path.join(out_dir, f"round_{rr.round_index:04d}.json")
+        path = os.path.join(out_dir, _round_file(rr.round_index))
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
 
 
-def load_round_artifacts(out_dir) -> list[RoundResult]:
-    rounds = []
-    for name in sorted(os.listdir(out_dir)):
-        if not (name.startswith("round_") and name.endswith(".json")):
-            continue
-        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
+    """Read the artifacts of rounds 0..rounds-1; other files are ignored."""
+    results = []
+    for round_index in range(rounds):
+        path = os.path.join(out_dir, _round_file(round_index))
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         selections = [
             attribution.WordScoreRecord(word=w, doc_id=d, class_name=c, score=s)
             for c, w, d, s in payload.get("selections", [])]
-        rounds.append(RoundResult(
+        results.append(RoundResult(
             round_index=payload["round_index"], selections=selections,
             per_class=payload["per_class"], micro_f1=payload["micro_f1"],
             val_doc_count=payload["val_doc_count"],
             failed=payload["failed"]))
-    return rounds
+    return results
 
 
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",

@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 
 from igkeywords.attribution import (AttributionMatrix, completeness_residual,
-                                    ig_from_gradient_fn, integrated_gradients,
-                                    logit_value, normalize_document,
-                                    token_scores, word_scores)
+                                    integrated_gradients, logit_value,
+                                    normalize_document, token_scores,
+                                    word_scores)
 from igkeywords.corpus import LabelSpace, ValidationError, make_document
 from igkeywords.model import (ModelParams, TrainConfig, build_vocab,
                               init_model, token_ids, train)
+
+
+def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
+                        steps: int) -> np.ndarray:
+    """Generic midpoint-rule IG given any gradient callable on [T, d] inputs:
+    an architecture-independent reference for ``integrated_gradients``."""
+    total = np.zeros_like(inputs, dtype=float)
+    delta = inputs - baseline
+    for s in range(1, steps + 1):
+        alpha = (s - 0.5) / steps
+        total += gradient_fn(baseline + alpha * delta)
+    return delta * (total / steps)
 
 
 def linear_model(rng, vocab_size=10, d=4, h=3, n_classes=2):

@@ -77,6 +77,16 @@ class TestRun:
         assert saved["rounds"] == 1
         assert not (out_dir / "round_0001.json").exists()
 
+    def test_malformed_json_exit_code(self, tmp_path):
+        corpus_path = tmp_path / "bad.jsonl"
+        corpus_path.write_text('{"id": "a", "text": "x", "labels": ["p"]}\n'
+                               '{"id": "b", "text": \n')
+        for extra in ((), ("--classes", "p")):
+            code = run_cli("run", "--corpus", str(corpus_path),
+                           "--out-dir", str(tmp_path / "run"),
+                           "--rounds", "1", *extra)
+            assert code == 1, extra
+
     def test_unknown_config_key(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
         cfg = tmp_path / "bad.conf"
@@ -99,6 +109,26 @@ class TestReport:
         (out_dir / "keywords.tsv").unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         assert (out_dir / "keywords.tsv").read_bytes() == before
+
+    def test_reused_run_dir_describes_the_latest_run(self, synth_files,
+                                                     tmp_path):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        flags = ["--corpus", str(corpus_path), "--out-dir", str(out_dir),
+                 "--ig-steps", "5", "--epochs", "4", "--embedding-dim", "8",
+                 "--hidden-dim", "8", "--min-doc-frequency", "1"]
+        assert run_cli("run", *flags, "--rounds", "4") == 0
+        assert run_cli("run", *flags, "--rounds", "2") == 0
+        assert sorted(p.name for p in out_dir.glob("round_*.json")) == [
+            "round_0000.json", "round_0001.json"]
+        before = (out_dir / "f1_summary.tsv").read_bytes()
+        # a round file that is not part of the run is not read back
+        stale = json.loads((out_dir / "round_0001.json").read_text())
+        stale.update(round_index=2, micro_f1=0.0)
+        (out_dir / "round_0002.json").write_text(json.dumps(stale))
+        (out_dir / "f1_summary.tsv").unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        assert (out_dir / "f1_summary.tsv").read_bytes() == before
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

@@ -181,7 +181,7 @@ class TestRunPipeline:
         corpus, _ = small_synth
         config = toy_config(rounds=2, dump_scores=True)
         result = run_pipeline(corpus, config, out_dir=tmp_path)
-        rounds = load_round_artifacts(tmp_path)
+        rounds = load_round_artifacts(tmp_path, 2)
         assert len(rounds) == 2
         assert rounds[0].selections == result.rounds[0].selections
         aggregates = load_aggregates(tmp_path)
