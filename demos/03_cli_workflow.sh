@@ -30,7 +30,8 @@ echo "=== marker recovery ==="
 cat "$workdir/run/recovery.json"
 echo
 
-# reports can be regenerated from the round artifacts alone
+# report rewrites every report file from the run directory alone
+# (round artifacts, aggregates and config.json)
 igkeywords report --run-dir "$workdir/run"
 
 # numerical self-checks: gradients, IG completeness, aggregation oracle

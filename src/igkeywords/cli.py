@@ -1,25 +1,60 @@
 """Command-line entry point.
 
 Subcommands: synth (emit a synthetic corpus), run (full pipeline),
-report (re-render from round artifacts), check (numerical self-checks).
-A plain key=value config file may set any flag; command line wins.
+report (re-render a run directory's reports), check (numerical self-checks).
+
+The options of synth and run set fields of ``SynthConfig``,
+``PipelineConfig`` and ``TrainConfig``: each takes its type and default
+from its field, and the config's own checks reject bad values.  A plain
+key=value file given with ``--config`` (keys are option names without the
+leading dashes) may set any option of the command except the required
+``--out``/``--corpus``; options on the command line win.
+
+run writes ``config.json`` into its output directory: every
+``PipelineConfig`` field (``TrainConfig`` nested under ``train_config``),
+``classes``, ``top_m`` and, if ``--markers`` was given, ``markers``, the
+planted words per class.  report reads it back and rewrites every report
+file run wrote, so it takes no option besides ``--run-dir``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import attribution, corpus as corpus_mod, model, pipeline, report
-from .corpus import (Corpus, CorpusParseError, LabelSpace, SynthConfig,
+from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
                      ValidationError, generate_synthetic, load_corpus,
                      load_markers, save_corpus, save_markers)
+
+# Option -> the config field it sets.
+_SYNTH_OPTIONS = {
+    "--num-classes": "num_classes", "--docs-per-class": "docs_per_class",
+    "--background-vocab-size": "background_vocab_size",
+    "--markers-per-class": "markers_per_class",
+    "--marker-injection-prob": "marker_injection_prob",
+    "--multilabel-prob": "multilabel_prob", "--zipf-exponent": "zipf_exponent",
+}
+_PIPELINE_OPTIONS = {
+    "--ratio": "ratio", "--top-n": "top_n", "--rounds": "rounds",
+    "--sf-threshold": "sf_threshold",
+    "--min-doc-frequency": "min_doc_frequency", "--ig-steps": "ig_steps",
+    "--selection-target": "selection_target", "--master-seed": "master_seed",
+    "--mean-mode": "mean_mode", "--workers": "workers",
+    "--dump-scores": "dump_scores",
+}
+_TRAIN_OPTIONS = {
+    "--epochs": "epochs", "--learning-rate": "learning_rate",
+    "--batch-size": "batch_size", "--embedding-dim": "d", "--hidden-dim": "h",
+    "--weight-init-scale": "weight_init_scale", "--optimizer": "optimizer",
+    "--decision-threshold": "decision_threshold", "--activation": "activation",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,55 +62,35 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_synth_options(p):
-    p.add_argument("--num-classes", type=int, default=4)
-    p.add_argument("--docs-per-class", type=int, default=500)
-    p.add_argument("--background-vocab-size", type=int, default=5000)
-    p.add_argument("--markers-per-class", type=int, default=3)
-    p.add_argument("--marker-injection-prob", type=float, default=0.8)
-    p.add_argument("--doc-length-min", type=int, default=30)
-    p.add_argument("--doc-length-max", type=int, default=80)
-    p.add_argument("--multilabel-prob", type=float, default=0.1)
-    p.add_argument("--zipf-exponent", type=float, default=1.1)
-    p.add_argument("--seed", type=int, default=0)
+def _add_options(parser, options, defaults) -> None:
+    for option, name in options.items():
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            parser.add_argument(option, action="store_true", default=default)
+        else:
+            parser.add_argument(option, type=type(default), default=default)
 
 
-def _add_run_options(p):
-    p.add_argument("--corpus", required=True, help="JSONL corpus path")
-    p.add_argument("--classes", default=None,
-                   help="comma-separated class names; default: scan corpus")
-    p.add_argument("--markers", default=None,
-                   help="planted-marker sidecar JSON for recovery scoring")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--top-m", type=int, default=15)
-    # pipeline
-    p.add_argument("--ratio", type=float, default=0.67)
-    p.add_argument("--top-n", type=int, default=20)
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--sf-threshold", type=float, default=0.6)
-    p.add_argument("--min-doc-frequency", type=int, default=5)
-    p.add_argument("--ig-steps", type=int, default=50)
-    p.add_argument("--selection-target", default="true-positive",
-                   choices=pipeline.SELECTION_TARGETS)
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--mean-mode", default="pooled",
-                   choices=("pooled", "round-mean"))
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dump-scores", action="store_true")
-    # training
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--embedding-dim", type=int, default=16)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--weight-init-scale", type=float, default=0.1)
-    p.add_argument("--optimizer", default="adam", choices=("sgd", "adam"))
-    p.add_argument("--decision-threshold", type=float, default=0.5)
-    p.add_argument("--activation", default="tanh",
-                   choices=("tanh", "identity"))
+def _config(cls, options, args, **fields):
+    fields.update((name, getattr(args, option[2:].replace("-", "_")))
+                  for option, name in options.items())
+    return cls(**fields)
 
 
-def build_parser() -> _Parser:
+def synth_config(args) -> SynthConfig:
+    """The ``SynthConfig`` that parsed synth options describe."""
+    return _config(SynthConfig, _SYNTH_OPTIONS, args,
+                   doc_length=(args.doc_length_min, args.doc_length_max))
+
+
+def pipeline_config(args) -> pipeline.PipelineConfig:
+    """The ``PipelineConfig`` that parsed run options describe."""
+    return _config(pipeline.PipelineConfig, _PIPELINE_OPTIONS, args,
+                   train_config=_config(model.TrainConfig, _TRAIN_OPTIONS,
+                                        args))
+
+
+def _build_parser():
     parser = _Parser(prog="igkeywords",
                      description="Class keyword extraction from repeated "
                                  "integrated-gradients attributions")
@@ -84,20 +99,33 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_synth_options(p_synth)
+    _add_options(p_synth, _SYNTH_OPTIONS, SynthConfig())
+    doc_length = SynthConfig().doc_length
+    p_synth.add_argument("--doc-length-min", type=int, default=doc_length[0])
+    p_synth.add_argument("--doc-length-max", type=int, default=doc_length[1])
+    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="corpus JSONL output")
     p_synth.add_argument("--markers-out", default=None,
                          help="marker sidecar output (default: <out>.markers.json)")
 
     p_run = sub.add_parser("run", help="run the full keyword pipeline")
-    _add_run_options(p_run)
+    p_run.add_argument("--corpus", required=True, help="JSONL corpus path")
+    p_run.add_argument("--classes", default=None,
+                       help="comma-separated class names; default: scan corpus")
+    p_run.add_argument("--markers", default=None,
+                       help="planted-marker sidecar JSON for recovery scoring")
+    p_run.add_argument("--out-dir", default=None)
+    p_run.add_argument("--top-m", type=int, default=15,
+                       help="keywords per class in the report tables")
+    defaults = pipeline.PipelineConfig()
+    _add_options(p_run, _PIPELINE_OPTIONS, defaults)
+    _add_options(p_run, _TRAIN_OPTIONS, defaults.train_config)
 
     p_report = sub.add_parser("report", help="re-render reports from a run dir")
     p_report.add_argument("--run-dir", required=True)
-    p_report.add_argument("--top-m", type=int, default=15)
 
     sub.add_parser("check", help="run numerical self-checks")
-    return parser
+    return parser, sub.choices
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -115,39 +143,25 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(parser, args, argv):
+def parse_args(argv) -> argparse.Namespace:
+    """Parse a command line; a ``--config`` file's values become the
+    command's defaults, converted like the options they set."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is None:
         return args
     values = _read_config_file(args.config)
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
-                for a in argv if a.startswith("--")}
     for key, raw in values.items():
-        if not hasattr(args, key):
+        if key not in vars(args) or key in ("config", "command"):
             raise ValidationError(f"unknown config key {key!r}")
-        if key in explicit:
-            continue  # command line wins
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+        if isinstance(getattr(args, key), bool):
+            values[key] = raw.lower() in ("1", "true", "yes", "on")
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        num_classes=args.num_classes, docs_per_class=args.docs_per_class,
-        background_vocab_size=args.background_vocab_size,
-        markers_per_class=args.markers_per_class,
-        marker_injection_prob=args.marker_injection_prob,
-        doc_length=(args.doc_length_min, args.doc_length_max),
-        multilabel_prob=args.multilabel_prob,
-        zipf_exponent=args.zipf_exponent)
-    corpus, markers = generate_synthetic(config, args.seed)
+    corpus, markers = generate_synthetic(synth_config(args), args.seed)
     save_corpus(corpus, args.out)
     markers_out = args.markers_out or args.out + ".markers.json"
     save_markers(markers, markers_out)
@@ -170,62 +184,73 @@ def _scan_classes(path) -> list[str]:
     return sorted(labels)
 
 
-def _configs_from_args(args):
-    train_cfg = model.TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        batch_size=args.batch_size, d=args.embedding_dim, h=args.hidden_dim,
-        weight_init_scale=args.weight_init_scale, optimizer=args.optimizer,
-        decision_threshold=args.decision_threshold, activation=args.activation)
-    pipe_cfg = pipeline.PipelineConfig(
-        ratio=args.ratio, top_n=args.top_n, rounds=args.rounds,
-        sf_threshold=args.sf_threshold,
-        min_doc_frequency=args.min_doc_frequency, ig_steps=args.ig_steps,
-        selection_target=args.selection_target, master_seed=args.master_seed,
-        train_config=train_cfg, mean_mode=args.mean_mode,
-        workers=args.workers, dump_scores=args.dump_scores)
-    return pipe_cfg
+def _from_fields(cls, values):
+    """``cls(**values)``; ``values`` must name every field of ``cls``."""
+    missing = {f.name for f in dataclasses.fields(cls)} - set(values)
+    if missing:
+        raise TypeError(f"missing {cls.__name__} fields {sorted(missing)}")
+    return cls(**values)
+
+
+def load_run_config(run_dir):
+    """The ``PipelineConfig``, class order, ``top_m`` and planted markers
+    (None if run had none) that ``run`` saved in ``config.json``."""
+    path = os.path.join(run_dir, "config.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        saved = json.loads(text)
+        classes, top_m = saved.pop("classes"), saved.pop("top_m")
+        markers = saved.pop("markers", None)
+        if markers is not None:
+            markers = {c: set(words) for c, words in markers.items()}
+        train = _from_fields(model.TrainConfig, saved.pop("train_config"))
+        config = _from_fields(pipeline.PipelineConfig,
+                              dict(saved, train_config=train))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed run config: {exc!r}") \
+            from exc
+    return config, classes, top_m, markers
 
 
 def _cmd_run(args) -> int:
+    config = pipeline_config(args)
+    if args.top_m < 1:
+        raise ValidationError("top_m must be >= 1")
     classes = (args.classes.split(",") if args.classes
                else _scan_classes(args.corpus))
     label_space = LabelSpace(tuple(classes))
     corpus = load_corpus(args.corpus, label_space)
-    config = _configs_from_args(args)
-    out_dir = args.out_dir or os.path.join(
-        "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{args.master_seed}")
-    result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
     planted = load_markers(args.markers) if args.markers else None
-    report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
-                         class_names=label_space.classes)
+    out_dir = args.out_dir or os.path.join(
+        "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
+    result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
+    # Saved before the reports, so that it matches the round artifacts
+    # even if writing a report fails.
+    saved = dict(dataclasses.asdict(config),
+                 classes=list(label_space.classes), top_m=args.top_m)
+    if planted is not None:
+        saved["markers"] = {c: sorted(words) for c, words in planted.items()}
     with open(os.path.join(out_dir, "config.json"), "w",
               encoding="utf-8") as fh:
-        json.dump({"rounds": config.rounds, "sf_threshold": config.sf_threshold,
-                   "min_doc_frequency": config.min_doc_frequency,
-                   "mean_mode": config.mean_mode, "top_n": config.top_n,
-                   "master_seed": config.master_seed,
-                   "classes": list(label_space.classes)}, fh, indent=2)
+        json.dump(saved, fh, indent=2)
+    report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
+                         class_names=label_space.classes)
     print(f"run complete; reports in {out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
     run_dir = args.run_dir
-    with open(os.path.join(run_dir, "config.json"), encoding="utf-8") as fh:
-        saved = json.load(fh)
-    config = pipeline.PipelineConfig(
-        rounds=saved["rounds"], sf_threshold=saved["sf_threshold"],
-        min_doc_frequency=saved["min_doc_frequency"],
-        mean_mode=saved["mean_mode"], top_n=saved["top_n"],
-        master_seed=saved["master_seed"])
-    rounds = pipeline.load_round_artifacts(run_dir, saved["rounds"])
+    config, classes, top_m, planted = load_run_config(run_dir)
+    rounds = pipeline.load_round_artifacts(run_dir, config.rounds)
     aggregates = pipeline.load_aggregates(run_dir)
     keywords = pipeline.filter_keywords(aggregates, config,
-                                        class_order=saved["classes"])
+                                        class_order=classes)
     result = pipeline.PipelineResult(rounds=rounds, aggregates=aggregates,
                                      keywords=keywords, config=config)
-    report.write_reports(result, run_dir, top_m=args.top_m,
-                         class_names=saved["classes"])
+    report.write_reports(result, run_dir, top_m=top_m, planted=planted,
+                         class_names=classes)
     print(f"re-rendered reports in {run_dir}")
     return 0
 
@@ -313,10 +338,8 @@ def _cmd_check(_args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(parser, args, argv)
+        args = parse_args(argv)
         handler = {"synth": _cmd_synth, "run": _cmd_run,
                    "report": _cmd_report, "check": _cmd_check}[args.command]
         return handler(args)

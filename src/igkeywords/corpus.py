@@ -10,7 +10,8 @@ import json
 import re
 import string
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,14 +64,17 @@ class Document:
 class Corpus:
     label_space: LabelSpace
     documents: list[Document]
-    doc_frequency: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate document ids")
-        if not self.doc_frequency:
-            self.doc_frequency = compute_doc_frequency(self.documents)
+
+    @cached_property
+    def doc_frequency(self) -> dict[str, int]:
+        """Documents containing each word; computed on first use, so the
+        split halves of a round, which never read it, skip the count."""
+        return compute_doc_frequency(self.documents)
 
     def __len__(self) -> int:
         return len(self.documents)

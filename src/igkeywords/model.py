@@ -15,7 +15,6 @@ path that the gradient tests and IG use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -352,29 +351,3 @@ def corpus_loss(params: ModelParams, corpus: Corpus) -> float:
     loss, _ = batch_loss_and_grads(params, all_ids, offsets, lengths, targets,
                                    np.arange(len(corpus.documents)))
     return loss
-
-
-def save_params(params: ModelParams, path) -> None:
-    """Versioned checkpoint: arrays + vocab in one .npz file."""
-    np.savez(path, format_version=1,
-             embedding=params.embedding,
-             hidden_weights=params.hidden_weights,
-             hidden_bias=params.hidden_bias,
-             output_weights=params.output_weights,
-             output_bias=params.output_bias,
-             activation=params.activation,
-             vocab_json=json.dumps(params.vocab))
-
-
-def load_params(path) -> ModelParams:
-    data = np.load(path, allow_pickle=False)
-    if int(data["format_version"]) != 1:
-        raise ValidationError(f"unsupported checkpoint version in {path}")
-    return ModelParams(
-        embedding=data["embedding"],
-        hidden_weights=data["hidden_weights"],
-        hidden_bias=data["hidden_bias"],
-        output_weights=data["output_weights"],
-        output_bias=data["output_bias"],
-        vocab=json.loads(str(data["vocab_json"])),
-        activation=str(data["activation"]))

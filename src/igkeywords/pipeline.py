@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import attribution, model
-from .corpus import Corpus, SplitSpec, ValidationError
+from .corpus import Corpus, SplitSpec, ValidationError, stratified_split
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
 
@@ -111,7 +111,8 @@ def run_round(corpus: Corpus, config: PipelineConfig,
     if round_index >= config.rounds:
         raise ValidationError("round_index must be below the configured rounds")
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
-    train_corpus, val_corpus = _split(corpus, config, split_seed)
+    train_corpus, val_corpus = stratified_split(
+        corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
 
     vocab = model.build_vocab(train_corpus)
     train_cfg = replace(config.train_config, seed=train_seed)
@@ -163,12 +164,6 @@ def run_round(corpus: Corpus, config: PipelineConfig,
     return RoundResult(round_index=round_index, selections=selections,
                        per_class=per_class, micro_f1=micro_f1,
                        val_doc_count=len(val_corpus.documents))
-
-
-def _split(corpus, config, split_seed):
-    from .corpus import stratified_split
-    return stratified_split(corpus, SplitSpec(ratio=config.ratio,
-                                              seed=split_seed))
 
 
 def aggregate(rounds, corpus: Corpus, config: PipelineConfig):

@@ -148,13 +148,14 @@ def marker_recovery(records, planted: dict[str, set[str]]):
     return out
 
 
-def write_reports(result, out_dir, top_m: int = 15, planted=None,
+def write_reports(result, out_dir, top_m: int, planted=None,
                   class_names=None) -> None:
     """Emit the standard report files into a run directory."""
     os.makedirs(out_dir, exist_ok=True)
     if class_names is None:
         class_names = sorted({r.class_name for r in result.aggregates})
     table = build_keyword_table(result.keywords, class_names, top_m)
+    stat = uniqueness(table)  # rejects a bad top_m before any file is written
 
     def put(name, text):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -164,7 +165,6 @@ def write_reports(result, out_dir, top_m: int = 15, planted=None,
     put("keywords.json", render_keyword_table(table, "json"))
     put("keywords.md", render_keyword_table(table, "markdown"))
     put("f1_summary.tsv", render_f1_summary(f1_summary(result.rounds)))
-    stat = uniqueness(table)
     put("uniqueness.json", json.dumps(
         {"top_m": stat.top_m, "per_class": stat.per_class,
          "mean": stat.mean, "sd": stat.sd}, indent=2, sort_keys=True))

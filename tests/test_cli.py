@@ -1,9 +1,21 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from igkeywords.cli import main
+from igkeywords.cli import (load_run_config, main, parse_args,
+                            pipeline_config, synth_config)
+from igkeywords.corpus import SynthConfig, ValidationError
+from igkeywords.pipeline import PipelineConfig
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SMALL_RUN = ("--rounds", "2", "--ig-steps", "5", "--epochs", "4",
+             "--embedding-dim", "8", "--hidden-dim", "8",
+             "--min-doc-frequency", "1")
+REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
+                "uniqueness.json", "f1_summary.tsv", "recovery.json")
 
 
 def run_cli(*args):
@@ -20,6 +32,55 @@ def synth_files(tmp_path):
                    "--seed", "5")
     assert code == 0
     return corpus_path, tmp_path / "corpus.jsonl.markers.json"
+
+
+class TestParse:
+    def test_no_options_give_the_config_defaults(self):
+        assert synth_config(parse_args(["synth", "--out", "x"])) == SynthConfig()
+        assert (pipeline_config(parse_args(["run", "--corpus", "x"]))
+                == PipelineConfig())
+
+    def test_options_set_their_fields(self):
+        config = pipeline_config(parse_args(
+            ["run", "--corpus", "x", "--embedding-dim", "8", "--dump-scores",
+             "--mean-mode", "round-mean", "--learning-rate", "0.1"]))
+        assert config.train_config.d == 8
+        assert config.train_config.learning_rate == 0.1
+        assert config.dump_scores and config.mean_mode == "round-mean"
+        synth = synth_config(parse_args(
+            ["synth", "--out", "x", "--doc-length-min", "3",
+             "--doc-length-max", "9", "--zipf-exponent", "1.5"]))
+        assert synth.doc_length == (3, 9) and synth.zipf_exponent == 1.5
+
+    def test_benchmark_workload_flags(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        spec = importlib.util.spec_from_file_location(
+            "bench_run", BENCH_DIR / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        for workload in bench.WORKLOADS.values():
+            args = parse_args(["run", "--corpus", "c", "--markers", "m",
+                               "--out-dir", "o", "--master-seed", "3",
+                               "--sf-threshold", "0.6",
+                               "--min-doc-frequency", "5", "--top-m", "15",
+                               *workload["flags"]])
+            config = pipeline_config(args)
+            flags = workload["flags"]
+            assert config.rounds == int(flags[flags.index("--rounds") + 1])
+            assert config.dump_scores == ("--dump-scores" in flags)
+            assert config.master_seed == 3 and args.top_m == 15
+
+    def test_config_checks_reject_bad_values(self):
+        for argv, build in (
+                (["run", "--corpus", "x", "--optimizer", "lbfgs"],
+                 pipeline_config),
+                (["run", "--corpus", "x", "--mean-mode", "median"],
+                 pipeline_config),
+                (["run", "--corpus", "x", "--ratio", "1.5"], pipeline_config),
+                (["synth", "--out", "x", "--doc-length-min", "9",
+                  "--doc-length-max", "3"], synth_config)):
+            with pytest.raises(ValidationError):
+                build(parse_args(argv))
 
 
 class TestSynth:
@@ -87,6 +148,14 @@ class TestRun:
                            "--rounds", "1", *extra)
             assert code == 1, extra
 
+    def test_bad_top_m_is_rejected_before_the_rounds(self, synth_files,
+                                                     tmp_path):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path), "--top-m", "0",
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 1
+        assert not out_dir.exists()
+
     def test_unknown_config_key(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
         cfg = tmp_path / "bad.conf"
@@ -129,6 +198,66 @@ class TestReport:
         (out_dir / "f1_summary.tsv").unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         assert (out_dir / "f1_summary.tsv").read_bytes() == before
+
+    def test_report_reproduces_every_report_file(self, synth_files,
+                                                 tmp_path):
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), "--top-m", "2",
+                       "--learning-rate", "0.1", "--sf-threshold", "0.4",
+                       *SMALL_RUN) == 0
+        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        keywords = json.loads(before["keywords.json"])
+        assert [len(rows) for rows in keywords.values()] == [2, 2, 2]
+        for name in REPORT_FILES:
+            (out_dir / name).unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        for name in REPORT_FILES:
+            assert (out_dir / name).read_bytes() == before[name], name
+
+    def test_config_json_holds_the_run_config(self, synth_files, tmp_path):
+        corpus_path, markers_path = synth_files
+        argv = ["run", "--corpus", str(corpus_path),
+                "--markers", str(markers_path), "--learning-rate", "0.05",
+                "--selection-target", "false-negative", *SMALL_RUN]
+        for name in ("a", "b"):
+            assert run_cli(*argv, "--out-dir", str(tmp_path / name)) == 0
+        config, classes, top_m, markers = load_run_config(tmp_path / "a")
+        assert config == pipeline_config(parse_args(argv))
+        assert config.train_config.learning_rate == 0.05
+        assert (classes, top_m) == (["c0", "c1", "c2"], 15)
+        planted = json.loads(markers_path.read_text())
+        assert markers == {c: set(words) for c, words in planted.items()}
+        assert ((tmp_path / "a" / "config.json").read_bytes()
+                == (tmp_path / "b" / "config.json").read_bytes())
+
+    @pytest.mark.parametrize("edit", [
+        lambda saved: saved.pop("ig_steps"),
+        lambda saved: saved["train_config"].pop("epochs"),
+        lambda saved: saved.pop("classes"),
+        lambda saved: saved.update(bogus=1),
+        lambda saved: saved["train_config"].update(bogus=1),
+        lambda saved: saved.update(ratio=1.5),
+        lambda saved: saved.update(top_m=0),
+    ], ids=["missing-field", "missing-train-field", "missing-classes",
+            "unknown-field", "unknown-train-field", "out-of-range",
+            "top-m-out-of-range"])
+    def test_malformed_config_json_exit_code(self, synth_files, tmp_path,
+                                             capsys, edit):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 0
+        keywords = (out_dir / "keywords.tsv").read_bytes()
+        saved = json.loads((out_dir / "config.json").read_text())
+        edit(saved)
+        (out_dir / "config.json").write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert (out_dir / "keywords.tsv").read_bytes() == keywords
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

@@ -231,18 +231,3 @@ class TestPredict:
         after = predict(params, doc, label_space, 0.5)
         assert "a" in after or "a" not in before
         assert before - {"a"} <= after
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        from igkeywords.model import load_params, save_params
-
-        rng = np.random.default_rng(13)
-        params = random_model(rng)
-        path = tmp_path / "model.npz"
-        save_params(params, path)
-        loaded = load_params(path)
-        assert np.array_equal(loaded.embedding, params.embedding)
-        assert np.array_equal(loaded.output_weights, params.output_weights)
-        assert loaded.vocab == params.vocab
-        assert loaded.activation == params.activation

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from igkeywords import corpus as corpus_module
 from igkeywords.attribution import WordScoreRecord
 from igkeywords.corpus import Corpus, LabelSpace, ValidationError, make_document
 from igkeywords.model import TrainConfig
@@ -174,6 +175,16 @@ class TestRunRound:
             per_doc_class.setdefault((sel.doc_id, sel.class_name), []).append(sel)
         assert per_doc_class
         assert all(len(v) <= 3 for v in per_doc_class.values())
+
+    def test_split_halves_skip_document_frequency(self, small_synth,
+                                                  monkeypatch):
+        corpus, _ = small_synth
+
+        def fail(documents):
+            raise AssertionError("run_round counted document frequency")
+
+        monkeypatch.setattr(corpus_module, "compute_doc_frequency", fail)
+        run_round(corpus, toy_config(rounds=1), 0)
 
 
 class TestRunPipeline:
