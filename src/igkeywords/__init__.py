@@ -1,15 +1,15 @@
 """Class-level keyword extraction via repeated integrated-gradients runs."""
 
-from .corpus import (Corpus, Document, LabelSpace, SplitSpec, SynthConfig,
-                     generate_synthetic, load_corpus, save_corpus,
-                     stratified_split, tokenize)
+from .corpus import (Corpus, CorpusEncoding, Document, LabelSpace, SplitSpec,
+                     SynthConfig, encode_corpus, generate_synthetic,
+                     load_corpus, save_corpus, stratified_split, tokenize)
 from .model import ModelParams, TrainConfig, forward, init_model, predict, train
 from .attribution import (AttributionMatrix, WordScoreRecord,
                           completeness_residual, integrated_gradients,
                           normalize_document, token_scores, word_scores)
 from .pipeline import (AggregateRecord, PipelineConfig, PipelineResult,
-                       RoundResult, aggregate, filter_keywords, run_pipeline,
-                       run_round, top_n_words)
+                       RoundResult, Selections, aggregate, filter_keywords,
+                       run_pipeline, run_round)
 from .report import (F1Summary, KeywordTable, UniquenessStat,
                      build_keyword_table, f1_summary, marker_recovery,
                      render_keyword_table, uniqueness)

@@ -313,9 +313,11 @@ def _check_oracle() -> bool:
         train_config=model.TrainConfig(epochs=3, d=8, h=8))
     result = pipeline.run_pipeline(corpus, config)
     # naive recomputation straight from the per-round selections
+    rows = [row for rr in result.rounds
+            for row in rr.selections.rows(result.encoding)]
     for rec in result.aggregates:
-        pooled = [r.score for rr in result.rounds for r in rr.selections
-                  if r.class_name == rec.class_name and r.word == rec.word]
+        pooled = [score for class_name, word, _doc_id, score in rows
+                  if class_name == rec.class_name and word == rec.word]
         mean = sum(pooled) / len(pooled)
         if abs(mean - rec.mean_score) > 1e-12:
             return False

@@ -162,6 +162,75 @@ def compute_doc_frequency(documents) -> dict[str, int]:
     return df
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusEncoding:
+    """A corpus as integer arrays over sorted tables, built once per run.
+
+    Document ``i`` holds pieces ``offsets[i]:offsets[i + 1]`` of
+    ``piece_ids`` (ids into ``pieces``); ``word_ids`` gives the word of each
+    piece (ids into ``words``).  Both tables are sorted, so ids order like
+    the strings they stand for.  ``labels`` is the [docs, classes] 0/1
+    matrix in label-space order.
+    """
+
+    classes: tuple[str, ...]
+    doc_ids: tuple[str, ...]
+    pieces: tuple[str, ...]
+    words: tuple[str, ...]
+    piece_ids: np.ndarray
+    word_ids: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
+
+    @cached_property
+    def piece_index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.pieces)}
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+
+    def rows(self, corpus: Corpus) -> np.ndarray:
+        """Position in the encoded corpus of each document of ``corpus``
+        (the whole corpus or a split half of it)."""
+        return np.array([self._row_of[doc.id] for doc in corpus.documents],
+                        dtype=np.intp)
+
+    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into ``piece_ids``/``word_ids`` of the pieces of ``rows``,
+        document after document, and each document's piece count."""
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        ends = np.cumsum(counts)
+        return (np.arange(ends[-1] if ends.size else 0)
+                + np.repeat(starts - (ends - counts), counts), counts)
+
+
+def encode_corpus(corpus: Corpus) -> CorpusEncoding:
+    """Encode every document's pieces and words as ids; see CorpusEncoding."""
+    docs = corpus.documents
+    pieces = sorted({p for doc in docs for p, _ in doc.subwords})
+    words = sorted({w for doc in docs for w in doc.words})
+    piece_index = {p: i for i, p in enumerate(pieces)}
+    word_index = {w: i for i, w in enumerate(words)}
+    counts = [len(doc.subwords) for doc in docs]
+    classes = corpus.label_space.classes
+    return CorpusEncoding(
+        classes=classes,
+        doc_ids=tuple(doc.id for doc in docs),
+        pieces=tuple(pieces),
+        words=tuple(words),
+        piece_ids=np.fromiter(
+            (piece_index[p] for doc in docs for p, _ in doc.subwords),
+            dtype=np.int32, count=sum(counts)),
+        word_ids=np.fromiter(
+            (word_index[doc.words[wi]] for doc in docs
+             for _, wi in doc.subwords), dtype=np.int32, count=sum(counts)),
+        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
+        labels=np.array([[1.0 if c in doc.labels else 0.0 for c in classes]
+                         for doc in docs]).reshape(len(docs), len(classes)))
+
+
 def load_corpus(path, label_space: LabelSpace,
                 max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
     """Load a JSONL corpus (fields: id, text, labels) and tokenize it."""

@@ -9,8 +9,12 @@ Training works a batch at a time with no per-document Python: the mean
 pooling and the embedding-gradient scatter are each one ``np.bincount``
 over the batch's pieces, and the parameters, gradients and Adam moments
 each sit in one flat buffer, so an optimizer step is one elementwise
-update.  ``forward`` and ``input_gradients`` keep the single-document
-path that the gradient tests and IG use.
+update.  Within a run, documents reach the model through the corpus
+encoding (``encode_docs`` remaps its piece ids to model rows), and
+``pool_documents`` with ``predict_pooled`` predict a whole validation set
+at once.  ``forward``, ``predict`` and ``input_gradients`` keep the
+single-document path, the oracle for the gradient tests and the batched
+code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Corpus, Document, ValidationError
+from .corpus import (Corpus, CorpusEncoding, Document, ValidationError,
+                     encode_corpus)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -88,10 +93,20 @@ class ForwardTrace:
     logits: np.ndarray            # [C]
 
 
-def build_vocab(corpus: Corpus) -> dict[str, int]:
-    """Map each subword piece in the corpus to a contiguous index."""
-    pieces = sorted({p for doc in corpus.documents for p, _ in doc.subwords})
-    return {p: i for i, p in enumerate(pieces)}
+def build_vocab(corpus: Corpus,
+                encoding: CorpusEncoding | None = None) -> dict[str, int]:
+    """Map each subword piece in the corpus to a contiguous index, in sorted
+    piece order: the sorted unique piece ids of the corpus's documents in
+    ``encoding``, the run's encoding of a corpus holding them
+    (``encode_corpus(corpus)`` when omitted).
+    """
+    if encoding is None:
+        encoding = encode_corpus(corpus)
+    positions, _ = encoding.positions(encoding.rows(corpus))
+    present = np.bincount(encoding.piece_ids[positions],
+                          minlength=len(encoding.pieces))
+    return {encoding.pieces[g]: i
+            for i, g in enumerate(np.flatnonzero(present).tolist())}
 
 
 def init_model(vocab: dict[str, int], num_classes: int,
@@ -150,13 +165,22 @@ def forward(params: ModelParams, doc: Document):
 
 
 def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
-                           class_index: int) -> np.ndarray:
-    """d(logit_c)/d(pooled) for a [B, d] batch of pooled vectors."""
-    hidden_post = _activate(params,
-                            pooled_batch @ params.hidden_weights
-                            + params.hidden_bias)
-    d_pre = _activation_grad(params, hidden_post) \
-        * params.output_weights[:, class_index]
+                           class_index) -> np.ndarray:
+    """d(logit_c)/d(pooled) for a [..., d] batch of pooled vectors.
+
+    ``class_index`` is one class for the whole batch, or an integer array
+    that broadcasts against the batch's leading axes.  The steps are those
+    of ``_activate`` and ``_activation_grad``, done in one buffer.
+    """
+    d_pre = pooled_batch @ params.hidden_weights
+    d_pre += params.hidden_bias
+    if params.activation == "tanh":
+        np.tanh(d_pre, out=d_pre)
+        np.square(d_pre, out=d_pre)
+        np.subtract(1.0, d_pre, out=d_pre)
+    else:  # the identity's derivative
+        d_pre.fill(1.0)
+    d_pre *= params.output_weights.T[class_index]
     return d_pre @ params.hidden_weights.T
 
 
@@ -204,22 +228,63 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_cell.mean())
 
 
+def encode_docs(params: ModelParams, encoding: CorpusEncoding,
+                rows: np.ndarray):
+    """The encoded documents ``rows`` as this model reads them: the model
+    row of every piece, documents one after another, each document's
+    offset and piece count (as float), and its [C] 0/1 labels.
+
+    The piece ids go through one remap array from the encoding's piece
+    table to the model's rows, unknown pieces to ``unk``.
+    """
+    positions, counts = encoding.positions(rows)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        doc_id = encoding.doc_ids[rows[empty[0]]]
+        raise ValidationError(f"document {doc_id!r} has no subwords")
+    remap = np.full(len(encoding.pieces), params.unk_index, dtype=np.intp)
+    index = encoding.piece_index
+    for piece, row in params.vocab.items():
+        if piece in index:
+            remap[index[piece]] = row
+    offsets = np.cumsum(counts) - counts
+    return (remap[encoding.piece_ids[positions]], offsets,
+            counts.astype(float), encoding.labels[rows])
+
+
 def _prepare_docs(params: ModelParams, corpus: Corpus):
-    """Concatenated token ids + offsets for fast batched pooling."""
-    ids, offsets, lengths, targets = [], [], [], []
-    classes = corpus.label_space.classes
-    pos = 0
-    for doc in corpus.documents:
-        t = token_ids(params, doc)
-        if t.size == 0:
-            raise ValidationError(f"document {doc.id!r} has no subwords")
-        offsets.append(pos)
-        lengths.append(t.size)
-        ids.append(t)
-        pos += t.size
-        targets.append([1.0 if c in doc.labels else 0.0 for c in classes])
-    return (np.concatenate(ids), np.array(offsets, dtype=np.intp),
-            np.array(lengths, dtype=float), np.array(targets))
+    """``encode_docs`` for a corpus without a run's encoding."""
+    return encode_docs(params, encode_corpus(corpus),
+                       np.arange(len(corpus.documents)))
+
+
+def pool_documents(params: ModelParams, all_ids, lengths) -> np.ndarray:
+    """Mean piece embedding of every document, [docs, d], for documents
+    laid out one after another in ``all_ids`` (as ``encode_docs`` gives).
+
+    One ``np.bincount`` per embedding column adds each document's pieces in
+    order, so every row equals that document's ``mean(axis=0)`` bit for bit,
+    and no [pieces, d] temporary is built.
+    """
+    n_docs = lengths.size
+    doc_of_piece = np.repeat(np.arange(n_docs), lengths.astype(np.intp))
+    columns = np.ascontiguousarray(params.embedding.T)
+    pooled = np.empty((n_docs, columns.shape[0]))
+    for j, column in enumerate(columns):
+        pooled[:, j] = np.bincount(doc_of_piece, weights=column[all_ids],
+                                   minlength=n_docs)
+    pooled /= lengths[:, None]
+    return pooled
+
+
+def predict_pooled(params: ModelParams, pooled: np.ndarray,
+                   threshold: float) -> np.ndarray:
+    """[docs, C] mask of sigmoid probabilities >= threshold, from the pooled
+    vectors of ``pool_documents``; ``predict`` for a batch of documents."""
+    hidden_post = _activate(params, pooled @ params.hidden_weights
+                            + params.hidden_bias)
+    logits = hidden_post @ params.output_weights + params.output_bias
+    return 1.0 / (1.0 + np.exp(-logits)) >= threshold
 
 
 def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
@@ -297,13 +362,15 @@ def _flat_views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
     return views
 
 
-def train(params: ModelParams, train_corpus: Corpus,
-          config: TrainConfig) -> ModelParams:
+def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
+          docs=None) -> ModelParams:
     """Minimize mean per-class BCE with seeded shuffling; returns new params.
 
-    The five parameters, their gradients and the Adam moments each live in
-    one flat buffer (the returned fields are views into it), so every
-    optimizer step is one elementwise update over all weights.
+    ``docs`` is the corpus already encoded for this model (``encode_docs``
+    over the run's encoding); without it the corpus is encoded here.  The
+    five parameters, their gradients and the Adam moments each live in one
+    flat buffer (the returned fields are views into it), so every optimizer
+    step is one elementwise update over all weights.
     """
     if not train_corpus.documents:
         raise ValidationError("training corpus is empty")
@@ -314,7 +381,8 @@ def train(params: ModelParams, train_corpus: Corpus,
     grad = np.zeros_like(flat)
     grad_views = _flat_views(grad, shapes)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
-    all_ids, offsets, lengths, targets = _prepare_docs(params, train_corpus)
+    all_ids, offsets, lengths, targets = (
+        docs if docs is not None else _prepare_docs(params, train_corpus))
     n_docs = len(train_corpus.documents)
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))

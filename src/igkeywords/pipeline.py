@@ -5,6 +5,12 @@ validation set -> attribute target (document, class) pairs with IG ->
 keep the top-n words per document.  Rounds are aggregated into per-
 (class, word) mean scores and selection frequencies, then filtered by
 selection frequency and corpus document frequency.
+
+The corpus is encoded once per run (``corpus.encode_corpus``).  A round's
+explain half is array code over that encoding: one pooled forward pass
+predicts the whole validation set, ``attribution.top_word_scores`` scores
+every target pair in chunks, and the selections are columns of indices
+into the run's tables, which ``aggregate`` reduces with grouped sums.
 """
 
 from __future__ import annotations
@@ -18,9 +24,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import attribution, model
-from .corpus import Corpus, SplitSpec, ValidationError, stratified_split
+from .corpus import (Corpus, CorpusEncoding, SplitSpec, ValidationError,
+                     encode_corpus, stratified_split)
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
+
+#: rows per json.dumps call when writing dumped selections and aggregates,
+#: so that no file's whole text is held in memory at once
+DUMP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -56,10 +67,51 @@ class PipelineConfig:
             raise ValidationError("workers must be >= 1")
 
 
+@dataclass(eq=False)
+class Selections:
+    """A round's selected words as columns, in validation-document, class,
+    rank order: indices into the label space, the run's word table and the
+    corpus documents, with each word's score."""
+
+    class_idx: np.ndarray
+    word_idx: np.ndarray
+    doc_idx: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def empty(cls) -> Selections:
+        none = np.empty(0, dtype=np.intp)
+        return cls(none, none, none, np.empty(0))
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Selections):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("class_idx", "word_idx", "doc_idx", "score"))
+
+    def rows(self, encoding: CorpusEncoding, start: int = 0,
+             stop: int | None = None) -> list[list]:
+        """``[class, word, doc_id, score]`` per selection (of those from
+        ``start`` to ``stop``), as dumped."""
+        part = slice(start, stop)
+        classes, words, doc_ids = (encoding.classes, encoding.words,
+                                   encoding.doc_ids)
+        return [[classes[c], words[w], doc_ids[d], s]
+                for c, w, d, s in zip(self.class_idx[part].tolist(),
+                                      self.word_idx[part].tolist(),
+                                      self.doc_idx[part].tolist(),
+                                      self.score[part].tolist())]
+
+
 @dataclass
 class RoundResult:
     round_index: int
-    selections: list[attribution.WordScoreRecord]
+    # Rounds read back by load_round_artifacts hold the dumped
+    # [class, word, doc_id, score] rows instead.
+    selections: Selections | list
     per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
     micro_f1: float
     val_doc_count: int
@@ -84,19 +136,6 @@ def round_seeds(master_seed: int, round_index: int) -> tuple[int, int]:
     return int(split_seed), int(train_seed)
 
 
-def _matches_target(target: str, predicted: bool, gold: bool) -> bool:
-    if target == "true-positive":
-        return predicted and gold
-    if target == "false-positive":
-        return predicted and not gold
-    return gold and not predicted  # false-negative
-
-
-def top_n_words(records, n: int):
-    """The n highest-scoring records; ties broken by word order."""
-    return sorted(records, key=lambda r: (-r.score, r.word))[:n]
-
-
 def _f1_metrics(counts):
     tp, fp, fn = counts
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -105,107 +144,126 @@ def _f1_metrics(counts):
     return precision, recall, f1
 
 
-def run_round(corpus: Corpus, config: PipelineConfig,
-              round_index: int) -> RoundResult:
-    """One split/train/attribute/select round; failures are recorded, not raised."""
+def run_round(corpus: Corpus, config: PipelineConfig, round_index: int,
+              encoding: CorpusEncoding | None = None) -> RoundResult:
+    """One split/train/attribute/select round; failures are recorded, not raised.
+
+    ``encoding`` is ``encode_corpus(corpus)``, built once per run; without
+    it the round encodes the corpus itself.
+    """
     if round_index >= config.rounds:
         raise ValidationError("round_index must be below the configured rounds")
+    if encoding is None:
+        encoding = encode_corpus(corpus)
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
     train_corpus, val_corpus = stratified_split(
         corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
 
-    vocab = model.build_vocab(train_corpus)
+    vocab = model.build_vocab(train_corpus, encoding)
     train_cfg = replace(config.train_config, seed=train_seed)
     params = model.init_model(vocab, len(corpus.label_space), train_cfg)
     try:
-        params = model.train(params, train_corpus, train_cfg)
-    except model.TrainingDivergedError as exc:
+        params = model.train(
+            params, train_corpus, train_cfg,
+            docs=model.encode_docs(params, encoding,
+                                   encoding.rows(train_corpus)))
+        selections, counts = _explain(params, encoding,
+                                      encoding.rows(val_corpus), config)
+    except (model.TrainingDivergedError, attribution.AttributionError) as exc:
         warnings.warn(f"round {round_index} failed: {exc}", stacklevel=2)
-        return RoundResult(round_index=round_index, selections=[],
-                           per_class={}, micro_f1=0.0,
+        return RoundResult(round_index=round_index,
+                           selections=Selections.empty(), per_class={},
+                           micro_f1=0.0,
                            val_doc_count=len(val_corpus.documents), failed=True)
 
-    classes = corpus.label_space.classes
-    threshold = train_cfg.decision_threshold
-    class_counts = {c: [0, 0, 0] for c in classes}  # tp, fp, fn
-    micro = [0, 0, 0]
-    selections: list[attribution.WordScoreRecord] = []
-
-    for doc in val_corpus.documents:
-        predicted = model.predict(params, doc, corpus.label_space, threshold)
-        for ci, c in enumerate(classes):
-            pred, gold = c in predicted, c in doc.labels
-            if pred and gold:
-                slot = 0
-            elif pred:
-                slot = 1
-            elif gold:
-                slot = 2
-            else:
-                slot = None
-            if slot is not None:
-                class_counts[c][slot] += 1
-                micro[slot] += 1
-            if _matches_target(config.selection_target, pred, gold):
-                attr = attribution.integrated_gradients(
-                    params, doc, ci, steps=config.ig_steps)
-                normalized = attribution.normalize_document(
-                    attribution.token_scores(attr))
-                records = attribution.word_scores(normalized, doc, c)
-                selections.extend(top_n_words(records, config.top_n))
-
     per_class = {}
-    for c in classes:
-        precision, recall, f1 = _f1_metrics(class_counts[c])
-        support = class_counts[c][0] + class_counts[c][2]  # tp + fn = gold count
+    for c, (tp, fp, fn) in zip(corpus.label_space.classes, counts.T.tolist()):
+        precision, recall, f1 = _f1_metrics((tp, fp, fn))
         per_class[c] = {"precision": precision, "recall": recall, "f1": f1,
-                        "support": float(support)}
-    _, _, micro_f1 = _f1_metrics(micro)
+                        "support": float(tp + fn)}  # tp + fn = gold count
+    _, _, micro_f1 = _f1_metrics(counts.sum(axis=1).tolist())
     return RoundResult(round_index=round_index, selections=selections,
                        per_class=per_class, micro_f1=micro_f1,
                        val_doc_count=len(val_corpus.documents))
 
 
-def aggregate(rounds, corpus: Corpus, config: PipelineConfig):
+def _explain(params: model.ModelParams, encoding: CorpusEncoding,
+             val_rows: np.ndarray, config: PipelineConfig):
+    """Predict the validation documents, attribute the target pairs and
+    keep each pair's top-n words; returns the selections and the [3, C]
+    true-positive, false-positive and false-negative counts."""
+    all_ids, offsets, lengths, gold = model.encode_docs(params, encoding,
+                                                        val_rows)
+    pooled = model.pool_documents(params, all_ids, lengths)
+    predicted = model.predict_pooled(
+        params, pooled, config.train_config.decision_threshold)
+    gold = gold.astype(bool)
+    outcomes = {"true-positive": predicted & gold,
+                "false-positive": predicted & ~gold,
+                "false-negative": gold & ~predicted}
+    counts = np.array([outcomes[t].sum(axis=0) for t in SELECTION_TARGETS])
+    pair_docs, pair_classes = np.nonzero(outcomes[config.selection_target])
+    pair, word, score = attribution.top_word_scores(
+        params, (all_ids, offsets, lengths), pooled,
+        encoding.word_ids[encoding.positions(val_rows)[0]],
+        pair_docs, pair_classes, config.ig_steps, config.top_n)
+    return Selections(class_idx=pair_classes[pair], word_idx=word,
+                      doc_idx=val_rows[pair_docs[pair]], score=score), counts
+
+
+def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
+              encoding: CorpusEncoding | None = None):
     """Merge round selections into per-(class, word) aggregate records.
 
+    Grouped sums over the selection columns: ``np.bincount`` adds each
+    group's scores in round and selection order, as a running sum would.
     The selection-frequency denominator is the configured round count, so
-    failed rounds count against stability.
+    failed rounds count against stability.  ``encoding`` holds the word
+    table the selections index (``encode_corpus(corpus)`` when omitted).
     """
     if not rounds:
         raise ValidationError("aggregate requires at least one round")
+    if encoding is None:
+        encoding = encode_corpus(corpus)
     rounds = sorted(rounds, key=lambda r: r.round_index)
-    scores: dict[tuple[str, str], list[list[float]]] = {}
-    round_hits: dict[tuple[str, str], set[int]] = {}
-    for rr in rounds:
-        per_round: dict[tuple[str, str], list[float]] = {}
-        for rec in rr.selections:
-            key = (rec.class_name, rec.word)
-            per_round.setdefault(key, []).append(rec.score)
-            round_hits.setdefault(key, set()).add(rr.round_index)
-        for key, vals in per_round.items():
-            scores.setdefault(key, []).append(vals)
+    columns = [r.selections for r in rounds]
+    class_idx = np.concatenate([s.class_idx for s in columns])
+    word_idx = np.concatenate([s.word_idx for s in columns])
+    score = np.concatenate([s.score for s in columns])
+    round_of = np.repeat(np.arange(len(rounds)), [len(s) for s in columns])
 
-    out = []
-    for (class_name, word) in sorted(scores):
-        per_round_scores = scores[(class_name, word)]
-        if config.mean_mode == "pooled":
-            pooled = [s for vals in per_round_scores for s in vals]
-            mean_score = sum(pooled) / len(pooled)
-        else:
-            round_means = [sum(v) / len(v) for v in per_round_scores]
-            mean_score = sum(round_means) / len(round_means)
-        n_selected = len(round_hits[(class_name, word)])
-        out.append(AggregateRecord(
-            class_name=class_name,
-            word=word,
-            mean_score=mean_score,
-            rounds_selected=n_selected,
-            selection_frequency=n_selected / config.rounds,
-            instance_count=sum(len(v) for v in per_round_scores),
-            doc_frequency=corpus.doc_frequency.get(word, 0),
-        ))
-    return out
+    # Groups ordered by (class name, word), as the records are sorted.
+    classes = encoding.classes
+    class_rank = np.argsort(np.argsort(np.array(classes, dtype=object)))
+    keys, key_of = np.unique(
+        class_rank[class_idx] * len(encoding.words) + word_idx,
+        return_inverse=True)
+    n_keys = keys.size
+    instances = np.bincount(key_of, minlength=n_keys)
+    # (round, group) cells in round order, so each group sees its rounds in order.
+    cells, cell_of = np.unique(round_of * n_keys + key_of, return_inverse=True)
+    cell_key = cells % n_keys
+    rounds_selected = np.bincount(cell_key, minlength=n_keys)
+    if config.mean_mode == "pooled":
+        mean_score = np.bincount(key_of, weights=score,
+                                 minlength=n_keys) / instances
+    else:
+        round_means = (np.bincount(cell_of, weights=score)
+                       / np.bincount(cell_of))
+        mean_score = np.bincount(cell_key, weights=round_means,
+                                 minlength=n_keys) / rounds_selected
+
+    class_of_key, word_of_key = np.divmod(keys, len(encoding.words))
+    class_names = [classes[c]
+                   for c in np.argsort(class_rank)[class_of_key].tolist()]
+    words = [encoding.words[w] for w in word_of_key.tolist()]
+    doc_frequency = corpus.doc_frequency
+    # Positional columns, in AggregateRecord's field order.
+    return list(map(AggregateRecord, class_names, words, mean_score.tolist(),
+                    rounds_selected.tolist(),
+                    (rounds_selected / config.rounds).tolist(),
+                    instances.tolist(),
+                    [doc_frequency.get(w, 0) for w in words]))
 
 
 def filter_keywords(records, config: PipelineConfig, class_order=None):
@@ -229,11 +287,25 @@ class PipelineResult:
     aggregates: list[AggregateRecord]
     keywords: list[AggregateRecord]
     config: PipelineConfig
+    # The tables the rounds' selections index; None when read back from
+    # a run directory.
+    encoding: CorpusEncoding | None = None
+
+
+# A pool worker's corpus and encoding, handed over once by the pool's
+# initializer rather than pickled into every round's task.
+_worker_inputs: tuple = ()
+
+
+def _init_worker(corpus: Corpus, encoding: CorpusEncoding) -> None:
+    global _worker_inputs
+    _worker_inputs = (corpus, encoding)
 
 
 def _round_task(args):
-    corpus, config, round_index = args
-    return run_round(corpus, config, round_index)
+    config, round_index = args
+    corpus, encoding = _worker_inputs
+    return run_round(corpus, config, round_index, encoding)
 
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig,
@@ -243,19 +315,23 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     Results are identical for any worker count: rounds are seeded
     individually and merged in round order.
     """
+    encoding = encode_corpus(corpus)
     indices = list(range(config.rounds))
     if config.workers == 1:
-        rounds = [run_round(corpus, config, i) for i in indices]
+        rounds = [run_round(corpus, config, i, encoding) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 initializer=_init_worker,
+                                 initargs=(corpus, encoding)) as pool:
             rounds = list(pool.map(_round_task,
-                                   [(corpus, config, i) for i in indices]))
+                                   [(config, i) for i in indices]))
     rounds.sort(key=lambda r: r.round_index)
-    aggregates = aggregate(rounds, corpus, config)
+    aggregates = aggregate(rounds, corpus, config, encoding)
     keywords = filter_keywords(aggregates, config,
                                class_order=corpus.label_space.classes)
     result = PipelineResult(rounds=rounds, aggregates=aggregates,
-                            keywords=keywords, config=config)
+                            keywords=keywords, config=config,
+                            encoding=encoding)
     if out_dir is not None:
         write_round_artifacts(result, out_dir)
         write_aggregates(aggregates, out_dir)
@@ -283,27 +359,36 @@ def write_round_artifacts(result: PipelineResult, out_dir) -> None:
             "per_class": rr.per_class,
             "val_doc_count": rr.val_doc_count,
         }
-        if result.config.dump_scores:
-            payload["selections"] = [
-                [r.class_name, r.word, r.doc_id, r.score]
-                for r in rr.selections]
         path = os.path.join(out_dir, _round_file(rr.round_index))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            if not result.config.dump_scores:
+                fh.write(json.dumps(payload))
+                continue
+            # The selections close the payload; they are written where
+            # json.dumps would put them, DUMP_ROWS rows at a time.
+            payload["selections"] = []
+            fh.write(json.dumps(payload)[:-2])
+            for start in range(0, len(rr.selections), DUMP_ROWS):
+                rows = rr.selections.rows(result.encoding, start,
+                                          start + DUMP_ROWS)
+                fh.write((", " if start else "") + json.dumps(rows)[1:-1])
+            fh.write("]}")
 
 
 def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
-    """Read the artifacts of rounds 0..rounds-1; other files are ignored."""
+    """Read the artifacts of rounds 0..rounds-1; other files are ignored.
+
+    Dumped selections stay the ``[class, word, doc_id, score]`` rows as
+    parsed (an empty list when scores were not dumped).
+    """
     results = []
     for round_index in range(rounds):
         path = os.path.join(out_dir, _round_file(round_index))
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        selections = [
-            attribution.WordScoreRecord(word=w, doc_id=d, class_name=c, score=s)
-            for c, w, d, s in payload.get("selections", [])]
         results.append(RoundResult(
-            round_index=payload["round_index"], selections=selections,
+            round_index=payload["round_index"],
+            selections=payload.get("selections", []),
             per_class=payload["per_class"], micro_f1=payload["micro_f1"],
             val_doc_count=payload["val_doc_count"],
             failed=payload["failed"]))
@@ -315,23 +400,30 @@ _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
 
 
 def write_aggregates(records, out_dir) -> None:
+    """Write ``aggregates.json`` (the bytes of ``json.dumps`` of the rows)
+    and ``aggregates.tsv``, DUMP_ROWS records at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = [{
-        "class": r.class_name, "word": r.word, "mean_score": r.mean_score,
-        "selection_frequency": r.selection_frequency,
-        "rounds_selected": r.rounds_selected,
-        "instance_count": r.instance_count,
-        "doc_frequency": r.doc_frequency,
-    } for r in records]
     with open(os.path.join(out_dir, "aggregates.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(rows, fh)
-    with open(os.path.join(out_dir, "aggregates.tsv"), "w",
-              encoding="utf-8") as fh:
+              encoding="utf-8") as js, \
+            open(os.path.join(out_dir, "aggregates.tsv"), "w",
+                 encoding="utf-8") as fh:
+        js.write("[")
         fh.write("\t".join(_AGG_COLUMNS) + "\n")
-        for row in rows:
-            fh.write("\t".join(repr(row[c]) if isinstance(row[c], float)
-                               else str(row[c]) for c in _AGG_COLUMNS) + "\n")
+        for start in range(0, len(records), DUMP_ROWS):
+            rows = [{
+                "class": r.class_name, "word": r.word,
+                "mean_score": r.mean_score,
+                "selection_frequency": r.selection_frequency,
+                "rounds_selected": r.rounds_selected,
+                "instance_count": r.instance_count,
+                "doc_frequency": r.doc_frequency,
+            } for r in records[start:start + DUMP_ROWS]]
+            js.write((", " if start else "") + json.dumps(rows)[1:-1])
+            for row in rows:
+                fh.write("\t".join(repr(row[c]) if isinstance(row[c], float)
+                                   else str(row[c]) for c in _AGG_COLUMNS)
+                         + "\n")
+        js.write("]")
 
 
 def load_aggregates(out_dir) -> list[AggregateRecord]:

@@ -1,0 +1,136 @@
+"""Test-only copies of the per-document round loop and the dict aggregate
+that the batched explain pass and the grouped-sum aggregate replaced.
+
+The loop predicts with the single-document ``model.predict`` and runs
+``attribution.integrated_gradients`` as it was written before
+``pooled_logit_gradients`` took its in-place form, then the word-score
+chain.  They are the reference for the differential tests in
+``test_batched_explain.py``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from igkeywords import attribution, model
+from igkeywords.corpus import SplitSpec, ValidationError, stratified_split
+from igkeywords.pipeline import AggregateRecord, _f1_metrics, round_seeds
+
+
+def top_n_words(records, n: int):
+    """The n highest-scoring records; ties broken by word order."""
+    return sorted(records, key=lambda r: (-r.score, r.word))[:n]
+
+
+def reference_token_scores(params, doc, class_index, steps):
+    """``token_scores(integrated_gradients(...))`` with a zero baseline,
+    operation for operation."""
+    inputs = params.embedding[model.token_ids(params, doc)].astype(float)
+    base = np.zeros_like(inputs)
+    alphas = (np.arange(1, steps + 1) - 0.5) / steps
+    pooled_base = base.mean(axis=0)
+    pooled_delta = inputs.mean(axis=0) - pooled_base
+    pooled_path = pooled_base + alphas[:, None] * pooled_delta
+    hidden_post = model._activate(
+        params, pooled_path @ params.hidden_weights + params.hidden_bias)
+    d_pre = (model._activation_grad(params, hidden_post)
+             * params.output_weights[:, class_index])
+    grads = d_pre @ params.hidden_weights.T
+    assert np.isfinite(grads).all()
+    avg_grad = grads.mean(axis=0) / inputs.shape[0]
+    return ((inputs - base) * avg_grad).sum(axis=1)
+
+
+def _matches_target(target: str, predicted: bool, gold: bool) -> bool:
+    if target == "true-positive":
+        return predicted and gold
+    if target == "false-positive":
+        return predicted and not gold
+    return gold and not predicted  # false-negative
+
+
+def reference_run_round(corpus, config, round_index):
+    """(selections as WordScoreRecords, per_class, micro_f1) of one round,
+    document by document and pair by pair."""
+    if round_index >= config.rounds:
+        raise ValidationError("round_index must be below the configured rounds")
+    split_seed, train_seed = round_seeds(config.master_seed, round_index)
+    train_corpus, val_corpus = stratified_split(
+        corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
+
+    vocab = model.build_vocab(train_corpus)
+    train_cfg = replace(config.train_config, seed=train_seed)
+    params = model.init_model(vocab, len(corpus.label_space), train_cfg)
+    params = model.train(params, train_corpus, train_cfg)
+
+    classes = corpus.label_space.classes
+    threshold = train_cfg.decision_threshold
+    class_counts = {c: [0, 0, 0] for c in classes}  # tp, fp, fn
+    micro = [0, 0, 0]
+    selections = []
+
+    for doc in val_corpus.documents:
+        predicted = model.predict(params, doc, corpus.label_space, threshold)
+        for ci, c in enumerate(classes):
+            pred, gold = c in predicted, c in doc.labels
+            if pred and gold:
+                slot = 0
+            elif pred:
+                slot = 1
+            elif gold:
+                slot = 2
+            else:
+                slot = None
+            if slot is not None:
+                class_counts[c][slot] += 1
+                micro[slot] += 1
+            if _matches_target(config.selection_target, pred, gold):
+                normalized = attribution.normalize_document(
+                    reference_token_scores(params, doc, ci, config.ig_steps))
+                records = attribution.word_scores(normalized, doc, c)
+                selections.extend(top_n_words(records, config.top_n))
+
+    per_class = {}
+    for c in classes:
+        precision, recall, f1 = _f1_metrics(class_counts[c])
+        support = class_counts[c][0] + class_counts[c][2]
+        per_class[c] = {"precision": precision, "recall": recall, "f1": f1,
+                        "support": float(support)}
+    _, _, micro_f1 = _f1_metrics(micro)
+    return selections, per_class, micro_f1
+
+
+def reference_aggregate(rounds, corpus, config):
+    """``rounds`` is a list of (round_index, [WordScoreRecord])."""
+    rounds = sorted(rounds, key=lambda r: r[0])
+    scores = {}
+    round_hits = {}
+    for round_index, records in rounds:
+        per_round = {}
+        for rec in records:
+            key = (rec.class_name, rec.word)
+            per_round.setdefault(key, []).append(rec.score)
+            round_hits.setdefault(key, set()).add(round_index)
+        for key, vals in per_round.items():
+            scores.setdefault(key, []).append(vals)
+
+    out = []
+    for (class_name, word) in sorted(scores):
+        per_round_scores = scores[(class_name, word)]
+        if config.mean_mode == "pooled":
+            pooled = [s for vals in per_round_scores for s in vals]
+            mean_score = sum(pooled) / len(pooled)
+        else:
+            round_means = [sum(v) / len(v) for v in per_round_scores]
+            mean_score = sum(round_means) / len(round_means)
+        n_selected = len(round_hits[(class_name, word)])
+        out.append(AggregateRecord(
+            class_name=class_name,
+            word=word,
+            mean_score=mean_score,
+            rounds_selected=n_selected,
+            selection_frequency=n_selected / config.rounds,
+            instance_count=sum(len(v) for v in per_round_scores),
+            doc_frequency=corpus.doc_frequency.get(word, 0),
+        ))
+    return out

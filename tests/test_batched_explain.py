@@ -1,0 +1,286 @@
+"""Differential tests: the batched explain pass and the grouped-sum
+aggregate against the per-document round loop and the dict aggregate they
+replaced (``reference_round.py``).
+
+Both sides perform the same floating-point operations in the same order,
+so every comparison is exact (``np.array_equal`` or ``==``).
+"""
+
+import dataclasses
+import io
+import json
+
+import numpy as np
+import pytest
+
+from igkeywords import attribution, model, pipeline
+from igkeywords.attribution import WordScoreRecord
+from igkeywords.corpus import (Corpus, SplitSpec, SynthConfig, ValidationError,
+                               encode_corpus, generate_synthetic, make_document,
+                               stratified_split)
+from igkeywords.model import TrainConfig
+from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
+                                 aggregate, round_seeds, run_pipeline,
+                                 run_round)
+from reference_round import (reference_aggregate, reference_run_round,
+                             reference_token_scores)
+
+
+@pytest.fixture(scope="module")
+def criterion_4_corpus():
+    """The corpus of acceptance criterion 4."""
+    synth = SynthConfig(num_classes=4, docs_per_class=12,
+                        background_vocab_size=150, markers_per_class=2,
+                        doc_length=(8, 15))
+    corpus, _ = generate_synthetic(synth, seed=404)
+    return corpus
+
+
+def train_config(activation="tanh"):
+    """Trains far enough on both corpora that every selection target has
+    pairs to attribute."""
+    return TrainConfig(epochs=20, learning_rate=0.05, d=8, h=8,
+                       activation=activation)
+
+
+def small_config(**overrides):
+    defaults = dict(ratio=0.6, top_n=5, rounds=3, ig_steps=10, master_seed=77,
+                    train_config=train_config())
+    defaults.update(overrides)
+    return PipelineConfig(**defaults)
+
+
+def criterion_4_config(**overrides):
+    defaults = dict(ratio=0.6, top_n=5, rounds=3, ig_steps=10,
+                    min_doc_frequency=1, master_seed=11,
+                    train_config=train_config())
+    defaults.update(overrides)
+    return PipelineConfig(**defaults)
+
+
+def as_columns(records, encoding):
+    """Reference WordScoreRecords as (class, word, doc, score) columns."""
+    word_of = {w: i for i, w in enumerate(encoding.words)}
+    doc_of = {d: i for i, d in enumerate(encoding.doc_ids)}
+    return (np.array([encoding.classes.index(r.class_name) for r in records],
+                     dtype=np.intp),
+            np.array([word_of[r.word] for r in records], dtype=np.intp),
+            np.array([doc_of[r.doc_id] for r in records], dtype=np.intp),
+            np.array([r.score for r in records], dtype=float))
+
+
+def as_records(selections, encoding):
+    return [WordScoreRecord(word=w, doc_id=d, class_name=c, score=s)
+            for c, w, d, s in selections.rows(encoding)]
+
+
+def assert_round_matches_reference(corpus, config, round_index):
+    encoding = encode_corpus(corpus)
+    batched = run_round(corpus, config, round_index, encoding)
+    records, per_class, micro_f1 = reference_run_round(corpus, config,
+                                                       round_index)
+    got = batched.selections
+    for name, want in zip(("class_idx", "word_idx", "doc_idx", "score"),
+                          as_columns(records, encoding)):
+        assert np.array_equal(getattr(got, name), want), name
+    assert batched.per_class == per_class
+    assert batched.micro_f1 == micro_f1
+    return len(records)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("target", ["true-positive", "false-positive",
+                                    "false-negative"])
+def test_small_synth_rounds_match_per_document_loop(small_synth, target,
+                                                    activation):
+    corpus, _ = small_synth
+    config = small_config(selection_target=target,
+                          train_config=train_config(activation))
+    selected = sum(assert_round_matches_reference(corpus, config, i)
+                   for i in range(config.rounds))
+    assert selected > 0
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("target", ["true-positive", "false-positive",
+                                    "false-negative"])
+def test_criterion_4_rounds_match_per_document_loop(criterion_4_corpus,
+                                                    target, activation):
+    config = criterion_4_config(selection_target=target,
+                                train_config=train_config(activation))
+    selected = sum(assert_round_matches_reference(criterion_4_corpus, config, i)
+                   for i in range(config.rounds))
+    assert selected > 0
+
+
+@pytest.mark.parametrize("path_rows", [1, 25, 10_000])
+def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
+                                               path_rows):
+    # 1 row still takes one pair per chunk; 25 rows split 10-step pairs
+    # two to a chunk; 10,000 rows take every pair in one chunk.
+    corpus, _ = small_synth
+    config = small_config(selection_target="false-negative")
+    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    assert assert_round_matches_reference(corpus, config, 0) > 0
+
+
+def test_batched_predictions_match_predict(small_synth):
+    corpus, _ = small_synth
+    encoding = encode_corpus(corpus)
+    train_corpus, val_corpus = stratified_split(corpus, SplitSpec(0.6, 5))
+    cfg = dataclasses.replace(train_config(), seed=3)
+    params = model.init_model(model.build_vocab(train_corpus), 4, cfg)
+    params = model.train(params, train_corpus, cfg)
+    all_ids, _, lengths, _ = model.encode_docs(
+        params, encoding, encoding.rows(val_corpus))
+    predicted = model.predict_pooled(
+        params, model.pool_documents(params, all_ids, lengths), 0.5)
+    classes = corpus.label_space.classes
+    for doc, mask in zip(val_corpus.documents, predicted):
+        assert {classes[i] for i in np.flatnonzero(mask)} == \
+            model.predict(params, doc, corpus.label_space, 0.5)
+    assert predicted.any()
+
+
+def test_encoded_documents_match_vocabulary_lookup(small_synth):
+    corpus, _ = small_synth
+    encoding = encode_corpus(corpus)
+    half = Corpus(label_space=corpus.label_space,
+                  documents=corpus.documents[::2])
+    # vocabulary from half the corpus, so the other half has unknown pieces
+    vocab = model.build_vocab(half, encoding)
+    assert vocab == model.build_vocab(half)
+    assert list(vocab) == sorted({p for doc in half.documents
+                                  for p, _ in doc.subwords})
+    assert list(vocab.values()) == list(range(len(vocab)))
+    params = model.init_model(vocab, 4, TrainConfig(d=4, h=4))
+    rest = corpus.documents[1::2][::-1]
+    all_ids, offsets, lengths, targets = model.encode_docs(
+        params, encoding, encoding.rows(Corpus(corpus.label_space, rest)))
+    assert (all_ids == params.unk_index).any()
+    for i, doc in enumerate(rest):
+        ids = model.token_ids(params, doc)
+        assert lengths[i] == ids.size
+        assert np.array_equal(all_ids[offsets[i]:offsets[i] + ids.size], ids)
+        assert np.array_equal(targets[i], [float(c in doc.labels)
+                                           for c in corpus.label_space.classes])
+        words = encoding.word_ids[encoding.offsets[encoding.doc_ids.index(
+            doc.id)]:][:ids.size]
+        assert [encoding.words[w] for w in words] == \
+            [doc.words[wi] for _, wi in doc.subwords]
+
+
+def test_oracle_gradients_unchanged(small_synth):
+    corpus, _ = small_synth
+    for activation in ("tanh", "identity"):
+        cfg = TrainConfig(epochs=5, d=8, h=8, activation=activation)
+        params = model.train(model.init_model(model.build_vocab(corpus), 4,
+                                              cfg), corpus, cfg)
+        for doc in corpus.documents[:10]:
+            attr = attribution.integrated_gradients(params, doc, 2, steps=7)
+            assert np.array_equal(attribution.token_scores(attr),
+                                  reference_token_scores(params, doc, 2, 7))
+
+
+@pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])
+def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
+    corpus, _ = small_synth
+    encoding = encode_corpus(corpus)
+    config = small_config(rounds=4, mean_mode=mean_mode,
+                          selection_target="false-negative")
+    rounds = [run_round(corpus, config, i, encoding) for i in range(3)]
+    rounds.append(RoundResult(round_index=3, selections=Selections.empty(),
+                              per_class={}, micro_f1=0.0, val_doc_count=64,
+                              failed=True))
+    rounds = [rounds[2], rounds[3], rounds[0], rounds[1]]  # any order
+    assert all(len(r.selections) for r in rounds if not r.failed)
+    want = reference_aggregate(
+        [(r.round_index, as_records(r.selections, encoding)) for r in rounds],
+        corpus, config)
+    assert aggregate(rounds, corpus, config, encoding) == want
+    assert aggregate(rounds, corpus, config) == want
+    assert any(r.rounds_selected < 3 for r in want)
+    assert any(r.instance_count > r.rounds_selected for r in want)
+
+
+@pytest.mark.parametrize("dump_rows", [7, 4096])
+def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
+                                               monkeypatch, dump_rows):
+    corpus, _ = small_synth
+    config = small_config(rounds=2, dump_scores=True)
+    monkeypatch.setattr(pipeline, "DUMP_ROWS", dump_rows)
+    result = run_pipeline(corpus, config, out_dir=tmp_path)
+    # 7 rows per slice splits both files into several slices
+    assert min(len(result.rounds[0].selections), len(result.aggregates)) > 7
+    for rr in result.rounds:
+        payload = {"round_index": rr.round_index, "failed": rr.failed,
+                   "micro_f1": rr.micro_f1, "per_class": rr.per_class,
+                   "val_doc_count": rr.val_doc_count,
+                   "selections": [[r.class_name, r.word, r.doc_id, r.score]
+                                  for r in as_records(rr.selections,
+                                                      result.encoding)]}
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
+            encoding="utf-8")
+        assert written == expected.getvalue()
+    rows = [{"class": r.class_name, "word": r.word,
+             "mean_score": r.mean_score,
+             "selection_frequency": r.selection_frequency,
+             "rounds_selected": r.rounds_selected,
+             "instance_count": r.instance_count,
+             "doc_frequency": r.doc_frequency} for r in result.aggregates]
+    expected = io.StringIO()
+    json.dump(rows, expected)
+    assert (tmp_path / "aggregates.json").read_text(encoding="utf-8") \
+        == expected.getvalue()
+    columns = list(rows[0])
+    tsv = "\t".join(columns) + "\n" + "".join(
+        "\t".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                  for c in columns) + "\n" for row in rows)
+    assert (tmp_path / "aggregates.tsv").read_text(encoding="utf-8") == tsv
+
+
+def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
+    corpus, _ = small_synth
+    calls = []
+
+    def poisoned(params, pooled_batch, class_index):
+        grads = model.pooled_logit_gradients(params, pooled_batch,
+                                             class_index)
+        if not calls:
+            grads[..., 0] = np.nan
+        calls.append(1)
+        return grads
+
+    monkeypatch.setattr(attribution, "pooled_logit_gradients", poisoned)
+    with pytest.warns(UserWarning, match="round 0 failed: non-finite"):
+        result = run_pipeline(corpus, small_config(rounds=2))
+    assert [r.failed for r in result.rounds] == [True, False]
+    assert len(result.rounds[0].selections) == 0
+    assert len(result.rounds[1].selections) > 0
+
+
+def test_validation_document_without_subwords(small_synth):
+    corpus, _ = small_synth
+    empty = make_document("empty", "?!", {"c0"}, corpus.label_space)
+    corpus = Corpus(label_space=corpus.label_space,
+                    documents=corpus.documents + [empty])
+    config = small_config(rounds=20)
+    round_index = next(
+        i for i in range(config.rounds)
+        if empty in stratified_split(corpus, SplitSpec(
+            config.ratio, round_seeds(config.master_seed, i)[0]))[1].documents)
+    with pytest.raises(ValidationError, match="'empty' has no subwords") as got:
+        run_round(corpus, config, round_index)
+    with pytest.raises(ValidationError) as want:
+        reference_run_round(corpus, config, round_index)
+    assert str(got.value) == str(want.value)
+
+
+def test_selections_len_and_equality():
+    a = Selections(np.array([0, 1]), np.array([3, 4]), np.array([5, 6]),
+                   np.array([0.5, 0.25]))
+    b = dataclasses.replace(a, score=np.array([0.5, 0.125]))
+    assert len(a) == 2 and len(Selections.empty()) == 0
+    assert a == dataclasses.replace(a) and a != b

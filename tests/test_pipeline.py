@@ -7,12 +7,15 @@ import pytest
 
 from igkeywords import corpus as corpus_module
 from igkeywords.attribution import WordScoreRecord
-from igkeywords.corpus import Corpus, LabelSpace, ValidationError, make_document
+from igkeywords.corpus import (Corpus, LabelSpace, ValidationError,
+                               encode_corpus, make_document)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
-                                 aggregate, filter_keywords, load_aggregates,
-                                 load_round_artifacts, round_seeds, run_pipeline,
-                                 run_round, top_n_words, write_aggregates)
+                                 Selections, aggregate, filter_keywords,
+                                 load_aggregates, load_round_artifacts,
+                                 round_seeds, run_pipeline, run_round,
+                                 write_aggregates)
+from reference_round import top_n_words
 
 
 def rec(word, score, doc_id="d1", class_name="a"):
@@ -52,24 +55,35 @@ class TestRoundSeeds:
         round_seeds(-5, 0)  # must not raise
 
 
-def make_round(index, selections):
+def make_round(index, records, corpus):
+    """A round whose selections are ``records``, as columns over the
+    encoding of ``corpus``."""
+    encoding = encode_corpus(corpus)
+    classes = encoding.classes
+    selections = Selections(
+        class_idx=np.array([classes.index(r.class_name) for r in records],
+                           dtype=np.intp),
+        word_idx=np.array([encoding.words.index(r.word) for r in records],
+                          dtype=np.intp),
+        doc_idx=np.zeros(len(records), dtype=np.intp),
+        score=np.array([r.score for r in records], dtype=float))
     return RoundResult(round_index=index, selections=selections, per_class={},
                        micro_f1=0.5, val_doc_count=10)
 
 
 class TestAggregate:
     def test_pooled_mean_and_sf(self):
-        rounds = [
-            make_round(0, [rec("w", 0.2)]),
-            make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")]),
-            make_round(2, []),
-            make_round(3, []),
-            make_round(4, []),
-        ]
         config = toy_config(rounds=5)
         corpus = Corpus(label_space=LabelSpace(("a",)),
                         documents=[make_document("d1", "w w", {"a"},
                                                  LabelSpace(("a",)))])
+        rounds = [
+            make_round(0, [rec("w", 0.2)], corpus),
+            make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
+            make_round(2, [], corpus),
+            make_round(3, [], corpus),
+            make_round(4, [], corpus),
+        ]
         (record,) = aggregate(rounds, corpus, config)
         assert record.mean_score == pytest.approx((0.2 + 0.4 + 0.6) / 3)
         assert record.rounds_selected == 2
@@ -77,23 +91,23 @@ class TestAggregate:
         assert record.instance_count == 3
 
     def test_round_mean_mode(self):
-        rounds = [
-            make_round(0, [rec("w", 0.2)]),
-            make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")]),
-        ]
         config = toy_config(rounds=2, mean_mode="round-mean")
         corpus = Corpus(label_space=LabelSpace(("a",)),
                         documents=[make_document("d1", "w", {"a"},
                                                  LabelSpace(("a",)))])
+        rounds = [
+            make_round(0, [rec("w", 0.2)], corpus),
+            make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
+        ]
         (record,) = aggregate(rounds, corpus, config)
         assert record.mean_score == pytest.approx((0.2 + 0.5) / 2)
 
     def test_never_selected_word_absent(self):
-        rounds = [make_round(0, [rec("w", 0.2)])]
         config = toy_config(rounds=1)
         corpus = Corpus(label_space=LabelSpace(("a",)),
                         documents=[make_document("d1", "w other", {"a"},
                                                  LabelSpace(("a",)))])
+        rounds = [make_round(0, [rec("w", 0.2)], corpus)]
         records = aggregate(rounds, corpus, config)
         assert {r.word for r in records} == {"w"}
 
@@ -141,22 +155,28 @@ class TestFilterKeywords:
             assert (r.word in kept_set) == passes
 
 
+def selected_pairs(result, corpus):
+    """(document, class name) of every selection of a round."""
+    classes = corpus.label_space.classes
+    return [(corpus.documents[d], classes[c]) for c, d in
+            zip(result.selections.class_idx, result.selections.doc_idx)]
+
+
 class TestRunRound:
     def test_target_rule_exclusivity(self, small_synth):
         corpus, _ = small_synth
         config = toy_config()
         result = run_round(corpus, config, 0)
-        gold = {doc.id: doc.labels for doc in corpus.documents}
-        for sel in result.selections:
-            assert sel.class_name in gold[sel.doc_id]
+        assert len(result.selections)
+        for doc, class_name in selected_pairs(result, corpus):
+            assert class_name in doc.labels
 
     def test_false_positive_target_excludes_gold(self, small_synth):
         corpus, _ = small_synth
         config = toy_config(selection_target="false-positive")
         result = run_round(corpus, config, 0)
-        gold = {doc.id: doc.labels for doc in corpus.documents}
-        for sel in result.selections:
-            assert sel.class_name not in gold[sel.doc_id]
+        for doc, class_name in selected_pairs(result, corpus):
+            assert class_name not in doc.labels
 
     def test_determinism(self, small_synth):
         corpus, _ = small_synth
@@ -171,8 +191,8 @@ class TestRunRound:
         config = toy_config(top_n=3)
         result = run_round(corpus, config, 0)
         per_doc_class = {}
-        for sel in result.selections:
-            per_doc_class.setdefault((sel.doc_id, sel.class_name), []).append(sel)
+        for doc, class_name in selected_pairs(result, corpus):
+            per_doc_class.setdefault((doc.id, class_name), []).append(doc)
         assert per_doc_class
         assert all(len(v) <= 3 for v in per_doc_class.values())
 
@@ -194,7 +214,9 @@ class TestRunPipeline:
         result = run_pipeline(corpus, config, out_dir=tmp_path)
         rounds = load_round_artifacts(tmp_path, 2)
         assert len(rounds) == 2
-        assert rounds[0].selections == result.rounds[0].selections
+        for loaded, ran in zip(rounds, result.rounds):
+            assert loaded.selections == ran.selections.rows(result.encoding)
+        assert rounds[0].selections
         aggregates = load_aggregates(tmp_path)
         assert aggregates == result.aggregates
 
