@@ -288,7 +288,7 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
 
 
 def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
-                         targets, batch: np.ndarray, out=None):
+                         targets, batch: np.ndarray, out=None, cells=None):
     """Mean BCE over a batch of documents plus gradients for every weight.
 
     Pooling and the embedding-gradient scatter are each one ``np.bincount``
@@ -296,6 +296,9 @@ def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
     perform the same sequential sums as a per-document ``mean(axis=0)`` and
     ``np.add.at``, bit for bit.  When ``out`` (arrays keyed by parameter
     name) is given, the gradients are written into it and it is returned.
+    ``cells`` is an optional (int, float) pair of [rows, d] buffers with a
+    row for each of the batch's pieces; the bins and values of the two
+    bincounts go there instead of into new [pieces, d] arrays.
     """
     embedding = params.embedding
     d = embedding.shape[1]
@@ -307,11 +310,17 @@ def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
     pos = np.arange(ends[-1]) + np.repeat(offsets[batch] - (ends - counts),
                                           counts)
     pieces = all_ids[pos]
+    row_of_piece = np.repeat(np.arange(n_batch), counts)
+    if cells is None:
+        bins, values = (np.empty((pos.size, d), dtype=np.intp),
+                        np.empty((pos.size, d)))
+    else:
+        bins, values = cells[0][:pos.size], cells[1][:pos.size]
+    columns = np.arange(d)
     # bin of every (piece, column) cell: its batch row's cell in pooled
-    row_bins = np.repeat(np.arange(n_batch * d).reshape(n_batch, d), counts,
-                         axis=0)
-    pooled = np.bincount(row_bins.ravel(),
-                         weights=np.take(embedding, pieces, axis=0).ravel(),
+    np.add(row_of_piece[:, None] * d, columns, out=bins)
+    np.take(embedding, pieces, axis=0, out=values, mode="clip")
+    pooled = np.bincount(bins.ravel(), weights=values.ravel(),
                          minlength=n_batch * d).reshape(n_batch, d)
     pooled /= lens[:, None]
 
@@ -332,10 +341,11 @@ def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
     d_b_hid = d_pre.sum(axis=0)
     d_pooled = d_pre @ params.hidden_weights.T
 
-    piece_grads = np.repeat(d_pooled / lens[:, None], counts, axis=0)
-    cell_bins = np.take(np.arange(embedding.size).reshape(embedding.shape),
-                        pieces, axis=0)
-    d_emb = np.bincount(cell_bins.ravel(), weights=piece_grads.ravel(),
+    # each piece's gradient, binned by its (piece, column) cell of embedding
+    np.take(d_pooled / lens[:, None], row_of_piece, axis=0, out=values,
+            mode="clip")
+    np.add(pieces[:, None] * d, columns, out=bins)
+    d_emb = np.bincount(bins.ravel(), weights=values.ravel(),
                         minlength=embedding.size).reshape(embedding.shape)
 
     grads = {"embedding": d_emb, "hidden_weights": d_w_hid,
@@ -384,6 +394,12 @@ def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
     all_ids, offsets, lengths, targets = (
         docs if docs is not None else _prepare_docs(params, train_corpus))
     n_docs = len(train_corpus.documents)
+    # Cell buffers for the largest batch, reused by every step: fresh
+    # [pieces, d] arrays each step were handed back to the OS and faulted
+    # in again.
+    most = int(np.sort(lengths)[-config.batch_size:].sum())
+    cells = (np.empty((most, params.embedding.shape[1]), dtype=np.intp),
+             np.empty((most, params.embedding.shape[1])))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
     step = 0
@@ -394,7 +410,7 @@ def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
             batch = order[start:start + config.batch_size]
             loss, _ = batch_loss_and_grads(
                 params, all_ids, offsets, lengths, targets, batch,
-                out=grad_views)
+                out=grad_views, cells=cells)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "
