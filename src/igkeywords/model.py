@@ -395,8 +395,8 @@ def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
         docs if docs is not None else _prepare_docs(params, train_corpus))
     n_docs = len(train_corpus.documents)
     # Cell buffers for the largest batch, reused by every step: fresh
-    # [pieces, d] arrays each step were handed back to the OS and faulted
-    # in again.
+    # [pieces, d] arrays per step get returned to the OS by the allocator
+    # and faulted in again on the next step.
     most = int(np.sort(lengths)[-config.batch_size:].sum())
     cells = (np.empty((most, params.embedding.shape[1]), dtype=np.intp),
              np.empty((most, params.embedding.shape[1])))
