@@ -31,7 +31,8 @@ import numpy as np
 from . import attribution, corpus as corpus_mod, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
                      ValidationError, generate_synthetic, load_corpus,
-                     load_markers, save_corpus, save_markers)
+                     load_markers, parse_record, save_corpus, save_markers)
+from .fileio import atomic_write
 
 # Option -> the config field it sets.
 _SYNTH_OPTIONS = {
@@ -174,13 +175,8 @@ def _scan_classes(path) -> list[str]:
     labels = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                labels.update(json.loads(line).get("labels", []))
-            except (json.JSONDecodeError, AttributeError, TypeError) as exc:
-                raise CorpusParseError(
-                    f"{path}: malformed record on line {lineno}: {exc}") from exc
+            if line.strip():
+                labels.update(parse_record(line, path, lineno)[2])
     return sorted(labels)
 
 
@@ -231,8 +227,7 @@ def _cmd_run(args) -> int:
                  classes=list(label_space.classes), top_m=args.top_m)
     if planted is not None:
         saved["markers"] = {c: sorted(words) for c, words in planted.items()}
-    with open(os.path.join(out_dir, "config.json"), "w",
-              encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(saved, fh, indent=2)
     report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
                          class_names=label_space.classes)
@@ -315,7 +310,7 @@ def _check_oracle() -> bool:
     # naive recomputation straight from the per-round selections
     rows = [row for rr in result.rounds
             for row in rr.selections.rows(result.encoding)]
-    for rec in result.aggregates:
+    for rec in result.aggregates.records():
         pooled = [score for class_name, word, _doc_id, score in rows
                   if class_name == rec.class_name and word == rec.word]
         mean = sum(pooled) / len(pooled)

@@ -70,12 +70,6 @@ class Corpus:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate document ids")
 
-    @cached_property
-    def doc_frequency(self) -> dict[str, int]:
-        """Documents containing each word; computed on first use, so the
-        split halves of a round, which never read it, skip the count."""
-        return compute_doc_frequency(self.documents)
-
     def __len__(self) -> int:
         return len(self.documents)
 
@@ -154,14 +148,6 @@ def make_document(doc_id: str, text: str, labels, label_space: LabelSpace,
                     subwords=tuple(subwords), labels=frozenset(labels))
 
 
-def compute_doc_frequency(documents) -> dict[str, int]:
-    df: dict[str, int] = {}
-    for doc in documents:
-        for word in set(doc.words):
-            df[word] = df.get(word, 0) + 1
-    return df
-
-
 @dataclass(frozen=True, eq=False)
 class CorpusEncoding:
     """A corpus as integer arrays over sorted tables, built once per run.
@@ -195,6 +181,23 @@ class CorpusEncoding:
         (the whole corpus or a split half of it)."""
         return np.array([self._row_of[doc.id] for doc in corpus.documents],
                         dtype=np.intp)
+
+    def doc_frequency(self) -> np.ndarray:
+        """The number of documents that contain each word of ``words``."""
+        n_words = len(self.words)
+        # A (document, word) key per piece; the distinct keys, found by a
+        # sort and a neighbour mask (np.unique hashes integer keys and is
+        # far slower here), are the (document, word) pairs.  In place, so
+        # that only one key array is alive at a time.
+        keys = np.repeat(np.arange(len(self.doc_ids)) * n_words,
+                         np.diff(self.offsets))
+        keys += self.word_ids
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        keys %= n_words
+        return np.bincount(keys, minlength=n_words)
 
     def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices into ``piece_ids``/``word_ids`` of the pieces of ``rows``,
@@ -231,6 +234,25 @@ def encode_corpus(corpus: Corpus) -> CorpusEncoding:
                          for doc in docs]).reshape(len(docs), len(classes)))
 
 
+def parse_record(line: str, path, lineno: int) -> tuple:
+    """The id, text and labels of one corpus line, which must be a JSON
+    object with a string ``text`` and a list of strings as ``labels``."""
+    try:
+        record = json.loads(line)
+        doc_id, text, labels = record["id"], record["text"], record["labels"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CorpusParseError(
+            f"{path}: malformed record on line {lineno}: {exc}") from exc
+    if not isinstance(text, str):
+        raise CorpusParseError(f"{path}: malformed record on line {lineno}: "
+                               f"text is {type(text).__name__}, not a string")
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise CorpusParseError(f"{path}: malformed record on line {lineno}: "
+                               "labels must be a list of strings")
+    return doc_id, text, labels
+
+
 def load_corpus(path, label_space: LabelSpace,
                 max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
     """Load a JSONL corpus (fields: id, text, labels) and tokenize it."""
@@ -239,16 +261,8 @@ def load_corpus(path, label_space: LabelSpace,
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-                doc_id = record["id"]
-                text = record["text"]
-                labels = record["labels"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorpusParseError(
-                    f"{path}: malformed record on line {lineno}: {exc}") from exc
-            documents.append(
-                make_document(doc_id, text, labels, label_space, max_piece_len))
+            documents.append(make_document(*parse_record(line, path, lineno),
+                                           label_space, max_piece_len))
     if not documents:
         raise ValidationError(f"{path}: corpus is empty")
     return Corpus(label_space=label_space, documents=documents)

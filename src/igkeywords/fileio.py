@@ -1,0 +1,27 @@
+"""Atomic file writes, so that a crash mid-write never leaves a truncated
+artifact in a run directory."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a text file that replaces ``path`` when the block ends.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` once the block has finished; if the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise

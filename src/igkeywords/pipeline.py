@@ -10,22 +10,31 @@ The corpus is encoded once per run (``corpus.encode_corpus``).  A round's
 explain half is array code over that encoding: one pooled forward pass
 predicts the whole validation set, ``attribution.top_word_scores`` scores
 every target pair in chunks, and the selections are columns of indices
-into the run's tables, which ``aggregate`` reduces with grouped sums.
+into the run's tables.  ``aggregate`` reduces them with grouped sums to an
+``Aggregates`` table of columns, with document frequencies counted from
+the encoding; the filter masks its columns, the writers format
+``aggregates.json``/``.tsv`` from them slice by slice, and
+``load_aggregates`` reads the same table back for ``report``.  Every file
+of a run directory is written atomically (``fileio.atomic_write``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
 from . import attribution, model
 from .corpus import (Corpus, CorpusEncoding, SplitSpec, ValidationError,
                      encode_corpus, stratified_split)
+from .fileio import atomic_write
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
 
@@ -129,6 +138,39 @@ class AggregateRecord:
     doc_frequency: int
 
 
+#: AggregateRecord's fields, which are the columns of Aggregates
+_AGGREGATE_FIELDS = tuple(f.name for f in dataclasses.fields(AggregateRecord))
+
+
+@dataclass(eq=False)
+class Aggregates:
+    """Per-(class, word) aggregates as columns, one row per pair in
+    (class name, word) order: object arrays of class names and words,
+    float mean scores and selection frequencies, and integer counts."""
+
+    class_name: np.ndarray
+    word: np.ndarray
+    mean_score: np.ndarray
+    rounds_selected: np.ndarray
+    selection_frequency: np.ndarray
+    instance_count: np.ndarray
+    doc_frequency: np.ndarray
+
+    def __len__(self) -> int:
+        return self.mean_score.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Aggregates):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in _AGGREGATE_FIELDS)
+
+    def records(self, rows=slice(None)) -> list[AggregateRecord]:
+        """The rows (all of them, or those ``rows`` indexes) as records."""
+        return list(map(AggregateRecord, *(getattr(self, f)[rows].tolist()
+                                           for f in _AGGREGATE_FIELDS)))
+
+
 def round_seeds(master_seed: int, round_index: int) -> tuple[int, int]:
     """Stable (split_seed, train_seed) derivation for one round."""
     ss = np.random.SeedSequence([master_seed & (2**64 - 1), round_index])
@@ -212,14 +254,15 @@ def _explain(params: model.ModelParams, encoding: CorpusEncoding,
 
 
 def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
-              encoding: CorpusEncoding | None = None):
-    """Merge round selections into per-(class, word) aggregate records.
+              encoding: CorpusEncoding | None = None) -> Aggregates:
+    """Merge round selections into the per-(class, word) aggregate table.
 
     Grouped sums over the selection columns: ``np.bincount`` adds each
     group's scores in round and selection order, as a running sum would.
     The selection-frequency denominator is the configured round count, so
     failed rounds count against stability.  ``encoding`` holds the word
-    table the selections index (``encode_corpus(corpus)`` when omitted).
+    table the selections index (``encode_corpus(corpus)`` when omitted)
+    and gives the document frequencies.
     """
     if not rounds:
         raise ValidationError("aggregate requires at least one round")
@@ -232,12 +275,12 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
     score = np.concatenate([s.score for s in columns])
     round_of = np.repeat(np.arange(len(rounds)), [len(s) for s in columns])
 
-    # Groups ordered by (class name, word), as the records are sorted.
-    classes = encoding.classes
-    class_rank = np.argsort(np.argsort(np.array(classes, dtype=object)))
-    keys, key_of = np.unique(
-        class_rank[class_idx] * len(encoding.words) + word_idx,
-        return_inverse=True)
+    # Groups ordered by (class name, word), the order of the table's rows.
+    class_rank = np.argsort(np.argsort(np.array(encoding.classes,
+                                                dtype=object)))
+    n_words = len(encoding.words)
+    keys, key_of = np.unique(class_rank[class_idx] * n_words + word_idx,
+                             return_inverse=True)
     n_keys = keys.size
     instances = np.bincount(key_of, minlength=n_keys)
     # (round, group) cells in round order, so each group sees its rounds in order.
@@ -253,38 +296,42 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
         mean_score = np.bincount(cell_key, weights=round_means,
                                  minlength=n_keys) / rounds_selected
 
-    class_of_key, word_of_key = np.divmod(keys, len(encoding.words))
-    class_names = [classes[c]
-                   for c in np.argsort(class_rank)[class_of_key].tolist()]
-    words = [encoding.words[w] for w in word_of_key.tolist()]
-    doc_frequency = corpus.doc_frequency
-    # Positional columns, in AggregateRecord's field order.
-    return list(map(AggregateRecord, class_names, words, mean_score.tolist(),
-                    rounds_selected.tolist(),
-                    (rounds_selected / config.rounds).tolist(),
-                    instances.tolist(),
-                    [doc_frequency.get(w, 0) for w in words]))
+    rank_of_key, word_of_key = np.divmod(keys, n_words)
+    return Aggregates(
+        class_name=np.array(sorted(encoding.classes),
+                            dtype=object)[rank_of_key],
+        word=np.array(encoding.words, dtype=object)[word_of_key],
+        mean_score=mean_score, rounds_selected=rounds_selected,
+        selection_frequency=rounds_selected / config.rounds,
+        instance_count=instances,
+        doc_frequency=encoding.doc_frequency()[word_of_key])
 
 
-def filter_keywords(records, config: PipelineConfig, class_order=None):
-    """Keep records with SF strictly above t and df strictly above k,
-    sorted per class by mean score descending (word breaks ties)."""
-    kept = [r for r in records
-            if r.selection_frequency > config.sf_threshold
-            and r.doc_frequency > config.min_doc_frequency]
-    if class_order is None:
-        rank = {}
-    else:
-        rank = {c: i for i, c in enumerate(class_order)}
-    kept.sort(key=lambda r: (rank.get(r.class_name, len(rank)), r.class_name,
-                             -r.mean_score, r.word))
-    return kept
+def filter_keywords(table: Aggregates, config: PipelineConfig,
+                    class_order=None) -> list[AggregateRecord]:
+    """Keep the rows with SF strictly above t and df strictly above k, as
+    records sorted per class by mean score descending (word breaks ties).
+
+    Classes come in ``class_order``, then any others by name.  The sort is
+    stable over the table's (class name, word) row order, which breaks
+    the ties.
+    """
+    rows = np.flatnonzero((table.selection_frequency > config.sf_threshold)
+                          & (table.doc_frequency > config.min_doc_frequency))
+    names = table.class_name[rows].tolist()
+    listed = list(class_order or ())
+    rank = {c: i for i, c in
+            enumerate(listed + sorted(set(names).difference(listed)))}
+    class_rank = np.fromiter(map(rank.__getitem__, names), dtype=np.intp,
+                             count=rows.size)
+    return table.records(rows[np.lexsort((-table.mean_score[rows],
+                                          class_rank))])
 
 
 @dataclass
 class PipelineResult:
     rounds: list[RoundResult]
-    aggregates: list[AggregateRecord]
+    aggregates: Aggregates
     keywords: list[AggregateRecord]
     config: PipelineConfig
     # The tables the rounds' selections index; None when read back from
@@ -360,7 +407,7 @@ def write_round_artifacts(result: PipelineResult, out_dir) -> None:
             "val_doc_count": rr.val_doc_count,
         }
         path = os.path.join(out_dir, _round_file(rr.round_index))
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             if not result.config.dump_scores:
                 fh.write(json.dumps(payload))
                 continue
@@ -395,44 +442,90 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
     return results
 
 
+#: The columns of aggregates.json/.tsv, the table field each holds and
+#: that field's type
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
                 "rounds_selected", "instance_count", "doc_frequency")
+_FILE_FIELDS = ("class_name", "word", "mean_score", "selection_frequency",
+                "rounds_selected", "instance_count", "doc_frequency")
+_FILE_TYPES = (object, object, float, float, np.intp, np.intp, np.intp)
+# One row's text with None where each value goes: a row dict as json.dumps
+# writes it, opened by the end of the row before, and a TSV line.
+_JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
+_JSON_ROW[0] = "}, {" + _JSON_ROW[0][len(", "):]
+_TSV_ROW = [text for _ in _AGG_COLUMNS for text in (None, "\t")]
+_TSV_ROW[-1] = "\n"
+# json.dumps's spelling of the floats that have no JSON number
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def write_aggregates(records, out_dir) -> None:
-    """Write ``aggregates.json`` (the bytes of ``json.dumps`` of the rows)
-    and ``aggregates.tsv``, DUMP_ROWS records at a time."""
+def _value_texts(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The text of each distinct value of ``column`` and, per row, the
+    index of its value's text."""
+    values, codes = np.unique(column, return_inverse=True)
+    return list(map(repr, values.tolist())), codes
+
+
+def _aggregate_lines(table: Aggregates, part: slice,
+                     lookups) -> tuple[str, str]:
+    """The ``aggregates.json`` rows (joined by ", ") and ``aggregates.tsv``
+    lines of the rows in ``part``, which holds at least one row.
+
+    Strings go through the ``ensure_ascii`` encoder of json.dumps; floats
+    and integers through ``repr``, which is what json.dumps writes for a
+    finite float and for an int.  Selection frequencies are round counts
+    over the configured rounds, so they are finite; a mean score that is
+    not is spelt as json.dumps spells it.  ``lookups`` holds the
+    ``_value_texts`` of the selection frequency and the three counts.
+    """
+    classes = table.class_name[part].tolist()
+    words = table.word[part].tolist()
+    scores = table.mean_score[part]
+    means = list(map(float.__repr__, scores.tolist()))
+    json_means = means if np.isfinite(scores).all() else [
+        _JSON_NON_FINITE.get(m, m) for m in means]
+    counts = [list(map(texts.__getitem__, codes[part].tolist()))
+              for texts, codes in lookups]
+    json_values = [list(map(encode_basestring_ascii, classes)),
+                   list(map(encode_basestring_ascii, words)), json_means,
+                   *counts]
+    tsv_values = [classes, words, means, *counts]
+    # Each value goes into its slots of the repeated row texts.
+    json_parts, tsv_parts = _JSON_ROW * len(means), _TSV_ROW * len(means)
+    width = len(_JSON_ROW)
+    for j, (json_column, tsv_column) in enumerate(zip(json_values,
+                                                      tsv_values)):
+        json_parts[2 * j + 1::width] = json_column
+        tsv_parts[2 * j::width] = tsv_column
+    json_parts[0] = json_parts[0][len("}, "):]  # no row before the first
+    return "".join(json_parts) + "}", "".join(tsv_parts)
+
+
+def write_aggregates(table: Aggregates, out_dir) -> None:
+    """Write ``aggregates.json`` (the bytes of ``json.dumps`` of the rows as
+    dicts) and ``aggregates.tsv`` from the columns, DUMP_ROWS rows at a
+    time."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "aggregates.json"), "w",
-              encoding="utf-8") as js, \
-            open(os.path.join(out_dir, "aggregates.tsv"), "w",
-                 encoding="utf-8") as fh:
+    lookups = [_value_texts(getattr(table, f))
+               for f in ("selection_frequency", "rounds_selected",
+                         "instance_count", "doc_frequency")]
+    with atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
+            atomic_write(os.path.join(out_dir, "aggregates.tsv")) as fh:
         js.write("[")
         fh.write("\t".join(_AGG_COLUMNS) + "\n")
-        for start in range(0, len(records), DUMP_ROWS):
-            rows = [{
-                "class": r.class_name, "word": r.word,
-                "mean_score": r.mean_score,
-                "selection_frequency": r.selection_frequency,
-                "rounds_selected": r.rounds_selected,
-                "instance_count": r.instance_count,
-                "doc_frequency": r.doc_frequency,
-            } for r in records[start:start + DUMP_ROWS]]
-            js.write((", " if start else "") + json.dumps(rows)[1:-1])
-            for row in rows:
-                fh.write("\t".join(repr(row[c]) if isinstance(row[c], float)
-                                   else str(row[c]) for c in _AGG_COLUMNS)
-                         + "\n")
+        for start in range(0, len(table), DUMP_ROWS):
+            json_text, tsv_text = _aggregate_lines(
+                table, slice(start, start + DUMP_ROWS), lookups)
+            js.write((", " if start else "") + json_text)
+            fh.write(tsv_text)
         js.write("]")
 
 
-def load_aggregates(out_dir) -> list[AggregateRecord]:
+def load_aggregates(out_dir) -> Aggregates:
+    """The table that ``write_aggregates`` wrote to ``aggregates.json``."""
     with open(os.path.join(out_dir, "aggregates.json"), encoding="utf-8") as fh:
         rows = json.load(fh)
-    return [AggregateRecord(
-        class_name=row["class"], word=row["word"],
-        mean_score=row["mean_score"],
-        rounds_selected=row["rounds_selected"],
-        selection_frequency=row["selection_frequency"],
-        instance_count=row["instance_count"],
-        doc_frequency=row["doc_frequency"]) for row in rows]
+    return Aggregates(**{
+        field: np.fromiter(map(itemgetter(key), rows), dtype=dtype,
+                           count=len(rows))
+        for key, field, dtype in zip(_AGG_COLUMNS, _FILE_FIELDS, _FILE_TYPES)})

@@ -9,6 +9,7 @@ import os
 from dataclasses import dataclass
 
 from .corpus import ValidationError
+from .fileio import atomic_write
 
 EMPTY_CLASS_MARKER = "- no stable keywords -"
 
@@ -153,12 +154,12 @@ def write_reports(result, out_dir, top_m: int, planted=None,
     """Emit the standard report files into a run directory."""
     os.makedirs(out_dir, exist_ok=True)
     if class_names is None:
-        class_names = sorted({r.class_name for r in result.aggregates})
+        class_names = sorted(set(result.aggregates.class_name.tolist()))
     table = build_keyword_table(result.keywords, class_names, top_m)
     stat = uniqueness(table)  # rejects a bad top_m before any file is written
 
     def put(name, text):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, name)) as fh:
             fh.write(text)
 
     put("keywords.tsv", render_keyword_table(table, "tsv"))

@@ -1,5 +1,6 @@
-"""Test-only copies of the per-document round loop and the dict aggregate
-that the batched explain pass and the grouped-sum aggregate replaced.
+"""Test-only copies of the per-document round loop, the dict aggregate and
+the per-document document-frequency count that the batched explain pass,
+the grouped-sum aggregate and ``CorpusEncoding.doc_frequency`` replaced.
 
 The loop predicts with the single-document ``model.predict`` and runs
 ``attribution.integrated_gradients`` as it was written before
@@ -8,13 +9,15 @@ chain.  They are the reference for the differential tests in
 ``test_batched_explain.py``.
 """
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 
 from igkeywords import attribution, model
 from igkeywords.corpus import SplitSpec, ValidationError, stratified_split
-from igkeywords.pipeline import AggregateRecord, _f1_metrics, round_seeds
+from igkeywords.pipeline import (AggregateRecord, Aggregates, _f1_metrics,
+                                 round_seeds)
 
 
 def top_n_words(records, n: int):
@@ -100,9 +103,29 @@ def reference_run_round(corpus, config, round_index):
     return selections, per_class, micro_f1
 
 
+def compute_doc_frequency(documents) -> dict[str, int]:
+    """The number of documents that contain each word."""
+    df: dict[str, int] = {}
+    for doc in documents:
+        for word in set(doc.words):
+            df[word] = df.get(word, 0) + 1
+    return df
+
+
+def table_of(records) -> Aggregates:
+    """The aggregate table whose rows are ``records``."""
+    types = {"class_name": object, "word": object, "mean_score": float,
+             "selection_frequency": float}
+    return Aggregates(**{
+        f.name: np.array([getattr(r, f.name) for r in records],
+                         dtype=types.get(f.name, np.intp))
+        for f in dataclasses.fields(AggregateRecord)})
+
+
 def reference_aggregate(rounds, corpus, config):
     """``rounds`` is a list of (round_index, [WordScoreRecord])."""
     rounds = sorted(rounds, key=lambda r: r[0])
+    doc_frequency = compute_doc_frequency(corpus.documents)
     scores = {}
     round_hits = {}
     for round_index, records in rounds:
@@ -131,6 +154,6 @@ def reference_aggregate(rounds, corpus, config):
             rounds_selected=n_selected,
             selection_frequency=n_selected / config.rounds,
             instance_count=sum(len(v) for v in per_round_scores),
-            doc_frequency=corpus.doc_frequency.get(word, 0),
+            doc_frequency=doc_frequency.get(word, 0),
         ))
     return out

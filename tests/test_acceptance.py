@@ -177,9 +177,9 @@ def test_criterion_4_pipeline_oracle_equivalence(tmp_path):
             for word in set(doc.words):
                 df[word] = df.get(word, 0) + 1
 
-        assert {((r.class_name, r.word)) for r in result.aggregates} \
-            == set(pooled)
-        for rec in result.aggregates:
+        aggregates = result.aggregates.records()
+        assert {((r.class_name, r.word)) for r in aggregates} == set(pooled)
+        for rec in aggregates:
             key = (rec.class_name, rec.word)
             assert abs(rec.mean_score
                        - sum(pooled[key]) / len(pooled[key])) <= 1e-12
@@ -247,6 +247,7 @@ def test_criterion_7_worker_determinism(big_run, tmp_path):
 def test_criterion_8_filter_semantics():
     with criterion(8, "strict SF and df threshold boundaries"):
         from igkeywords.pipeline import AggregateRecord
+        from reference_round import table_of
 
         t, k, eps = 0.6, 5, 1e-9
         config = PipelineConfig(sf_threshold=t, min_doc_frequency=k)
@@ -256,5 +257,5 @@ def test_criterion_8_filter_semantics():
                     class_name="a", word="w", mean_score=0.5,
                     rounds_selected=1, selection_frequency=sf,
                     instance_count=1, doc_frequency=df)
-                kept = filter_keywords([record], config)
+                kept = filter_keywords(table_of([record]), config)
                 assert bool(kept) == (sf > t and df > k), (sf, df)

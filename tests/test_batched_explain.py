@@ -9,21 +9,23 @@ so every comparison is exact (``np.array_equal`` or ``==``).
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from igkeywords import attribution, model, pipeline
+from igkeywords import attribution, cli, model, pipeline
 from igkeywords.attribution import WordScoreRecord
-from igkeywords.corpus import (Corpus, SplitSpec, SynthConfig, ValidationError,
-                               encode_corpus, generate_synthetic, make_document,
-                               stratified_split)
+from igkeywords.corpus import (Corpus, LabelSpace, SplitSpec, SynthConfig,
+                               ValidationError, encode_corpus,
+                               generate_synthetic, load_corpus, make_document,
+                               save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
-from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
-                                 aggregate, round_seeds, run_pipeline,
-                                 run_round)
+from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
+                                 Selections, aggregate, round_seeds,
+                                 run_pipeline, run_round, write_aggregates)
 from reference_round import (reference_aggregate, reference_run_round,
-                             reference_token_scores)
+                             reference_token_scores, table_of)
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +199,8 @@ def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
     want = reference_aggregate(
         [(r.round_index, as_records(r.selections, encoding)) for r in rounds],
         corpus, config)
-    assert aggregate(rounds, corpus, config, encoding) == want
-    assert aggregate(rounds, corpus, config) == want
+    assert aggregate(rounds, corpus, config, encoding).records() == want
+    assert aggregate(rounds, corpus, config).records() == want
     assert any(r.rounds_selected < 3 for r in want)
     assert any(r.instance_count > r.rounds_selected for r in want)
 
@@ -224,21 +226,76 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
         written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
             encoding="utf-8")
         assert written == expected.getvalue()
+    assert_aggregate_files(tmp_path, result.aggregates.records())
+
+
+def assert_aggregate_files(run_dir, records):
+    """``aggregates.json`` is ``json.dump`` of the records as row dicts, and
+    ``aggregates.tsv`` what the row-by-row writer wrote for them."""
     rows = [{"class": r.class_name, "word": r.word,
              "mean_score": r.mean_score,
              "selection_frequency": r.selection_frequency,
              "rounds_selected": r.rounds_selected,
              "instance_count": r.instance_count,
-             "doc_frequency": r.doc_frequency} for r in result.aggregates]
+             "doc_frequency": r.doc_frequency} for r in records]
     expected = io.StringIO()
     json.dump(rows, expected)
-    assert (tmp_path / "aggregates.json").read_text(encoding="utf-8") \
+    assert (run_dir / "aggregates.json").read_text(encoding="utf-8") \
         == expected.getvalue()
-    columns = list(rows[0])
+    columns = ("class", "word", "mean_score", "selection_frequency",
+               "rounds_selected", "instance_count", "doc_frequency")
     tsv = "\t".join(columns) + "\n" + "".join(
         "\t".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
                   for c in columns) + "\n" for row in rows)
-    assert (tmp_path / "aggregates.tsv").read_text(encoding="utf-8") == tsv
+    assert (run_dir / "aggregates.tsv").read_text(encoding="utf-8") == tsv
+
+
+def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
+                                                monkeypatch):
+    corpus, _ = small_synth
+    names = dict(zip(corpus.label_space.classes,
+                     ('say "hi"', "back\\slash", "café", "naïve ☃")))
+    # Background words w<i> become Unicode words the tokenizer keeps whole.
+    prefixes = ("ω", "日本", "wö", "w")
+
+    def unicode_words(text):
+        return re.sub(r"\bw(\d+)",
+                      lambda m: prefixes[int(m[1]) % 4] + m[1], text)
+
+    space = LabelSpace(tuple(names.values()))
+    renamed = Corpus(space, [make_document(
+        doc.id, unicode_words(doc.text), {names[c] for c in doc.labels},
+        space) for doc in corpus.documents])
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(renamed, corpus_path)
+    monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
+    argv = ["--rounds", "2", "--ig-steps", "5", "--epochs", "20",
+            "--learning-rate", "0.05", "--embedding-dim", "8",
+            "--hidden-dim", "8", "--top-n", "5", "--min-doc-frequency", "1"]
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--corpus", str(corpus_path),
+                     "--out-dir", str(run_dir), *argv]) == 0
+
+    config = cli.pipeline_config(cli.parse_args(
+        ["run", "--corpus", str(corpus_path), *argv]))
+    result = run_pipeline(load_corpus(corpus_path, LabelSpace(
+        tuple(sorted(names.values())))), config)
+    records = result.aggregates.records()
+    assert {r.class_name for r in records} == set(names.values())
+    assert {r.word.rstrip("0123456789") for r in records} >= set(prefixes)
+    assert_aggregate_files(run_dir, records)
+    keywords = (run_dir / "keywords.tsv").read_text(encoding="utf-8")
+    assert '"hi"' in keywords and "日本" in keywords
+    assert cli.main(["report", "--run-dir", str(run_dir)]) == 0
+    assert (run_dir / "keywords.tsv").read_text(encoding="utf-8") == keywords
+
+
+def test_aggregate_files_spell_non_finite_scores_like_json(tmp_path):
+    records = [AggregateRecord("a", f"w{i}", score, 1, 0.5, 2, 3)
+               for i, score in enumerate(
+                   (float("nan"), float("inf"), -float("inf"), 0.25, 1e-7))]
+    write_aggregates(table_of(records), tmp_path)
+    assert_aggregate_files(tmp_path, records)
 
 
 def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):

@@ -148,6 +148,27 @@ class TestRun:
                            "--rounds", "1", *extra)
             assert code == 1, extra
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("text", 5, "text is int, not a string"),
+        ("labels", "sports", "labels must be a list of strings"),
+        ("labels", ["sports", 3], "labels must be a list of strings")])
+    def test_malformed_record_exit_code(self, tmp_path, capsys, field, value,
+                                        problem):
+        record = {"id": "b", "text": "a game", "labels": ["sports"]}
+        record[field] = value
+        corpus_path = tmp_path / "bad.jsonl"
+        corpus_path.write_text(
+            '{"id": "a", "text": "the match", "labels": ["sports"]}\n'
+            + json.dumps(record) + "\n")
+        for extra in ((), ("--classes", "sports")):
+            code = run_cli("run", "--corpus", str(corpus_path),
+                           "--out-dir", str(tmp_path / "run"),
+                           "--rounds", "1", *extra)
+            assert code == 1, extra
+            assert (f"malformed record on line 2: {problem}"
+                    in capsys.readouterr().err), extra
+        assert not (tmp_path / "run").exists()
+
     def test_bad_top_m_is_rejected_before_the_rounds(self, synth_files,
                                                      tmp_path):
         corpus_path, _ = synth_files

@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 
 from igkeywords.corpus import (CONTINUATION, Corpus, CorpusParseError,
                                LabelSpace, SplitSpec, SynthConfig,
-                               ValidationError, generate_synthetic,
-                               load_corpus, make_document, save_corpus,
-                               stratified_split, tokenize)
+                               ValidationError, encode_corpus,
+                               generate_synthetic, load_corpus, make_document,
+                               save_corpus, stratified_split, tokenize)
+from reference_round import compute_doc_frequency
 
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
+
+
+def doc_frequency(corpus) -> dict[str, int]:
+    """``CorpusEncoding.doc_frequency`` by word."""
+    encoding = encode_corpus(corpus)
+    return dict(zip(encoding.words, encoding.doc_frequency().tolist()))
 
 
 class TestTokenize:
@@ -67,8 +74,8 @@ class TestLoadCorpus:
         ])
         corpus = load_corpus(path, label_space)
         assert corpus.documents[0].words == ("try", "this", "recipe")
-        assert corpus.doc_frequency["recipe"] == 2
-        assert corpus.doc_frequency["try"] == 1
+        assert doc_frequency(corpus)["recipe"] == 2
+        assert doc_frequency(corpus)["try"] == 1
 
     def test_unknown_label_rejected(self, tmp_path, label_space):
         path = tmp_path / "c.jsonl"
@@ -108,7 +115,7 @@ class TestLoadCorpus:
         save_corpus(corpus, out)
         reloaded = load_corpus(out, label_space)
         assert reloaded.documents == corpus.documents
-        assert reloaded.doc_frequency == corpus.doc_frequency
+        assert doc_frequency(reloaded) == doc_frequency(corpus)
 
 
 class TestDocFrequency:
@@ -116,14 +123,29 @@ class TestDocFrequency:
         docs = [make_document("a", "spam spam spam", {"HI"}, label_space),
                 make_document("b", "spam once", {"ID"}, label_space)]
         corpus = Corpus(label_space=label_space, documents=docs)
-        assert corpus.doc_frequency["spam"] == 2
+        assert doc_frequency(corpus)["spam"] == 2
 
     def test_df_monotonicity(self, label_space):
         docs = [make_document("a", "alpha beta", {"HI"}, label_space)]
         base = Corpus(label_space=label_space, documents=list(docs))
         docs.append(make_document("b", "alpha gamma", {"ID"}, label_space))
         bigger = Corpus(label_space=label_space, documents=docs)
-        assert bigger.doc_frequency["alpha"] == base.doc_frequency["alpha"] + 1
+        assert (doc_frequency(bigger)["alpha"]
+                == doc_frequency(base)["alpha"] + 1)
+
+    @pytest.mark.parametrize("shape", ["small", "explain-bound"])
+    def test_equals_per_document_count(self, small_synth, shape):
+        if shape == "small":
+            corpus, _ = small_synth
+        else:  # the benchmark's explain-bound corpus: long documents
+            corpus, _ = generate_synthetic(SynthConfig(
+                num_classes=4, docs_per_class=250,
+                background_vocab_size=20000, markers_per_class=5,
+                doc_length=(120, 240)), seed=1)
+        empty = make_document("empty", "?!", {"c0"}, corpus.label_space)
+        corpus = Corpus(corpus.label_space, [empty] + corpus.documents)
+        assert doc_frequency(corpus) == compute_doc_frequency(
+            corpus.documents)
 
 
 def single_class_corpus(label_space, n=100):

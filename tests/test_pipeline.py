@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from igkeywords import corpus as corpus_module
+from igkeywords import pipeline
 from igkeywords.attribution import WordScoreRecord
 from igkeywords.corpus import (Corpus, LabelSpace, ValidationError,
                                encode_corpus, make_document)
@@ -15,7 +15,7 @@ from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  load_aggregates, load_round_artifacts,
                                  round_seeds, run_pipeline, run_round,
                                  write_aggregates)
-from reference_round import top_n_words
+from reference_round import table_of, top_n_words
 
 
 def rec(word, score, doc_id="d1", class_name="a"):
@@ -84,7 +84,7 @@ class TestAggregate:
             make_round(3, [], corpus),
             make_round(4, [], corpus),
         ]
-        (record,) = aggregate(rounds, corpus, config)
+        (record,) = aggregate(rounds, corpus, config).records()
         assert record.mean_score == pytest.approx((0.2 + 0.4 + 0.6) / 3)
         assert record.rounds_selected == 2
         assert record.selection_frequency == pytest.approx(0.4)
@@ -99,7 +99,7 @@ class TestAggregate:
             make_round(0, [rec("w", 0.2)], corpus),
             make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
         ]
-        (record,) = aggregate(rounds, corpus, config)
+        (record,) = aggregate(rounds, corpus, config).records()
         assert record.mean_score == pytest.approx((0.2 + 0.5) / 2)
 
     def test_never_selected_word_absent(self):
@@ -108,7 +108,7 @@ class TestAggregate:
                         documents=[make_document("d1", "w other", {"a"},
                                                  LabelSpace(("a",)))])
         rounds = [make_round(0, [rec("w", 0.2)], corpus)]
-        records = aggregate(rounds, corpus, config)
+        records = aggregate(rounds, corpus, config).records()
         assert {r.word for r in records} == {"w"}
 
     def test_requires_rounds(self):
@@ -132,14 +132,15 @@ class TestFilterKeywords:
         eps = 1e-9
         for sf, sf_pass in ((0.6 - eps, False), (0.6, False), (0.6 + eps, True)):
             for df, df_pass in ((4, False), (5, False), (6, True)):
-                kept = filter_keywords([agg("w", sf, df)], config)
+                kept = filter_keywords(table_of([agg("w", sf, df)]), config)
                 assert bool(kept) == (sf_pass and df_pass), (sf, df)
 
     def test_sorted_by_score_descending_within_class(self):
         config = toy_config(sf_threshold=0.0, min_doc_frequency=0)
         records = [agg("x", 0.9, 10, 0.1), agg("y", 0.9, 10, 0.7),
                    agg("z", 0.9, 10, 0.7, class_name="b")]
-        kept = filter_keywords(records, config, class_order=("a", "b"))
+        kept = filter_keywords(table_of(records), config,
+                               class_order=("a", "b"))
         assert [(r.class_name, r.word) for r in kept] == [
             ("a", "y"), ("a", "x"), ("b", "z")]
 
@@ -148,11 +149,33 @@ class TestFilterKeywords:
         rng = np.random.default_rng(0)
         records = [agg(f"w{i}", float(rng.uniform()), int(rng.integers(10)))
                    for i in range(50)]
-        kept = filter_keywords(records, config)
+        kept = filter_keywords(table_of(records), config)
         kept_set = {r.word for r in kept}
         for r in records:
             passes = (r.selection_frequency > 0.5 and r.doc_frequency > 3)
             assert (r.word in kept_set) == passes
+
+
+    @pytest.mark.parametrize("class_order", [None, ("c", "a"),
+                                             ("d", "c", "b", "a")])
+    def test_order_equals_the_record_sort(self, class_order):
+        config = toy_config(sf_threshold=0.3, min_doc_frequency=2)
+        rng = np.random.default_rng(1)
+        pairs = sorted({(c, f"w{int(i)}") for c in "bacd"
+                        for i in rng.integers(0, 40, 25)})
+        records = [agg(w, float(rng.choice([0.2, 0.5, 0.9])),
+                       int(rng.integers(0, 6)),
+                       score=float(rng.choice([0.1, 0.25, 0.5])),
+                       class_name=c) for c, w in pairs]
+        rank = {c: i for i, c in enumerate(class_order or ())}
+        want = sorted(
+            (r for r in records if r.selection_frequency > 0.3
+             and r.doc_frequency > 2),
+            key=lambda r: (rank.get(r.class_name, len(rank)), r.class_name,
+                           -r.mean_score, r.word))
+        assert len(want) > 20
+        assert filter_keywords(table_of(records), config,
+                               class_order=class_order) == want
 
 
 def selected_pairs(result, corpus):
@@ -196,16 +219,6 @@ class TestRunRound:
         assert per_doc_class
         assert all(len(v) <= 3 for v in per_doc_class.values())
 
-    def test_split_halves_skip_document_frequency(self, small_synth,
-                                                  monkeypatch):
-        corpus, _ = small_synth
-
-        def fail(documents):
-            raise AssertionError("run_round counted document frequency")
-
-        monkeypatch.setattr(corpus_module, "compute_doc_frequency", fail)
-        run_round(corpus, toy_config(rounds=1), 0)
-
 
 class TestRunPipeline:
     def test_artifacts_round_trip(self, small_synth, tmp_path):
@@ -224,7 +237,7 @@ class TestRunPipeline:
         corpus, _ = small_synth
         config = toy_config(rounds=2)
         result = run_pipeline(corpus, config)
-        for record in result.aggregates:
+        for record in result.aggregates.records():
             assert 0 < record.selection_frequency <= 1
             assert record.rounds_selected <= config.rounds
             assert record.instance_count >= record.rounds_selected
@@ -237,3 +250,31 @@ class TestRunPipeline:
         assert serial.aggregates == parallel.aggregates
         assert [r.micro_f1 for r in serial.rounds] == \
             [r.micro_f1 for r in parallel.rounds]
+
+    def test_failed_aggregate_write_keeps_the_previous_files(
+            self, small_synth, tmp_path, monkeypatch):
+        corpus, _ = small_synth
+        monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
+        result = run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
+        assert len(result.aggregates) > 7
+        names = ("aggregates.json", "aggregates.tsv")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        format_rows = pipeline._aggregate_lines
+        calls = []
+
+        def crash_after_one_slice(*args):
+            if calls:
+                raise OSError("disk full")
+            calls.append(1)
+            return format_rows(*args)
+
+        monkeypatch.setattr(pipeline, "_aggregate_lines",
+                            crash_after_one_slice)
+        other = dataclasses.replace(result.aggregates,
+                                    mean_score=result.aggregates.mean_score / 2)
+        with pytest.raises(OSError, match="disk full"):
+            write_aggregates(other, tmp_path)
+        assert calls
+        assert {name: (tmp_path / name).read_bytes() for name in names} \
+            == before
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
