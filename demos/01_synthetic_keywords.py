@@ -19,7 +19,7 @@ synth = SynthConfig(num_classes=4, docs_per_class=200,
                     marker_injection_prob=0.8, doc_length=(30, 60),
                     multilabel_prob=0.1)
 corpus, markers = generate_synthetic(synth, seed=1)
-print(f"corpus: {len(corpus.documents)} documents, "
+print(f"corpus: {len(corpus)} documents, "
       f"classes {corpus.label_space.classes}")
 print(f"planted markers: { {c: sorted(ws) for c, ws in markers.items()} }\n")
 

@@ -21,12 +21,15 @@ synth = SynthConfig(num_classes=3, docs_per_class=80,
                     background_vocab_size=600, markers_per_class=2,
                     doc_length=(12, 25))
 corpus, markers = generate_synthetic(synth, seed=7)
-train_c, val_c = stratified_split(corpus, SplitSpec(ratio=0.67, seed=0))
+# The split gives rows: indices of the documents of each half.
+train_rows, val_rows = stratified_split(corpus, SplitSpec(ratio=0.67, seed=0))
 
 cfg = TrainConfig(epochs=25, d=12, h=16, seed=3)
-params = train(init_model(build_vocab(train_c), 3, cfg), train_c, cfg)
+params = train(init_model(build_vocab(corpus, train_rows), 3, cfg), corpus,
+               train_rows, cfg)
 
-doc = val_c.documents[0]
+# One document as words and the (piece, word index) pairs aligned to them.
+doc = corpus.document(val_rows[0])
 (gold,) = sorted(doc.labels)[:1]
 class_index = corpus.label_space.index(gold)
 print(f"document {doc.id}: {len(doc.words)} words, gold labels {set(doc.labels)}")

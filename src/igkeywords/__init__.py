@@ -1,8 +1,8 @@
 """Class-level keyword extraction via repeated integrated-gradients runs."""
 
-from .corpus import (Corpus, CorpusEncoding, Document, LabelSpace, SplitSpec,
-                     SynthConfig, encode_corpus, generate_synthetic,
-                     load_corpus, save_corpus, stratified_split, tokenize)
+from .corpus import (Corpus, Document, LabelSpace, SplitSpec, SynthConfig,
+                     build_corpus, generate_synthetic, load_corpus,
+                     save_corpus, stratified_split)
 from .model import ModelParams, TrainConfig, forward, init_model, predict, train
 from .attribution import (AttributionMatrix, WordScoreRecord,
                           completeness_residual, integrated_gradients,

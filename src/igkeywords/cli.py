@@ -28,11 +28,11 @@ import time
 
 import numpy as np
 
-from . import attribution, corpus as corpus_mod, model, pipeline, report
+from . import attribution, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
-                     ValidationError, generate_synthetic, load_corpus,
-                     load_markers, parse_record, save_corpus, save_markers)
-from .fileio import atomic_write
+                     ValidationError, build_corpus, generate_synthetic,
+                     load_corpus, load_markers, save_corpus, save_markers)
+from .fileio import atomic_write, utf8_lines
 
 # Option -> the config field it sets.
 _SYNTH_OPTIONS = {
@@ -131,16 +131,14 @@ def _build_parser():
 
 def _read_config_file(path) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in utf8_lines(path, ValidationError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -166,18 +164,9 @@ def _cmd_synth(args) -> int:
     save_corpus(corpus, args.out)
     markers_out = args.markers_out or args.out + ".markers.json"
     save_markers(markers, markers_out)
-    print(f"wrote {len(corpus.documents)} documents to {args.out}")
+    print(f"wrote {len(corpus)} documents to {args.out}")
     print(f"wrote markers to {markers_out}")
     return 0
-
-
-def _scan_classes(path) -> list[str]:
-    labels = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                labels.update(parse_record(line, path, lineno)[2])
-    return sorted(labels)
 
 
 def _from_fields(cls, values):
@@ -192,10 +181,10 @@ def load_run_config(run_dir):
     """The ``PipelineConfig``, class order, ``top_m`` and planted markers
     (None if run had none) that ``run`` saved in ``config.json``."""
     path = os.path.join(run_dir, "config.json")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        saved = json.loads(text)
+        saved = json.loads(raw.decode("utf-8"))
         classes, top_m = saved.pop("classes"), saved.pop("top_m")
         markers = saved.pop("markers", None)
         if markers is not None:
@@ -213,24 +202,24 @@ def _cmd_run(args) -> int:
     config = pipeline_config(args)
     if args.top_m < 1:
         raise ValidationError("top_m must be >= 1")
-    classes = (args.classes.split(",") if args.classes
-               else _scan_classes(args.corpus))
-    label_space = LabelSpace(tuple(classes))
-    corpus = load_corpus(args.corpus, label_space)
+    # Without --classes, the classes are the labels the corpus holds.
+    corpus = load_corpus(args.corpus, LabelSpace(tuple(
+        args.classes.split(","))) if args.classes else None)
+    classes = corpus.label_space.classes
     planted = load_markers(args.markers) if args.markers else None
     out_dir = args.out_dir or os.path.join(
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
     result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
     # Saved before the reports, so that it matches the round artifacts
     # even if writing a report fails.
-    saved = dict(dataclasses.asdict(config),
-                 classes=list(label_space.classes), top_m=args.top_m)
+    saved = dict(dataclasses.asdict(config), classes=list(classes),
+                 top_m=args.top_m)
     if planted is not None:
         saved["markers"] = {c: sorted(words) for c, words in planted.items()}
     with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(saved, fh, indent=2)
     report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
-                         class_names=label_space.classes)
+                         class_names=classes)
     print(f"run complete; reports in {out_dir}")
     return 0
 
@@ -256,10 +245,10 @@ def _check_gradients() -> bool:
     for trial in range(20):
         label_space = LabelSpace(("a", "b"))
         text = " ".join("tok%d" % rng.integers(30) for _ in range(6))
-        doc = corpus_mod.make_document(f"t{trial}", text, {"a"}, label_space)
+        corpus = build_corpus([(f"t{trial}", text, {"a"})], label_space)
+        doc = corpus.document(0)
         cfg = model.TrainConfig(d=4, h=4, seed=int(rng.integers(2**31)))
-        vocab = {p: i for i, p in
-                 enumerate(sorted({s for s, _ in doc.subwords}))}
+        vocab = {p: i for i, p in enumerate(corpus.pieces)}
         params = model.init_model(vocab, 2, cfg)
         ids = model.token_ids(params, doc)
         inputs = params.embedding[ids].copy()
@@ -284,14 +273,15 @@ def _check_completeness() -> bool:
                             doc_length=(10, 20))
     corpus, _ = generate_synthetic(synth_cfg, seed=11)
     cfg = model.TrainConfig(epochs=4, d=8, h=8, seed=3)
-    params = model.train(model.init_model(model.build_vocab(corpus), 2, cfg),
-                         corpus, cfg)
-    for doc in corpus.documents[:20]:
+    rows = np.arange(len(corpus))
+    params = model.train(
+        model.init_model(model.build_vocab(corpus, rows), 2, cfg), corpus,
+        rows, cfg)
+    for doc in map(corpus.document, range(20)):
         attr = attribution.integrated_gradients(params, doc, 0, steps=300)
-        f_x = attribution.logit_value(
-            params, params.embedding[model.token_ids(params, doc)], 0)
-        f_0 = attribution.logit_value(
-            params, np.zeros_like(params.embedding[model.token_ids(params, doc)]), 0)
+        inputs = params.embedding[model.token_ids(params, doc)]
+        f_x = attribution.logit_value(params, inputs, 0)
+        f_0 = attribution.logit_value(params, np.zeros_like(inputs), 0)
         if attribution.completeness_residual(attr, f_x, f_0) \
                 > 1e-3 * max(1.0, abs(f_x - f_0)):
             return False
@@ -309,7 +299,7 @@ def _check_oracle() -> bool:
     result = pipeline.run_pipeline(corpus, config)
     # naive recomputation straight from the per-round selections
     rows = [row for rr in result.rounds
-            for row in rr.selections.rows(result.encoding)]
+            for row in rr.selections.dumped(result.corpus)]
     for rec in result.aggregates.records():
         pooled = [score for class_name, word, _doc_id, score in rows
                   if class_name == rec.class_name and word == rec.word]

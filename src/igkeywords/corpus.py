@@ -1,7 +1,13 @@
-"""Corpus loading, tokenization, stratified splitting, and synthetic data.
+"""The corpus as subword-piece and word ids, loaded in one pass; iterative
+stratified splitting over its label matrix; synthetic data.
 
-Documents carry both word tokens and aligned subword pieces so that
-word-level attribution scores can be reduced from per-piece scores.
+A word is a maximal alphanumeric run of the lowercased text, cut into
+pieces of at most ``max_piece_len`` characters; every piece after a word's
+first carries the ``##`` prefix.  A word's attribution score is the max
+over its pieces, so the corpus keeps the word of every piece.  Subsets of
+the corpus, such as the halves of a split, are rows: arrays of document
+indices.  ``Corpus.document`` gives one document back as a ``Document``
+of words and aligned pieces, for the single-document functions.
 """
 
 from __future__ import annotations
@@ -10,10 +16,14 @@ import json
 import re
 import string
 import warnings
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .fileio import utf8_lines
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -53,6 +63,8 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class Document:
+    """One document as words and ``(piece, word_index)`` pairs."""
+
     id: str
     text: str
     words: tuple[str, ...]
@@ -60,18 +72,77 @@ class Document:
     labels: frozenset[str]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    label_space: LabelSpace
-    documents: list[Document]
+    """Documents as integer arrays over sorted tables.
 
-    def __post_init__(self):
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate document ids")
+    Document ``i`` has id ``doc_ids[i]`` and text ``texts[i]``, and holds
+    pieces ``offsets[i]:offsets[i + 1]`` of ``piece_ids`` (ids into
+    ``pieces``); ``word_ids`` gives the word of each piece (ids into
+    ``words``).  Both tables are sorted, so ids order like the strings they
+    stand for.  ``labels`` is the [docs, classes] 0/1 matrix in label-space
+    order.
+    """
+
+    label_space: LabelSpace
+    doc_ids: tuple[str, ...]
+    texts: tuple[str, ...]
+    pieces: tuple[str, ...]
+    words: tuple[str, ...]
+    piece_ids: np.ndarray
+    word_ids: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
+
+    @cached_property
+    def piece_index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.pieces)}
+
+    def doc_frequency(self) -> np.ndarray:
+        """The number of documents that contain each word of ``words``."""
+        n_words = len(self.words)
+        # A (document, word) key per piece; the distinct keys, found by a
+        # sort and a neighbour mask (np.unique hashes integer keys and is
+        # far slower here), are the (document, word) pairs.  In place, so
+        # that only one key array is alive at a time.
+        keys = np.repeat(np.arange(len(self.doc_ids)) * n_words,
+                         np.diff(self.offsets))
+        keys += self.word_ids
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        keys %= n_words
+        return np.bincount(keys, minlength=n_words)
+
+    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into ``piece_ids``/``word_ids`` of the pieces of ``rows``,
+        document after document, and each document's piece count."""
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        ends = np.cumsum(counts)
+        return (np.arange(ends[-1] if ends.size else 0)
+                + np.repeat(starts - (ends - counts), counts), counts)
+
+    def document(self, i: int) -> Document:
+        """Document ``i`` as words and aligned pieces.  A piece without the
+        ``##`` prefix starts a word: no word starts with ``#``."""
+        span = slice(self.offsets[i], self.offsets[i + 1])
+        words, subwords = [], []
+        for p, w in zip(self.piece_ids[span].tolist(),
+                        self.word_ids[span].tolist()):
+            piece = self.pieces[p]
+            if not piece.startswith(CONTINUATION):
+                words.append(self.words[w])
+            subwords.append((piece, len(words) - 1))
+        classes = self.label_space.classes
+        return Document(id=self.doc_ids[i], text=self.texts[i],
+                        words=tuple(words), subwords=tuple(subwords),
+                        labels=frozenset(classes[c] for c in
+                                         np.flatnonzero(self.labels[i])))
 
 
 @dataclass(frozen=True)
@@ -110,128 +181,93 @@ class SynthConfig:
                 "background vocabulary must exceed total marker count")
 
 
-def tokenize(text: str, max_piece_len: int = DEFAULT_MAX_PIECE_LEN):
-    """Split text into lowercase words and fixed-length character pieces.
+def _first_seen() -> defaultdict:
+    """A dict that numbers each new key by the keys before it."""
+    index = defaultdict()
+    index.default_factory = index.__len__
+    return index
 
-    Words are maximal alphanumeric runs.  Each word is chopped into
-    consecutive chunks of at most ``max_piece_len`` characters; chunks
-    after the first carry the ``##`` continuation prefix.
 
-    Returns (words, subwords) where subwords is a list of
-    (piece, word_index) pairs.
+def _sorted_table(index: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The keys of ``index`` in sorted order, and the place in that order
+    of the key numbered ``i``, for every ``i``."""
+    table = sorted(index)
+    rank = np.empty(len(table), dtype=np.int32)
+    rank[np.fromiter(map(index.__getitem__, table), dtype=np.intp,
+                     count=len(table))] = np.arange(len(table))
+    return tuple(table), rank
+
+
+def build_corpus(records, label_space: LabelSpace | None = None,
+                 max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
+    """The corpus of ``(id, text, labels)`` records, in one pass over them.
+
+    Each text is lowercased whole and split into words, numbered in order
+    of first sight; each distinct word is cut into pieces once, at the end.
+    Sorting the word and piece tables then renumbers the ids through rank
+    arrays.  Without ``label_space`` the classes are the sorted labels of
+    the records.
     """
     if max_piece_len < 1:
         raise ValidationError("max_piece_len must be >= 1")
-    words: list[str] = []
-    subwords: list[tuple[str, int]] = []
-    for match in _WORD_RE.finditer(text.lower()):
-        word = match.group(0)
-        wi = len(words)
-        words.append(word)
-        for start in range(0, len(word), max_piece_len):
-            piece = word[start:start + max_piece_len]
-            if start > 0:
-                piece = CONTINUATION + piece
-            subwords.append((piece, wi))
-    return words, subwords
+    known = None if label_space is None else set(label_space.classes)
+    word_index = _first_seen()
+    doc_ids, texts, doc_labels = [], [], []
+    word_seq, word_counts = array("i"), array("q")
+    for doc_id, text, labels in records:
+        labels = frozenset(labels)
+        if known is not None and not labels <= known:
+            raise ValidationError(
+                f"document {doc_id!r} has labels outside the label space: "
+                f"{sorted(labels - known)}")
+        found = _WORD_RE.findall(text.lower())
+        word_seq.extend(map(word_index.__getitem__, found))
+        word_counts.append(len(found))
+        doc_ids.append(str(doc_id))
+        texts.append(text)
+        doc_labels.append(labels)
+    if len(set(doc_ids)) != len(doc_ids):
+        raise ValidationError("duplicate document ids")
+    if label_space is None:
+        label_space = LabelSpace(tuple(sorted(set().union(*doc_labels))))
+
+    # The pieces of every distinct word, one word after another.
+    piece_index = _first_seen()
+    word_pieces, piece_counts = array("i"), array("q")
+    for word in word_index:
+        cuts = range(0, len(word), max_piece_len)
+        word_pieces.extend(piece_index[CONTINUATION + word[s:s + max_piece_len]
+                                       if s else word[:max_piece_len]]
+                           for s in cuts)
+        piece_counts.append(len(cuts))
+    words, word_rank = _sorted_table(word_index)
+    pieces, piece_rank = _sorted_table(piece_index)
+
+    # Every word occurrence expands to its word's run of word_pieces.
+    seq = np.frombuffer(word_seq, dtype=np.int32)
+    per_word = np.frombuffer(piece_counts, dtype=np.int64)
+    counts = per_word[seq]
+    ends = np.cumsum(counts)
+    at = (np.arange(ends[-1] if ends.size else 0)
+          + np.repeat((np.cumsum(per_word) - per_word)[seq] - (ends - counts),
+                      counts))
+    # A document's pieces end where its last word's pieces end.
+    doc_ends = np.r_[0, ends][np.cumsum(np.frombuffer(word_counts,
+                                                      dtype=np.int64))]
+    column = {c: j for j, c in enumerate(label_space.classes)}
+    label_matrix = np.zeros((len(doc_ids), len(column)))
+    for row, names in zip(label_matrix, doc_labels):
+        row[[column[c] for c in names]] = 1.0
+    return Corpus(
+        label_space=label_space, doc_ids=tuple(doc_ids), texts=tuple(texts),
+        pieces=pieces, words=words,
+        piece_ids=piece_rank[np.frombuffer(word_pieces, dtype=np.int32)[at]],
+        word_ids=np.repeat(word_rank[seq], counts),
+        offsets=np.r_[0, doc_ends], labels=label_matrix)
 
 
-def make_document(doc_id: str, text: str, labels, label_space: LabelSpace,
-                  max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Document:
-    unknown = set(labels) - set(label_space.classes)
-    if unknown:
-        raise ValidationError(
-            f"document {doc_id!r} has labels outside the label space: "
-            f"{sorted(unknown)}")
-    words, subwords = tokenize(text, max_piece_len)
-    return Document(id=str(doc_id), text=text, words=tuple(words),
-                    subwords=tuple(subwords), labels=frozenset(labels))
-
-
-@dataclass(frozen=True, eq=False)
-class CorpusEncoding:
-    """A corpus as integer arrays over sorted tables, built once per run.
-
-    Document ``i`` holds pieces ``offsets[i]:offsets[i + 1]`` of
-    ``piece_ids`` (ids into ``pieces``); ``word_ids`` gives the word of each
-    piece (ids into ``words``).  Both tables are sorted, so ids order like
-    the strings they stand for.  ``labels`` is the [docs, classes] 0/1
-    matrix in label-space order.
-    """
-
-    classes: tuple[str, ...]
-    doc_ids: tuple[str, ...]
-    pieces: tuple[str, ...]
-    words: tuple[str, ...]
-    piece_ids: np.ndarray
-    word_ids: np.ndarray
-    offsets: np.ndarray
-    labels: np.ndarray
-
-    @cached_property
-    def piece_index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.pieces)}
-
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
-
-    def rows(self, corpus: Corpus) -> np.ndarray:
-        """Position in the encoded corpus of each document of ``corpus``
-        (the whole corpus or a split half of it)."""
-        return np.array([self._row_of[doc.id] for doc in corpus.documents],
-                        dtype=np.intp)
-
-    def doc_frequency(self) -> np.ndarray:
-        """The number of documents that contain each word of ``words``."""
-        n_words = len(self.words)
-        # A (document, word) key per piece; the distinct keys, found by a
-        # sort and a neighbour mask (np.unique hashes integer keys and is
-        # far slower here), are the (document, word) pairs.  In place, so
-        # that only one key array is alive at a time.
-        keys = np.repeat(np.arange(len(self.doc_ids)) * n_words,
-                         np.diff(self.offsets))
-        keys += self.word_ids
-        keys.sort()
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-        keys %= n_words
-        return np.bincount(keys, minlength=n_words)
-
-    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into ``piece_ids``/``word_ids`` of the pieces of ``rows``,
-        document after document, and each document's piece count."""
-        starts = self.offsets[rows]
-        counts = self.offsets[rows + 1] - starts
-        ends = np.cumsum(counts)
-        return (np.arange(ends[-1] if ends.size else 0)
-                + np.repeat(starts - (ends - counts), counts), counts)
-
-
-def encode_corpus(corpus: Corpus) -> CorpusEncoding:
-    """Encode every document's pieces and words as ids; see CorpusEncoding."""
-    docs = corpus.documents
-    pieces = sorted({p for doc in docs for p, _ in doc.subwords})
-    words = sorted({w for doc in docs for w in doc.words})
-    piece_index = {p: i for i, p in enumerate(pieces)}
-    word_index = {w: i for i, w in enumerate(words)}
-    counts = [len(doc.subwords) for doc in docs]
-    classes = corpus.label_space.classes
-    return CorpusEncoding(
-        classes=classes,
-        doc_ids=tuple(doc.id for doc in docs),
-        pieces=tuple(pieces),
-        words=tuple(words),
-        piece_ids=np.fromiter(
-            (piece_index[p] for doc in docs for p, _ in doc.subwords),
-            dtype=np.int32, count=sum(counts)),
-        word_ids=np.fromiter(
-            (word_index[doc.words[wi]] for doc in docs
-             for _, wi in doc.subwords), dtype=np.int32, count=sum(counts)),
-        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-        labels=np.array([[1.0 if c in doc.labels else 0.0 for c in classes]
-                         for doc in docs]).reshape(len(docs), len(classes)))
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def parse_record(line: str, path, lineno: int) -> tuple:
@@ -246,100 +282,96 @@ def parse_record(line: str, path, lineno: int) -> tuple:
     if not isinstance(text, str):
         raise CorpusParseError(f"{path}: malformed record on line {lineno}: "
                                f"text is {type(text).__name__}, not a string")
-    if not (isinstance(labels, list)
-            and all(isinstance(label, str) for label in labels)):
+    if not _is_string_list(labels):
         raise CorpusParseError(f"{path}: malformed record on line {lineno}: "
                                "labels must be a list of strings")
     return doc_id, text, labels
 
 
-def load_corpus(path, label_space: LabelSpace,
-                max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
-    """Load a JSONL corpus (fields: id, text, labels) and tokenize it."""
-    documents = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            documents.append(make_document(*parse_record(line, path, lineno),
-                                           label_space, max_piece_len))
-    if not documents:
+def _read_records(path):
+    """The records of a JSONL corpus file, line by line."""
+    empty = True
+    for lineno, line in utf8_lines(path, CorpusParseError):
+        if line.strip():
+            empty = False
+            yield parse_record(line, path, lineno)
+    if empty:
         raise ValidationError(f"{path}: corpus is empty")
-    return Corpus(label_space=label_space, documents=documents)
+
+
+def load_corpus(path, label_space: LabelSpace | None = None,
+                max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
+    """Load a JSONL corpus (fields: id, text, labels) in one pass; without
+    ``label_space`` the classes are the sorted labels it holds."""
+    return build_corpus(_read_records(path), label_space, max_piece_len)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    classes = corpus.label_space.classes
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            record = {"id": doc.id, "text": doc.text,
-                      "labels": sorted(doc.labels)}
+        for doc_id, text, row in zip(corpus.doc_ids, corpus.texts,
+                                     corpus.labels):
+            labels = sorted(classes[c] for c in np.flatnonzero(row))
+            record = {"id": doc_id, "text": text, "labels": labels}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _subcorpus(corpus: Corpus, indices) -> Corpus:
-    docs = [corpus.documents[i] for i in indices]
-    return Corpus(label_space=corpus.label_space, documents=docs)
-
-
-def stratified_split(corpus: Corpus, spec: SplitSpec):
-    """Deterministic iterative multilabel stratified split.
+def stratified_split(corpus: Corpus,
+                     spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic iterative multilabel stratified split; returns the
+    train and validation rows.
 
     Documents are assigned label by label, rarest label first, each going
     to the split whose remaining demand for that label is largest.  Global
     split sizes are capped so |train| = round(ratio * |corpus|).
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
-    n_docs = len(corpus.documents)
+    n_docs = len(corpus)
     n_train = int(round(spec.ratio * n_docs))
     n_train = min(max(n_train, 1), n_docs - 1)
     capacity = [n_train, n_docs - n_train]
 
-    label_members: dict[str, list[int]] = {c: [] for c in corpus.label_space.classes}
-    for i, doc in enumerate(corpus.documents):
-        for lab in doc.labels:
-            label_members[lab].append(i)
-    for lab, members in label_members.items():
-        if 0 < len(members) < 2:
+    classes = corpus.label_space.classes
+    members = [np.flatnonzero(column) for column in corpus.labels.T]
+    for lab, rows in zip(classes, members):
+        if 0 < rows.size < 2:
             warnings.warn(
                 f"class {lab!r} has fewer than 2 member documents; "
                 "stratification is best-effort", stacklevel=2)
 
-    # remaining per-(split, label) demand
-    demand = {lab: [spec.ratio * len(m), (1 - spec.ratio) * len(m)]
-              for lab, m in label_members.items()}
+    # remaining per-(label, split) demand
+    demand = [[spec.ratio * rows.size, (1 - spec.ratio) * rows.size]
+              for rows in members]
+    labels_of = [[] for _ in range(n_docs)]
+    for i, lab in zip(*(a.tolist() for a in np.nonzero(corpus.labels))):
+        labels_of[i].append(lab)
     assignment = np.full(n_docs, -1, dtype=int)
-    unassigned = set(range(n_docs))
 
     def place(doc_index: int, split: int) -> None:
         assignment[doc_index] = split
         capacity[split] -= 1
-        unassigned.discard(doc_index)
-        for lab in corpus.documents[doc_index].labels:
+        for lab in labels_of[doc_index]:
             demand[lab][split] -= 1
 
     while True:
-        pending = {lab: [i for i in members if i in unassigned]
-                   for lab, members in label_members.items()}
-        pending = {lab: m for lab, m in pending.items() if m}
-        if not pending:
-            break
+        pending = [rows[assignment[rows] < 0] for rows in members]
         # rarest label first; name breaks ties deterministically
-        lab = min(pending, key=lambda c: (len(pending[c]), c))
-        for i in rng.permutation(pending[lab]):
+        left = [(rows.size, classes[lab], lab)
+                for lab, rows in enumerate(pending) if rows.size]
+        if not left:
+            break
+        lab = min(left)[2]
+        for i in rng.permutation(pending[lab]).tolist():
             open_splits = [s for s in (0, 1) if capacity[s] > 0]
             if len(open_splits) == 1:
                 place(i, open_splits[0])
             else:
-                split = 0 if demand[lab][0] >= demand[lab][1] else 1
-                place(i, split)
+                place(i, 0 if demand[lab][0] >= demand[lab][1] else 1)
 
     # label-free documents fill remaining capacity
-    for i in rng.permutation(sorted(unassigned)):
+    for i in rng.permutation(np.flatnonzero(assignment < 0)).tolist():
         place(i, 0 if capacity[0] >= capacity[1] else 1)
-
-    train_idx = [i for i in range(n_docs) if assignment[i] == 0]
-    val_idx = [i for i in range(n_docs) if assignment[i] == 1]
-    return _subcorpus(corpus, train_idx), _subcorpus(corpus, val_idx)
+    return np.flatnonzero(assignment == 0), np.flatnonzero(assignment == 1)
 
 
 def _encode_letters(value: int) -> str:
@@ -380,8 +412,7 @@ def generate_synthetic(config: SynthConfig, seed: int):
     probs /= probs.sum()
 
     lo, hi = config.doc_length
-    documents = []
-    doc_id = 0
+    records = []
     for ci in range(config.num_classes):
         for _ in range(config.docs_per_class):
             labels = {classes[ci]}
@@ -397,11 +428,8 @@ def generate_synthetic(config: SynthConfig, seed: int):
                     if rng.random() < config.marker_injection_prob:
                         pos = int(rng.integers(len(words) + 1))
                         words.insert(pos, m)
-            text = " ".join(words)
-            documents.append(make_document(f"d{doc_id:05d}", text, labels,
-                                           label_space))
-            doc_id += 1
-    return Corpus(label_space=label_space, documents=documents), markers
+            records.append((f"d{len(records):05d}", " ".join(words), labels))
+    return build_corpus(records, label_space), markers
 
 
 def save_markers(markers: dict[str, set[str]], path) -> None:
@@ -410,5 +438,16 @@ def save_markers(markers: dict[str, set[str]], path) -> None:
 
 
 def load_markers(path) -> dict[str, set[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return {c: set(ws) for c, ws in json.load(fh).items()}
+    """The planted words per class of a markers file: a JSON object of
+    string lists."""
+    with open(path, "rb") as fh:
+        try:
+            markers = json.loads(fh.read().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"{path}: malformed markers file: {exc}") \
+                from exc
+    if not (isinstance(markers, dict)
+            and all(map(_is_string_list, markers.values()))):
+        raise ValidationError(
+            f"{path}: malformed markers file: not an object of string lists")
+    return {c: set(words) for c, words in markers.items()}

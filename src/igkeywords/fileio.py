@@ -1,5 +1,5 @@
 """Atomic file writes, so that a crash mid-write never leaves a truncated
-artifact in a run directory."""
+artifact in a run directory, and UTF-8 text read line by line."""
 
 from __future__ import annotations
 
@@ -25,3 +25,16 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(temporary)
         raise
+
+
+def utf8_lines(path, error):
+    """The ``(line number, text)`` of each line of a UTF-8 file; a line that
+    is not UTF-8 raises ``error`` with its number."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: line {lineno} is not UTF-8: {exc}") \
+                    from exc
+            yield lineno, line

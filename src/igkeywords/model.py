@@ -9,12 +9,11 @@ Training works a batch at a time with no per-document Python: the mean
 pooling and the embedding-gradient scatter are each one ``np.bincount``
 over the batch's pieces, and the parameters, gradients and Adam moments
 each sit in one flat buffer, so an optimizer step is one elementwise
-update.  Within a run, documents reach the model through the corpus
-encoding (``encode_docs`` remaps its piece ids to model rows), and
+update.  Documents reach the model as rows of the corpus
+(``encode_docs`` remaps their piece ids to model rows), and
 ``pool_documents`` with ``predict_pooled`` predict a whole validation set
-at once.  ``forward``, ``predict`` and ``input_gradients`` keep the
-single-document path, the oracle for the gradient tests and the batched
-code.
+at once.  ``forward`` and ``predict`` keep the single-document path for a
+``Document``, the oracle for the gradient tests and the batched code.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import (Corpus, CorpusEncoding, Document, ValidationError,
-                     encode_corpus)
+from .corpus import Corpus, Document, ValidationError
 
 
 class TrainingDivergedError(RuntimeError):
@@ -93,19 +91,13 @@ class ForwardTrace:
     logits: np.ndarray            # [C]
 
 
-def build_vocab(corpus: Corpus,
-                encoding: CorpusEncoding | None = None) -> dict[str, int]:
-    """Map each subword piece in the corpus to a contiguous index, in sorted
-    piece order: the sorted unique piece ids of the corpus's documents in
-    ``encoding``, the run's encoding of a corpus holding them
-    (``encode_corpus(corpus)`` when omitted).
-    """
-    if encoding is None:
-        encoding = encode_corpus(corpus)
-    positions, _ = encoding.positions(encoding.rows(corpus))
-    present = np.bincount(encoding.piece_ids[positions],
-                          minlength=len(encoding.pieces))
-    return {encoding.pieces[g]: i
+def build_vocab(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
+    """Map each subword piece of the documents ``rows`` of ``corpus`` to a
+    contiguous index, in sorted piece order."""
+    positions, _ = corpus.positions(rows)
+    present = np.bincount(corpus.piece_ids[positions],
+                          minlength=len(corpus.pieces))
+    return {corpus.pieces[g]: i
             for i, g in enumerate(np.flatnonzero(present).tolist())}
 
 
@@ -197,16 +189,6 @@ def input_gradients_from_embeddings(params: ModelParams, inputs: np.ndarray,
     return np.tile(d_pooled / n_tokens, (n_tokens, 1))
 
 
-def input_gradients(params: ModelParams, doc: Document,
-                    class_index: int) -> np.ndarray:
-    if not 0 <= class_index < params.num_classes:
-        raise ValidationError(f"class index {class_index} out of range")
-    if not doc.subwords:
-        raise ValidationError(f"document {doc.id!r} has no subwords")
-    inputs = params.embedding[token_ids(params, doc)]
-    return input_gradients_from_embeddings(params, inputs, class_index)
-
-
 def probabilities(params: ModelParams, doc: Document) -> np.ndarray:
     logits, _ = forward(params, doc)
     return 1.0 / (1.0 + np.exp(-logits))
@@ -228,34 +210,27 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_cell.mean())
 
 
-def encode_docs(params: ModelParams, encoding: CorpusEncoding,
-                rows: np.ndarray):
-    """The encoded documents ``rows`` as this model reads them: the model
-    row of every piece, documents one after another, each document's
+def encode_docs(params: ModelParams, corpus: Corpus, rows: np.ndarray):
+    """The documents ``rows`` of ``corpus`` as this model reads them: the
+    model row of every piece, documents one after another, each document's
     offset and piece count (as float), and its [C] 0/1 labels.
 
-    The piece ids go through one remap array from the encoding's piece
+    The piece ids go through one remap array from the corpus's piece
     table to the model's rows, unknown pieces to ``unk``.
     """
-    positions, counts = encoding.positions(rows)
+    positions, counts = corpus.positions(rows)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        doc_id = encoding.doc_ids[rows[empty[0]]]
+        doc_id = corpus.doc_ids[rows[empty[0]]]
         raise ValidationError(f"document {doc_id!r} has no subwords")
-    remap = np.full(len(encoding.pieces), params.unk_index, dtype=np.intp)
-    index = encoding.piece_index
+    remap = np.full(len(corpus.pieces), params.unk_index, dtype=np.intp)
+    index = corpus.piece_index
     for piece, row in params.vocab.items():
         if piece in index:
             remap[index[piece]] = row
     offsets = np.cumsum(counts) - counts
-    return (remap[encoding.piece_ids[positions]], offsets,
-            counts.astype(float), encoding.labels[rows])
-
-
-def _prepare_docs(params: ModelParams, corpus: Corpus):
-    """``encode_docs`` for a corpus without a run's encoding."""
-    return encode_docs(params, encode_corpus(corpus),
-                       np.arange(len(corpus.documents)))
+    return (remap[corpus.piece_ids[positions]], offsets,
+            counts.astype(float), corpus.labels[rows])
 
 
 def pool_documents(params: ModelParams, all_ids, lengths) -> np.ndarray:
@@ -372,17 +347,16 @@ def _flat_views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
     return views
 
 
-def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
-          docs=None) -> ModelParams:
-    """Minimize mean per-class BCE with seeded shuffling; returns new params.
+def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
+          config: TrainConfig) -> ModelParams:
+    """Minimize mean per-class BCE over the documents ``rows`` of ``corpus``
+    with seeded shuffling; returns new params.
 
-    ``docs`` is the corpus already encoded for this model (``encode_docs``
-    over the run's encoding); without it the corpus is encoded here.  The
-    five parameters, their gradients and the Adam moments each live in one
-    flat buffer (the returned fields are views into it), so every optimizer
-    step is one elementwise update over all weights.
+    The five parameters, their gradients and the Adam moments each live in
+    one flat buffer (the returned fields are views into it), so every
+    optimizer step is one elementwise update over all weights.
     """
-    if not train_corpus.documents:
+    if not len(rows):
         raise ValidationError("training corpus is empty")
     shapes = [getattr(params, k).shape for k in _PARAM_NAMES]
     flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
@@ -391,9 +365,8 @@ def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
     grad = np.zeros_like(flat)
     grad_views = _flat_views(grad, shapes)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
-    all_ids, offsets, lengths, targets = (
-        docs if docs is not None else _prepare_docs(params, train_corpus))
-    n_docs = len(train_corpus.documents)
+    all_ids, offsets, lengths, targets = encode_docs(params, corpus, rows)
+    n_docs = len(rows)
     # Cell buffers for the largest batch, reused by every step: fresh
     # [pieces, d] arrays per step get returned to the OS by the allocator
     # and faulted in again on the next step.
@@ -428,10 +401,3 @@ def train(params: ModelParams, train_corpus: Corpus, config: TrainConfig,
                          / (np.sqrt(v_hat) + config.adam_eps))
     return params
 
-
-def corpus_loss(params: ModelParams, corpus: Corpus) -> float:
-    """Mean BCE over a whole corpus (evaluation only)."""
-    all_ids, offsets, lengths, targets = _prepare_docs(params, corpus)
-    loss, _ = batch_loss_and_grads(params, all_ids, offsets, lengths, targets,
-                                   np.arange(len(corpus.documents)))
-    return loss

@@ -6,13 +6,14 @@ keep the top-n words per document.  Rounds are aggregated into per-
 (class, word) mean scores and selection frequencies, then filtered by
 selection frequency and corpus document frequency.
 
-The corpus is encoded once per run (``corpus.encode_corpus``).  A round's
-explain half is array code over that encoding: one pooled forward pass
-predicts the whole validation set, ``attribution.top_word_scores`` scores
+The corpus is piece and word ids over sorted tables (``corpus.Corpus``).
+A round works on rows of it, the train and validation rows of its split.
+Its explain half is array code over the validation rows: one pooled
+forward pass predicts them all, ``attribution.top_word_scores`` scores
 every target pair in chunks, and the selections are columns of indices
-into the run's tables.  ``aggregate`` reduces them with grouped sums to an
-``Aggregates`` table of columns, with document frequencies counted from
-the encoding; the filter masks its columns, the writers format
+into the corpus's tables.  ``aggregate`` reduces them with grouped
+sums to an ``Aggregates`` table of columns, with document frequencies
+counted from the corpus; the filter masks its columns, the writers format
 ``aggregates.json``/``.tsv`` from them slice by slice, and
 ``load_aggregates`` reads the same table back for ``report``.  Every file
 of a run directory is written atomically (``fileio.atomic_write``).
@@ -32,8 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import attribution, model
-from .corpus import (Corpus, CorpusEncoding, SplitSpec, ValidationError,
-                     encode_corpus, stratified_split)
+from .corpus import Corpus, SplitSpec, ValidationError, stratified_split
 from .fileio import atomic_write
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
@@ -101,13 +101,13 @@ class Selections:
         return all(np.array_equal(getattr(self, k), getattr(other, k))
                    for k in ("class_idx", "word_idx", "doc_idx", "score"))
 
-    def rows(self, encoding: CorpusEncoding, start: int = 0,
-             stop: int | None = None) -> list[list]:
+    def dumped(self, corpus: Corpus, start: int = 0,
+               stop: int | None = None) -> list[list]:
         """``[class, word, doc_id, score]`` per selection (of those from
         ``start`` to ``stop``), as dumped."""
         part = slice(start, stop)
-        classes, words, doc_ids = (encoding.classes, encoding.words,
-                                   encoding.doc_ids)
+        classes, words, doc_ids = (corpus.label_space.classes, corpus.words,
+                                   corpus.doc_ids)
         return [[classes[c], words[w], doc_ids[d], s]
                 for c, w, d, s in zip(self.class_idx[part].tolist(),
                                       self.word_idx[part].tolist(),
@@ -186,37 +186,28 @@ def _f1_metrics(counts):
     return precision, recall, f1
 
 
-def run_round(corpus: Corpus, config: PipelineConfig, round_index: int,
-              encoding: CorpusEncoding | None = None) -> RoundResult:
-    """One split/train/attribute/select round; failures are recorded, not raised.
-
-    ``encoding`` is ``encode_corpus(corpus)``, built once per run; without
-    it the round encodes the corpus itself.
-    """
+def run_round(corpus: Corpus, config: PipelineConfig,
+              round_index: int) -> RoundResult:
+    """One split/train/attribute/select round on rows of ``corpus``;
+    failures are recorded, not raised."""
     if round_index >= config.rounds:
         raise ValidationError("round_index must be below the configured rounds")
-    if encoding is None:
-        encoding = encode_corpus(corpus)
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
-    train_corpus, val_corpus = stratified_split(
+    train_rows, val_rows = stratified_split(
         corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
 
-    vocab = model.build_vocab(train_corpus, encoding)
+    vocab = model.build_vocab(corpus, train_rows)
     train_cfg = replace(config.train_config, seed=train_seed)
     params = model.init_model(vocab, len(corpus.label_space), train_cfg)
     try:
-        params = model.train(
-            params, train_corpus, train_cfg,
-            docs=model.encode_docs(params, encoding,
-                                   encoding.rows(train_corpus)))
-        selections, counts = _explain(params, encoding,
-                                      encoding.rows(val_corpus), config)
+        params = model.train(params, corpus, train_rows, train_cfg)
+        selections, counts = _explain(params, corpus, val_rows, config)
     except (model.TrainingDivergedError, attribution.AttributionError) as exc:
         warnings.warn(f"round {round_index} failed: {exc}", stacklevel=2)
         return RoundResult(round_index=round_index,
                            selections=Selections.empty(), per_class={},
-                           micro_f1=0.0,
-                           val_doc_count=len(val_corpus.documents), failed=True)
+                           micro_f1=0.0, val_doc_count=len(val_rows),
+                           failed=True)
 
     per_class = {}
     for c, (tp, fp, fn) in zip(corpus.label_space.classes, counts.T.tolist()):
@@ -226,15 +217,15 @@ def run_round(corpus: Corpus, config: PipelineConfig, round_index: int,
     _, _, micro_f1 = _f1_metrics(counts.sum(axis=1).tolist())
     return RoundResult(round_index=round_index, selections=selections,
                        per_class=per_class, micro_f1=micro_f1,
-                       val_doc_count=len(val_corpus.documents))
+                       val_doc_count=len(val_rows))
 
 
-def _explain(params: model.ModelParams, encoding: CorpusEncoding,
+def _explain(params: model.ModelParams, corpus: Corpus,
              val_rows: np.ndarray, config: PipelineConfig):
     """Predict the validation documents, attribute the target pairs and
     keep each pair's top-n words; returns the selections and the [3, C]
     true-positive, false-positive and false-negative counts."""
-    all_ids, offsets, lengths, gold = model.encode_docs(params, encoding,
+    all_ids, offsets, lengths, gold = model.encode_docs(params, corpus,
                                                         val_rows)
     pooled = model.pool_documents(params, all_ids, lengths)
     predicted = model.predict_pooled(
@@ -247,27 +238,23 @@ def _explain(params: model.ModelParams, encoding: CorpusEncoding,
     pair_docs, pair_classes = np.nonzero(outcomes[config.selection_target])
     pair, word, score = attribution.top_word_scores(
         params, (all_ids, offsets, lengths), pooled,
-        encoding.word_ids[encoding.positions(val_rows)[0]],
+        corpus.word_ids[corpus.positions(val_rows)[0]],
         pair_docs, pair_classes, config.ig_steps, config.top_n)
     return Selections(class_idx=pair_classes[pair], word_idx=word,
                       doc_idx=val_rows[pair_docs[pair]], score=score), counts
 
 
-def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
-              encoding: CorpusEncoding | None = None) -> Aggregates:
+def aggregate(rounds, corpus: Corpus, config: PipelineConfig) -> Aggregates:
     """Merge round selections into the per-(class, word) aggregate table.
 
     Grouped sums over the selection columns: ``np.bincount`` adds each
     group's scores in round and selection order, as a running sum would.
     The selection-frequency denominator is the configured round count, so
-    failed rounds count against stability.  ``encoding`` holds the word
-    table the selections index (``encode_corpus(corpus)`` when omitted)
-    and gives the document frequencies.
+    failed rounds count against stability.  ``corpus`` holds the word
+    table the selections index and gives the document frequencies.
     """
     if not rounds:
         raise ValidationError("aggregate requires at least one round")
-    if encoding is None:
-        encoding = encode_corpus(corpus)
     rounds = sorted(rounds, key=lambda r: r.round_index)
     columns = [r.selections for r in rounds]
     class_idx = np.concatenate([s.class_idx for s in columns])
@@ -276,9 +263,9 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
     round_of = np.repeat(np.arange(len(rounds)), [len(s) for s in columns])
 
     # Groups ordered by (class name, word), the order of the table's rows.
-    class_rank = np.argsort(np.argsort(np.array(encoding.classes,
-                                                dtype=object)))
-    n_words = len(encoding.words)
+    classes = corpus.label_space.classes
+    class_rank = np.argsort(np.argsort(np.array(classes, dtype=object)))
+    n_words = len(corpus.words)
     keys, key_of = np.unique(class_rank[class_idx] * n_words + word_idx,
                              return_inverse=True)
     n_keys = keys.size
@@ -298,13 +285,12 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig,
 
     rank_of_key, word_of_key = np.divmod(keys, n_words)
     return Aggregates(
-        class_name=np.array(sorted(encoding.classes),
-                            dtype=object)[rank_of_key],
-        word=np.array(encoding.words, dtype=object)[word_of_key],
+        class_name=np.array(sorted(classes), dtype=object)[rank_of_key],
+        word=np.array(corpus.words, dtype=object)[word_of_key],
         mean_score=mean_score, rounds_selected=rounds_selected,
         selection_frequency=rounds_selected / config.rounds,
         instance_count=instances,
-        doc_frequency=encoding.doc_frequency()[word_of_key])
+        doc_frequency=corpus.doc_frequency()[word_of_key])
 
 
 def filter_keywords(table: Aggregates, config: PipelineConfig,
@@ -334,25 +320,24 @@ class PipelineResult:
     aggregates: Aggregates
     keywords: list[AggregateRecord]
     config: PipelineConfig
-    # The tables the rounds' selections index; None when read back from
-    # a run directory.
-    encoding: CorpusEncoding | None = None
+    # The corpus whose tables the rounds' selections index; None when read
+    # back from a run directory.
+    corpus: Corpus | None = None
 
 
-# A pool worker's corpus and encoding, handed over once by the pool's
-# initializer rather than pickled into every round's task.
-_worker_inputs: tuple = ()
+# A pool worker's corpus, handed over once by the pool's initializer
+# rather than pickled into every round's task.
+_worker_corpus: Corpus | None = None
 
 
-def _init_worker(corpus: Corpus, encoding: CorpusEncoding) -> None:
-    global _worker_inputs
-    _worker_inputs = (corpus, encoding)
+def _init_worker(corpus: Corpus) -> None:
+    global _worker_corpus
+    _worker_corpus = corpus
 
 
 def _round_task(args):
     config, round_index = args
-    corpus, encoding = _worker_inputs
-    return run_round(corpus, config, round_index, encoding)
+    return run_round(_worker_corpus, config, round_index)
 
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig,
@@ -362,23 +347,22 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     Results are identical for any worker count: rounds are seeded
     individually and merged in round order.
     """
-    encoding = encode_corpus(corpus)
     indices = list(range(config.rounds))
     if config.workers == 1:
-        rounds = [run_round(corpus, config, i, encoding) for i in indices]
+        rounds = [run_round(corpus, config, i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_init_worker,
-                                 initargs=(corpus, encoding)) as pool:
+                                 initargs=(corpus,)) as pool:
             rounds = list(pool.map(_round_task,
                                    [(config, i) for i in indices]))
     rounds.sort(key=lambda r: r.round_index)
-    aggregates = aggregate(rounds, corpus, config, encoding)
+    aggregates = aggregate(rounds, corpus, config)
     keywords = filter_keywords(aggregates, config,
                                class_order=corpus.label_space.classes)
     result = PipelineResult(rounds=rounds, aggregates=aggregates,
                             keywords=keywords, config=config,
-                            encoding=encoding)
+                            corpus=corpus)
     if out_dir is not None:
         write_round_artifacts(result, out_dir)
         write_aggregates(aggregates, out_dir)
@@ -416,8 +400,8 @@ def write_round_artifacts(result: PipelineResult, out_dir) -> None:
             payload["selections"] = []
             fh.write(json.dumps(payload)[:-2])
             for start in range(0, len(rr.selections), DUMP_ROWS):
-                rows = rr.selections.rows(result.encoding, start,
-                                          start + DUMP_ROWS)
+                rows = rr.selections.dumped(result.corpus, start,
+                                            start + DUMP_ROWS)
                 fh.write((", " if start else "") + json.dumps(rows)[1:-1])
             fh.write("]}")
 

@@ -1,11 +1,13 @@
 """Test-only copies of the per-document round loop, the dict aggregate and
 the per-document document-frequency count that the batched explain pass,
-the grouped-sum aggregate and ``CorpusEncoding.doc_frequency`` replaced.
+the grouped-sum aggregate and ``Corpus.doc_frequency`` replaced.
 
-The loop predicts with the single-document ``model.predict`` and runs
-``attribution.integrated_gradients`` as it was written before
-``pooled_logit_gradients`` took its in-place form, then the word-score
-chain.  They are the reference for the differential tests in
+The loop works on the corpus as ``Document`` objects tokenized one by one
+(``reference_corpus.documents_of``), splits them with the set-based
+``reference_stratified_split``, predicts with the single-document
+``model.predict`` and runs ``attribution.integrated_gradients`` as it was
+written before ``pooled_logit_gradients`` took its in-place form, then the
+word-score chain.  They are the reference for the differential tests in
 ``test_batched_explain.py``.
 """
 
@@ -15,9 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from igkeywords import attribution, model
-from igkeywords.corpus import SplitSpec, ValidationError, stratified_split
+from igkeywords.corpus import SplitSpec, ValidationError
 from igkeywords.pipeline import (AggregateRecord, Aggregates, _f1_metrics,
                                  round_seeds)
+from reference_corpus import documents_of, reference_stratified_split
 
 
 def top_n_words(records, n: int):
@@ -58,21 +61,23 @@ def reference_run_round(corpus, config, round_index):
     if round_index >= config.rounds:
         raise ValidationError("round_index must be below the configured rounds")
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
-    train_corpus, val_corpus = stratified_split(
-        corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
+    documents = documents_of(corpus)
+    classes = corpus.label_space.classes
+    train_idx, val_idx = reference_stratified_split(
+        documents, classes, SplitSpec(ratio=config.ratio, seed=split_seed))
 
-    vocab = model.build_vocab(train_corpus)
+    vocab = {p: i for i, p in enumerate(sorted(
+        {p for i in train_idx for p, _ in documents[i].subwords}))}
     train_cfg = replace(config.train_config, seed=train_seed)
     params = model.init_model(vocab, len(corpus.label_space), train_cfg)
-    params = model.train(params, train_corpus, train_cfg)
+    params = model.train(params, corpus, np.array(train_idx), train_cfg)
 
-    classes = corpus.label_space.classes
     threshold = train_cfg.decision_threshold
     class_counts = {c: [0, 0, 0] for c in classes}  # tp, fp, fn
     micro = [0, 0, 0]
     selections = []
 
-    for doc in val_corpus.documents:
+    for doc in (documents[i] for i in val_idx):
         predicted = model.predict(params, doc, corpus.label_space, threshold)
         for ci, c in enumerate(classes):
             pred, gold = c in predicted, c in doc.labels
@@ -125,7 +130,7 @@ def table_of(records) -> Aggregates:
 def reference_aggregate(rounds, corpus, config):
     """``rounds`` is a list of (round_index, [WordScoreRecord])."""
     rounds = sorted(rounds, key=lambda r: r[0])
-    doc_frequency = compute_doc_frequency(corpus.documents)
+    doc_frequency = compute_doc_frequency(documents_of(corpus))
     scores = {}
     round_hits = {}
     for round_index, records in rounds:

@@ -11,7 +11,7 @@ import pytest
 from igkeywords.attribution import (completeness_residual,
                                     integrated_gradients, logit_value)
 from igkeywords.corpus import (LabelSpace, SplitSpec, SynthConfig,
-                               generate_synthetic, make_document,
+                               build_corpus, generate_synthetic,
                                stratified_split)
 from igkeywords.model import (TrainConfig, build_vocab,
                               forward_from_embeddings, init_model,
@@ -19,6 +19,7 @@ from igkeywords.model import (TrainConfig, build_vocab,
                               train)
 from igkeywords.pipeline import PipelineConfig, filter_keywords, run_pipeline
 from igkeywords.report import build_keyword_table, uniqueness, write_reports
+from reference_corpus import tokenize
 
 
 @contextmanager
@@ -99,7 +100,8 @@ def test_criterion_2_ig_linear_exactness():
         cfg = TrainConfig(d=6, h=4, activation="identity", seed=3)
         vocab = {f"p{i}": i for i in range(10)}
         params = init_model(vocab, 2, cfg)
-        doc = make_document("lin", "p1 p2 p3 p4 p5", {"a"}, label_space)
+        doc = build_corpus([("lin", "p1 p2 p3 p4 p5", {"a"})],
+                           label_space).document(0)
         inputs = params.embedding[token_ids(params, doc)]
         w_eff = params.hidden_weights @ params.output_weights[:, 0]
         expected = inputs * (w_eff / inputs.shape[0])
@@ -118,9 +120,11 @@ def test_criterion_3_ig_completeness():
                             background_vocab_size=500, markers_per_class=3,
                             doc_length=(15, 30))
         corpus, _ = generate_synthetic(synth, seed=303)
-        train_c, val_c = stratified_split(corpus, SplitSpec(ratio=0.67, seed=1))
+        train_rows, val_rows = stratified_split(corpus,
+                                                SplitSpec(ratio=0.67, seed=1))
         cfg = TrainConfig(epochs=20, d=12, h=16, seed=5)
-        params = train(init_model(build_vocab(train_c), 3, cfg), train_c, cfg)
+        params = train(init_model(build_vocab(corpus, train_rows), 3, cfg),
+                       corpus, train_rows, cfg)
 
         def residual(doc, m):
             inputs = params.embedding[token_ids(params, doc)]
@@ -130,7 +134,7 @@ def test_criterion_3_ig_completeness():
             return (completeness_residual(attr, f_x, f_0),
                     max(1.0, abs(f_x - f_0)))
 
-        docs = val_c.documents
+        docs = [corpus.document(i) for i in val_rows]
         relative_300 = [r / s for r, s in (residual(d, 300) for d in docs)]
         frac_ok = np.mean([r <= 1e-3 for r in relative_300])
         assert frac_ok >= 0.95, frac_ok
@@ -155,7 +159,7 @@ def test_criterion_4_pipeline_oracle_equivalence(tmp_path):
                             background_vocab_size=150, markers_per_class=2,
                             doc_length=(8, 15))
         corpus, _ = generate_synthetic(synth, seed=404)
-        assert len(corpus.documents) <= 50
+        assert len(corpus) <= 50
         config = PipelineConfig(ratio=0.6, top_n=5, rounds=5, ig_steps=10,
                                 min_doc_frequency=1, master_seed=11,
                                 dump_scores=True,
@@ -173,8 +177,8 @@ def test_criterion_4_pipeline_oracle_equivalence(tmp_path):
                 hit_rounds.setdefault(key, set()).add(i)
 
         df = {}
-        for doc in corpus.documents:
-            for word in set(doc.words):
+        for text in corpus.texts:
+            for word in set(tokenize(text)[0]):
                 df[word] = df.get(word, 0) + 1
 
         aggregates = result.aggregates.records()

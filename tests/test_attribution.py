@@ -5,9 +5,10 @@ from igkeywords.attribution import (AttributionMatrix, completeness_residual,
                                     integrated_gradients, logit_value,
                                     normalize_document, token_scores,
                                     word_scores)
-from igkeywords.corpus import LabelSpace, ValidationError, make_document
+from igkeywords.corpus import LabelSpace, ValidationError
 from igkeywords.model import (ModelParams, TrainConfig, build_vocab,
                               init_model, token_ids, train)
+from reference_corpus import make_document
 
 
 def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
@@ -28,6 +29,12 @@ def linear_model(rng, vocab_size=10, d=4, h=3, n_classes=2):
                       seed=int(rng.integers(2**31)))
     vocab = {f"p{i}": i for i in range(vocab_size)}
     return init_model(vocab, n_classes, cfg)
+
+
+def trained_on_all(corpus, cfg):
+    rows = np.arange(len(corpus))
+    return train(init_model(build_vocab(corpus, rows), 4, cfg), corpus, rows,
+                 cfg)
 
 
 def effective_weights(params, class_index):
@@ -66,8 +73,8 @@ class TestIntegratedGradients:
     def test_completeness_improves_with_steps(self, small_synth):
         corpus, _ = small_synth
         cfg = TrainConfig(epochs=10, d=8, h=8, seed=2)
-        params = train(init_model(build_vocab(corpus), 4, cfg), corpus, cfg)
-        doc = corpus.documents[0]
+        params = trained_on_all(corpus, cfg)
+        doc = corpus.document(0)
         inputs = params.embedding[token_ids(params, doc)]
         f_x = logit_value(params, inputs, 0)
         f_0 = logit_value(params, np.zeros_like(inputs), 0)
@@ -82,8 +89,8 @@ class TestIntegratedGradients:
 
         corpus, _ = small_synth
         cfg = TrainConfig(epochs=5, d=8, h=8, seed=3)
-        params = train(init_model(build_vocab(corpus), 4, cfg), corpus, cfg)
-        doc = corpus.documents[3]
+        params = trained_on_all(corpus, cfg)
+        doc = corpus.document(3)
         inputs = params.embedding[token_ids(params, doc)]
         reference = ig_from_gradient_fn(
             lambda x: input_gradients_from_embeddings(params, x, 1),

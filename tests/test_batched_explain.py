@@ -16,14 +16,15 @@ import pytest
 
 from igkeywords import attribution, cli, model, pipeline
 from igkeywords.attribution import WordScoreRecord
-from igkeywords.corpus import (Corpus, LabelSpace, SplitSpec, SynthConfig,
-                               ValidationError, encode_corpus,
-                               generate_synthetic, load_corpus, make_document,
-                               save_corpus, stratified_split)
+from igkeywords.corpus import (LabelSpace, SplitSpec, SynthConfig,
+                               ValidationError, build_corpus,
+                               generate_synthetic, load_corpus, save_corpus,
+                               stratified_split)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  Selections, aggregate, round_seeds,
                                  run_pipeline, run_round, write_aggregates)
+from reference_corpus import documents_of, records_of
 from reference_round import (reference_aggregate, reference_run_round,
                              reference_token_scores, table_of)
 
@@ -60,30 +61,29 @@ def criterion_4_config(**overrides):
     return PipelineConfig(**defaults)
 
 
-def as_columns(records, encoding):
+def as_columns(records, corpus):
     """Reference WordScoreRecords as (class, word, doc, score) columns."""
-    word_of = {w: i for i, w in enumerate(encoding.words)}
-    doc_of = {d: i for i, d in enumerate(encoding.doc_ids)}
-    return (np.array([encoding.classes.index(r.class_name) for r in records],
-                     dtype=np.intp),
+    word_of = {w: i for i, w in enumerate(corpus.words)}
+    doc_of = {d: i for i, d in enumerate(corpus.doc_ids)}
+    return (np.array([corpus.label_space.index(r.class_name)
+                      for r in records], dtype=np.intp),
             np.array([word_of[r.word] for r in records], dtype=np.intp),
             np.array([doc_of[r.doc_id] for r in records], dtype=np.intp),
             np.array([r.score for r in records], dtype=float))
 
 
-def as_records(selections, encoding):
+def as_records(selections, corpus):
     return [WordScoreRecord(word=w, doc_id=d, class_name=c, score=s)
-            for c, w, d, s in selections.rows(encoding)]
+            for c, w, d, s in selections.dumped(corpus)]
 
 
 def assert_round_matches_reference(corpus, config, round_index):
-    encoding = encode_corpus(corpus)
-    batched = run_round(corpus, config, round_index, encoding)
+    batched = run_round(corpus, config, round_index)
     records, per_class, micro_f1 = reference_run_round(corpus, config,
                                                        round_index)
     got = batched.selections
     for name, want in zip(("class_idx", "word_idx", "doc_idx", "score"),
-                          as_columns(records, encoding)):
+                          as_columns(records, corpus)):
         assert np.array_equal(getattr(got, name), want), name
     assert batched.per_class == per_class
     assert batched.micro_f1 == micro_f1
@@ -128,17 +128,16 @@ def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
 
 def test_batched_predictions_match_predict(small_synth):
     corpus, _ = small_synth
-    encoding = encode_corpus(corpus)
-    train_corpus, val_corpus = stratified_split(corpus, SplitSpec(0.6, 5))
+    train_rows, val_rows = stratified_split(corpus, SplitSpec(0.6, 5))
     cfg = dataclasses.replace(train_config(), seed=3)
-    params = model.init_model(model.build_vocab(train_corpus), 4, cfg)
-    params = model.train(params, train_corpus, cfg)
-    all_ids, _, lengths, _ = model.encode_docs(
-        params, encoding, encoding.rows(val_corpus))
+    params = model.init_model(model.build_vocab(corpus, train_rows), 4, cfg)
+    params = model.train(params, corpus, train_rows, cfg)
+    all_ids, _, lengths, _ = model.encode_docs(params, corpus, val_rows)
     predicted = model.predict_pooled(
         params, model.pool_documents(params, all_ids, lengths), 0.5)
     classes = corpus.label_space.classes
-    for doc, mask in zip(val_corpus.documents, predicted):
+    docs = documents_of(corpus)
+    for doc, mask in zip((docs[i] for i in val_rows), predicted):
         assert {classes[i] for i in np.flatnonzero(mask)} == \
             model.predict(params, doc, corpus.label_space, 0.5)
     assert predicted.any()
@@ -146,29 +145,27 @@ def test_batched_predictions_match_predict(small_synth):
 
 def test_encoded_documents_match_vocabulary_lookup(small_synth):
     corpus, _ = small_synth
-    encoding = encode_corpus(corpus)
-    half = Corpus(label_space=corpus.label_space,
-                  documents=corpus.documents[::2])
+    docs = documents_of(corpus)
+    rows = np.arange(len(corpus))
     # vocabulary from half the corpus, so the other half has unknown pieces
-    vocab = model.build_vocab(half, encoding)
-    assert vocab == model.build_vocab(half)
-    assert list(vocab) == sorted({p for doc in half.documents
+    vocab = model.build_vocab(corpus, rows[::2])
+    assert list(vocab) == sorted({p for doc in docs[::2]
                                   for p, _ in doc.subwords})
     assert list(vocab.values()) == list(range(len(vocab)))
     params = model.init_model(vocab, 4, TrainConfig(d=4, h=4))
-    rest = corpus.documents[1::2][::-1]
-    all_ids, offsets, lengths, targets = model.encode_docs(
-        params, encoding, encoding.rows(Corpus(corpus.label_space, rest)))
+    rest = rows[1::2][::-1]
+    all_ids, offsets, lengths, targets = model.encode_docs(params, corpus,
+                                                           rest)
     assert (all_ids == params.unk_index).any()
-    for i, doc in enumerate(rest):
+    for i, row in enumerate(rest):
+        doc = docs[row]
         ids = model.token_ids(params, doc)
         assert lengths[i] == ids.size
         assert np.array_equal(all_ids[offsets[i]:offsets[i] + ids.size], ids)
         assert np.array_equal(targets[i], [float(c in doc.labels)
                                            for c in corpus.label_space.classes])
-        words = encoding.word_ids[encoding.offsets[encoding.doc_ids.index(
-            doc.id)]:][:ids.size]
-        assert [encoding.words[w] for w in words] == \
+        words = corpus.word_ids[corpus.offsets[row]:][:ids.size]
+        assert [corpus.words[w] for w in words] == \
             [doc.words[wi] for _, wi in doc.subwords]
 
 
@@ -176,9 +173,10 @@ def test_oracle_gradients_unchanged(small_synth):
     corpus, _ = small_synth
     for activation in ("tanh", "identity"):
         cfg = TrainConfig(epochs=5, d=8, h=8, activation=activation)
-        params = model.train(model.init_model(model.build_vocab(corpus), 4,
-                                              cfg), corpus, cfg)
-        for doc in corpus.documents[:10]:
+        rows = np.arange(len(corpus))
+        params = model.train(model.init_model(model.build_vocab(corpus, rows),
+                                              4, cfg), corpus, rows, cfg)
+        for doc in map(corpus.document, range(10)):
             attr = attribution.integrated_gradients(params, doc, 2, steps=7)
             assert np.array_equal(attribution.token_scores(attr),
                                   reference_token_scores(params, doc, 2, 7))
@@ -187,19 +185,17 @@ def test_oracle_gradients_unchanged(small_synth):
 @pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])
 def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
     corpus, _ = small_synth
-    encoding = encode_corpus(corpus)
     config = small_config(rounds=4, mean_mode=mean_mode,
                           selection_target="false-negative")
-    rounds = [run_round(corpus, config, i, encoding) for i in range(3)]
+    rounds = [run_round(corpus, config, i) for i in range(3)]
     rounds.append(RoundResult(round_index=3, selections=Selections.empty(),
                               per_class={}, micro_f1=0.0, val_doc_count=64,
                               failed=True))
     rounds = [rounds[2], rounds[3], rounds[0], rounds[1]]  # any order
     assert all(len(r.selections) for r in rounds if not r.failed)
     want = reference_aggregate(
-        [(r.round_index, as_records(r.selections, encoding)) for r in rounds],
+        [(r.round_index, as_records(r.selections, corpus)) for r in rounds],
         corpus, config)
-    assert aggregate(rounds, corpus, config, encoding).records() == want
     assert aggregate(rounds, corpus, config).records() == want
     assert any(r.rounds_selected < 3 for r in want)
     assert any(r.instance_count > r.rounds_selected for r in want)
@@ -220,7 +216,7 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
                    "val_doc_count": rr.val_doc_count,
                    "selections": [[r.class_name, r.word, r.doc_id, r.score]
                                   for r in as_records(rr.selections,
-                                                      result.encoding)]}
+                                                      result.corpus)]}
         expected = io.StringIO()
         json.dump(payload, expected)
         written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
@@ -262,10 +258,10 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
         return re.sub(r"\bw(\d+)",
                       lambda m: prefixes[int(m[1]) % 4] + m[1], text)
 
-    space = LabelSpace(tuple(names.values()))
-    renamed = Corpus(space, [make_document(
-        doc.id, unicode_words(doc.text), {names[c] for c in doc.labels},
-        space) for doc in corpus.documents])
+    renamed = build_corpus(
+        [(doc_id, unicode_words(text), {names[c] for c in labels})
+         for doc_id, text, labels in records_of(corpus)],
+        LabelSpace(tuple(names.values())))
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(renamed, corpus_path)
     monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
@@ -320,14 +316,14 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
 
 def test_validation_document_without_subwords(small_synth):
     corpus, _ = small_synth
-    empty = make_document("empty", "?!", {"c0"}, corpus.label_space)
-    corpus = Corpus(label_space=corpus.label_space,
-                    documents=corpus.documents + [empty])
+    corpus = build_corpus(records_of(corpus) + [("empty", "?!", {"c0"})],
+                          corpus.label_space)
+    empty = len(corpus) - 1
     config = small_config(rounds=20)
     round_index = next(
         i for i in range(config.rounds)
         if empty in stratified_split(corpus, SplitSpec(
-            config.ratio, round_seeds(config.master_seed, i)[0]))[1].documents)
+            config.ratio, round_seeds(config.master_seed, i)[0]))[1])
     with pytest.raises(ValidationError, match="'empty' has no subwords") as got:
         run_round(corpus, config, round_index)
     with pytest.raises(ValidationError) as want:

@@ -10,11 +10,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from igkeywords.corpus import Corpus, make_document
+from igkeywords.corpus import build_corpus
 from igkeywords.model import (TrainConfig, _activate, _activation_grad,
-                              _bce_from_logits, _prepare_docs,
-                              batch_loss_and_grads, build_vocab, init_model,
-                              train)
+                              _bce_from_logits, batch_loss_and_grads,
+                              build_vocab, encode_docs, init_model, train)
 
 PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
                "output_weights", "output_bias")
@@ -58,13 +57,13 @@ def reference_batch_loss_and_grads(params, all_ids, offsets, lengths,
     return loss, grads
 
 
-def reference_train(params, train_corpus, config):
+def reference_train(params, corpus, rows, config):
     """Training with one optimizer update per parameter array."""
     params = dataclasses.replace(
         params, vocab=dict(params.vocab),
         **{k: getattr(params, k).copy() for k in PARAM_NAMES})
-    all_ids, offsets, lengths, targets = _prepare_docs(params, train_corpus)
-    n_docs = len(train_corpus.documents)
+    all_ids, offsets, lengths, targets = encode_docs(params, corpus, rows)
+    n_docs = len(rows)
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
 
@@ -102,18 +101,19 @@ def mixed_corpus(label_space):
     texts = ["alpha alpha alpha beta", "z", "gamma delta alpha gamma",
              "unseenword alpha", "beta beta", "delta unknowable zz gamma",
              "alpha", "epsilon beta gamma delta alpha beta"]
-    docs = [make_document(f"d{i}", text, {label_space.classes[i % 4]},
-                          label_space)
-            for i, text in enumerate(texts)]
-    return Corpus(label_space=label_space, documents=docs)
+    return build_corpus([(f"d{i}", text, {label_space.classes[i % 4]})
+                         for i, text in enumerate(texts)], label_space)
+
+
+def encode_all(params, corpus):
+    """``encode_docs`` for every document of ``corpus``."""
+    return encode_docs(params, corpus, np.arange(len(corpus)))
 
 
 def _vocab_without_unknowns(corpus):
-    known = Corpus(label_space=corpus.label_space,
-                   documents=[d for d in corpus.documents
-                              if "unseenword" not in d.text
-                              and "unknowable" not in d.text])
-    return build_vocab(known)
+    known = [i for i, text in enumerate(corpus.texts)
+             if "unseenword" not in text and "unknowable" not in text]
+    return build_vocab(corpus, np.array(known))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -121,9 +121,9 @@ def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
                                                       activation):
     cfg = TrainConfig(d=4, h=5, seed=3, activation=activation)
     params = init_model(_vocab_without_unknowns(mixed_corpus), 4, cfg)
-    prep = _prepare_docs(params, mixed_corpus)
+    prep = encode_all(params, mixed_corpus)
     assert (prep[0] == params.unk_index).any()
-    for batch in (np.arange(len(mixed_corpus.documents)),
+    for batch in (np.arange(len(mixed_corpus)),
                   np.array([1]), np.array([6, 0, 0, 3, 1])):
         loss, grads = batch_loss_and_grads(params, *prep, batch)
         ref_loss, ref_grads = reference_batch_loss_and_grads(
@@ -134,8 +134,10 @@ def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
 
 
 def test_out_receives_the_gradients(mixed_corpus):
-    params = init_model(build_vocab(mixed_corpus), 4, TrainConfig(d=3, h=2))
-    prep = _prepare_docs(params, mixed_corpus)
+    rows = np.arange(len(mixed_corpus))
+    params = init_model(build_vocab(mixed_corpus, rows), 4,
+                        TrainConfig(d=3, h=2))
+    prep = encode_all(params, mixed_corpus)
     batch = np.array([5, 2, 7])
     out = {name: np.full_like(getattr(params, name), np.nan)
            for name in PARAM_NAMES}
@@ -153,15 +155,14 @@ def test_trained_parameters_match_per_parameter_loop(small_synth, optimizer,
                                                      learning_rate,
                                                      activation):
     corpus, _ = small_synth
-    train_docs = Corpus(label_space=corpus.label_space,
-                        documents=corpus.documents[::2])
+    rows = np.arange(len(corpus))
     cfg = TrainConfig(epochs=3, d=8, h=8, seed=11, optimizer=optimizer,
                       learning_rate=learning_rate, batch_size=16,
                       activation=activation)
     # vocabulary from half the corpus, so the other half has unknown pieces
-    params = init_model(build_vocab(train_docs), 4, cfg)
-    trained = train(params, corpus, cfg)
-    expected = reference_train(params, corpus, cfg)
+    params = init_model(build_vocab(corpus, rows[::2]), 4, cfg)
+    trained = train(params, corpus, rows, cfg)
+    expected = reference_train(params, corpus, rows, cfg)
     for name in PARAM_NAMES:
         assert np.array_equal(getattr(trained, name),
                               getattr(expected, name)), name

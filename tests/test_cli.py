@@ -169,6 +169,47 @@ class TestRun:
                     in capsys.readouterr().err), extra
         assert not (tmp_path / "run").exists()
 
+    def test_non_utf8_corpus_line_exit_code(self, tmp_path, capsys):
+        corpus_path = tmp_path / "bad.jsonl"
+        corpus_path.write_bytes(
+            b'{"id": "a", "text": "the match", "labels": ["sports"]}\n'
+            b'{"id": "b", "text": "caf\xe9", "labels": ["sports"]}\n')
+        for extra in ((), ("--classes", "sports")):
+            code = run_cli("run", "--corpus", str(corpus_path),
+                           "--out-dir", str(tmp_path / "run"),
+                           "--rounds", "1", *extra)
+            assert code == 1, extra
+            assert "line 2 is not UTF-8" in capsys.readouterr().err, extra
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_config_file_exit_code(self, synth_files, tmp_path,
+                                            capsys):
+        corpus_path, _ = synth_files
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"rounds = 1\n# caf\xe9\n")
+        code = run_cli("--config", str(cfg), "run",
+                       "--corpus", str(corpus_path),
+                       "--out-dir", str(tmp_path / "run"))
+        assert code == 1
+        assert "line 2 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("content", [b"[1,2", b'["c0"]', b'{"c0": "qaa"}',
+                                         b'{"c0": [1]}', b'{"c0": ["q\xe9"]}'],
+                             ids=["truncated", "list", "string-value",
+                                  "number-word", "not-utf8"])
+    def test_malformed_markers_exit_code(self, synth_files, tmp_path, capsys,
+                                         content):
+        corpus_path, _ = synth_files
+        markers_path = tmp_path / "markers.json"
+        markers_path.write_bytes(content)
+        code = run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(tmp_path / "run"), *SMALL_RUN)
+        assert code == 1
+        assert "malformed markers file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_top_m_is_rejected_before_the_rounds(self, synth_files,
                                                      tmp_path):
         corpus_path, _ = synth_files
@@ -279,6 +320,18 @@ class TestReport:
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
         assert "error:" in capsys.readouterr().err
         assert (out_dir / "keywords.tsv").read_bytes() == keywords
+
+    def test_non_utf8_config_json_exit_code(self, synth_files, tmp_path,
+                                            capsys):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 0
+        config = out_dir / "config.json"
+        config.write_bytes(config.read_bytes().replace(b'"c0"', b'"c\xe9"'))
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert "malformed run config" in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
-from igkeywords.corpus import Corpus, LabelSpace, ValidationError, make_document
-from igkeywords.model import (ModelParams, TrainConfig, build_vocab,
-                              corpus_loss, forward, forward_from_embeddings,
-                              init_model, input_gradients,
+from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
+from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
+                              build_vocab, encode_docs, forward,
+                              forward_from_embeddings, init_model,
                               input_gradients_from_embeddings, predict,
                               probabilities, token_ids, train)
+from reference_corpus import make_document
+
+
+def input_gradients(params, doc, class_index):
+    """Exact d(logit_c)/d(inputs) of one document, shape [T, d]."""
+    if not 0 <= class_index < params.num_classes:
+        raise ValidationError(f"class index {class_index} out of range")
+    if not doc.subwords:
+        raise ValidationError(f"document {doc.id!r} has no subwords")
+    inputs = params.embedding[token_ids(params, doc)]
+    return input_gradients_from_embeddings(params, inputs, class_index)
+
+
+def corpus_loss(params, corpus) -> float:
+    """Mean BCE over a whole corpus."""
+    rows = np.arange(len(corpus))
+    loss, _ = batch_loss_and_grads(params, *encode_docs(params, corpus, rows),
+                                   rows)
+    return loss
+
+
+def all_rows(corpus):
+    return np.arange(len(corpus))
 
 
 def tiny_params(w_emb=0.3, w_hid=1.0, w_out=2.0, activation="tanh"):
@@ -132,18 +155,15 @@ class TestInputGradients:
 
 class TestParameterGradients:
     def test_match_finite_differences(self, label_space):
-        from igkeywords.model import _prepare_docs, batch_loss_and_grads
-
         rng = np.random.default_rng(9)
-        docs = [make_document(f"d{i}",
-                              " ".join(f"p{rng.integers(8)}" for _ in range(5)),
-                              {label_space.classes[int(rng.integers(4))]},
-                              label_space)
-                for i in range(6)]
-        corpus = Corpus(label_space=label_space, documents=docs)
-        params = init_model(build_vocab(corpus), 4, TrainConfig(d=4, h=4, seed=2))
-        prep = _prepare_docs(params, corpus)
-        batch = np.arange(len(docs))
+        corpus = build_corpus(
+            [(f"d{i}", " ".join(f"p{rng.integers(8)}" for _ in range(5)),
+              {label_space.classes[int(rng.integers(4))]}) for i in range(6)],
+            label_space)
+        batch = all_rows(corpus)
+        params = init_model(build_vocab(corpus, batch), 4,
+                            TrainConfig(d=4, h=4, seed=2))
+        prep = encode_docs(params, corpus, batch)
         _, grads = batch_loss_and_grads(params, *prep, batch)
         step = 1e-5
         for name in ("hidden_weights", "output_weights", "hidden_bias",
@@ -164,38 +184,42 @@ class TestParameterGradients:
 
 class TestTrain:
     def test_zero_learning_rate_no_change(self, label_space):
-        docs = [make_document("a", "tok tok", {"HI"}, label_space)]
-        corpus = Corpus(label_space=label_space, documents=docs)
+        corpus = build_corpus([("a", "tok tok", {"HI"})], label_space)
+        rows = all_rows(corpus)
         cfg = TrainConfig(learning_rate=0.0, epochs=3, optimizer="sgd")
-        params = init_model(build_vocab(corpus), 4, cfg)
-        trained = train(params, corpus, cfg)
+        params = init_model(build_vocab(corpus, rows), 4, cfg)
+        trained = train(params, corpus, rows, cfg)
         assert np.array_equal(trained.embedding, params.embedding)
         assert np.array_equal(trained.output_weights, params.output_weights)
 
     def test_overfits_single_document(self, label_space):
-        docs = [make_document("a", "alpha beta gamma", {"HI"}, label_space)]
-        corpus = Corpus(label_space=label_space, documents=docs)
+        corpus = build_corpus([("a", "alpha beta gamma", {"HI"})],
+                              label_space)
+        rows = all_rows(corpus)
         cfg = TrainConfig(epochs=200, learning_rate=0.05, d=8, h=8, seed=1)
-        params = train(init_model(build_vocab(corpus), 4, cfg), corpus, cfg)
-        probs = probabilities(params, docs[0])
+        params = train(init_model(build_vocab(corpus, rows), 4, cfg), corpus,
+                       rows, cfg)
+        probs = probabilities(params, corpus.document(0))
         assert probs[label_space.index("HI")] > 0.9
 
     def test_loss_decreases_on_separable_data(self, small_synth):
         corpus, _ = small_synth
+        rows = all_rows(corpus)
         cfg = TrainConfig(epochs=1, d=8, h=8, seed=4)
-        vocab = build_vocab(corpus)
+        vocab = build_vocab(corpus, rows)
         params0 = init_model(vocab, len(corpus.label_space), cfg)
-        after_one = train(params0, corpus, cfg)
+        after_one = train(params0, corpus, rows, cfg)
         cfg_full = TrainConfig(epochs=15, d=8, h=8, seed=4)
-        after_full = train(params0, corpus, cfg_full)
+        after_full = train(params0, corpus, rows, cfg_full)
         assert corpus_loss(after_full, corpus) <= corpus_loss(after_one, corpus)
 
     def test_deterministic(self, small_synth):
         corpus, _ = small_synth
+        rows = all_rows(corpus)
         cfg = TrainConfig(epochs=3, d=8, h=8, seed=7)
-        vocab = build_vocab(corpus)
-        a = train(init_model(vocab, 4, cfg), corpus, cfg)
-        b = train(init_model(vocab, 4, cfg), corpus, cfg)
+        vocab = build_vocab(corpus, rows)
+        a = train(init_model(vocab, 4, cfg), corpus, rows, cfg)
+        b = train(init_model(vocab, 4, cfg), corpus, rows, cfg)
         assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.output_weights, b.output_weights)
 
@@ -203,8 +227,9 @@ class TestTrain:
         corpus, _ = small_synth
         cfg = TrainConfig(epochs=10, learning_rate=5.0, optimizer="sgd",
                           d=8, h=8, seed=0)
-        params0 = init_model(build_vocab(corpus), 4, cfg)
-        trained = train(params0, corpus, cfg)
+        rows = all_rows(corpus)
+        params0 = init_model(build_vocab(corpus, rows), 4, cfg)
+        trained = train(params0, corpus, rows, cfg)
         assert corpus_loss(trained, corpus) < corpus_loss(params0, corpus)
 
 

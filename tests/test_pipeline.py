@@ -7,8 +7,7 @@ import pytest
 
 from igkeywords import pipeline
 from igkeywords.attribution import WordScoreRecord
-from igkeywords.corpus import (Corpus, LabelSpace, ValidationError,
-                               encode_corpus, make_document)
+from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  Selections, aggregate, filter_keywords,
@@ -57,13 +56,11 @@ class TestRoundSeeds:
 
 def make_round(index, records, corpus):
     """A round whose selections are ``records``, as columns over the
-    encoding of ``corpus``."""
-    encoding = encode_corpus(corpus)
-    classes = encoding.classes
+    tables of ``corpus``."""
     selections = Selections(
-        class_idx=np.array([classes.index(r.class_name) for r in records],
-                           dtype=np.intp),
-        word_idx=np.array([encoding.words.index(r.word) for r in records],
+        class_idx=np.array([corpus.label_space.index(r.class_name)
+                            for r in records], dtype=np.intp),
+        word_idx=np.array([corpus.words.index(r.word) for r in records],
                           dtype=np.intp),
         doc_idx=np.zeros(len(records), dtype=np.intp),
         score=np.array([r.score for r in records], dtype=float))
@@ -71,12 +68,14 @@ def make_round(index, records, corpus):
                        micro_f1=0.5, val_doc_count=10)
 
 
+def one_document_corpus(text):
+    return build_corpus([("d1", text, {"a"})], LabelSpace(("a",)))
+
+
 class TestAggregate:
     def test_pooled_mean_and_sf(self):
         config = toy_config(rounds=5)
-        corpus = Corpus(label_space=LabelSpace(("a",)),
-                        documents=[make_document("d1", "w w", {"a"},
-                                                 LabelSpace(("a",)))])
+        corpus = one_document_corpus("w w")
         rounds = [
             make_round(0, [rec("w", 0.2)], corpus),
             make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
@@ -92,9 +91,7 @@ class TestAggregate:
 
     def test_round_mean_mode(self):
         config = toy_config(rounds=2, mean_mode="round-mean")
-        corpus = Corpus(label_space=LabelSpace(("a",)),
-                        documents=[make_document("d1", "w", {"a"},
-                                                 LabelSpace(("a",)))])
+        corpus = one_document_corpus("w")
         rounds = [
             make_round(0, [rec("w", 0.2)], corpus),
             make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
@@ -104,17 +101,13 @@ class TestAggregate:
 
     def test_never_selected_word_absent(self):
         config = toy_config(rounds=1)
-        corpus = Corpus(label_space=LabelSpace(("a",)),
-                        documents=[make_document("d1", "w other", {"a"},
-                                                 LabelSpace(("a",)))])
+        corpus = one_document_corpus("w other")
         rounds = [make_round(0, [rec("w", 0.2)], corpus)]
         records = aggregate(rounds, corpus, config).records()
         assert {r.word for r in records} == {"w"}
 
     def test_requires_rounds(self):
-        corpus = Corpus(label_space=LabelSpace(("a",)),
-                        documents=[make_document("d1", "w", {"a"},
-                                                 LabelSpace(("a",)))])
+        corpus = one_document_corpus("w")
         with pytest.raises(ValidationError):
             aggregate([], corpus, toy_config())
 
@@ -181,7 +174,7 @@ class TestFilterKeywords:
 def selected_pairs(result, corpus):
     """(document, class name) of every selection of a round."""
     classes = corpus.label_space.classes
-    return [(corpus.documents[d], classes[c]) for c, d in
+    return [(corpus.document(d), classes[c]) for c, d in
             zip(result.selections.class_idx, result.selections.doc_idx)]
 
 
@@ -228,7 +221,7 @@ class TestRunPipeline:
         rounds = load_round_artifacts(tmp_path, 2)
         assert len(rounds) == 2
         for loaded, ran in zip(rounds, result.rounds):
-            assert loaded.selections == ran.selections.rows(result.encoding)
+            assert loaded.selections == ran.selections.dumped(result.corpus)
         assert rounds[0].selections
         aggregates = load_aggregates(tmp_path)
         assert aggregates == result.aggregates
