@@ -33,7 +33,8 @@ doc = corpus.document(val_rows[0])
 (gold,) = sorted(doc.labels)[:1]
 class_index = corpus.label_space.index(gold)
 print(f"document {doc.id}: {len(doc.words)} words, gold labels {set(doc.labels)}")
-print(f"predicted: {predict(params, doc, corpus.label_space)}\n")
+print(f"predicted: "
+      f"{predict(params, doc, corpus.label_space, cfg.decision_threshold)}\n")
 
 # IG values are [tokens x embedding dims]; sum dims, L2-normalize the
 # token vector, then take each word's max over its subword pieces.

@@ -3,9 +3,10 @@ chain to word-level scores: sum embedding dims per token, L2-normalize
 per document, take the max over a word's subword pieces.
 
 ``top_word_scores`` runs the whole chain, and the top-n pick, for every
-attributed (document, class) pair of a round at once, with the same
-floating-point operations as the per-document functions below, which stay
-as its oracle.
+attributed (document, class) pair of a round at once, reading each
+document's pieces and words straight from the corpus by its row, with the
+same floating-point operations as the per-document functions below, which
+stay as its oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, ValidationError
+from .corpus import Corpus, Document, ValidationError
 from .model import (ModelParams, forward_from_embeddings, pooled_logit_gradients,
                     token_ids)
 
@@ -57,7 +58,7 @@ def _baseline_matrix(inputs: np.ndarray, baseline) -> tuple[np.ndarray, str]:
 
 
 def integrated_gradients(params: ModelParams, doc: Document, class_index: int,
-                         baseline="zero", steps: int = 50) -> AttributionMatrix:
+                         baseline="zero", *, steps: int) -> AttributionMatrix:
     """Midpoint-rule IG for one (document, class) pair.
 
     Mean pooling lets the m gradient evaluations collapse into one batched
@@ -73,20 +74,11 @@ def integrated_gradients(params: ModelParams, doc: Document, class_index: int,
 
     inputs = params.embedding[token_ids(params, doc)].astype(float)
     base, kind = _baseline_matrix(inputs, baseline)
-    n_tokens = inputs.shape[0]
-
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
     pooled_base = base.mean(axis=0)
-    pooled_delta = inputs.mean(axis=0) - pooled_base
-    pooled_path = pooled_base + alphas[:, None] * pooled_delta  # [m, d]
-    grads = pooled_logit_gradients(params, pooled_path, class_index)
-    finite = np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise AttributionError(f"non-finite gradient at IG step {bad + 1}")
-
     # d(logit)/d(inputs[i]) = d(logit)/d(pooled) / T at every path point
-    avg_grad = grads.mean(axis=0) / n_tokens
+    avg_grad = _mean_path_gradients(
+        params, pooled_base, (inputs.mean(axis=0) - pooled_base)[None],
+        np.array([class_index]), steps)[0] / inputs.shape[0]
     values = (inputs - base) * avg_grad
     return AttributionMatrix(values=values, class_index=class_index,
                              doc_id=doc.id, baseline_kind=kind, steps=steps)
@@ -140,12 +132,14 @@ def word_scores(normalized: np.ndarray, doc: Document,
             for w, s in sorted(best.items())]
 
 
-def _mean_path_gradients(params: ModelParams, pooled: np.ndarray,
+def _mean_path_gradients(params: ModelParams, start, delta: np.ndarray,
                          classes: np.ndarray, steps: int) -> np.ndarray:
-    """Mean over the midpoint path from the zero baseline of
-    d(logit)/d(pooled), one row per (pooled vector, class) pair."""
+    """Mean of d(logit)/d(pooled) over the midpoint path from the pooled
+    baseline ``start`` to ``start + delta``, one row per row of ``delta``
+    and ``classes``."""
     alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    path = alphas[None, :, None] * pooled[:, None, :]  # [pairs, steps, d]
+    path = alphas[None, :, None] * delta[:, None, :]  # [rows, m, d]
+    path += start
     grads = pooled_logit_gradients(params, path, classes[:, None])
     finite = np.isfinite(grads).all(axis=2)
     if not finite.all():
@@ -154,41 +148,37 @@ def _mean_path_gradients(params: ModelParams, pooled: np.ndarray,
     return grads.mean(axis=1)
 
 
-def top_word_scores(params: ModelParams, docs, pooled: np.ndarray,
-                    word_ids: np.ndarray, pair_docs: np.ndarray,
+def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
+                    pair_rows: np.ndarray, pooled: np.ndarray,
                     pair_classes: np.ndarray, steps: int, top_n: int):
     """The top ``top_n`` word scores of every (document, class) pair.
 
     Bit for bit what ``integrated_gradients`` (zero baseline),
     ``token_scores``, ``normalize_document``, ``word_scores`` and a sort by
-    (-score, word) give pair by pair.  ``docs`` is ``(all_ids, offsets,
-    lengths)`` of the documents as ``model.encode_docs`` lays them out,
-    ``pooled`` their ``model.pool_documents`` rows and ``word_ids`` the
-    word of every piece in ``all_ids``, as ids that sort like the words.
-    Pair ``p`` attributes class ``pair_classes[p]`` of document
-    ``pair_docs[p]``.  Returns ``(pair, word, score)`` columns, pair after
-    pair, each pair's words best first.
+    (-score, word) give pair by pair.  Pair ``p`` attributes class
+    ``pair_classes[p]`` of document ``pair_rows[p]`` of ``corpus``, whose
+    ``model.pool_documents`` row is ``pooled[p]``; ``pieces`` is the
+    corpus's ``model.piece_rows``.  Returns ``(pair, word, score)``
+    columns, pair after pair, each pair's words best first, with words as
+    ids into ``corpus.words``.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    all_ids, offsets, lengths = docs
-    n_words = int(word_ids.max()) + 1 if word_ids.size else 1
+    n_words = len(corpus.words)
     per_chunk = max(1, PATH_ROWS // steps)
     columns = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
                 np.empty(0))]
-    for first in range(0, len(pair_docs), per_chunk):
-        chunk_docs = pair_docs[first:first + per_chunk]
-        n_pairs = chunk_docs.size
+    for first in range(0, len(pair_rows), per_chunk):
+        chunk = slice(first, first + per_chunk)
+        tokens, counts = corpus.positions(pair_rows[chunk])
+        n_pairs = counts.size
         # Token scores: x . mean gradient / T, summed over embedding columns.
-        avg_grads = (_mean_path_gradients(
-            params, pooled[chunk_docs], pair_classes[first:first + per_chunk],
-            steps) / lengths[chunk_docs][:, None])
-        counts = lengths[chunk_docs].astype(np.intp)
+        avg_grads = (_mean_path_gradients(params, 0.0, pooled[chunk],
+                                          pair_classes[chunk], steps)
+                     / counts[:, None])
         ends = np.cumsum(counts)
-        tokens = (np.arange(ends[-1])
-                  + np.repeat(offsets[chunk_docs] - (ends - counts), counts))
         token_pair = np.repeat(np.arange(n_pairs), counts)
-        values = np.take(params.embedding, all_ids[tokens], axis=0)
+        values = np.take(params.embedding, pieces[tokens], axis=0)
         values *= avg_grads[token_pair]
         scores = values.sum(axis=1)
         # L2 norm per pair, one BLAS dot each as normalize_document takes it.
@@ -198,7 +188,7 @@ def top_word_scores(params: ModelParams, docs, pooled: np.ndarray,
         norms[norms == 0.0] = 1.0
         scores /= norms[token_pair]
         # Max per (pair, word), then the top n of each pair by (-score, word).
-        keys = token_pair * n_words + word_ids[tokens]
+        keys = token_pair * n_words + corpus.word_ids[tokens]
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])

@@ -1,0 +1,165 @@
+"""Numerical self-checks: the hand-written input gradients against finite
+differences, integrated gradients against the completeness axiom, and the
+pipeline's aggregates against a naive recomputation from dumped rounds.
+
+Each check function returns what it measures.  ``run_checks`` holds the
+measurements against their bounds for ``igkeywords check``; acceptance
+criteria 1, 3 and 4 call the same functions with the same bounds.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from collections import Counter
+
+import numpy as np
+
+from . import attribution, model, pipeline
+from .corpus import (SplitSpec, SynthConfig, generate_synthetic,
+                     stratified_split)
+
+#: largest relative error |analytic - fd| / max(|fd|, 1e-8) of a gradient
+GRADIENT_BOUND = 1e-4
+#: at m=RESIDUAL_STEPS, the share of documents whose residual ratio must be
+#: within RESIDUAL_BOUND; the median ratio must not rise (beyond 1e-12)
+#: along CONVERGENCE_STEPS
+RESIDUAL_BOUND, RESIDUAL_SHARE, RESIDUAL_STEPS = 1e-3, 0.95, 300
+CONVERGENCE_STEPS = (10, 20, 40, 80, 160, 320, 640)
+#: largest |difference| of an aggregate mean score from its recomputation
+ORACLE_BOUND = 1e-12
+
+#: the corpus and the run whose dumped rounds the oracle check reads
+ORACLE_SYNTH = SynthConfig(num_classes=4, docs_per_class=12,
+                           background_vocab_size=150, markers_per_class=2,
+                           doc_length=(8, 15))
+ORACLE_CONFIG = pipeline.PipelineConfig(
+    ratio=0.6, top_n=5, rounds=5, ig_steps=10, min_doc_frequency=1,
+    master_seed=11, dump_scores=True,
+    train_config=model.TrainConfig(epochs=10, d=8, h=8))
+
+
+class CheckFailure(AssertionError):
+    """A difference that no measured value describes."""
+
+
+def gradient_error() -> float:
+    """The largest relative error of ``input_gradients_from_embeddings``
+    against central differences (step 1e-4), over every token and
+    dimension of 100 random models (d, h in 2..8, 2-4 classes) and inputs
+    (1-8 tokens)."""
+    rng = np.random.default_rng(101)
+    step, worst = 1e-4, 0.0
+    for _ in range(100):
+        d, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        n_classes = int(rng.integers(2, 5))
+        cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
+                                seed=int(rng.integers(2**31)))
+        params = model.init_model({f"p{i}": i for i in range(20)},
+                                  n_classes, cfg)
+        inputs = rng.normal(size=(int(rng.integers(1, 9)), d))
+        ci = int(rng.integers(n_classes))
+        analytic = model.input_gradients_from_embeddings(params, inputs, ci)
+        for (i, j), grad in np.ndenumerate(analytic):
+            hi, lo = inputs.copy(), inputs.copy()
+            hi[i, j] += step
+            lo[i, j] -= step
+            fd = (attribution.logit_value(params, hi, ci)
+                  - attribution.logit_value(params, lo, ci)) / (2 * step)
+            worst = max(worst, abs(grad - fd) / max(abs(fd), 1e-8))
+    return worst
+
+
+def completeness_ratios(steps) -> np.ndarray:
+    """[len(steps), documents] residual ratios |sum of attributions -
+    (F(x) - F(0))| / max(1, |F(x) - F(0)|) of class 0 at each step count,
+    for each validation document of a model trained on 3 classes of 60
+    synthetic documents."""
+    synth = SynthConfig(num_classes=3, docs_per_class=60,
+                        background_vocab_size=500, markers_per_class=3,
+                        doc_length=(15, 30))
+    corpus, _ = generate_synthetic(synth, seed=303)
+    train_rows, val_rows = stratified_split(corpus,
+                                            SplitSpec(ratio=0.67, seed=1))
+    cfg = model.TrainConfig(epochs=20, d=12, h=16, seed=5)
+    params = model.train(
+        model.init_model(model.build_vocab(corpus, train_rows), 3, cfg),
+        corpus, train_rows, cfg)
+    ratios = np.empty((len(steps), len(val_rows)))
+    for j, doc in enumerate(map(corpus.document, val_rows)):
+        inputs = params.embedding[model.token_ids(params, doc)]
+        f_x = attribution.logit_value(params, inputs, 0)
+        f_0 = attribution.logit_value(params, np.zeros_like(inputs), 0)
+        for i, m in enumerate(steps):
+            attr = attribution.integrated_gradients(params, doc, 0, steps=m)
+            ratios[i, j] = (attribution.completeness_residual(attr, f_x, f_0)
+                            / max(1.0, abs(f_x - f_0)))
+    return ratios
+
+
+def oracle_error() -> float:
+    """The largest |difference| between an aggregate mean score and the mean
+    of its scores in the dumped ``round_*.json`` files of a run of
+    ORACLE_CONFIG on ORACLE_SYNTH.  Raises ``CheckFailure`` if the
+    aggregates' keys, instance counts, rounds selected, selection
+    frequencies or document frequencies (recounted document by document)
+    differ.
+    """
+    corpus, _ = generate_synthetic(ORACLE_SYNTH, seed=404)
+    rounds = ORACLE_CONFIG.rounds
+    scores, hits = {}, {}  # the scores and the rounds of each (class, word)
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = pipeline.run_pipeline(corpus, ORACLE_CONFIG, out_dir=out_dir)
+        for i in range(rounds):
+            path = os.path.join(out_dir, f"round_{i:04d}.json")
+            with open(path, encoding="utf-8") as fh:
+                for class_name, word, _, score in json.load(fh)["selections"]:
+                    scores.setdefault((class_name, word), []).append(score)
+                    hits.setdefault((class_name, word), set()).add(i)
+    df = Counter(w for i in range(len(corpus))
+                 for w in set(corpus.document(i).words))
+
+    records = result.aggregates.records()
+    keys = {(r.class_name, r.word) for r in records}
+    if keys != set(scores):
+        raise CheckFailure(f"aggregate keys differ from the dumps: "
+                           f"{sorted(keys ^ set(scores))[:5]}")
+    worst = 0.0
+    for rec in records:
+        key = rec.class_name, rec.word
+        pooled, n_hits = scores[key], len(hits[key])
+        want = (len(pooled), n_hits, n_hits / rounds, df[rec.word])
+        got = (rec.instance_count, rec.rounds_selected,
+               rec.selection_frequency, rec.doc_frequency)
+        if got != want:
+            raise CheckFailure(f"{key}: (instances, rounds, SF, df) {got}, "
+                               f"recomputed {want}")
+        worst = max(worst, abs(rec.mean_score - sum(pooled) / len(pooled)))
+    return worst
+
+
+def run_checks():
+    """``(passed, line)`` for each check in turn; the line gives what the
+    check measured and its bound."""
+    error = gradient_error()
+    yield (error <= GRADIENT_BOUND, f"finite-difference gradients: largest "
+           f"relative error {error:.2e} (bound {GRADIENT_BOUND:.0e})")
+
+    ratios = completeness_ratios((RESIDUAL_STEPS, *CONVERGENCE_STEPS))
+    share = float(np.mean(ratios[0] <= RESIDUAL_BOUND))
+    medians = np.median(ratios[1:], axis=1)
+    falling = bool(np.all(medians[1:] <= medians[:-1] + 1e-12))
+    yield (share >= RESIDUAL_SHARE and falling, f"IG completeness: {share:.1%}"
+           f" of documents within {RESIDUAL_BOUND:.0e} at m={RESIDUAL_STEPS} "
+           f"(bound {RESIDUAL_SHARE:.0%}), largest ratio {ratios[0].max():.2e}"
+           f"; median ratio {', '.join(f'{m:.1e}' for m in medians)} at m = "
+           f"{CONVERGENCE_STEPS} ({'never rises' if falling else 'rises'})")
+
+    try:
+        delta = oracle_error()
+    except CheckFailure as exc:
+        yield False, f"pipeline oracle: {exc}"
+    else:
+        yield (delta <= ORACLE_BOUND, f"pipeline oracle: largest |mean score "
+               f"difference| {delta:.2e} (bound {ORACLE_BOUND:.0e})")

@@ -26,13 +26,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import attribution, model, pipeline, report
+from . import checks, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
-                     ValidationError, build_corpus, generate_synthetic,
-                     load_corpus, load_markers, save_corpus, save_markers)
-from .fileio import atomic_write, utf8_lines
+                     ValidationError, generate_synthetic, load_corpus,
+                     load_markers, save_corpus, save_markers)
+from .fileio import atomic_write, malformed, utf8_lines
 
 # Option -> the config field it sets.
 _SYNTH_OPTIONS = {
@@ -181,10 +179,9 @@ def load_run_config(run_dir):
     """The ``PipelineConfig``, class order, ``top_m`` and planted markers
     (None if run had none) that ``run`` saved in ``config.json``."""
     path = os.path.join(run_dir, "config.json")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        saved = json.loads(raw.decode("utf-8"))
+    with open(path, "rb") as fh, \
+            malformed(path, "run config", ValidationError):
+        saved = json.loads(fh.read().decode("utf-8"))
         classes, top_m = saved.pop("classes"), saved.pop("top_m")
         markers = saved.pop("markers", None)
         if markers is not None:
@@ -192,9 +189,6 @@ def load_run_config(run_dir):
         train = _from_fields(model.TrainConfig, saved.pop("train_config"))
         config = _from_fields(pipeline.PipelineConfig,
                               dict(saved, train_config=train))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"{path}: malformed run config: {exc!r}") \
-            from exc
     return config, classes, top_m, markers
 
 
@@ -239,87 +233,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _check_gradients() -> bool:
-    rng = np.random.default_rng(7)
-    ok = True
-    for trial in range(20):
-        label_space = LabelSpace(("a", "b"))
-        text = " ".join("tok%d" % rng.integers(30) for _ in range(6))
-        corpus = build_corpus([(f"t{trial}", text, {"a"})], label_space)
-        doc = corpus.document(0)
-        cfg = model.TrainConfig(d=4, h=4, seed=int(rng.integers(2**31)))
-        vocab = {p: i for i, p in enumerate(corpus.pieces)}
-        params = model.init_model(vocab, 2, cfg)
-        ids = model.token_ids(params, doc)
-        inputs = params.embedding[ids].copy()
-        grads = model.input_gradients_from_embeddings(params, inputs, 0)
-        step = 1e-4
-        for i in (0, inputs.shape[0] - 1):
-            for j in range(inputs.shape[1]):
-                hi, lo = inputs.copy(), inputs.copy()
-                hi[i, j] += step
-                lo[i, j] -= step
-                fd = (attribution.logit_value(params, hi, 0)
-                      - attribution.logit_value(params, lo, 0)) / (2 * step)
-                denom = max(abs(fd), 1e-8)
-                if abs(grads[i, j] - fd) / denom > 1e-4:
-                    ok = False
-    return ok
-
-
-def _check_completeness() -> bool:
-    synth_cfg = SynthConfig(num_classes=2, docs_per_class=30,
-                            background_vocab_size=200, markers_per_class=2,
-                            doc_length=(10, 20))
-    corpus, _ = generate_synthetic(synth_cfg, seed=11)
-    cfg = model.TrainConfig(epochs=4, d=8, h=8, seed=3)
-    rows = np.arange(len(corpus))
-    params = model.train(
-        model.init_model(model.build_vocab(corpus, rows), 2, cfg), corpus,
-        rows, cfg)
-    for doc in map(corpus.document, range(20)):
-        attr = attribution.integrated_gradients(params, doc, 0, steps=300)
-        inputs = params.embedding[model.token_ids(params, doc)]
-        f_x = attribution.logit_value(params, inputs, 0)
-        f_0 = attribution.logit_value(params, np.zeros_like(inputs), 0)
-        if attribution.completeness_residual(attr, f_x, f_0) \
-                > 1e-3 * max(1.0, abs(f_x - f_0)):
-            return False
-    return True
-
-
-def _check_oracle() -> bool:
-    synth_cfg = SynthConfig(num_classes=2, docs_per_class=15,
-                            background_vocab_size=100, markers_per_class=2,
-                            doc_length=(8, 15))
-    corpus, _ = generate_synthetic(synth_cfg, seed=5)
-    config = pipeline.PipelineConfig(
-        rounds=2, top_n=5, ig_steps=10, master_seed=9,
-        train_config=model.TrainConfig(epochs=3, d=8, h=8))
-    result = pipeline.run_pipeline(corpus, config)
-    # naive recomputation straight from the per-round selections
-    rows = [row for rr in result.rounds
-            for row in rr.selections.dumped(result.corpus)]
-    for rec in result.aggregates.records():
-        pooled = [score for class_name, word, _doc_id, score in rows
-                  if class_name == rec.class_name and word == rec.word]
-        mean = sum(pooled) / len(pooled)
-        if abs(mean - rec.mean_score) > 1e-12:
-            return False
-        if len(pooled) != rec.instance_count:
-            return False
-    return True
-
-
 def _cmd_check(_args) -> int:
-    checks = [("gradient check (finite differences)", _check_gradients),
-              ("IG completeness (m=300)", _check_completeness),
-              ("pipeline oracle equivalence", _check_oracle)]
     failed = 0
-    for name, fn in checks:
-        ok = fn()
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
-        failed += 0 if ok else 1
+    for passed, line in checks.run_checks():
+        print(f"{'PASS' if passed else 'FAIL'}: {line}", flush=True)
+        failed += not passed
     return 2 if failed else 0
 
 

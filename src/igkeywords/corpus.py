@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fileio import utf8_lines
+from .fileio import malformed, utf8_lines
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -440,12 +440,9 @@ def save_markers(markers: dict[str, set[str]], path) -> None:
 def load_markers(path) -> dict[str, set[str]]:
     """The planted words per class of a markers file: a JSON object of
     string lists."""
-    with open(path, "rb") as fh:
-        try:
-            markers = json.loads(fh.read().decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValidationError(f"{path}: malformed markers file: {exc}") \
-                from exc
+    with open(path, "rb") as fh, \
+            malformed(path, "markers file", ValidationError):
+        markers = json.loads(fh.read().decode("utf-8"))
     if not (isinstance(markers, dict)
             and all(map(_is_string_list, markers.values()))):
         raise ValidationError(

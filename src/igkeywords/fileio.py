@@ -1,5 +1,6 @@
 """Atomic file writes, so that a crash mid-write never leaves a truncated
-artifact in a run directory, and UTF-8 text read line by line."""
+artifact in a run directory; UTF-8 text read line by line; and one error,
+naming the file, for a file that cannot be parsed."""
 
 from __future__ import annotations
 
@@ -38,3 +39,13 @@ def utf8_lines(path, error):
                 raise error(f"{path}: line {lineno} is not UTF-8: {exc}") \
                     from exc
             yield lineno, line
+
+
+@contextlib.contextmanager
+def malformed(path, what, error):
+    """Raise a parse or lookup failure inside the block as ``error``, naming
+    ``path`` as a malformed ``what``."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise error(f"{path}: malformed {what}: {exc!r}") from exc

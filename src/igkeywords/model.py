@@ -1,24 +1,25 @@
 """Small differentiable multilabel text classifier in plain numpy.
 
 Architecture: subword embedding lookup -> mean pooling -> one hidden
-layer (tanh by default) -> per-class logits.  The backward pass is
-written out by hand so that gradients with respect to the input token
-embeddings are exact and cheap.
+layer (tanh by default) -> per-class logits (``logits``).  The backward
+pass is written out by hand so that gradients with respect to the input
+token embeddings are exact and cheap.
 
 Training works a batch at a time with no per-document Python: the mean
 pooling and the embedding-gradient scatter are each one ``np.bincount``
 over the batch's pieces, and the parameters, gradients and Adam moments
 each sit in one flat buffer, so an optimizer step is one elementwise
-update.  Documents reach the model as rows of the corpus
-(``encode_docs`` remaps their piece ids to model rows), and
-``pool_documents`` with ``predict_pooled`` predict a whole validation set
-at once.  ``forward`` and ``predict`` keep the single-document path for a
+update.  Documents reach the model as rows of the corpus: ``piece_rows``
+maps every corpus piece to its model row once, and ``Corpus.positions``
+picks a set of documents' pieces out of that array.  ``pool_documents``
+with ``predict_pooled`` predict a whole validation set at once.
+``forward`` and ``predict`` keep the single-document path for a
 ``Document``, the oracle for the gradient tests and the batched code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,18 +77,11 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.output_bias.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.hidden_weights.shape[0], self.hidden_weights.shape[1],
-                self.num_classes)
-
 
 @dataclass
 class ForwardTrace:
-    input_embeddings: np.ndarray  # [T, d]
     pooled: np.ndarray            # [d]
-    hidden_pre: np.ndarray        # [h]
-    hidden_post: np.ndarray       # [h]
+    hidden: np.ndarray            # [h], after the activation
     logits: np.ndarray            # [C]
 
 
@@ -137,16 +131,21 @@ def _activation_grad(params: ModelParams, post: np.ndarray) -> np.ndarray:
     return np.ones_like(post)
 
 
+def logits(params: ModelParams, pooled: np.ndarray):
+    """The hidden and output layers: [..., C] logits of [..., d] pooled
+    vectors, and the [..., h] hidden activations they come from."""
+    hidden = _activate(params, pooled @ params.hidden_weights
+                       + params.hidden_bias)
+    return hidden @ params.output_weights + params.output_bias, hidden
+
+
 def forward_from_embeddings(params: ModelParams, inputs: np.ndarray):
     """Forward pass from an explicit [T, d] input-embedding matrix."""
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValidationError("inputs must be a non-empty [T, d] matrix")
     pooled = inputs.mean(axis=0)
-    hidden_pre = pooled @ params.hidden_weights + params.hidden_bias
-    hidden_post = _activate(params, hidden_pre)
-    logits = hidden_post @ params.output_weights + params.output_bias
-    trace = ForwardTrace(inputs, pooled, hidden_pre, hidden_post, logits)
-    return logits, trace
+    out, hidden = logits(params, pooled)
+    return out, ForwardTrace(pooled, hidden, out)
 
 
 def forward(params: ModelParams, doc: Document):
@@ -190,12 +189,12 @@ def input_gradients_from_embeddings(params: ModelParams, inputs: np.ndarray,
 
 
 def probabilities(params: ModelParams, doc: Document) -> np.ndarray:
-    logits, _ = forward(params, doc)
-    return 1.0 / (1.0 + np.exp(-logits))
+    out, _ = forward(params, doc)
+    return 1.0 / (1.0 + np.exp(-out))
 
 
 def predict(params: ModelParams, doc: Document, label_space,
-            threshold: float = 0.5) -> set[str]:
+            threshold: float) -> set[str]:
     """Classes whose sigmoid probability is >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must lie in (0, 1)")
@@ -210,45 +209,46 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_cell.mean())
 
 
-def encode_docs(params: ModelParams, corpus: Corpus, rows: np.ndarray):
-    """The documents ``rows`` of ``corpus`` as this model reads them: the
-    model row of every piece, documents one after another, each document's
-    offset and piece count (as float), and its [C] 0/1 labels.
-
-    The piece ids go through one remap array from the corpus's piece
-    table to the model's rows, unknown pieces to ``unk``.
-    """
-    positions, counts = corpus.positions(rows)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        doc_id = corpus.doc_ids[rows[empty[0]]]
-        raise ValidationError(f"document {doc_id!r} has no subwords")
+def piece_rows(params: ModelParams, corpus: Corpus) -> np.ndarray:
+    """The model row of every piece of ``corpus``, aligned with
+    ``corpus.piece_ids``: one remap array from the corpus's piece table to
+    the model's rows, unknown pieces to ``unk``."""
     remap = np.full(len(corpus.pieces), params.unk_index, dtype=np.intp)
     index = corpus.piece_index
     for piece, row in params.vocab.items():
         if piece in index:
             remap[index[piece]] = row
-    offsets = np.cumsum(counts) - counts
-    return (remap[corpus.piece_ids[positions]], offsets,
-            counts.astype(float), corpus.labels[rows])
+    return remap[corpus.piece_ids]
 
 
-def pool_documents(params: ModelParams, all_ids, lengths) -> np.ndarray:
-    """Mean piece embedding of every document, [docs, d], for documents
-    laid out one after another in ``all_ids`` (as ``encode_docs`` gives).
+def _positions(corpus: Corpus, rows: np.ndarray):
+    """``corpus.positions(rows)``; every document must have a piece."""
+    positions, counts = corpus.positions(rows)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        doc_id = corpus.doc_ids[rows[empty[0]]]
+        raise ValidationError(f"document {doc_id!r} has no subwords")
+    return positions, counts
+
+
+def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
+                   rows: np.ndarray) -> np.ndarray:
+    """Mean piece embedding of each document ``rows`` of ``corpus``,
+    [docs, d]; ``pieces`` is the corpus's ``piece_rows``.
 
     One ``np.bincount`` per embedding column adds each document's pieces in
     order, so every row equals that document's ``mean(axis=0)`` bit for bit,
     and no [pieces, d] temporary is built.
     """
-    n_docs = lengths.size
-    doc_of_piece = np.repeat(np.arange(n_docs), lengths.astype(np.intp))
+    positions, counts = _positions(corpus, rows)
+    doc_of_piece = np.repeat(np.arange(rows.size), counts)
+    model_rows = pieces[positions]
     columns = np.ascontiguousarray(params.embedding.T)
-    pooled = np.empty((n_docs, columns.shape[0]))
+    pooled = np.empty((rows.size, columns.shape[0]))
     for j, column in enumerate(columns):
-        pooled[:, j] = np.bincount(doc_of_piece, weights=column[all_ids],
-                                   minlength=n_docs)
-    pooled /= lengths[:, None]
+        pooled[:, j] = np.bincount(doc_of_piece, weights=column[model_rows],
+                                   minlength=rows.size)
+    pooled /= counts[:, None]
     return pooled
 
 
@@ -256,15 +256,15 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
                    threshold: float) -> np.ndarray:
     """[docs, C] mask of sigmoid probabilities >= threshold, from the pooled
     vectors of ``pool_documents``; ``predict`` for a batch of documents."""
-    hidden_post = _activate(params, pooled @ params.hidden_weights
-                            + params.hidden_bias)
-    logits = hidden_post @ params.output_weights + params.output_bias
-    return 1.0 / (1.0 + np.exp(-logits)) >= threshold
+    out, _ = logits(params, pooled)
+    return 1.0 / (1.0 + np.exp(-out)) >= threshold
 
 
-def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
-                         targets, batch: np.ndarray, out=None, cells=None):
-    """Mean BCE over a batch of documents plus gradients for every weight.
+def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
+                         corpus: Corpus, batch: np.ndarray, out=None,
+                         cells=None):
+    """Mean BCE over the documents ``batch`` (rows of ``corpus``) plus
+    gradients for every weight; ``pieces`` is the corpus's ``piece_rows``.
 
     Pooling and the embedding-gradient scatter are each one ``np.bincount``
     over the batch's pieces.  ``bincount`` adds in input order, so both
@@ -278,48 +278,40 @@ def batch_loss_and_grads(params: ModelParams, all_ids, offsets, lengths,
     embedding = params.embedding
     d = embedding.shape[1]
     n_batch = batch.size
-    lens = lengths[batch]
-    counts = lens.astype(np.intp)
-    ends = np.cumsum(counts)
-    # position in all_ids of every piece of the batch, document by document
-    pos = np.arange(ends[-1]) + np.repeat(offsets[batch] - (ends - counts),
-                                          counts)
-    pieces = all_ids[pos]
+    positions, counts = corpus.positions(batch)
+    batch_pieces = pieces[positions]
     row_of_piece = np.repeat(np.arange(n_batch), counts)
     if cells is None:
-        bins, values = (np.empty((pos.size, d), dtype=np.intp),
-                        np.empty((pos.size, d)))
+        bins, values = (np.empty((positions.size, d), dtype=np.intp),
+                        np.empty((positions.size, d)))
     else:
-        bins, values = cells[0][:pos.size], cells[1][:pos.size]
+        bins, values = cells[0][:positions.size], cells[1][:positions.size]
     columns = np.arange(d)
     # bin of every (piece, column) cell: its batch row's cell in pooled
     np.add(row_of_piece[:, None] * d, columns, out=bins)
-    np.take(embedding, pieces, axis=0, out=values, mode="clip")
+    np.take(embedding, batch_pieces, axis=0, out=values, mode="clip")
     pooled = np.bincount(bins.ravel(), weights=values.ravel(),
                          minlength=n_batch * d).reshape(n_batch, d)
-    pooled /= lens[:, None]
+    pooled /= counts[:, None]
 
-    hidden_pre = pooled @ params.hidden_weights + params.hidden_bias
-    hidden_post = _activate(params, hidden_pre)
-    logits = hidden_post @ params.output_weights + params.output_bias
-    y = targets[batch]
-    loss = _bce_from_logits(logits, y)
+    z, hidden = logits(params, pooled)
+    y = corpus.labels[batch]
+    loss = _bce_from_logits(z, y)
 
-    n_cells = logits.size
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    d_logits = (probs - y) / n_cells
-    d_w_out = hidden_post.T @ d_logits
+    probs = 1.0 / (1.0 + np.exp(-z))
+    d_logits = (probs - y) / z.size
+    d_w_out = hidden.T @ d_logits
     d_b_out = d_logits.sum(axis=0)
     d_post = d_logits @ params.output_weights.T
-    d_pre = d_post * _activation_grad(params, hidden_post)
+    d_pre = d_post * _activation_grad(params, hidden)
     d_w_hid = pooled.T @ d_pre
     d_b_hid = d_pre.sum(axis=0)
     d_pooled = d_pre @ params.hidden_weights.T
 
     # each piece's gradient, binned by its (piece, column) cell of embedding
-    np.take(d_pooled / lens[:, None], row_of_piece, axis=0, out=values,
+    np.take(d_pooled / counts[:, None], row_of_piece, axis=0, out=values,
             mode="clip")
-    np.add(pieces[:, None] * d, columns, out=bins)
+    np.add(batch_pieces[:, None] * d, columns, out=bins)
     d_emb = np.bincount(bins.ravel(), weights=values.ravel(),
                         minlength=embedding.size).reshape(embedding.shape)
 
@@ -365,12 +357,13 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     grad = np.zeros_like(flat)
     grad_views = _flat_views(grad, shapes)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
-    all_ids, offsets, lengths, targets = encode_docs(params, corpus, rows)
+    pieces = piece_rows(params, corpus)
+    _, counts = _positions(corpus, rows)
     n_docs = len(rows)
     # Cell buffers for the largest batch, reused by every step: fresh
     # [pieces, d] arrays per step get returned to the OS by the allocator
     # and faulted in again on the next step.
-    most = int(np.sort(lengths)[-config.batch_size:].sum())
+    most = int(np.sort(counts)[-config.batch_size:].sum())
     cells = (np.empty((most, params.embedding.shape[1]), dtype=np.intp),
              np.empty((most, params.embedding.shape[1])))
     rng = np.random.default_rng(
@@ -380,10 +373,9 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     for epoch in range(config.epochs):
         order = rng.permutation(n_docs)
         for start in range(0, n_docs, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, _ = batch_loss_and_grads(
-                params, all_ids, offsets, lengths, targets, batch,
-                out=grad_views, cells=cells)
+            batch = rows[order[start:start + config.batch_size]]
+            loss, _ = batch_loss_and_grads(params, pieces, corpus, batch,
+                                           out=grad_views, cells=cells)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "

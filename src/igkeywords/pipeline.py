@@ -7,13 +7,14 @@ keep the top-n words per document.  Rounds are aggregated into per-
 selection frequency and corpus document frequency.
 
 The corpus is piece and word ids over sorted tables (``corpus.Corpus``).
-A round works on rows of it, the train and validation rows of its split.
-Its explain half is array code over the validation rows: one pooled
-forward pass predicts them all, ``attribution.top_word_scores`` scores
-every target pair in chunks, and the selections are columns of indices
-into the corpus's tables.  ``aggregate`` reduces them with grouped
-sums to an ``Aggregates`` table of columns, with document frequencies
-counted from the corpus; the filter masks its columns, the writers format
+A round works on rows of it, the train and validation rows of its split,
+and on ``model.piece_rows``, the model row of every corpus piece.  Its
+explain half is array code over the validation rows: one pooled forward
+pass predicts them all, ``attribution.top_word_scores`` scores every
+target pair in chunks, and the selections are columns of indices into the
+corpus's tables.  ``aggregate`` reduces them with grouped sums to an
+``Aggregates`` table of columns, with document frequencies counted from
+the corpus; the filter masks its columns, the writers format
 ``aggregates.json``/``.tsv`` from them slice by slice, and
 ``load_aggregates`` reads the same table back for ``report``.  Every file
 of a run directory is written atomically (``fileio.atomic_write``).
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import attribution, model
 from .corpus import Corpus, SplitSpec, ValidationError, stratified_split
-from .fileio import atomic_write
+from .fileio import atomic_write, malformed
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
 
@@ -225,21 +226,19 @@ def _explain(params: model.ModelParams, corpus: Corpus,
     """Predict the validation documents, attribute the target pairs and
     keep each pair's top-n words; returns the selections and the [3, C]
     true-positive, false-positive and false-negative counts."""
-    all_ids, offsets, lengths, gold = model.encode_docs(params, corpus,
-                                                        val_rows)
-    pooled = model.pool_documents(params, all_ids, lengths)
+    pieces = model.piece_rows(params, corpus)
+    pooled = model.pool_documents(params, pieces, corpus, val_rows)
     predicted = model.predict_pooled(
         params, pooled, config.train_config.decision_threshold)
-    gold = gold.astype(bool)
+    gold = corpus.labels[val_rows].astype(bool)
     outcomes = {"true-positive": predicted & gold,
                 "false-positive": predicted & ~gold,
                 "false-negative": gold & ~predicted}
     counts = np.array([outcomes[t].sum(axis=0) for t in SELECTION_TARGETS])
     pair_docs, pair_classes = np.nonzero(outcomes[config.selection_target])
     pair, word, score = attribution.top_word_scores(
-        params, (all_ids, offsets, lengths), pooled,
-        corpus.word_ids[corpus.positions(val_rows)[0]],
-        pair_docs, pair_classes, config.ig_steps, config.top_n)
+        params, pieces, corpus, val_rows[pair_docs], pooled[pair_docs],
+        pair_classes, config.ig_steps, config.top_n)
     return Selections(class_idx=pair_classes[pair], word_idx=word,
                       doc_idx=val_rows[pair_docs[pair]], score=score), counts
 
@@ -410,19 +409,21 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
     """Read the artifacts of rounds 0..rounds-1; other files are ignored.
 
     Dumped selections stay the ``[class, word, doc_id, score]`` rows as
-    parsed (an empty list when scores were not dumped).
+    parsed (an empty list when scores were not dumped).  A file that is
+    not JSON or lacks a field raises ``ValidationError`` naming it.
     """
     results = []
     for round_index in range(rounds):
         path = os.path.join(out_dir, _round_file(round_index))
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, \
+                malformed(path, "round artifact", ValidationError):
             payload = json.load(fh)
-        results.append(RoundResult(
-            round_index=payload["round_index"],
-            selections=payload.get("selections", []),
-            per_class=payload["per_class"], micro_f1=payload["micro_f1"],
-            val_doc_count=payload["val_doc_count"],
-            failed=payload["failed"]))
+            results.append(RoundResult(
+                round_index=payload["round_index"],
+                selections=payload.get("selections", []),
+                per_class=payload["per_class"], micro_f1=payload["micro_f1"],
+                val_doc_count=payload["val_doc_count"],
+                failed=payload["failed"]))
     return results
 
 
@@ -506,10 +507,14 @@ def write_aggregates(table: Aggregates, out_dir) -> None:
 
 
 def load_aggregates(out_dir) -> Aggregates:
-    """The table that ``write_aggregates`` wrote to ``aggregates.json``."""
-    with open(os.path.join(out_dir, "aggregates.json"), encoding="utf-8") as fh:
+    """The table that ``write_aggregates`` wrote to ``aggregates.json``; a
+    file that is not JSON or lacks a column raises ``ValidationError``."""
+    path = os.path.join(out_dir, "aggregates.json")
+    with open(path, encoding="utf-8") as fh, \
+            malformed(path, "aggregates", ValidationError):
         rows = json.load(fh)
-    return Aggregates(**{
-        field: np.fromiter(map(itemgetter(key), rows), dtype=dtype,
-                           count=len(rows))
-        for key, field, dtype in zip(_AGG_COLUMNS, _FILE_FIELDS, _FILE_TYPES)})
+        return Aggregates(**{
+            field: np.fromiter(map(itemgetter(key), rows), dtype=dtype,
+                               count=len(rows))
+            for key, field, dtype in zip(_AGG_COLUMNS, _FILE_FIELDS,
+                                         _FILE_TYPES)})

@@ -149,12 +149,11 @@ def marker_recovery(records, planted: dict[str, set[str]]):
     return out
 
 
-def write_reports(result, out_dir, top_m: int, planted=None,
-                  class_names=None) -> None:
-    """Emit the standard report files into a run directory."""
+def write_reports(result, out_dir, top_m: int, class_names,
+                  planted=None) -> None:
+    """Emit the standard report files into a run directory; the keyword
+    tables list the classes in the order ``class_names``."""
     os.makedirs(out_dir, exist_ok=True)
-    if class_names is None:
-        class_names = sorted(set(result.aggregates.class_name.tolist()))
     table = build_keyword_table(result.keywords, class_names, top_m)
     stat = uniqueness(table)  # rejects a bad top_m before any file is written
 

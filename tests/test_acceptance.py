@@ -1,25 +1,19 @@
 """End-to-end acceptance checks; each test prints a PASS/FAIL line."""
 
 import dataclasses
-import json
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from igkeywords.attribution import (completeness_residual,
-                                    integrated_gradients, logit_value)
-from igkeywords.corpus import (LabelSpace, SplitSpec, SynthConfig,
-                               build_corpus, generate_synthetic,
-                               stratified_split)
-from igkeywords.model import (TrainConfig, build_vocab,
-                              forward_from_embeddings, init_model,
-                              input_gradients_from_embeddings, token_ids,
-                              train)
+from igkeywords import checks
+from igkeywords.attribution import integrated_gradients
+from igkeywords.corpus import (LabelSpace, SynthConfig, build_corpus,
+                               generate_synthetic)
+from igkeywords.model import TrainConfig, init_model, token_ids
 from igkeywords.pipeline import PipelineConfig, filter_keywords, run_pipeline
 from igkeywords.report import build_keyword_table, uniqueness, write_reports
-from reference_corpus import tokenize
 
 
 @contextmanager
@@ -61,32 +55,10 @@ def big_run(tmp_path_factory):
 
 def test_criterion_1_gradient_correctness():
     with criterion(1, "analytic input gradients match finite differences"):
-        rng = np.random.default_rng(101)
         start = time.perf_counter()
-        step = 1e-4
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            h = int(rng.integers(2, 9))
-            n_classes = int(rng.integers(2, 5))
-            cfg = TrainConfig(d=d, h=h, weight_init_scale=0.5,
-                              seed=int(rng.integers(2**31)))
-            vocab = {f"p{i}": i for i in range(20)}
-            params = init_model(vocab, n_classes, cfg)
-            n_tokens = int(rng.integers(1, 9))
-            inputs = rng.normal(size=(n_tokens, d))
-            ci = int(rng.integers(n_classes))
-            analytic = input_gradients_from_embeddings(params, inputs, ci)
-            for i in range(n_tokens):
-                for j in range(d):
-                    hi, lo = inputs.copy(), inputs.copy()
-                    hi[i, j] += step
-                    lo[i, j] -= step
-                    fd = (forward_from_embeddings(params, hi)[0][ci]
-                          - forward_from_embeddings(params, lo)[0][ci]) \
-                        / (2 * step)
-                    rel = abs(analytic[i, j] - fd) / max(
-                        abs(fd), abs(analytic[i, j]), 1e-8)
-                    assert rel <= 1e-4, (i, j, analytic[i, j], fd)
+        # every token and dimension of 100 random models and inputs
+        error = checks.gradient_error()
+        assert error <= 1e-4, error
         assert time.perf_counter() - start < 10.0
 
 
@@ -116,35 +88,12 @@ def test_criterion_2_ig_linear_exactness():
 def test_criterion_3_ig_completeness():
     with criterion(3, "IG completeness residual converges on trained model"):
         start = time.perf_counter()
-        synth = SynthConfig(num_classes=3, docs_per_class=60,
-                            background_vocab_size=500, markers_per_class=3,
-                            doc_length=(15, 30))
-        corpus, _ = generate_synthetic(synth, seed=303)
-        train_rows, val_rows = stratified_split(corpus,
-                                                SplitSpec(ratio=0.67, seed=1))
-        cfg = TrainConfig(epochs=20, d=12, h=16, seed=5)
-        params = train(init_model(build_vocab(corpus, train_rows), 3, cfg),
-                       corpus, train_rows, cfg)
-
-        def residual(doc, m):
-            inputs = params.embedding[token_ids(params, doc)]
-            attr = integrated_gradients(params, doc, 0, steps=m)
-            f_x = logit_value(params, inputs, 0)
-            f_0 = logit_value(params, np.zeros_like(inputs), 0)
-            return (completeness_residual(attr, f_x, f_0),
-                    max(1.0, abs(f_x - f_0)))
-
-        docs = [corpus.document(i) for i in val_rows]
-        relative_300 = [r / s for r, s in (residual(d, 300) for d in docs)]
-        frac_ok = np.mean([r <= 1e-3 for r in relative_300])
+        steps = (10, 20, 40, 80, 160, 320, 640)
+        ratios = checks.completeness_ratios((300, *steps))
+        frac_ok = np.mean(ratios[0] <= 1e-3)
         assert frac_ok >= 0.95, frac_ok
 
-        medians = []
-        m = 10
-        while m <= 640:
-            medians.append(float(np.median(
-                [residual(d, m)[0] for d in docs])))
-            m *= 2
+        medians = np.median(ratios[1:], axis=1).tolist()
         for prev, cur in zip(medians, medians[1:]):
             assert cur <= prev + 1e-12, medians
         assert time.perf_counter() - start < 120.0
@@ -152,45 +101,12 @@ def test_criterion_3_ig_completeness():
 
 # --- criterion 4 -----------------------------------------------------------
 
-def test_criterion_4_pipeline_oracle_equivalence(tmp_path):
+def test_criterion_4_pipeline_oracle_equivalence():
     with criterion(4, "aggregates equal naive recomputation from dumps"):
         start = time.perf_counter()
-        synth = SynthConfig(num_classes=4, docs_per_class=12,
-                            background_vocab_size=150, markers_per_class=2,
-                            doc_length=(8, 15))
-        corpus, _ = generate_synthetic(synth, seed=404)
-        assert len(corpus) <= 50
-        config = PipelineConfig(ratio=0.6, top_n=5, rounds=5, ig_steps=10,
-                                min_doc_frequency=1, master_seed=11,
-                                dump_scores=True,
-                                train_config=TrainConfig(epochs=10, d=8, h=8))
-        result = run_pipeline(corpus, config, out_dir=tmp_path)
-
-        # naive oracle: read the JSON dumps directly
-        pooled: dict[tuple, list] = {}
-        hit_rounds: dict[tuple, set] = {}
-        for i in range(config.rounds):
-            payload = json.loads((tmp_path / f"round_{i:04d}.json").read_text())
-            for class_name, word, _doc_id, score in payload["selections"]:
-                key = (class_name, word)
-                pooled.setdefault(key, []).append(score)
-                hit_rounds.setdefault(key, set()).add(i)
-
-        df = {}
-        for text in corpus.texts:
-            for word in set(tokenize(text)[0]):
-                df[word] = df.get(word, 0) + 1
-
-        aggregates = result.aggregates.records()
-        assert {((r.class_name, r.word)) for r in aggregates} == set(pooled)
-        for rec in aggregates:
-            key = (rec.class_name, rec.word)
-            assert abs(rec.mean_score
-                       - sum(pooled[key]) / len(pooled[key])) <= 1e-12
-            assert rec.instance_count == len(pooled[key])
-            assert rec.rounds_selected == len(hit_rounds[key])
-            assert rec.selection_frequency == len(hit_rounds[key]) / config.rounds
-            assert rec.doc_frequency == df.get(rec.word, 0)
+        assert len(generate_synthetic(checks.ORACLE_SYNTH, 404)[0]) <= 50
+        # raises CheckFailure on any difference in keys, counts, SF or df
+        assert checks.oracle_error() <= 1e-12
         assert time.perf_counter() - start < 120.0
 
 

@@ -70,20 +70,6 @@ class TestIntegratedGradients:
         attr = integrated_gradients(params, doc, 0, steps=10)
         assert np.all(attr.values == 0)
 
-    def test_completeness_improves_with_steps(self, small_synth):
-        corpus, _ = small_synth
-        cfg = TrainConfig(epochs=10, d=8, h=8, seed=2)
-        params = trained_on_all(corpus, cfg)
-        doc = corpus.document(0)
-        inputs = params.embedding[token_ids(params, doc)]
-        f_x = logit_value(params, inputs, 0)
-        f_0 = logit_value(params, np.zeros_like(inputs), 0)
-        res10 = completeness_residual(
-            integrated_gradients(params, doc, 0, steps=10), f_x, f_0)
-        res300 = completeness_residual(
-            integrated_gradients(params, doc, 0, steps=300), f_x, f_0)
-        assert res300 < res10
-
     def test_matches_generic_path_integral(self, small_synth):
         from igkeywords.model import input_gradients_from_embeddings
 

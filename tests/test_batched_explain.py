@@ -14,12 +14,11 @@ import re
 import numpy as np
 import pytest
 
-from igkeywords import attribution, cli, model, pipeline
+from igkeywords import attribution, checks, cli, model, pipeline
 from igkeywords.attribution import WordScoreRecord
-from igkeywords.corpus import (LabelSpace, SplitSpec, SynthConfig,
-                               ValidationError, build_corpus,
-                               generate_synthetic, load_corpus, save_corpus,
-                               stratified_split)
+from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
+                               build_corpus, generate_synthetic, load_corpus,
+                               save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  Selections, aggregate, round_seeds,
@@ -32,11 +31,7 @@ from reference_round import (reference_aggregate, reference_run_round,
 @pytest.fixture(scope="module")
 def criterion_4_corpus():
     """The corpus of acceptance criterion 4."""
-    synth = SynthConfig(num_classes=4, docs_per_class=12,
-                        background_vocab_size=150, markers_per_class=2,
-                        doc_length=(8, 15))
-    corpus, _ = generate_synthetic(synth, seed=404)
-    return corpus
+    return generate_synthetic(checks.ORACLE_SYNTH, seed=404)[0]
 
 
 def train_config(activation="tanh"):
@@ -54,11 +49,9 @@ def small_config(**overrides):
 
 
 def criterion_4_config(**overrides):
-    defaults = dict(ratio=0.6, top_n=5, rounds=3, ig_steps=10,
-                    min_doc_frequency=1, master_seed=11,
-                    train_config=train_config())
-    defaults.update(overrides)
-    return PipelineConfig(**defaults)
+    overrides.setdefault("train_config", train_config())
+    return dataclasses.replace(checks.ORACLE_CONFIG, rounds=3,
+                               dump_scores=False, **overrides)
 
 
 def as_columns(records, corpus):
@@ -132,9 +125,9 @@ def test_batched_predictions_match_predict(small_synth):
     cfg = dataclasses.replace(train_config(), seed=3)
     params = model.init_model(model.build_vocab(corpus, train_rows), 4, cfg)
     params = model.train(params, corpus, train_rows, cfg)
-    all_ids, _, lengths, _ = model.encode_docs(params, corpus, val_rows)
+    pieces = model.piece_rows(params, corpus)
     predicted = model.predict_pooled(
-        params, model.pool_documents(params, all_ids, lengths), 0.5)
+        params, model.pool_documents(params, pieces, corpus, val_rows), 0.5)
     classes = corpus.label_space.classes
     docs = documents_of(corpus)
     for doc, mask in zip((docs[i] for i in val_rows), predicted):
@@ -143,7 +136,7 @@ def test_batched_predictions_match_predict(small_synth):
     assert predicted.any()
 
 
-def test_encoded_documents_match_vocabulary_lookup(small_synth):
+def test_piece_rows_match_vocabulary_lookup(small_synth):
     corpus, _ = small_synth
     docs = documents_of(corpus)
     rows = np.arange(len(corpus))
@@ -153,19 +146,14 @@ def test_encoded_documents_match_vocabulary_lookup(small_synth):
                                   for p, _ in doc.subwords})
     assert list(vocab.values()) == list(range(len(vocab)))
     params = model.init_model(vocab, 4, TrainConfig(d=4, h=4))
-    rest = rows[1::2][::-1]
-    all_ids, offsets, lengths, targets = model.encode_docs(params, corpus,
-                                                           rest)
-    assert (all_ids == params.unk_index).any()
-    for i, row in enumerate(rest):
+    pieces = model.piece_rows(params, corpus)
+    assert pieces.shape == corpus.piece_ids.shape
+    assert (pieces[corpus.positions(rows[1::2])[0]] == params.unk_index).any()
+    for row in rows:
         doc = docs[row]
-        ids = model.token_ids(params, doc)
-        assert lengths[i] == ids.size
-        assert np.array_equal(all_ids[offsets[i]:offsets[i] + ids.size], ids)
-        assert np.array_equal(targets[i], [float(c in doc.labels)
-                                           for c in corpus.label_space.classes])
-        words = corpus.word_ids[corpus.offsets[row]:][:ids.size]
-        assert [corpus.words[w] for w in words] == \
+        span = slice(corpus.offsets[row], corpus.offsets[row + 1])
+        assert np.array_equal(pieces[span], model.token_ids(params, doc))
+        assert [corpus.words[w] for w in corpus.word_ids[span]] == \
             [doc.words[wi] for _, wi in doc.subwords]
 
 
@@ -314,8 +302,9 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
     assert len(result.rounds[1].selections) > 0
 
 
-def test_validation_document_without_subwords(small_synth):
-    corpus, _ = small_synth
+def assert_document_without_subwords_fails(corpus, side):
+    """A round whose split puts a document with no pieces on ``side`` (0 for
+    train, 1 for validation) raises the error the reference raises."""
     corpus = build_corpus(records_of(corpus) + [("empty", "?!", {"c0"})],
                           corpus.label_space)
     empty = len(corpus) - 1
@@ -323,12 +312,20 @@ def test_validation_document_without_subwords(small_synth):
     round_index = next(
         i for i in range(config.rounds)
         if empty in stratified_split(corpus, SplitSpec(
-            config.ratio, round_seeds(config.master_seed, i)[0]))[1])
+            config.ratio, round_seeds(config.master_seed, i)[0]))[side])
     with pytest.raises(ValidationError, match="'empty' has no subwords") as got:
         run_round(corpus, config, round_index)
     with pytest.raises(ValidationError) as want:
         reference_run_round(corpus, config, round_index)
     assert str(got.value) == str(want.value)
+
+
+def test_validation_document_without_subwords(small_synth):
+    assert_document_without_subwords_fails(small_synth[0], 1)
+
+
+def test_training_document_without_subwords(small_synth):
+    assert_document_without_subwords_fails(small_synth[0], 0)
 
 
 def test_selections_len_and_equality():

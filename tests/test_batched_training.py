@@ -13,27 +13,26 @@ import pytest
 from igkeywords.corpus import build_corpus
 from igkeywords.model import (TrainConfig, _activate, _activation_grad,
                               _bce_from_logits, batch_loss_and_grads,
-                              build_vocab, encode_docs, init_model, train)
+                              build_vocab, init_model, piece_rows, train)
 
 PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
                "output_weights", "output_bias")
 
 
-def reference_batch_loss_and_grads(params, all_ids, offsets, lengths,
-                                   targets, batch):
+def reference_batch_loss_and_grads(params, pieces, corpus, batch):
     """Per-document pooling and one ``np.add.at`` scatter per document."""
     n_batch = batch.size
     pooled = np.empty((n_batch, params.embedding.shape[1]))
     spans = []
     for row, b in enumerate(batch):
-        span = all_ids[offsets[b]:offsets[b] + int(lengths[b])]
+        span = pieces[corpus.offsets[b]:corpus.offsets[b + 1]]
         spans.append(span)
         pooled[row] = params.embedding[span].mean(axis=0)
 
     hidden_pre = pooled @ params.hidden_weights + params.hidden_bias
     hidden_post = _activate(params, hidden_pre)
     logits = hidden_post @ params.output_weights + params.output_bias
-    y = targets[batch]
+    y = corpus.labels[batch]
     loss = _bce_from_logits(logits, y)
 
     n_cells = logits.size
@@ -62,7 +61,7 @@ def reference_train(params, corpus, rows, config):
     params = dataclasses.replace(
         params, vocab=dict(params.vocab),
         **{k: getattr(params, k).copy() for k in PARAM_NAMES})
-    all_ids, offsets, lengths, targets = encode_docs(params, corpus, rows)
+    pieces = piece_rows(params, corpus)
     n_docs = len(rows)
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
@@ -75,9 +74,9 @@ def reference_train(params, corpus, rows, config):
     for _ in range(config.epochs):
         order = rng.permutation(n_docs)
         for start in range(0, n_docs, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            _, grads = reference_batch_loss_and_grads(
-                params, all_ids, offsets, lengths, targets, batch)
+            batch = rows[order[start:start + config.batch_size]]
+            _, grads = reference_batch_loss_and_grads(params, pieces, corpus,
+                                                      batch)
             if config.optimizer == "sgd":
                 for k in PARAM_NAMES:
                     getattr(params, k)[...] -= config.learning_rate * grads[k]
@@ -105,11 +104,6 @@ def mixed_corpus(label_space):
                          for i, text in enumerate(texts)], label_space)
 
 
-def encode_all(params, corpus):
-    """``encode_docs`` for every document of ``corpus``."""
-    return encode_docs(params, corpus, np.arange(len(corpus)))
-
-
 def _vocab_without_unknowns(corpus):
     known = [i for i, text in enumerate(corpus.texts)
              if "unseenword" not in text and "unknowable" not in text]
@@ -121,7 +115,7 @@ def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
                                                       activation):
     cfg = TrainConfig(d=4, h=5, seed=3, activation=activation)
     params = init_model(_vocab_without_unknowns(mixed_corpus), 4, cfg)
-    prep = encode_all(params, mixed_corpus)
+    prep = piece_rows(params, mixed_corpus), mixed_corpus
     assert (prep[0] == params.unk_index).any()
     for batch in (np.arange(len(mixed_corpus)),
                   np.array([1]), np.array([6, 0, 0, 3, 1])):
@@ -137,7 +131,7 @@ def test_out_receives_the_gradients(mixed_corpus):
     rows = np.arange(len(mixed_corpus))
     params = init_model(build_vocab(mixed_corpus, rows), 4,
                         TrainConfig(d=3, h=2))
-    prep = encode_all(params, mixed_corpus)
+    prep = piece_rows(params, mixed_corpus), mixed_corpus
     batch = np.array([5, 2, 7])
     out = {name: np.full_like(getattr(params, name), np.nan)
            for name in PARAM_NAMES}

@@ -1,10 +1,10 @@
 import importlib.util
 import json
-import os
 from pathlib import Path
 
 import pytest
 
+from igkeywords import checks
 from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
@@ -333,15 +333,62 @@ class TestReport:
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
         assert "malformed run config" in capsys.readouterr().err
 
+    def test_malformed_run_artifact_exit_code(self, synth_files, tmp_path,
+                                              capsys):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), "--dump-scores",
+                       "--learning-rate", "0.1", *SMALL_RUN) == 0
+        keywords = (out_dir / "keywords.tsv").read_bytes()
+        for name in ("aggregates.json", "round_0000.json", "round_0001.json"):
+            intact = (out_dir / name).read_bytes()
+            value = json.loads(intact)
+            row = value[0] if isinstance(value, list) else value
+            row.pop(next(iter(row)))  # a missing field
+            for damaged in (intact[:len(intact) // 2],
+                            json.dumps(value).encode()):
+                (out_dir / name).write_bytes(damaged)
+                capsys.readouterr()
+                assert run_cli("report", "--run-dir", str(out_dir)) == 1
+                assert f"{name}: malformed" in capsys.readouterr().err
+                assert (out_dir / "keywords.tsv").read_bytes() == keywords
+            (out_dir / name).write_bytes(intact)
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1
 
 
 class TestCheck:
-    def test_self_checks_pass(self, capsys):
+    def test_self_checks_pass(self, capsys, monkeypatch):
+        measured = {}
+
+        def recorded(name, check):
+            return lambda *args: measured.setdefault(name, check(*args))
+        names = ("gradient_error", "completeness_ratios", "oracle_error")
+        for name in names:
+            monkeypatch.setattr(checks, name,
+                                recorded(name, getattr(checks, name)))
         assert run_cli("check") == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:5] for line in lines] == ["PASS:"] * 3
+        for line, value in zip(lines, (
+                measured["gradient_error"],
+                measured["completeness_ratios"][0].max(),
+                measured["oracle_error"])):
+            assert f"{value:.2e}" in line, line
+
+        # A gradient error over its bound and a differing aggregate fail.
+        def differs():
+            raise checks.CheckFailure("instance counts differ")
+        monkeypatch.setattr(checks, "gradient_error", lambda: 2e-4)
+        monkeypatch.setattr(checks, "oracle_error", differs)
+        assert run_cli("check") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:5] for line in lines] == ["FAIL:", "PASS:", "FAIL:"]
+        assert "2.00e-04 (bound 1e-04)" in lines[0]
+        assert lines[2].endswith("instance counts differ")
 
 
 class TestUsageErrors:
