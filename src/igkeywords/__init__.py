@@ -1,12 +1,11 @@
 """Class-level keyword extraction via repeated integrated-gradients runs."""
 
-from .corpus import (Corpus, Document, LabelSpace, SplitSpec, SynthConfig,
-                     build_corpus, generate_synthetic, load_corpus,
-                     save_corpus, stratified_split)
-from .model import ModelParams, TrainConfig, forward, init_model, predict, train
-from .attribution import (AttributionMatrix, WordScoreRecord,
-                          completeness_residual, integrated_gradients,
-                          normalize_document, token_scores, word_scores)
+from .corpus import (Corpus, LabelSpace, SplitSpec, SynthConfig, build_corpus,
+                     generate_synthetic, load_corpus, save_corpus,
+                     stratified_split)
+from .model import (ModelParams, TrainConfig, init_model, logits, piece_rows,
+                    pool_documents, predict_pooled, train)
+from .attribution import pair_attributions, top_word_scores
 from .pipeline import (AggregateRecord, Aggregates, PipelineConfig,
                        PipelineResult, RoundResult, Selections, aggregate,
                        filter_keywords, run_pipeline, run_round)

@@ -1,23 +1,19 @@
 """Integrated Gradients over input token embeddings, plus the reduction
 chain to word-level scores: sum embedding dims per token, L2-normalize
-per document, take the max over a word's subword pieces.
+per pair, take the max over a word's subword pieces.
 
-``top_word_scores`` runs the whole chain, and the top-n pick, for every
-attributed (document, class) pair of a round at once, reading each
-document's pieces and words straight from the corpus by its row, with the
-same floating-point operations as the per-document functions below, which
-stay as its oracle.
+``pair_attributions`` is the one IG: the midpoint rule from a zero
+baseline for any number of (corpus row, class) pairs at once.
+``top_word_scores`` runs it, the reduction chain and the top-n pick for
+every attributed pair of a round, a chunk of pairs at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import Corpus, Document, ValidationError
-from .model import (ModelParams, forward_from_embeddings, pooled_logit_gradients,
-                    token_ids)
+from .corpus import Corpus, ValidationError
+from .model import ModelParams, pooled_logit_gradients
 
 #: IG path rows (pairs x steps) per chunk of ``top_word_scores``.  It bounds
 #: the chunk's temporaries at a few MB whatever the number of pairs: at
@@ -27,109 +23,6 @@ PATH_ROWS = 4096
 
 class AttributionError(RuntimeError):
     """Non-finite values encountered during attribution."""
-
-
-@dataclass
-class AttributionMatrix:
-    values: np.ndarray  # [T, d]
-    class_index: int
-    doc_id: str
-    baseline_kind: str
-    steps: int
-
-
-@dataclass(frozen=True)
-class WordScoreRecord:
-    word: str
-    doc_id: str
-    class_name: str
-    score: float
-
-
-def _baseline_matrix(inputs: np.ndarray, baseline) -> tuple[np.ndarray, str]:
-    if isinstance(baseline, str):
-        if baseline != "zero":
-            raise ValidationError(f"unknown baseline kind {baseline!r}")
-        return np.zeros_like(inputs), "zero"
-    vec = np.asarray(baseline, dtype=float)
-    if vec.shape != (inputs.shape[1],):
-        raise ValidationError("custom baseline must be a length-d vector")
-    return np.tile(vec, (inputs.shape[0], 1)), "custom"
-
-
-def integrated_gradients(params: ModelParams, doc: Document, class_index: int,
-                         baseline="zero", *, steps: int) -> AttributionMatrix:
-    """Midpoint-rule IG for one (document, class) pair.
-
-    Mean pooling lets the m gradient evaluations collapse into one batched
-    pass over interpolated pooled vectors; the result is identical to
-    evaluating the full input gradient at each interpolation point.
-    """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if not 0 <= class_index < params.num_classes:
-        raise ValidationError(f"class index {class_index} out of range")
-    if not doc.subwords:
-        raise ValidationError(f"document {doc.id!r} has no subwords")
-
-    inputs = params.embedding[token_ids(params, doc)].astype(float)
-    base, kind = _baseline_matrix(inputs, baseline)
-    pooled_base = base.mean(axis=0)
-    # d(logit)/d(inputs[i]) = d(logit)/d(pooled) / T at every path point
-    avg_grad = _mean_path_gradients(
-        params, pooled_base, (inputs.mean(axis=0) - pooled_base)[None],
-        np.array([class_index]), steps)[0] / inputs.shape[0]
-    values = (inputs - base) * avg_grad
-    return AttributionMatrix(values=values, class_index=class_index,
-                             doc_id=doc.id, baseline_kind=kind, steps=steps)
-
-
-def logit_value(params: ModelParams, inputs: np.ndarray,
-                class_index: int) -> float:
-    logits, _ = forward_from_embeddings(params, inputs)
-    return float(logits[class_index])
-
-
-def completeness_residual(attr: AttributionMatrix, f_x: float,
-                          f_baseline: float) -> float:
-    """|sum of attributions - (F(x) - F(baseline))|."""
-    if not np.isfinite(attr.values).all():
-        raise AttributionError("attribution matrix contains non-finite values")
-    return abs(float(attr.values.sum()) - (f_x - f_baseline))
-
-
-def token_scores(attr: AttributionMatrix) -> np.ndarray:
-    """Per-token score: sum over embedding dimensions."""
-    return attr.values.sum(axis=1)
-
-
-def normalize_document(scores: np.ndarray) -> np.ndarray:
-    """Divide by the L2 norm; an all-zero vector is returned unchanged."""
-    scores = np.asarray(scores, dtype=float)
-    norm = np.linalg.norm(scores)
-    if norm == 0.0:
-        return scores.copy()
-    return scores / norm
-
-
-def word_scores(normalized: np.ndarray, doc: Document,
-                class_name: str) -> list[WordScoreRecord]:
-    """One record per distinct word: max over all its subword token scores,
-    pooled across every occurrence of the word in the document.
-    """
-    if len(normalized) != len(doc.subwords):
-        raise ValidationError(
-            f"score vector length {len(normalized)} does not match "
-            f"{len(doc.subwords)} subwords in document {doc.id!r}")
-    best: dict[str, float] = {}
-    for score, (_, wi) in zip(normalized, doc.subwords):
-        word = doc.words[wi]
-        score = float(score)
-        if word not in best or score > best[word]:
-            best[word] = score
-    return [WordScoreRecord(word=w, doc_id=doc.id, class_name=class_name,
-                            score=s)
-            for w, s in sorted(best.items())]
 
 
 def _mean_path_gradients(params: ModelParams, start, delta: np.ndarray,
@@ -148,40 +41,59 @@ def _mean_path_gradients(params: ModelParams, start, delta: np.ndarray,
     return grads.mean(axis=1)
 
 
+def pair_attributions(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
+                      pair_rows: np.ndarray, pooled: np.ndarray,
+                      pair_classes: np.ndarray, steps: int):
+    """Midpoint-rule IG with a zero baseline for every (document, class)
+    pair.
+
+    Pair ``p`` attributes class ``pair_classes[p]`` of document
+    ``pair_rows[p]`` of ``corpus``, whose ``model.pool_documents`` row is
+    ``pooled[p]``; ``pieces`` is the corpus's ``model.piece_rows``.  Mean
+    pooling makes d(logit)/d(token) the pooled gradient over T at every
+    point of the path, so each pair's ``steps`` gradient evaluations are
+    one batched pass over interpolated pooled vectors.  Returns the
+    [tokens, d] IG values, pair after pair, the positions of those tokens
+    in ``corpus.piece_ids``/``word_ids`` and each pair's token count.
+    """
+    if steps < 1:
+        raise ValidationError("steps must be >= 1")
+    tokens, counts = corpus.positions(pair_rows)
+    avg_grads = (_mean_path_gradients(params, 0.0, pooled, pair_classes,
+                                      steps) / counts[:, None])
+    values = np.take(params.embedding, pieces[tokens], axis=0)
+    values *= avg_grads[np.repeat(np.arange(counts.size), counts)]
+    return values, tokens, counts
+
+
 def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
                     pair_rows: np.ndarray, pooled: np.ndarray,
                     pair_classes: np.ndarray, steps: int, top_n: int):
     """The top ``top_n`` word scores of every (document, class) pair.
 
-    Bit for bit what ``integrated_gradients`` (zero baseline),
-    ``token_scores``, ``normalize_document``, ``word_scores`` and a sort by
-    (-score, word) give pair by pair.  Pair ``p`` attributes class
-    ``pair_classes[p]`` of document ``pair_rows[p]`` of ``corpus``, whose
-    ``model.pool_documents`` row is ``pooled[p]``; ``pieces`` is the
-    corpus's ``model.piece_rows``.  Returns ``(pair, word, score)``
-    columns, pair after pair, each pair's words best first, with words as
-    ids into ``corpus.words``.
+    The pairs and ``pieces`` are those of ``pair_attributions``.  A pair's
+    token scores are its IG values summed over the embedding dimensions,
+    divided by their L2 norm (an all-zero vector stays zero); a word's
+    score is the max over its pieces, and the words are ranked by
+    (-score, word).  Returns ``(pair, word, score)`` columns, pair after
+    pair, each pair's words best first, with words as ids into
+    ``corpus.words``.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
     n_words = len(corpus.words)
     per_chunk = max(1, PATH_ROWS // steps)
     columns = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
                 np.empty(0))]
     for first in range(0, len(pair_rows), per_chunk):
         chunk = slice(first, first + per_chunk)
-        tokens, counts = corpus.positions(pair_rows[chunk])
+        values, tokens, counts = pair_attributions(
+            params, pieces, corpus, pair_rows[chunk], pooled[chunk],
+            pair_classes[chunk], steps)
         n_pairs = counts.size
-        # Token scores: x . mean gradient / T, summed over embedding columns.
-        avg_grads = (_mean_path_gradients(params, 0.0, pooled[chunk],
-                                          pair_classes[chunk], steps)
-                     / counts[:, None])
-        ends = np.cumsum(counts)
         token_pair = np.repeat(np.arange(n_pairs), counts)
-        values = np.take(params.embedding, pieces[tokens], axis=0)
-        values *= avg_grads[token_pair]
         scores = values.sum(axis=1)
-        # L2 norm per pair, one BLAS dot each as normalize_document takes it.
+        # L2 norm per pair, one BLAS dot each, as np.linalg.norm of the
+        # pair's token scores takes it.
+        ends = np.cumsum(counts)
         norms = np.array([np.linalg.norm(scores[end - count:end])
                           for end, count in zip(ends.tolist(),
                                                 counts.tolist())])

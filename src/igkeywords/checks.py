@@ -1,6 +1,7 @@
 """Numerical self-checks: the hand-written input gradients against finite
-differences, integrated gradients against the completeness axiom, and the
-pipeline's aggregates against a naive recomputation from dumped rounds.
+differences, the integrated gradients that score keywords
+(``attribution.pair_attributions``) against the completeness axiom, and
+the pipeline's aggregates against a naive recomputation from dumped rounds.
 
 Each check function returns what it measures.  ``run_checks`` holds the
 measurements against their bounds for ``igkeywords check``; acceptance
@@ -17,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from . import attribution, model, pipeline
-from .corpus import (SplitSpec, SynthConfig, generate_synthetic,
+from .corpus import (_WORD_RE, SplitSpec, SynthConfig, generate_synthetic,
                      stratified_split)
 
 #: largest relative error |analytic - fd| / max(|fd|, 1e-8) of a gradient
@@ -65,17 +66,16 @@ def gradient_error() -> float:
             hi, lo = inputs.copy(), inputs.copy()
             hi[i, j] += step
             lo[i, j] -= step
-            fd = (attribution.logit_value(params, hi, ci)
-                  - attribution.logit_value(params, lo, ci)) / (2 * step)
+            fd = (model.logits(params, hi.mean(axis=0))[0][ci]
+                  - model.logits(params, lo.mean(axis=0))[0][ci]) / (2 * step)
             worst = max(worst, abs(grad - fd) / max(abs(fd), 1e-8))
     return worst
 
 
-def completeness_ratios(steps) -> np.ndarray:
-    """[len(steps), documents] residual ratios |sum of attributions -
-    (F(x) - F(0))| / max(1, |F(x) - F(0)|) of class 0 at each step count,
-    for each validation document of a model trained on 3 classes of 60
-    synthetic documents."""
+def completeness_model():
+    """The model trained on 3 classes of 60 synthetic documents whose
+    validation rows the completeness check attributes: ``(params, corpus,
+    validation rows)``."""
     synth = SynthConfig(num_classes=3, docs_per_class=60,
                         background_vocab_size=500, markers_per_class=3,
                         doc_length=(15, 30))
@@ -86,15 +86,28 @@ def completeness_ratios(steps) -> np.ndarray:
     params = model.train(
         model.init_model(model.build_vocab(corpus, train_rows), 3, cfg),
         corpus, train_rows, cfg)
+    return params, corpus, val_rows
+
+
+def completeness_ratios(steps) -> np.ndarray:
+    """[len(steps), documents] residual ratios |sum of attributions -
+    (F(x) - F(0))| / max(1, |F(x) - F(0)|) of class 0 at each step count,
+    for each validation document of ``completeness_model``.  The
+    attributions are ``pair_attributions``, the IG that scores keywords."""
+    params, corpus, val_rows = completeness_model()
+    pieces = model.piece_rows(params, corpus)
+    pooled = model.pool_documents(params, pieces, corpus, val_rows)
+    classes = np.zeros(len(val_rows), dtype=np.intp)
+    f_0 = model.logits(params, np.zeros(pooled.shape[1]))[0][0]
+    deltas = np.array([model.logits(params, x)[0][0] - f_0 for x in pooled])
     ratios = np.empty((len(steps), len(val_rows)))
-    for j, doc in enumerate(map(corpus.document, val_rows)):
-        inputs = params.embedding[model.token_ids(params, doc)]
-        f_x = attribution.logit_value(params, inputs, 0)
-        f_0 = attribution.logit_value(params, np.zeros_like(inputs), 0)
-        for i, m in enumerate(steps):
-            attr = attribution.integrated_gradients(params, doc, 0, steps=m)
-            ratios[i, j] = (attribution.completeness_residual(attr, f_x, f_0)
-                            / max(1.0, abs(f_x - f_0)))
+    for i, m in enumerate(steps):
+        values, _, counts = attribution.pair_attributions(
+            params, pieces, corpus, val_rows, pooled, classes, m)
+        ends = np.cumsum(counts)
+        totals = np.array([values[end - count:end].sum() for end, count
+                           in zip(ends.tolist(), counts.tolist())])
+        ratios[i] = np.abs(totals - deltas) / np.maximum(1.0, np.abs(deltas))
     return ratios
 
 
@@ -103,7 +116,7 @@ def oracle_error() -> float:
     of its scores in the dumped ``round_*.json`` files of a run of
     ORACLE_CONFIG on ORACLE_SYNTH.  Raises ``CheckFailure`` if the
     aggregates' keys, instance counts, rounds selected, selection
-    frequencies or document frequencies (recounted document by document)
+    frequencies or document frequencies (recounted from the texts)
     differ.
     """
     corpus, _ = generate_synthetic(ORACLE_SYNTH, seed=404)
@@ -117,8 +130,8 @@ def oracle_error() -> float:
                 for class_name, word, _, score in json.load(fh)["selections"]:
                     scores.setdefault((class_name, word), []).append(score)
                     hits.setdefault((class_name, word), set()).add(i)
-    df = Counter(w for i in range(len(corpus))
-                 for w in set(corpus.document(i).words))
+    df = Counter(w for text in corpus.texts
+                 for w in set(_WORD_RE.findall(text.lower())))
 
     records = result.aggregates.records()
     keys = {(r.class_name, r.word) for r in records}

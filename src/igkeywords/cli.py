@@ -28,8 +28,8 @@ import time
 
 from . import checks, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
-                     ValidationError, generate_synthetic, load_corpus,
-                     load_markers, save_corpus, save_markers)
+                     ValidationError, _is_string_list, generate_synthetic,
+                     load_corpus, load_markers, save_corpus, save_markers)
 from .fileio import atomic_write, malformed, utf8_lines
 
 # Option -> the config field it sets.
@@ -183,6 +183,10 @@ def load_run_config(run_dir):
             malformed(path, "run config", ValidationError):
         saved = json.loads(fh.read().decode("utf-8"))
         classes, top_m = saved.pop("classes"), saved.pop("top_m")
+        if not _is_string_list(classes):
+            raise TypeError("classes is not a list of strings")
+        if not isinstance(top_m, int):
+            raise TypeError("top_m is not an integer")
         markers = saved.pop("markers", None)
         if markers is not None:
             markers = {c: set(words) for c, words in markers.items()}

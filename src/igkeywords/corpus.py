@@ -6,8 +6,7 @@ pieces of at most ``max_piece_len`` characters; every piece after a word's
 first carries the ``##`` prefix.  A word's attribution score is the max
 over its pieces, so the corpus keeps the word of every piece.  Subsets of
 the corpus, such as the halves of a split, are rows: arrays of document
-indices.  ``Corpus.document`` gives one document back as a ``Document``
-of words and aligned pieces, for the single-document functions.
+indices, and ``Corpus.positions`` gives the pieces of any rows.
 """
 
 from __future__ import annotations
@@ -59,17 +58,6 @@ class LabelSpace:
 
     def index(self, name: str) -> int:
         return self.classes.index(name)
-
-
-@dataclass(frozen=True)
-class Document:
-    """One document as words and ``(piece, word_index)`` pairs."""
-
-    id: str
-    text: str
-    words: tuple[str, ...]
-    subwords: tuple[tuple[str, int], ...]  # (piece, word_index)
-    labels: frozenset[str]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,23 +114,6 @@ class Corpus:
         ends = np.cumsum(counts)
         return (np.arange(ends[-1] if ends.size else 0)
                 + np.repeat(starts - (ends - counts), counts), counts)
-
-    def document(self, i: int) -> Document:
-        """Document ``i`` as words and aligned pieces.  A piece without the
-        ``##`` prefix starts a word: no word starts with ``#``."""
-        span = slice(self.offsets[i], self.offsets[i + 1])
-        words, subwords = [], []
-        for p, w in zip(self.piece_ids[span].tolist(),
-                        self.word_ids[span].tolist()):
-            piece = self.pieces[p]
-            if not piece.startswith(CONTINUATION):
-                words.append(self.words[w])
-            subwords.append((piece, len(words) - 1))
-        classes = self.label_space.classes
-        return Document(id=self.doc_ids[i], text=self.texts[i],
-                        words=tuple(words), subwords=tuple(subwords),
-                        labels=frozenset(classes[c] for c in
-                                         np.flatnonzero(self.labels[i])))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ each sit in one flat buffer, so an optimizer step is one elementwise
 update.  Documents reach the model as rows of the corpus: ``piece_rows``
 maps every corpus piece to its model row once, and ``Corpus.positions``
 picks a set of documents' pieces out of that array.  ``pool_documents``
-with ``predict_pooled`` predict a whole validation set at once.
-``forward`` and ``predict`` keep the single-document path for a
-``Document``, the oracle for the gradient tests and the batched code.
+with ``predict_pooled`` predict a whole validation set at once.  Mean
+pooling makes the model a function of the pooled vector alone, so
+``logits`` is the one forward pass, for any batch of pooled vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Document, ValidationError
+from .corpus import Corpus, ValidationError
 
 
 class TrainingDivergedError(RuntimeError):
@@ -78,13 +78,6 @@ class ModelParams:
         return self.output_bias.shape[0]
 
 
-@dataclass
-class ForwardTrace:
-    pooled: np.ndarray            # [d]
-    hidden: np.ndarray            # [h], after the activation
-    logits: np.ndarray            # [C]
-
-
 def build_vocab(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
     """Map each subword piece of the documents ``rows`` of ``corpus`` to a
     contiguous index, in sorted piece order."""
@@ -115,12 +108,6 @@ def init_model(vocab: dict[str, int], num_classes: int,
     )
 
 
-def token_ids(params: ModelParams, doc: Document) -> np.ndarray:
-    unk = params.unk_index
-    return np.array([params.vocab.get(p, unk) for p, _ in doc.subwords],
-                    dtype=np.intp)
-
-
 def _activate(params: ModelParams, pre: np.ndarray) -> np.ndarray:
     return np.tanh(pre) if params.activation == "tanh" else pre
 
@@ -137,22 +124,6 @@ def logits(params: ModelParams, pooled: np.ndarray):
     hidden = _activate(params, pooled @ params.hidden_weights
                        + params.hidden_bias)
     return hidden @ params.output_weights + params.output_bias, hidden
-
-
-def forward_from_embeddings(params: ModelParams, inputs: np.ndarray):
-    """Forward pass from an explicit [T, d] input-embedding matrix."""
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ValidationError("inputs must be a non-empty [T, d] matrix")
-    pooled = inputs.mean(axis=0)
-    out, hidden = logits(params, pooled)
-    return out, ForwardTrace(pooled, hidden, out)
-
-
-def forward(params: ModelParams, doc: Document):
-    if not doc.subwords:
-        raise ValidationError(f"document {doc.id!r} has no subwords")
-    inputs = params.embedding[token_ids(params, doc)]
-    return forward_from_embeddings(params, inputs)
 
 
 def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
@@ -186,20 +157,6 @@ def input_gradients_from_embeddings(params: ModelParams, inputs: np.ndarray,
     d_pooled = pooled_logit_gradients(params, inputs.mean(axis=0)[None, :],
                                       class_index)[0]
     return np.tile(d_pooled / n_tokens, (n_tokens, 1))
-
-
-def probabilities(params: ModelParams, doc: Document) -> np.ndarray:
-    out, _ = forward(params, doc)
-    return 1.0 / (1.0 + np.exp(-out))
-
-
-def predict(params: ModelParams, doc: Document, label_space,
-            threshold: float) -> set[str]:
-    """Classes whose sigmoid probability is >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must lie in (0, 1)")
-    probs = probabilities(params, doc)
-    return {label_space.classes[i] for i in np.flatnonzero(probs >= threshold)}
 
 
 def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -255,7 +212,7 @@ def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
 def predict_pooled(params: ModelParams, pooled: np.ndarray,
                    threshold: float) -> np.ndarray:
     """[docs, C] mask of sigmoid probabilities >= threshold, from the pooled
-    vectors of ``pool_documents``; ``predict`` for a batch of documents."""
+    vectors of ``pool_documents``."""
     out, _ = logits(params, pooled)
     return 1.0 / (1.0 + np.exp(-out)) >= threshold
 

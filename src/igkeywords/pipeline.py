@@ -62,8 +62,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValidationError("ratio must lie in (0, 1)")
-        if self.top_n < 1 or self.rounds < 1:
-            raise ValidationError("top_n and rounds must be >= 1")
+        if min(self.top_n, self.rounds, self.ig_steps) < 1:
+            raise ValidationError("top_n, rounds and ig_steps must be >= 1")
         if not 0.0 <= self.sf_threshold <= 1.0:
             raise ValidationError("sf_threshold must lie in [0, 1]")
         if self.min_doc_frequency < 0:
@@ -410,7 +410,8 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
 
     Dumped selections stay the ``[class, word, doc_id, score]`` rows as
     parsed (an empty list when scores were not dumped).  A file that is
-    not JSON or lacks a field raises ``ValidationError`` naming it.
+    not JSON, lacks a field or holds a field of the wrong type for the F1
+    summary raises ``ValidationError`` naming it.
     """
     results = []
     for round_index in range(rounds):
@@ -418,10 +419,22 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
         with open(path, encoding="utf-8") as fh, \
                 malformed(path, "round artifact", ValidationError):
             payload = json.load(fh)
+            per_class, micro_f1 = payload["per_class"], payload["micro_f1"]
+            if not (isinstance(per_class, dict) and all(
+                    isinstance(stats, dict)
+                    and isinstance(stats["f1"], (int, float))
+                    and isinstance(stats["support"], (int, float))
+                    for stats in per_class.values())):
+                raise TypeError("per_class is not an object of objects with "
+                                "numeric f1 and support")
+            if not isinstance(micro_f1, (int, float)):
+                raise TypeError("micro_f1 is not a number")
+            if not isinstance(payload["failed"], bool):
+                raise TypeError("failed is not a boolean")
             results.append(RoundResult(
                 round_index=payload["round_index"],
                 selections=payload.get("selections", []),
-                per_class=payload["per_class"], micro_f1=payload["micro_f1"],
+                per_class=per_class, micro_f1=micro_f1,
                 val_doc_count=payload["val_doc_count"],
                 failed=payload["failed"]))
     return results

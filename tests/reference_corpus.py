@@ -1,20 +1,51 @@
-"""Test-only copies of the per-document corpus path that ``build_corpus``,
-the row-based ``stratified_split`` and ``Corpus.document`` replaced.
+"""Test-only copies of the per-document corpus path that ``build_corpus``
+and the row-based ``stratified_split`` replaced.
 
 A corpus here is a list of ``Document`` objects, tokenized one word at a
 time by ``tokenize``; ``encode_documents`` turns such a list into the id
 arrays through dicts, and ``reference_stratified_split`` splits it with
 the original set-based loop.  They are the reference for the
 differential tests in ``test_corpus.py`` and for the per-document round
-of ``reference_round.py``.
+of ``reference_round.py``.  ``document_view`` reads one document of a
+``Corpus`` back as a ``Document``.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from igkeywords.corpus import (CONTINUATION, DEFAULT_MAX_PIECE_LEN, _WORD_RE,
-                               Document, ValidationError, parse_record)
+                               ValidationError, parse_record)
+
+
+@dataclass(frozen=True)
+class Document:
+    """One document as words and ``(piece, word_index)`` pairs."""
+
+    id: str
+    text: str
+    words: tuple[str, ...]
+    subwords: tuple[tuple[str, int], ...]  # (piece, word_index)
+    labels: frozenset[str]
+
+
+def document_view(corpus, i) -> Document:
+    """Document ``i`` of ``corpus`` as words and aligned pieces.  A piece
+    without the ``##`` prefix starts a word: no word starts with ``#``."""
+    span = slice(corpus.offsets[i], corpus.offsets[i + 1])
+    words, subwords = [], []
+    for p, w in zip(corpus.piece_ids[span].tolist(),
+                    corpus.word_ids[span].tolist()):
+        piece = corpus.pieces[p]
+        if not piece.startswith(CONTINUATION):
+            words.append(corpus.words[w])
+        subwords.append((piece, len(words) - 1))
+    classes = corpus.label_space.classes
+    return Document(id=corpus.doc_ids[i], text=corpus.texts[i],
+                    words=tuple(words), subwords=tuple(subwords),
+                    labels=frozenset(classes[c] for c in
+                                     np.flatnonzero(corpus.labels[i])))
 
 
 def tokenize(text: str, max_piece_len: int = DEFAULT_MAX_PIECE_LEN):

@@ -4,34 +4,59 @@ the grouped-sum aggregate and ``Corpus.doc_frequency`` replaced.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
-``reference_stratified_split``, predicts with the single-document
-``model.predict`` and runs ``attribution.integrated_gradients`` as it was
-written before ``pooled_logit_gradients`` took its in-place form, then the
-word-score chain.  They are the reference for the differential tests in
-``test_batched_explain.py``.
+``reference_stratified_split``, predicts each document with ``predict``
+and attributes it with ``integrated_gradients``, written out step by step
+as it was before ``pooled_logit_gradients`` took its in-place form and
+IG moved to corpus rows, then the word-score chain ``normalize_document``
+and ``word_scores``.  They are the reference for the differential tests
+in ``test_batched_explain.py`` and ``test_attribution.py``.
 """
 
 import dataclasses
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from igkeywords import attribution, model
+from igkeywords import model
 from igkeywords.corpus import SplitSpec, ValidationError
 from igkeywords.pipeline import (AggregateRecord, Aggregates, _f1_metrics,
                                  round_seeds)
 from reference_corpus import documents_of, reference_stratified_split
 
 
-def top_n_words(records, n: int):
-    """The n highest-scoring records; ties broken by word order."""
-    return sorted(records, key=lambda r: (-r.score, r.word))[:n]
+@dataclass(frozen=True)
+class WordScoreRecord:
+    word: str
+    doc_id: str
+    class_name: str
+    score: float
 
 
-def reference_token_scores(params, doc, class_index, steps):
-    """``token_scores(integrated_gradients(...))`` with a zero baseline,
-    operation for operation."""
-    inputs = params.embedding[model.token_ids(params, doc)].astype(float)
+def token_ids(params, doc) -> np.ndarray:
+    """The model row of each piece of ``doc``, unknown pieces to ``unk``."""
+    unk = params.unk_index
+    return np.array([params.vocab.get(p, unk) for p, _ in doc.subwords],
+                    dtype=np.intp)
+
+
+def document_inputs(params, doc) -> np.ndarray:
+    """The [T, d] input embeddings of ``doc``; it must have a piece."""
+    if not doc.subwords:
+        raise ValidationError(f"document {doc.id!r} has no subwords")
+    return params.embedding[token_ids(params, doc)].astype(float)
+
+
+def predict(params, doc, label_space, threshold) -> set[str]:
+    """Classes whose sigmoid probability is >= threshold."""
+    out, _ = model.logits(params, document_inputs(params, doc).mean(axis=0))
+    probs = 1.0 / (1.0 + np.exp(-out))
+    return {label_space.classes[i] for i in np.flatnonzero(probs >= threshold)}
+
+
+def integrated_gradients(params, doc, class_index, steps) -> np.ndarray:
+    """Midpoint-rule IG with a zero baseline of one (document, class) pair:
+    the [T, d] attributions, operation for operation."""
+    inputs = document_inputs(params, doc)
     base = np.zeros_like(inputs)
     alphas = (np.arange(1, steps + 1) - 0.5) / steps
     pooled_base = base.mean(axis=0)
@@ -44,7 +69,41 @@ def reference_token_scores(params, doc, class_index, steps):
     grads = d_pre @ params.hidden_weights.T
     assert np.isfinite(grads).all()
     avg_grad = grads.mean(axis=0) / inputs.shape[0]
-    return ((inputs - base) * avg_grad).sum(axis=1)
+    return (inputs - base) * avg_grad
+
+
+def normalize_document(scores: np.ndarray) -> np.ndarray:
+    """Divide by the L2 norm; an all-zero vector is returned unchanged."""
+    scores = np.asarray(scores, dtype=float)
+    norm = np.linalg.norm(scores)
+    if norm == 0.0:
+        return scores.copy()
+    return scores / norm
+
+
+def word_scores(normalized: np.ndarray, doc,
+                class_name: str) -> list[WordScoreRecord]:
+    """One record per distinct word: max over all its subword token scores,
+    pooled across every occurrence of the word in the document.
+    """
+    if len(normalized) != len(doc.subwords):
+        raise ValidationError(
+            f"score vector length {len(normalized)} does not match "
+            f"{len(doc.subwords)} subwords in document {doc.id!r}")
+    best: dict[str, float] = {}
+    for score, (_, wi) in zip(normalized, doc.subwords):
+        word = doc.words[wi]
+        score = float(score)
+        if word not in best or score > best[word]:
+            best[word] = score
+    return [WordScoreRecord(word=w, doc_id=doc.id, class_name=class_name,
+                            score=s)
+            for w, s in sorted(best.items())]
+
+
+def top_n_words(records, n: int):
+    """The n highest-scoring records; ties broken by word order."""
+    return sorted(records, key=lambda r: (-r.score, r.word))[:n]
 
 
 def _matches_target(target: str, predicted: bool, gold: bool) -> bool:
@@ -78,7 +137,7 @@ def reference_run_round(corpus, config, round_index):
     selections = []
 
     for doc in (documents[i] for i in val_idx):
-        predicted = model.predict(params, doc, corpus.label_space, threshold)
+        predicted = predict(params, doc, corpus.label_space, threshold)
         for ci, c in enumerate(classes):
             pred, gold = c in predicted, c in doc.labels
             if pred and gold:
@@ -93,9 +152,9 @@ def reference_run_round(corpus, config, round_index):
                 class_counts[c][slot] += 1
                 micro[slot] += 1
             if _matches_target(config.selection_target, pred, gold):
-                normalized = attribution.normalize_document(
-                    reference_token_scores(params, doc, ci, config.ig_steps))
-                records = attribution.word_scores(normalized, doc, c)
+                scores = integrated_gradients(params, doc, ci,
+                                              config.ig_steps).sum(axis=1)
+                records = word_scores(normalize_document(scores), doc, c)
                 selections.extend(top_n_words(records, config.top_n))
 
     per_class = {}

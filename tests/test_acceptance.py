@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from igkeywords import checks
-from igkeywords.attribution import integrated_gradients
+from igkeywords.attribution import pair_attributions
 from igkeywords.corpus import (LabelSpace, SynthConfig, build_corpus,
                                generate_synthetic)
-from igkeywords.model import TrainConfig, init_model, token_ids
+from igkeywords.model import (TrainConfig, init_model, piece_rows,
+                              pool_documents)
 from igkeywords.pipeline import PipelineConfig, filter_keywords, run_pipeline
 from igkeywords.report import build_keyword_table, uniqueness, write_reports
 
@@ -72,14 +73,18 @@ def test_criterion_2_ig_linear_exactness():
         cfg = TrainConfig(d=6, h=4, activation="identity", seed=3)
         vocab = {f"p{i}": i for i in range(10)}
         params = init_model(vocab, 2, cfg)
-        doc = build_corpus([("lin", "p1 p2 p3 p4 p5", {"a"})],
-                           label_space).document(0)
-        inputs = params.embedding[token_ids(params, doc)]
+        corpus = build_corpus([("lin", "p1 p2 p3 p4 p5", {"a"})],
+                              label_space)
+        rows = np.array([0])
+        pieces = piece_rows(params, corpus)
+        pooled = pool_documents(params, pieces, corpus, rows)
+        inputs = params.embedding[pieces]
         w_eff = params.hidden_weights @ params.output_weights[:, 0]
         expected = inputs * (w_eff / inputs.shape[0])
         for m in (1, 5, 50):
-            attr = integrated_gradients(params, doc, 0, steps=m)
-            assert np.max(np.abs(attr.values - expected)) <= 1e-12
+            values, _, _ = pair_attributions(params, pieces, corpus, rows,
+                                             pooled, np.array([0]), m)
+            assert np.max(np.abs(values - expected)) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
 

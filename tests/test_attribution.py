@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from igkeywords.attribution import (AttributionMatrix, completeness_residual,
-                                    integrated_gradients, logit_value,
-                                    normalize_document, token_scores,
-                                    word_scores)
-from igkeywords.corpus import LabelSpace, ValidationError
-from igkeywords.model import (ModelParams, TrainConfig, build_vocab,
-                              init_model, token_ids, train)
+from igkeywords.attribution import pair_attributions
+from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
+from igkeywords.model import (TrainConfig, build_vocab, init_model,
+                              input_gradients_from_embeddings, piece_rows,
+                              pool_documents, train)
 from reference_corpus import make_document
+from reference_round import normalize_document, word_scores
 
 
 def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
                         steps: int) -> np.ndarray:
     """Generic midpoint-rule IG given any gradient callable on [T, d] inputs:
-    an architecture-independent reference for ``integrated_gradients``."""
+    an architecture-independent reference for ``pair_attributions``."""
     total = np.zeros_like(inputs, dtype=float)
     delta = inputs - baseline
     for s in range(1, steps + 1):
@@ -47,91 +46,54 @@ def piece_space():
     return LabelSpace(("a", "b"))
 
 
-def doc_from_pieces(piece_space, text="p1 p2 p3 p4"):
-    return make_document("doc", text, {"a"}, piece_space)
+def attribute_row(params, corpus, row, class_index, steps):
+    """``pair_attributions`` of one (row, class) pair: the [T, d] values
+    and the [T, d] input embeddings they attribute."""
+    pieces = piece_rows(params, corpus)
+    rows = np.array([row])
+    values, tokens, _ = pair_attributions(
+        params, pieces, corpus, rows, pool_documents(params, pieces, corpus,
+                                                     rows),
+        np.array([class_index]), steps)
+    return values, params.embedding[pieces[tokens]]
+
+
+def pieces_corpus(piece_space, text="p1 p2 p3 p4"):
+    return build_corpus([("doc", text, {"a"})], piece_space)
 
 
 class TestIntegratedGradients:
     def test_linear_exactness(self, piece_space):
         rng = np.random.default_rng(0)
         params = linear_model(rng)
-        doc = doc_from_pieces(piece_space)
-        inputs = params.embedding[token_ids(params, doc)]
-        w = effective_weights(params, 0) / inputs.shape[0]
+        corpus = pieces_corpus(piece_space)
         for m in (1, 5, 50):
-            attr = integrated_gradients(params, doc, 0, steps=m)
-            assert np.allclose(attr.values, inputs * w, atol=1e-12)
+            values, inputs = attribute_row(params, corpus, 0, 0, m)
+            w = effective_weights(params, 0) / inputs.shape[0]
+            assert np.allclose(values, inputs * w, atol=1e-12)
 
     def test_input_equal_to_baseline_gives_zero(self, piece_space):
         rng = np.random.default_rng(1)
         params = linear_model(rng)
         params.embedding[:] = 0.0
-        doc = doc_from_pieces(piece_space)
-        attr = integrated_gradients(params, doc, 0, steps=10)
-        assert np.all(attr.values == 0)
+        values, _ = attribute_row(params, pieces_corpus(piece_space), 0, 0, 10)
+        assert np.all(values == 0)
 
     def test_matches_generic_path_integral(self, small_synth):
-        from igkeywords.model import input_gradients_from_embeddings
-
         corpus, _ = small_synth
         cfg = TrainConfig(epochs=5, d=8, h=8, seed=3)
         params = trained_on_all(corpus, cfg)
-        doc = corpus.document(3)
-        inputs = params.embedding[token_ids(params, doc)]
+        values, inputs = attribute_row(params, corpus, 3, 1, 25)
         reference = ig_from_gradient_fn(
             lambda x: input_gradients_from_embeddings(params, x, 1),
             inputs, np.zeros_like(inputs), steps=25)
-        attr = integrated_gradients(params, doc, 1, steps=25)
-        assert np.allclose(attr.values, reference, atol=1e-12)
-
-    def test_custom_baseline_vector(self, piece_space):
-        rng = np.random.default_rng(4)
-        params = linear_model(rng)
-        doc = doc_from_pieces(piece_space)
-        inputs = params.embedding[token_ids(params, doc)]
-        base_vec = rng.normal(size=4)
-        attr = integrated_gradients(params, doc, 0, baseline=base_vec, steps=7)
-        w = effective_weights(params, 0) / inputs.shape[0]
-        assert np.allclose(attr.values, (inputs - base_vec) * w, atol=1e-12)
-        assert attr.baseline_kind == "custom"
+        assert np.allclose(values, reference, atol=1e-12)
 
     def test_bad_steps_rejected(self, piece_space):
         rng = np.random.default_rng(5)
         params = linear_model(rng)
         with pytest.raises(ValidationError):
-            integrated_gradients(params, doc_from_pieces(piece_space), 0, steps=0)
-
-
-class TestCompletenessResidual:
-    def test_linear_model_residual_is_rounding_level(self, piece_space):
-        rng = np.random.default_rng(6)
-        params = linear_model(rng)
-        doc = doc_from_pieces(piece_space)
-        inputs = params.embedding[token_ids(params, doc)]
-        attr = integrated_gradients(params, doc, 0, steps=5)
-        f_x = logit_value(params, inputs, 0)
-        f_0 = logit_value(params, np.zeros_like(inputs), 0)
-        assert completeness_residual(attr, f_x, f_0) < 1e-12
-
-    def test_zero_case(self):
-        attr = AttributionMatrix(values=np.zeros((2, 2)), class_index=0,
-                                 doc_id="d", baseline_kind="zero", steps=1)
-        assert completeness_residual(attr, 0.0, 0.0) == 0.0
-
-
-class TestTokenScores:
-    def test_row_sums(self):
-        attr = AttributionMatrix(values=np.array([[1.0, -2.0], [3.0, 4.0]]),
-                                 class_index=0, doc_id="d",
-                                 baseline_kind="zero", steps=1)
-        assert np.array_equal(token_scores(attr), [-1.0, 7.0])
-
-    def test_total_preserved(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=(5, 3))
-        attr = AttributionMatrix(values=values, class_index=0, doc_id="d",
-                                 baseline_kind="zero", steps=1)
-        assert token_scores(attr).sum() == pytest.approx(values.sum())
+            attribute_row(params, pieces_corpus(piece_space), 0, 0, 0)
 
 
 class TestNormalizeDocument:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from igkeywords import attribution, checks, cli, model, pipeline
-from igkeywords.attribution import WordScoreRecord
 from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
@@ -24,8 +23,9 @@ from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  Selections, aggregate, round_seeds,
                                  run_pipeline, run_round, write_aggregates)
 from reference_corpus import documents_of, records_of
-from reference_round import (reference_aggregate, reference_run_round,
-                             reference_token_scores, table_of)
+from reference_round import (WordScoreRecord, integrated_gradients, predict,
+                             reference_aggregate, reference_run_round,
+                             table_of, token_ids)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ def test_batched_predictions_match_predict(small_synth):
     docs = documents_of(corpus)
     for doc, mask in zip((docs[i] for i in val_rows), predicted):
         assert {classes[i] for i in np.flatnonzero(mask)} == \
-            model.predict(params, doc, corpus.label_space, 0.5)
+            predict(params, doc, corpus.label_space, 0.5)
     assert predicted.any()
 
 
@@ -152,22 +152,79 @@ def test_piece_rows_match_vocabulary_lookup(small_synth):
     for row in rows:
         doc = docs[row]
         span = slice(corpus.offsets[row], corpus.offsets[row + 1])
-        assert np.array_equal(pieces[span], model.token_ids(params, doc))
+        assert np.array_equal(pieces[span], token_ids(params, doc))
         assert [corpus.words[w] for w in corpus.word_ids[span]] == \
             [doc.words[wi] for _, wi in doc.subwords]
 
 
+def assert_pair_attributions_match(params, corpus, rows, classes, steps,
+                                   per_call):
+    """``pair_attributions`` of the (row, class) pairs, ``per_call`` pairs
+    at a time, equal the per-document IG of each pair, bit for bit."""
+    pieces = model.piece_rows(params, corpus)
+    pooled = model.pool_documents(params, pieces, corpus, rows)
+    docs = documents_of(corpus)
+    for first in range(0, len(rows), per_call):
+        part = slice(first, first + per_call)
+        values, tokens, counts = attribution.pair_attributions(
+            params, pieces, corpus, rows[part], pooled[part], classes[part],
+            steps)
+        assert np.array_equal(tokens, corpus.positions(rows[part])[0])
+        ends = np.cumsum(counts)
+        for row, ci, end, count in zip(rows[part], classes[part], ends,
+                                       counts):
+            assert np.array_equal(
+                values[end - count:end],
+                integrated_gradients(params, docs[row], ci, steps))
+
+
 def test_oracle_gradients_unchanged(small_synth):
+    # Every class of ten documents, 7 pairs per call: calls split the
+    # pairs of a document, as chunks of top_word_scores do.
     corpus, _ = small_synth
     for activation in ("tanh", "identity"):
         cfg = TrainConfig(epochs=5, d=8, h=8, activation=activation)
         rows = np.arange(len(corpus))
         params = model.train(model.init_model(model.build_vocab(corpus, rows),
                                               4, cfg), corpus, rows, cfg)
-        for doc in map(corpus.document, range(10)):
-            attr = attribution.integrated_gradients(params, doc, 2, steps=7)
-            assert np.array_equal(attribution.token_scores(attr),
-                                  reference_token_scores(params, doc, 2, 7))
+        pair_rows, pair_classes = np.divmod(np.arange(40), 4)
+        assert_pair_attributions_match(params, corpus, pair_rows,
+                                       pair_classes, 7, per_call=7)
+
+
+@pytest.fixture(scope="module")
+def completeness_model():
+    return checks.completeness_model()
+
+
+@pytest.mark.parametrize("steps", [1, 10, 50, 300])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+def test_pair_attributions_match_per_document_ig(completeness_model,
+                                                 activation, steps):
+    params, corpus, val_rows = completeness_model
+    params = dataclasses.replace(params, activation=activation)
+    assert_pair_attributions_match(params, corpus, val_rows,
+                                   np.zeros(len(val_rows), dtype=np.intp),
+                                   steps, per_call=len(val_rows))
+
+
+def test_all_zero_attributions_score_zero(small_synth, monkeypatch):
+    # A zero output-weight column makes every attribution of class 1 zero:
+    # its pairs' L2 norm is zero, and their word scores stay 0.0.
+    trained = model.train
+
+    def class_1_silenced(*args):
+        params = trained(*args)
+        params.output_weights[:, 1] = 0.0
+        return params
+
+    monkeypatch.setattr(model, "train", class_1_silenced)
+    corpus, _ = small_synth
+    config = small_config(selection_target="false-negative")
+    assert assert_round_matches_reference(corpus, config, 0) > 0
+    selections = run_round(corpus, config, 0).selections
+    silenced = selections.class_idx == 1
+    assert silenced.any() and (selections.score[silenced] == 0.0).all()
 
 
 @pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])

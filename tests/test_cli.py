@@ -77,6 +77,7 @@ class TestParse:
                 (["run", "--corpus", "x", "--mean-mode", "median"],
                  pipeline_config),
                 (["run", "--corpus", "x", "--ratio", "1.5"], pipeline_config),
+                (["run", "--corpus", "x", "--ig-steps", "0"], pipeline_config),
                 (["synth", "--out", "x", "--doc-length-min", "9",
                   "--doc-length-max", "3"], synth_config)):
             with pytest.raises(ValidationError):
@@ -303,9 +304,11 @@ class TestReport:
         lambda saved: saved["train_config"].update(bogus=1),
         lambda saved: saved.update(ratio=1.5),
         lambda saved: saved.update(top_m=0),
+        lambda saved: saved.update(classes=5),
+        lambda saved: saved.update(top_m="3"),
     ], ids=["missing-field", "missing-train-field", "missing-classes",
             "unknown-field", "unknown-train-field", "out-of-range",
-            "top-m-out-of-range"])
+            "top-m-out-of-range", "classes-not-a-list", "top-m-a-string"])
     def test_malformed_config_json_exit_code(self, synth_files, tmp_path,
                                              capsys, edit):
         corpus_path, _ = synth_files
@@ -341,13 +344,18 @@ class TestReport:
                        "--out-dir", str(out_dir), "--dump-scores",
                        "--learning-rate", "0.1", *SMALL_RUN) == 0
         keywords = (out_dir / "keywords.tsv").read_bytes()
+        wrong_types = {"per_class": {"c0": 5}, "micro_f1": "x",
+                       "failed": "no"}
         for name in ("aggregates.json", "round_0000.json", "round_0001.json"):
             intact = (out_dir / name).read_bytes()
             value = json.loads(intact)
             row = value[0] if isinstance(value, list) else value
             row.pop(next(iter(row)))  # a missing field
-            for damaged in (intact[:len(intact) // 2],
-                            json.dumps(value).encode()):
+            damages = [intact[:len(intact) // 2], json.dumps(value).encode()]
+            if name.startswith("round_"):
+                damages += [json.dumps(dict(json.loads(intact), **{k: v}))
+                            .encode() for k, v in wrong_types.items()]
+            for damaged in damages:
                 (out_dir / name).write_bytes(damaged)
                 capsys.readouterr()
                 assert run_cli("report", "--run-dir", str(out_dir)) == 1

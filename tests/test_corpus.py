@@ -10,7 +10,7 @@ from igkeywords.corpus import (CONTINUATION, CorpusParseError, LabelSpace,
                                SplitSpec, SynthConfig, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
-from reference_corpus import (documents_of, encode_documents, make_document,
+from reference_corpus import (document_view, documents_of, encode_documents,
                               records_of, reference_load_corpus,
                               reference_stratified_split, tokenize)
 from reference_round import compute_doc_frequency
@@ -38,14 +38,14 @@ def doc_frequency(corpus) -> dict[str, int]:
 
 
 def documents(corpus):
-    return [corpus.document(i) for i in range(len(corpus))]
+    return [document_view(corpus, i) for i in range(len(corpus))]
 
 
 def tokens(text, max_piece_len=4):
     """The words and (piece, word index) pairs of ``text`` as the corpus
     holds them."""
-    doc = build_corpus([("d", text, [])], LabelSpace(("a",)),
-                       max_piece_len).document(0)
+    doc = document_view(build_corpus([("d", text, [])], LabelSpace(("a",)),
+                                     max_piece_len), 0)
     return list(doc.words), list(doc.subwords)
 
 
@@ -107,7 +107,7 @@ class TestLoadCorpus:
             {"id": "b", "text": "A recipe thread", "labels": ["ID", "HI"]},
         ])
         corpus = load_corpus(path, label_space)
-        assert corpus.document(0).words == ("try", "this", "recipe")
+        assert document_view(corpus, 0).words == ("try", "this", "recipe")
         assert doc_frequency(corpus)["recipe"] == 2
         assert doc_frequency(corpus)["try"] == 1
 
@@ -397,9 +397,3 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError):
             SynthConfig(doc_length=(10, 5))
 
-
-def test_document_view_matches_make_document(small_synth):
-    corpus, _ = small_synth
-    space = corpus.label_space
-    assert documents(corpus) == [
-        make_document(*record, space) for record in records_of(corpus)]

@@ -1,22 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
-                              build_vocab, forward, forward_from_embeddings,
-                              init_model, input_gradients_from_embeddings,
-                              piece_rows, predict, probabilities, token_ids,
+                              build_vocab, init_model,
+                              input_gradients_from_embeddings, logits,
+                              piece_rows, pool_documents, predict_pooled,
                               train)
-from reference_corpus import make_document
 
 
-def input_gradients(params, doc, class_index):
-    """Exact d(logit_c)/d(inputs) of one document, shape [T, d]."""
+def input_gradients(params, corpus, class_index):
+    """Exact d(logit_c)/d(inputs) of document 0 of ``corpus``, shape
+    [T, d]."""
     if not 0 <= class_index < params.num_classes:
         raise ValidationError(f"class index {class_index} out of range")
-    if not doc.subwords:
-        raise ValidationError(f"document {doc.id!r} has no subwords")
-    inputs = params.embedding[token_ids(params, doc)]
+    positions, _ = corpus.positions(np.array([0]))
+    inputs = params.embedding[piece_rows(params, corpus)[positions]]
     return input_gradients_from_embeddings(params, inputs, class_index)
 
 
@@ -43,8 +44,20 @@ def tiny_params(w_emb=0.3, w_hid=1.0, w_out=2.0, activation="tanh"):
     )
 
 
-def one_token_doc(label_space):
-    return make_document("t", "tok", {label_space.classes[0]}, label_space)
+def corpus_of(texts, label_space):
+    """A corpus of one document per text, each of the first class."""
+    return build_corpus([(f"d{i}", text, {label_space.classes[0]})
+                         for i, text in enumerate(texts)], label_space)
+
+
+def one_token_corpus(label_space):
+    return corpus_of(["tok"], label_space)
+
+
+def pooled(params, corpus):
+    """The pooled vector of every document of ``corpus``."""
+    return pool_documents(params, piece_rows(params, corpus), corpus,
+                          all_rows(corpus))
 
 
 def random_model(rng, vocab_size=12, d=4, h=4, n_classes=3):
@@ -74,49 +87,49 @@ class TestInitModel:
     def test_zero_scale_gives_zero_logits(self, label_space):
         cfg = TrainConfig(weight_init_scale=0.0)
         params = init_model({"tok": 0}, 4, cfg)
-        logits, _ = forward(params, one_token_doc(label_space))
-        assert np.all(logits == 0)
+        out, _ = logits(params, pooled(params, one_token_corpus(label_space)))
+        assert np.all(out == 0)
 
 
 class TestForward:
     def test_hand_computed_logit(self, label_space):
         params = tiny_params()
-        logits, trace = forward(params, one_token_doc(label_space))
-        assert logits[0] == pytest.approx(2 * np.tanh(0.3), abs=1e-12)
-        assert trace.pooled[0] == pytest.approx(0.3)
+        vectors = pooled(params, one_token_corpus(label_space))
+        out, _ = logits(params, vectors)
+        assert out[0, 0] == pytest.approx(2 * np.tanh(0.3), abs=1e-12)
+        assert vectors[0, 0] == pytest.approx(0.3)
 
     def test_zero_weights_give_half_probability(self, label_space):
         params = init_model({"tok": 0}, 4, TrainConfig(weight_init_scale=0.0))
-        probs = probabilities(params, one_token_doc(label_space))
-        assert np.allclose(probs, 0.5)
+        vectors = pooled(params, one_token_corpus(label_space))
+        assert predict_pooled(params, vectors, 0.5).all()
+        assert not predict_pooled(params, vectors, np.nextafter(0.5, 1)).any()
 
-    def test_pooling_linearity(self):
+    def test_pooling_linearity(self, label_space):
         rng = np.random.default_rng(0)
         params = random_model(rng)
-        inputs = rng.normal(size=(5, 4))
-        _, trace1 = forward_from_embeddings(params, inputs)
-        _, trace2 = forward_from_embeddings(params, 2 * inputs)
-        assert np.allclose(trace2.pooled, 2 * trace1.pooled)
+        corpus = corpus_of(["p1 p2 p3 p4 p5"], label_space)
+        doubled = dataclasses.replace(params, embedding=2 * params.embedding)
+        assert np.allclose(pooled(doubled, corpus), 2 * pooled(params, corpus))
 
-    def test_permutation_invariance(self):
+    def test_permutation_invariance(self, label_space):
         rng = np.random.default_rng(1)
         params = random_model(rng)
-        inputs = rng.normal(size=(7, 4))
-        logits1, _ = forward_from_embeddings(params, inputs)
-        logits2, _ = forward_from_embeddings(params, inputs[::-1].copy())
-        assert np.allclose(logits1, logits2, atol=1e-12)
+        corpus = corpus_of(["p1 p2 p3 p4 p5 p6 p7", "p7 p6 p5 p4 p3 p2 p1"],
+                           label_space)
+        out, _ = logits(params, pooled(params, corpus))
+        assert np.allclose(out[0], out[1], atol=1e-12)
 
     def test_empty_document_rejected(self, label_space):
         params = tiny_params()
-        doc = make_document("e", "", set(), label_space)
-        with pytest.raises(ValidationError):
-            forward(params, doc)
+        with pytest.raises(ValidationError, match="has no subwords"):
+            pooled(params, corpus_of(["tok", ""], label_space))
 
 
 class TestInputGradients:
     def test_zero_output_weights_zero_gradient(self, label_space):
         params = tiny_params(w_out=0.0)
-        grads = input_gradients(params, one_token_doc(label_space), 0)
+        grads = input_gradients(params, one_token_corpus(label_space), 0)
         assert np.all(grads == 0)
 
     def test_pooling_halves_gradient(self):
@@ -131,7 +144,7 @@ class TestInputGradients:
     def test_invalid_class_index(self, label_space):
         params = tiny_params()
         with pytest.raises(ValidationError):
-            input_gradients(params, one_token_doc(label_space), 5)
+            input_gradients(params, one_token_corpus(label_space), 5)
 
 
 class TestParameterGradients:
@@ -180,8 +193,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=200, learning_rate=0.05, d=8, h=8, seed=1)
         params = train(init_model(build_vocab(corpus, rows), 4, cfg), corpus,
                        rows, cfg)
-        probs = probabilities(params, corpus.document(0))
-        assert probs[label_space.index("HI")] > 0.9
+        out, _ = logits(params, pooled(params, corpus))
+        assert out[0, label_space.index("HI")] > np.log(9)  # sigmoid > 0.9
 
     def test_loss_decreases_on_separable_data(self, small_synth):
         corpus, _ = small_synth
@@ -217,23 +230,23 @@ class TestTrain:
 class TestPredict:
     def test_boundary_is_inclusive(self, label_space):
         params = init_model({"tok": 0}, 4, TrainConfig(weight_init_scale=0.0))
-        doc = one_token_doc(label_space)
-        assert predict(params, doc, label_space, 0.5) == set(label_space.classes)
+        vectors = pooled(params, one_token_corpus(label_space))
+        assert predict_pooled(params, vectors, 0.5).all()
 
-    def test_sign_split(self, label_space):
+    def test_sign_split(self):
         params = tiny_params()
         # logit = 2*tanh(0.3) > 0 -> probability > 0.5
-        doc = one_token_doc(label_space)
-        assert predict(params, doc, LabelSpace(("only",)), 0.5) == {"only"}
-        assert predict(params, doc, LabelSpace(("only",)), 0.99) == set()
+        vectors = pooled(params, one_token_corpus(LabelSpace(("only",))))
+        assert predict_pooled(params, vectors, 0.5).tolist() == [[True]]
+        assert predict_pooled(params, vectors, 0.99).tolist() == [[False]]
 
     def test_bias_monotonicity(self):
         rng = np.random.default_rng(11)
         params = random_model(rng)
-        label_space = LabelSpace(("a", "b", "c"))
-        doc = make_document("d", "p1 p2 p3", {"a"}, label_space)
-        before = predict(params, doc, label_space, 0.5)
+        vectors = pooled(params, corpus_of(["p1 p2 p3"],
+                                           LabelSpace(("a", "b", "c"))))
+        before = predict_pooled(params, vectors, 0.5)[0]
         params.output_bias[0] += 5.0
-        after = predict(params, doc, label_space, 0.5)
-        assert "a" in after or "a" not in before
-        assert before - {"a"} <= after
+        after = predict_pooled(params, vectors, 0.5)[0]
+        assert after[0] or not before[0]
+        assert (after >= before)[1:].all()
