@@ -31,7 +31,8 @@ cat "$workdir/run/recovery.json"
 echo
 
 # report rewrites every report file from the run directory alone
-# (round artifacts, aggregates and config.json)
+# (round artifacts, aggregates.npz and config.json; aggregates.json and
+# aggregates.tsv are exports it does not read)
 igkeywords report --run-dir "$workdir/run"
 
 # numerical self-checks: gradients, IG completeness, aggregation oracle

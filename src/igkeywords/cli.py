@@ -225,7 +225,7 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = args.run_dir
     config, classes, top_m, planted = load_run_config(run_dir)
-    rounds = pipeline.load_round_artifacts(run_dir, config.rounds)
+    rounds = pipeline.load_round_artifacts(run_dir, config.rounds, classes)
     aggregates = pipeline.load_aggregates(run_dir)
     keywords = pipeline.filter_keywords(aggregates, config,
                                         class_order=classes)

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import contextlib
 import os
+import zipfile
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Open a text file that replaces ``path`` when the block ends.
+def atomic_write(path, binary=False):
+    """Open a UTF-8 text file, or a binary one, that replaces ``path`` when
+    the block ends.
 
     The text goes to a temporary file in the same directory, which
     ``os.replace`` moves over ``path`` once the block has finished; if the
@@ -19,7 +21,8 @@ def atomic_write(path):
     directory, name = os.path.split(os.fspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", encoding="utf-8") as fh:
+        with (open(temporary, "wb") if binary
+              else open(temporary, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(temporary, path)
     except BaseException:
@@ -44,8 +47,9 @@ def utf8_lines(path, error):
 @contextlib.contextmanager
 def malformed(path, what, error):
     """Raise a parse or lookup failure inside the block as ``error``, naming
-    ``path`` as a malformed ``what``."""
+    ``path`` as a malformed ``what``; a truncated or empty archive is one."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            zipfile.BadZipFile, EOFError) as exc:
         raise error(f"{path}: malformed {what}: {exc!r}") from exc

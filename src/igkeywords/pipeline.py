@@ -14,10 +14,11 @@ pass predicts them all, ``attribution.top_word_scores`` scores every
 target pair in chunks, and the selections are columns of indices into the
 corpus's tables.  ``aggregate`` reduces them with grouped sums to an
 ``Aggregates`` table of columns, with document frequencies counted from
-the corpus; the filter masks its columns, the writers format
-``aggregates.json``/``.tsv`` from them slice by slice, and
-``load_aggregates`` reads the same table back for ``report``.  Every file
-of a run directory is written atomically (``fileio.atomic_write``).
+the corpus; the filter masks its columns.  ``write_aggregates`` stores
+the columns in ``aggregates.npz``, which ``load_aggregates`` reads back
+for ``report``, and formats ``aggregates.json``/``.tsv`` from them slice by
+slice as exports that nothing in the program reads.  Every file of a run
+directory is written atomically (``fileio.atomic_write``).
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
 from . import attribution, model
-from .corpus import Corpus, SplitSpec, ValidationError, stratified_split
+from .corpus import (Corpus, SplitSpec, ValidationError, _is_string_list,
+                     stratified_split)
 from .fileio import atomic_write, malformed
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
@@ -350,9 +351,11 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     if config.workers == 1:
         rounds = [run_round(corpus, config, i) for i in indices]
     else:
+        # Rounds never read the document texts, so workers get none.
+        untexted = replace(corpus, texts=())
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_init_worker,
-                                 initargs=(corpus,)) as pool:
+                                 initargs=(untexted,)) as pool:
             rounds = list(pool.map(_round_task,
                                    [(config, i) for i in indices]))
     rounds.sort(key=lambda r: r.round_index)
@@ -405,13 +408,15 @@ def write_round_artifacts(result: PipelineResult, out_dir) -> None:
             fh.write("]}")
 
 
-def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
+def load_round_artifacts(out_dir, rounds: int,
+                         classes) -> list[RoundResult]:
     """Read the artifacts of rounds 0..rounds-1; other files are ignored.
 
     Dumped selections stay the ``[class, word, doc_id, score]`` rows as
     parsed (an empty list when scores were not dumped).  A file that is
-    not JSON, lacks a field or holds a field of the wrong type for the F1
-    summary raises ``ValidationError`` naming it.
+    not JSON, lacks a field, holds a field of the wrong type for the F1
+    summary, or is of a successful round whose ``per_class`` does not hold
+    exactly ``classes`` raises ``ValidationError`` naming it.
     """
     results = []
     for round_index in range(rounds):
@@ -431,6 +436,9 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
                 raise TypeError("micro_f1 is not a number")
             if not isinstance(payload["failed"], bool):
                 raise TypeError("failed is not a boolean")
+            if not payload["failed"] and set(per_class) != set(classes):
+                raise ValueError(f"per_class holds {sorted(per_class)}, "
+                                 f"not the run's classes {sorted(classes)}")
             results.append(RoundResult(
                 round_index=payload["round_index"],
                 selections=payload.get("selections", []),
@@ -440,13 +448,15 @@ def load_round_artifacts(out_dir, rounds: int) -> list[RoundResult]:
     return results
 
 
-#: The columns of aggregates.json/.tsv, the table field each holds and
-#: that field's type
+#: The columns of aggregates.json/.tsv
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
                 "rounds_selected", "instance_count", "doc_frequency")
-_FILE_FIELDS = ("class_name", "word", "mean_score", "selection_frequency",
-                "rounds_selected", "instance_count", "doc_frequency")
-_FILE_TYPES = (object, object, float, float, np.intp, np.intp, np.intp)
+#: The numeric fields of the table and the dtype kind of each in
+#: aggregates.npz, and the string fields, stored there as codes
+_NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
+                  "rounds_selected": "i", "instance_count": "i",
+                  "doc_frequency": "i"}
+_CODED_FIELDS = ("class_name", "word")
 # One row's text with None where each value goes: a row dict as json.dumps
 # writes it, opened by the end of the row before, and a TSV line.
 _JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
@@ -499,16 +509,40 @@ def _aggregate_lines(table: Aggregates, part: slice,
     return "".join(json_parts) + "}", "".join(tsv_parts)
 
 
+def _coded(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column of strings as int32 codes, each row's index among the
+    column's distinct values, and those values in order of first row as
+    the bytes of a JSON list.
+
+    Numpy's fixed-width string arrays drop trailing NULs, so they cannot
+    hold every string exactly; ``ensure_ascii`` JSON can.
+    """
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(v, len(index))
+                         for v in column.tolist()),
+                        dtype=np.int32, count=column.size)
+    return codes, np.frombuffer(json.dumps(list(index)).encode("ascii"),
+                                dtype=np.uint8)
+
+
 def write_aggregates(table: Aggregates, out_dir) -> None:
-    """Write ``aggregates.json`` (the bytes of ``json.dumps`` of the rows as
-    dicts) and ``aggregates.tsv`` from the columns, DUMP_ROWS rows at a
-    time."""
+    """Write the columns to ``aggregates.npz``, the numeric ones as they are
+    and each string one as ``<field>`` codes and ``<field>_values`` (see
+    ``_coded``), and export them as ``aggregates.json`` (the bytes of
+    ``json.dumps`` of the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS
+    rows at a time."""
     os.makedirs(out_dir, exist_ok=True)
+    arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
+    for f in _CODED_FIELDS:
+        arrays[f], arrays[f + "_values"] = _coded(getattr(table, f))
     lookups = [_value_texts(getattr(table, f))
                for f in ("selection_frequency", "rounds_selected",
                          "instance_count", "doc_frequency")]
-    with atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
+    with atomic_write(os.path.join(out_dir, "aggregates.npz"),
+                      binary=True) as npz, \
+            atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
             atomic_write(os.path.join(out_dir, "aggregates.tsv")) as fh:
+        np.savez(npz, **arrays)
         js.write("[")
         fh.write("\t".join(_AGG_COLUMNS) + "\n")
         for start in range(0, len(table), DUMP_ROWS):
@@ -519,15 +553,35 @@ def write_aggregates(table: Aggregates, out_dir) -> None:
         js.write("]")
 
 
+def _column(archive, name: str, kind: str) -> np.ndarray:
+    column = archive[name]
+    if column.ndim != 1 or column.dtype.kind != kind:
+        raise TypeError(f"{name} is {column.dtype} of shape {column.shape}, "
+                        f"not a 1-D column of dtype kind {kind!r}")
+    return column
+
+
 def load_aggregates(out_dir) -> Aggregates:
-    """The table that ``write_aggregates`` wrote to ``aggregates.json``; a
-    file that is not JSON or lacks a column raises ``ValidationError``."""
-    path = os.path.join(out_dir, "aggregates.json")
-    with open(path, encoding="utf-8") as fh, \
-            malformed(path, "aggregates", ValidationError):
-        rows = json.load(fh)
-        return Aggregates(**{
-            field: np.fromiter(map(itemgetter(key), rows), dtype=dtype,
-                               count=len(rows))
-            for key, field, dtype in zip(_AGG_COLUMNS, _FILE_FIELDS,
-                                         _FILE_TYPES)})
+    """The table that ``write_aggregates`` wrote to ``aggregates.npz``.
+
+    A file that is not such an archive, lacks a column, holds a column of
+    the wrong dtype kind or length, a code out of range or values that are
+    not a JSON list of strings raises ``ValidationError`` naming it.
+    """
+    path = os.path.join(out_dir, "aggregates.npz")
+    with malformed(path, "aggregates", ValidationError), \
+            np.load(path, allow_pickle=False) as archive:
+        columns = {f: _column(archive, f, kind)
+                   for f, kind in _NUMERIC_KINDS.items()}
+        for f in _CODED_FIELDS:
+            codes = _column(archive, f, "i")
+            values = json.loads(_column(archive, f + "_values", "u").tobytes())
+            if not _is_string_list(values):
+                raise TypeError(f"{f}_values is not a JSON list of strings")
+            if codes.size and not (0 <= codes.min()
+                                   and codes.max() < len(values)):
+                raise ValueError(f"{f} holds a code out of range")
+            columns[f] = np.array(values, dtype=object)[codes]
+        if len({column.size for column in columns.values()}) > 1:
+            raise ValueError("columns of unequal length")
+        return Aggregates(**columns)

@@ -1,6 +1,7 @@
 """Test-only copies of the per-document round loop, the dict aggregate and
 the per-document document-frequency count that the batched explain pass,
-the grouped-sum aggregate and ``Corpus.doc_frequency`` replaced.
+the grouped-sum aggregate and ``Corpus.doc_frequency`` replaced, and of
+the ``aggregates.json`` reader that ``aggregates.npz`` replaced.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
@@ -13,6 +14,8 @@ in ``test_batched_explain.py`` and ``test_attribution.py``.
 """
 
 import dataclasses
+import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,6 +187,19 @@ def table_of(records) -> Aggregates:
         f.name: np.array([getattr(r, f.name) for r in records],
                          dtype=types.get(f.name, np.intp))
         for f in dataclasses.fields(AggregateRecord)})
+
+
+def table_from_json(run_dir) -> Aggregates:
+    """The aggregate table that ``aggregates.json`` of ``run_dir`` spells."""
+    with open(os.path.join(run_dir, "aggregates.json"),
+              encoding="utf-8") as fh:
+        rows = json.load(fh)
+    return table_of([AggregateRecord(
+        class_name=r["class"], word=r["word"], mean_score=r["mean_score"],
+        rounds_selected=r["rounds_selected"],
+        selection_frequency=r["selection_frequency"],
+        instance_count=r["instance_count"], doc_frequency=r["doc_frequency"])
+        for r in rows])
 
 
 def reference_aggregate(rounds, corpus, config):

@@ -20,12 +20,13 @@ from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
                                save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
-                                 Selections, aggregate, round_seeds,
-                                 run_pipeline, run_round, write_aggregates)
+                                 Selections, aggregate, load_aggregates,
+                                 round_seeds, run_pipeline, run_round,
+                                 write_aggregates)
 from reference_corpus import documents_of, records_of
 from reference_round import (WordScoreRecord, integrated_gradients, predict,
                              reference_aggregate, reference_run_round,
-                             table_of, token_ids)
+                             table_from_json, table_of, token_ids)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +326,7 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
     assert {r.class_name for r in records} == set(names.values())
     assert {r.word.rstrip("0123456789") for r in records} >= set(prefixes)
     assert_aggregate_files(run_dir, records)
+    assert load_aggregates(run_dir) == table_from_json(run_dir)
     keywords = (run_dir / "keywords.tsv").read_text(encoding="utf-8")
     assert '"hi"' in keywords and "日本" in keywords
     assert cli.main(["report", "--run-dir", str(run_dir)]) == 0

@@ -1,14 +1,17 @@
 import importlib.util
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from igkeywords import checks
 from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
-from igkeywords.pipeline import PipelineConfig
+from igkeywords.pipeline import PipelineConfig, load_aggregates
+from reference_round import table_from_json
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SMALL_RUN = ("--rounds", "2", "--ig-steps", "5", "--epochs", "4",
@@ -115,8 +118,8 @@ class TestRun:
         assert code == 0
         for name in ("keywords.tsv", "keywords.json", "keywords.md",
                      "f1_summary.tsv", "uniqueness.json", "recovery.json",
-                     "aggregates.tsv", "aggregates.json", "config.json",
-                     "round_0000.json", "round_0001.json"):
+                     "aggregates.npz", "aggregates.tsv", "aggregates.json",
+                     "config.json", "round_0000.json", "round_0001.json"):
             assert (out_dir / name).exists(), name
 
     def test_missing_corpus_exit_code(self, tmp_path):
@@ -228,6 +231,37 @@ class TestRun:
         assert code == 1
 
 
+def aggregates_npz_damages(run_dir) -> list[bytes]:
+    """Damaged copies of ``aggregates.npz``: truncated, empty, not an
+    archive, and archives with a column missing, of the wrong dtype kind,
+    shape or length, a code out of range, or values that are not a JSON
+    list of strings."""
+    intact = (run_dir / "aggregates.npz").read_bytes()
+    with np.load(run_dir / "aggregates.npz", allow_pickle=False) as archive:
+        arrays = dict(archive)
+
+    def archive_of(**changes):
+        columns = {k: v for k, v in dict(arrays, **changes).items()
+                   if v is not None}
+        buffer = io.BytesIO()
+        np.savez(buffer, **columns)
+        return buffer.getvalue()
+
+    words = len(json.loads(arrays["word_values"].tobytes()))
+    return [intact[:len(intact) // 2], b"",
+            archive_of(word=None), archive_of(class_name_values=None),
+            archive_of(rounds_selected=arrays["rounds_selected"] + 0.5),
+            archive_of(word=arrays["word"].astype(np.float64)),
+            archive_of(mean_score=arrays["mean_score"][:, None]),
+            archive_of(doc_frequency=arrays["doc_frequency"][:-1]),
+            archive_of(class_name=arrays["class_name"][:-1]),
+            archive_of(word=np.full_like(arrays["word"], words)),
+            archive_of(class_name=arrays["class_name"] - 1),
+            archive_of(word_values=np.frombuffer(b'["w0", ', np.uint8)),
+            archive_of(word_values=np.frombuffer(b'[1, 2]', np.uint8)),
+            b"not an archive"]
+
+
 class TestReport:
     def test_rerender_from_artifacts(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
@@ -274,7 +308,10 @@ class TestReport:
         before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
         keywords = json.loads(before["keywords.json"])
         assert [len(rows) for rows in keywords.values()] == [2, 2, 2]
-        for name in REPORT_FILES:
+        # The table report reads is the one the JSON export spells, and
+        # the exports are not read back.
+        assert load_aggregates(out_dir) == table_from_json(out_dir)
+        for name in REPORT_FILES + ("aggregates.json", "aggregates.tsv"):
             (out_dir / name).unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         for name in REPORT_FILES:
@@ -344,18 +381,24 @@ class TestReport:
                        "--out-dir", str(out_dir), "--dump-scores",
                        "--learning-rate", "0.1", *SMALL_RUN) == 0
         keywords = (out_dir / "keywords.tsv").read_bytes()
-        wrong_types = {"per_class": {"c0": 5}, "micro_f1": "x",
-                       "failed": "no"}
-        for name in ("aggregates.json", "round_0000.json", "round_0001.json"):
+        damages = {"aggregates.npz": aggregates_npz_damages(out_dir)}
+        for name in ("round_0000.json", "round_0001.json"):
             intact = (out_dir / name).read_bytes()
             value = json.loads(intact)
-            row = value[0] if isinstance(value, list) else value
-            row.pop(next(iter(row)))  # a missing field
-            damages = [intact[:len(intact) // 2], json.dumps(value).encode()]
-            if name.startswith("round_"):
-                damages += [json.dumps(dict(json.loads(intact), **{k: v}))
-                            .encode() for k, v in wrong_types.items()]
-            for damaged in damages:
+            assert not value["failed"]
+            missing_class = dict(value["per_class"])
+            del missing_class["c1"]
+            # wrong types, and a successful round without a class
+            edits = [("per_class", {"c0": 5}), ("micro_f1", "x"),
+                     ("failed", "no"), ("per_class", missing_class)]
+            value.pop(next(iter(value)))  # a missing field
+            damages[name] = [intact[:len(intact) // 2],
+                             json.dumps(value).encode()] + [
+                json.dumps(dict(json.loads(intact), **{k: v})).encode()
+                for k, v in edits]
+        for name, named_damages in damages.items():
+            intact = (out_dir / name).read_bytes()
+            for damaged in named_damages:
                 (out_dir / name).write_bytes(damaged)
                 capsys.readouterr()
                 assert run_cli("report", "--run-dir", str(out_dir)) == 1
@@ -363,6 +406,11 @@ class TestReport:
                 assert (out_dir / "keywords.tsv").read_bytes() == keywords
             (out_dir / name).write_bytes(intact)
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        # A run directory written before aggregates.npz existed
+        (out_dir / "aggregates.npz").unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert "aggregates.npz" in capsys.readouterr().err
+        assert (out_dir / "keywords.tsv").read_bytes() == keywords
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

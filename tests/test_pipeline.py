@@ -14,7 +14,8 @@ from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  load_aggregates, load_round_artifacts,
                                  round_seeds, run_pipeline, run_round,
                                  write_aggregates)
-from reference_round import WordScoreRecord, table_of, top_n_words
+from reference_round import (WordScoreRecord, table_from_json, table_of,
+                             top_n_words)
 
 
 def rec(word, score, doc_id="d1", class_name="a"):
@@ -214,13 +215,14 @@ class TestRunPipeline:
         corpus, _ = small_synth
         config = toy_config(rounds=2, dump_scores=True)
         result = run_pipeline(corpus, config, out_dir=tmp_path)
-        rounds = load_round_artifacts(tmp_path, 2)
+        rounds = load_round_artifacts(tmp_path, 2, corpus.label_space.classes)
         assert len(rounds) == 2
         for loaded, ran in zip(rounds, result.rounds):
             assert loaded.selections == ran.selections.dumped(result.corpus)
         assert rounds[0].selections
         aggregates = load_aggregates(tmp_path)
         assert aggregates == result.aggregates
+        assert aggregates == table_from_json(tmp_path)
 
     def test_sf_bounds_and_round_counts(self, small_synth):
         corpus, _ = small_synth
@@ -246,7 +248,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
         result = run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
         assert len(result.aggregates) > 7
-        names = ("aggregates.json", "aggregates.tsv")
+        names = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
         before = {name: (tmp_path / name).read_bytes() for name in names}
         format_rows = pipeline._aggregate_lines
         calls = []
@@ -267,3 +269,31 @@ class TestRunPipeline:
         assert {name: (tmp_path / name).read_bytes() for name in names} \
             == before
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+
+class TestAggregatesNpz:
+    # A NUL, a tab, quotes and a non-ASCII letter in class names; words of
+    # several scripts, one with a NUL and one shared by two classes.
+    RECORDS = [AggregateRecord("a\x00", "naïve", 0.5, 2, 1.0, 3, 7),
+               AggregateRecord("a\x00", "日本", -1.25, 1, 0.5, 1, 6),
+               AggregateRecord("tab\there", "ω\x00", 2.0, 1, 0.5, 2, 5),
+               AggregateRecord('"q"', "naïve", 1e-300, 2, 1.0, 4, 7),
+               AggregateRecord("é", "☃", 0.125, 1, 0.5, 1, 8)]
+
+    @pytest.mark.parametrize("records", [RECORDS, []],
+                             ids=["strings", "no-rows"])
+    def test_round_trip_is_exact(self, tmp_path, records):
+        table = table_of(records)
+        write_aggregates(table, tmp_path)
+        loaded = load_aggregates(tmp_path)
+        assert loaded == table
+        assert loaded.records() == records
+        for column in (loaded.class_name, loaded.word):
+            assert column.dtype == object
+            assert all(type(value) is str for value in column)
+
+    def test_same_table_writes_the_same_bytes(self, tmp_path):
+        write_aggregates(table_of(self.RECORDS), tmp_path / "a")
+        write_aggregates(table_of(self.RECORDS), tmp_path / "b")
+        assert ((tmp_path / "a" / "aggregates.npz").read_bytes()
+                == (tmp_path / "b" / "aggregates.npz").read_bytes())
