@@ -89,22 +89,30 @@ class Corpus:
     def piece_index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.pieces)}
 
-    def doc_frequency(self) -> np.ndarray:
-        """The number of documents that contain each word of ``words``."""
-        n_words = len(self.words)
-        # A (document, word) key per piece; the distinct keys, found by a
-        # sort and a neighbour mask (np.unique hashes integer keys and is
-        # far slower here), are the (document, word) pairs.  In place, so
-        # that only one key array is alive at a time.
-        keys = np.repeat(np.arange(len(self.doc_ids)) * n_words,
+    @cached_property
+    def word_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each document's pieces ordered stably by word: the positions in
+        ``piece_ids``/``word_ids`` in that order, and a flag on the first
+        piece of each (document, word) group of it.
+
+        The order keeps documents in place, so the pieces of document ``i``
+        in word order are ``order[offsets[i]:offsets[i + 1]]``.
+        """
+        keys = np.repeat(np.arange(len(self.doc_ids)) * len(self.words),
                          np.diff(self.offsets))
         keys += self.word_ids
-        keys.sort()
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-        keys %= n_words
-        return np.bincount(keys, minlength=n_words)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return order, first
+
+    def doc_frequency(self) -> np.ndarray:
+        """The number of documents that contain each word of ``words``:
+        the words of the (document, word) groups of ``word_order``."""
+        order, first = self.word_order
+        return np.bincount(self.word_ids[order[first]],
+                           minlength=len(self.words))
 
     def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices into ``piece_ids``/``word_ids`` of the pieces of ``rows``,

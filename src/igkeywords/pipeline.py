@@ -414,9 +414,10 @@ def load_round_artifacts(out_dir, rounds: int,
 
     Dumped selections stay the ``[class, word, doc_id, score]`` rows as
     parsed (an empty list when scores were not dumped).  A file that is
-    not JSON, lacks a field, holds a field of the wrong type for the F1
-    summary, or is of a successful round whose ``per_class`` does not hold
-    exactly ``classes`` raises ``ValidationError`` naming it.
+    not JSON, lacks a field, holds a field of the wrong type, describes
+    another round than its name, or is of a successful round whose
+    ``per_class`` does not hold exactly ``classes`` raises
+    ``ValidationError`` naming it.
     """
     results = []
     for round_index in range(rounds):
@@ -436,11 +437,17 @@ def load_round_artifacts(out_dir, rounds: int,
                 raise TypeError("micro_f1 is not a number")
             if not isinstance(payload["failed"], bool):
                 raise TypeError("failed is not a boolean")
+            if type(payload["val_doc_count"]) is not int:
+                raise TypeError("val_doc_count is not an integer")
+            if not (type(payload["round_index"]) is int
+                    and payload["round_index"] == round_index):
+                raise ValueError(f"round_index is {payload['round_index']!r}"
+                                 f", not {round_index}")
             if not payload["failed"] and set(per_class) != set(classes):
                 raise ValueError(f"per_class holds {sorted(per_class)}, "
                                  f"not the run's classes {sorted(classes)}")
             results.append(RoundResult(
-                round_index=payload["round_index"],
+                round_index=round_index,
                 selections=payload.get("selections", []),
                 per_class=per_class, micro_f1=micro_f1,
                 val_doc_count=payload["val_doc_count"],

@@ -24,9 +24,10 @@ from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
                                  round_seeds, run_pipeline, run_round,
                                  write_aggregates)
 from reference_corpus import documents_of, records_of
-from reference_round import (WordScoreRecord, integrated_gradients, predict,
-                             reference_aggregate, reference_run_round,
-                             table_from_json, table_of, token_ids)
+from reference_round import (WordScoreRecord, integrated_gradients,
+                             normalize_document, predict, reference_aggregate,
+                             reference_run_round, table_from_json, table_of,
+                             token_ids, top_n_words, word_scores)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,86 @@ def test_all_zero_attributions_score_zero(small_synth, monkeypatch):
     assert silenced.any() and (selections.score[silenced] == 0.0).all()
 
 
+def reference_top_words(params, corpus, rows, classes, steps, top_n):
+    """The (pair, word, score) columns of the per-document word-score
+    chain, pair after pair."""
+    docs = documents_of(corpus)
+    word_of = {w: i for i, w in enumerate(corpus.words)}
+    columns = []
+    for pair, (row, ci) in enumerate(zip(rows.tolist(), classes.tolist())):
+        scores = integrated_gradients(params, docs[row], ci, steps).sum(axis=1)
+        records = word_scores(normalize_document(scores), docs[row], str(ci))
+        columns += [(pair, word_of[r.word], r.score)
+                    for r in top_n_words(records, top_n)]
+    pair, word, score = zip(*columns)
+    return (np.array(pair, dtype=np.intp), np.array(word, dtype=np.intp),
+            np.array(score))
+
+
+def assert_top_words_match_reference(params, corpus, rows, classes, steps,
+                                     top_n):
+    """``top_word_scores`` of the (row, class) pairs equals the reference,
+    bit for bit: ``repr`` tells -0.0 from 0.0, as ``==`` does not."""
+    pieces = model.piece_rows(params, corpus)
+    pooled = model.pool_documents(params, pieces, corpus, rows)
+    got = attribution.top_word_scores(params, pieces, corpus, rows, pooled,
+                                      classes, steps, top_n)
+    want = reference_top_words(params, corpus, rows, classes, steps, top_n)
+    for name, g, w in zip(("pair", "word", "score"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert list(map(repr, got[2].tolist())) == list(map(repr, want[2].tolist()))
+    return got
+
+
+def untrained_model(corpus, d):
+    vocab = model.build_vocab(corpus, np.arange(len(corpus)))
+    return model.init_model(vocab, len(corpus.label_space),
+                            TrainConfig(d=d, h=4, activation="identity"))
+
+
+@pytest.mark.parametrize("path_rows", [1, 3 * 5, 10_000])
+def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, path_rows):
+    # abcdx, abcdy and abcdz have their best piece, abcd, in common, so
+    # they tie; top 2 cuts the tie after abcdy.  3 pairs of 5 steps per
+    # chunk split the documents' pairs across chunks.
+    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    corpus = build_corpus(
+        [("t0", "abcdz qq abcdy abcdx qq abcdy", {"a"}),
+         ("t1", "ww abcdx abcdz abcdy", {"b"}),
+         ("t2", "abcdy qq", {"a", "b"})], LabelSpace(("a", "b")))
+    params = untrained_model(corpus, d=3)
+    # Identity activation: d(logit_0)/d(pooled) is the same vector g at
+    # every step, and a piece's token score for class 0 is its row . g.
+    g = params.hidden_weights @ params.output_weights[:, 0]
+    params.embedding[params.vocab["abcd"]] = 10 * g / np.linalg.norm(g)
+    rows = np.repeat(np.arange(3), 2)
+    classes = np.tile(np.arange(2), 3)
+    pair, word, score = assert_top_words_match_reference(
+        params, corpus, rows, classes, steps=5, top_n=2)
+    first = [corpus.words[w] for w in word[pair == 0]]
+    assert first == ["abcdx", "abcdy"]
+    assert score[pair == 0][0] == score[pair == 0][1]
+
+
+@pytest.mark.parametrize("path_rows", [1, 3 * 5, 10_000])
+def test_all_zero_class_matches_reference(small_synth, monkeypatch,
+                                          path_rows):
+    # The silenced class of test_all_zero_attributions_score_zero: its
+    # IG values are 0.0 and -0.0, its word scores 0.0, and its words all
+    # tie, so the top 5 are its first 5 words.
+    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    corpus, _ = small_synth
+    params = untrained_model(corpus, d=2)
+    params.output_weights[:, 1] = 0.0
+    rows = np.repeat(np.arange(12), 4)
+    classes = np.tile(np.arange(4), 12)
+    pair, _, score = assert_top_words_match_reference(
+        params, corpus, rows, classes, steps=5, top_n=5)
+    silenced = classes[pair] == 1
+    assert {repr(s) for s in score[silenced].tolist()} == {"0.0"}
+    assert (score[~silenced] != 0.0).all()
+
+
 @pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])
 def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
     corpus, _ = small_synth
@@ -359,6 +440,31 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
     assert [r.failed for r in result.rounds] == [True, False]
     assert len(result.rounds[0].selections) == 0
     assert len(result.rounds[1].selections) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_names_its_step(small_synth, monkeypatch, bad):
+    # One (pair, step) cell of the third pair of the first chunk: the
+    # error names that step, not the step of another pair or cell.
+    corpus, _ = small_synth
+    calls = []
+
+    def poisoned(params, pooled_batch, class_index):
+        grads = model.pooled_logit_gradients(params, pooled_batch,
+                                             class_index)
+        if not calls:
+            assert grads.shape[0] > 2 and grads.shape[1] == 10
+            grads[2, 6, 5] = bad
+        calls.append(1)
+        return grads
+
+    monkeypatch.setattr(attribution, "pooled_logit_gradients", poisoned)
+    with pytest.warns(UserWarning) as warned:
+        result = run_round(corpus, small_config(), 0)
+    assert result.failed
+    assert [str(w.message) for w in warned
+            if "failed" in str(w.message)] == [
+        "round 0 failed: non-finite gradient at IG step 7"]
 
 
 def assert_document_without_subwords_fails(corpus, side):

@@ -382,18 +382,24 @@ class TestReport:
                        "--learning-rate", "0.1", *SMALL_RUN) == 0
         keywords = (out_dir / "keywords.tsv").read_bytes()
         damages = {"aggregates.npz": aggregates_npz_damages(out_dir)}
-        for name in ("round_0000.json", "round_0001.json"):
+        names = ("round_0000.json", "round_0001.json")
+        for name, other in zip(names, reversed(names)):
             intact = (out_dir / name).read_bytes()
             value = json.loads(intact)
             assert not value["failed"]
             missing_class = dict(value["per_class"])
             del missing_class["c1"]
-            # wrong types, and a successful round without a class
+            # wrong types, a successful round without a class, and the
+            # index of another round
             edits = [("per_class", {"c0": 5}), ("micro_f1", "x"),
-                     ("failed", "no"), ("per_class", missing_class)]
+                     ("failed", "no"), ("per_class", missing_class),
+                     ("val_doc_count", 12.5), ("val_doc_count", True),
+                     ("round_index", str(value["round_index"]))]
             value.pop(next(iter(value)))  # a missing field
             damages[name] = [intact[:len(intact) // 2],
-                             json.dumps(value).encode()] + [
+                             json.dumps(value).encode(),
+                             # the file of the other round copied over it
+                             (out_dir / other).read_bytes()] + [
                 json.dumps(dict(json.loads(intact), **{k: v})).encode()
                 for k, v in edits]
         for name, named_damages in damages.items():

@@ -227,6 +227,32 @@ class TestIngestMatchesOracle:
         assert_matches_oracle(generated, docs)
 
 
+#: texts of a few words that share pieces and repeat within a document
+repeated_words = st.lists(st.sampled_from(["abcdx", "abcdy", "abcd", "ab",
+                                           "x", "zyxwvuts"]),
+                          max_size=12).map(" ".join)
+
+
+class TestWordOrder:
+    @given(st.lists(st.one_of(repeated_words, texts), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_sorts_each_document_stably_by_word(self, doc_texts, piece_len):
+        corpus = build_corpus([(f"d{i}", text, [])
+                               for i, text in enumerate(doc_texts)],
+                              LabelSpace(("a",)), piece_len)
+        order, first = corpus.word_order
+        assert order.shape == first.shape == corpus.word_ids.shape
+        bounds = corpus.offsets.tolist()
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            word_ids = corpus.word_ids[start:end].tolist()
+            want = sorted(range(end - start), key=lambda i: (word_ids[i], i))
+            assert (order[start:end] - start).tolist() == want
+            words = [word_ids[i] for i in want]
+            assert first[start:end].tolist() == [
+                i == 0 or words[i] != words[i - 1] for i in range(len(words))]
+
+
 class TestDocFrequency:
     def test_counts_documents_not_occurrences(self, label_space):
         corpus = build_corpus([("a", "spam spam spam", {"HI"}),
