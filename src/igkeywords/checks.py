@@ -1,5 +1,6 @@
-"""Numerical self-checks: the hand-written input gradients against finite
-differences, the integrated gradients that score keywords
+"""Numerical self-checks: the hand-written input gradient
+(``model.pooled_logit_gradients``, as integrated gradients calls it)
+against finite differences, the integrated gradients that score keywords
 (``attribution.pair_attributions``) against the completeness axiom, and
 the pipeline's aggregates against a naive recomputation from dumped rounds.
 
@@ -46,10 +47,10 @@ class CheckFailure(AssertionError):
 
 
 def gradient_error() -> float:
-    """The largest relative error of ``input_gradients_from_embeddings``
-    against central differences (step 1e-4), over every token and
-    dimension of 100 random models (d, h in 2..8, 2-4 classes) and inputs
-    (1-8 tokens)."""
+    """The largest relative error of ``model.pooled_logit_gradients``, on
+    a [rows, m, d] batch with a class per row as IG calls it, against
+    central differences (step 1e-4) of ``model.logits``, over 100 random
+    models (d, h in 2..8, 2-4 classes) and batches (1-4 rows, 1-4 points)."""
     rng = np.random.default_rng(101)
     step, worst = 1e-4, 0.0
     for _ in range(100):
@@ -59,16 +60,17 @@ def gradient_error() -> float:
                                 seed=int(rng.integers(2**31)))
         params = model.init_model({f"p{i}": i for i in range(20)},
                                   n_classes, cfg)
-        inputs = rng.normal(size=(int(rng.integers(1, 9)), d))
-        ci = int(rng.integers(n_classes))
-        analytic = model.input_gradients_from_embeddings(params, inputs, ci)
-        for (i, j), grad in np.ndenumerate(analytic):
-            hi, lo = inputs.copy(), inputs.copy()
-            hi[i, j] += step
-            lo[i, j] -= step
-            fd = (model.logits(params, hi.mean(axis=0))[0][ci]
-                  - model.logits(params, lo.mean(axis=0))[0][ci]) / (2 * step)
-            worst = max(worst, abs(grad - fd) / max(abs(fd), 1e-8))
+        n_rows, n_points = (int(n) for n in rng.integers(1, 5, size=2))
+        path = rng.normal(size=(n_rows, n_points, d))
+        classes = rng.integers(n_classes, size=n_rows)
+        analytic = model.pooled_logit_gradients(params, path, classes[:, None])
+        # each point moved by +-step along each axis, for its row's class
+        hi, lo = (model.logits(params, path[:, :, None, :] + move)[0]
+                  [np.arange(n_rows), ..., classes]
+                  for move in (step * np.eye(d), -step * np.eye(d)))
+        fd = (hi - lo) / (2 * step)
+        worst = max(worst, float(np.max(np.abs(analytic - fd)
+                                        / np.maximum(np.abs(fd), 1e-8))))
     return worst
 
 
@@ -91,15 +93,17 @@ def completeness_model():
 
 def completeness_ratios(steps) -> np.ndarray:
     """[len(steps), documents] residual ratios |sum of attributions -
-    (F(x) - F(0))| / max(1, |F(x) - F(0)|) of class 0 at each step count,
-    for each validation document of ``completeness_model``.  The
-    attributions are ``pair_attributions``, the IG that scores keywords."""
+    (F(x) - F(0))| / max(1, |F(x) - F(0)|) at each step count, for each
+    validation document of ``completeness_model`` and one class per
+    document, cycling through the classes.  The attributions are
+    ``pair_attributions``, the IG that scores keywords."""
     params, corpus, val_rows = completeness_model()
     pieces = model.piece_rows(params, corpus)
     pooled = model.pool_documents(params, pieces, corpus, val_rows)
-    classes = np.zeros(len(val_rows), dtype=np.intp)
-    f_0 = model.logits(params, np.zeros(pooled.shape[1]))[0][0]
-    deltas = np.array([model.logits(params, x)[0][0] - f_0 for x in pooled])
+    classes = np.arange(len(val_rows)) % params.num_classes
+    f_x = model.logits(params, pooled)[0]
+    f_0 = model.logits(params, np.zeros(pooled.shape[1]))[0]
+    deltas = f_x[np.arange(len(val_rows)), classes] - f_0[classes]
     ratios = np.empty((len(steps), len(val_rows)))
     for i, m in enumerate(steps):
         values, _, counts = attribution.pair_attributions(

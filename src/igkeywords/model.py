@@ -108,14 +108,23 @@ def init_model(vocab: dict[str, int], num_classes: int,
     )
 
 
-def _activate(params: ModelParams, pre: np.ndarray) -> np.ndarray:
-    return np.tanh(pre) if params.activation == "tanh" else pre
-
-
-def _activation_grad(params: ModelParams, post: np.ndarray) -> np.ndarray:
+def _activate(params: ModelParams, pre: np.ndarray, out=None) -> np.ndarray:
+    """The hidden activation of ``pre``, written into ``out`` if given."""
     if params.activation == "tanh":
-        return 1.0 - post ** 2
-    return np.ones_like(post)
+        return np.tanh(pre, out=out)
+    return np.positive(pre, out=out)  # the identity
+
+
+def _activation_grad(params: ModelParams, post: np.ndarray, out=None):
+    """The activation's derivative from its output ``post``, into ``out``."""
+    if out is None:
+        out = np.empty_like(post)
+    if params.activation == "tanh":
+        np.square(post, out=out)
+        np.subtract(1.0, out, out=out)
+    else:  # the identity's derivative
+        out.fill(1.0)
+    return out
 
 
 def logits(params: ModelParams, pooled: np.ndarray):
@@ -128,35 +137,19 @@ def logits(params: ModelParams, pooled: np.ndarray):
 
 def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
                            class_index) -> np.ndarray:
-    """d(logit_c)/d(pooled) for a [..., d] batch of pooled vectors.
+    """d(logit_c)/d(pooled) for a [..., d] batch of pooled vectors, the
+    model's one input gradient.
 
     ``class_index`` is one class for the whole batch, or an integer array
-    that broadcasts against the batch's leading axes.  The steps are those
-    of ``_activate`` and ``_activation_grad``, done in one buffer.
+    that broadcasts against the batch's leading axes.  The activation and
+    its derivative are taken in place, in one buffer.
     """
     d_pre = pooled_batch @ params.hidden_weights
     d_pre += params.hidden_bias
-    if params.activation == "tanh":
-        np.tanh(d_pre, out=d_pre)
-        np.square(d_pre, out=d_pre)
-        np.subtract(1.0, d_pre, out=d_pre)
-    else:  # the identity's derivative
-        d_pre.fill(1.0)
+    _activate(params, d_pre, out=d_pre)
+    _activation_grad(params, d_pre, out=d_pre)
     d_pre *= params.output_weights.T[class_index]
     return d_pre @ params.hidden_weights.T
-
-
-def input_gradients_from_embeddings(params: ModelParams, inputs: np.ndarray,
-                                    class_index: int) -> np.ndarray:
-    """Exact d(logit_c)/d(inputs), shape [T, d].
-
-    Mean pooling makes the gradient identical across token positions up
-    to the 1/T factor.
-    """
-    n_tokens = inputs.shape[0]
-    d_pooled = pooled_logit_gradients(params, inputs.mean(axis=0)[None, :],
-                                      class_index)[0]
-    return np.tile(d_pooled / n_tokens, (n_tokens, 1))
 
 
 def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -218,16 +211,14 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
 
 
 def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
-                         corpus: Corpus, batch: np.ndarray, out=None,
-                         cells=None):
+                         corpus: Corpus, batch: np.ndarray, cells=None):
     """Mean BCE over the documents ``batch`` (rows of ``corpus``) plus
     gradients for every weight; ``pieces`` is the corpus's ``piece_rows``.
 
     Pooling and the embedding-gradient scatter are each one ``np.bincount``
     over the batch's pieces.  ``bincount`` adds in input order, so both
     perform the same sequential sums as a per-document ``mean(axis=0)`` and
-    ``np.add.at``, bit for bit.  When ``out`` (arrays keyed by parameter
-    name) is given, the gradients are written into it and it is returned.
+    ``np.add.at``, bit for bit; the gradients come keyed by parameter name.
     ``cells`` is an optional (int, float) pair of [rows, d] buffers with a
     row for each of the batch's pieces; the bins and values of the two
     bincounts go there instead of into new [pieces, d] arrays.
@@ -272,28 +263,13 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
     d_emb = np.bincount(bins.ravel(), weights=values.ravel(),
                         minlength=embedding.size).reshape(embedding.shape)
 
-    grads = {"embedding": d_emb, "hidden_weights": d_w_hid,
-             "hidden_bias": d_b_hid, "output_weights": d_w_out,
-             "output_bias": d_b_out}
-    if out is not None:
-        for name, grad in grads.items():
-            out[name][...] = grad
-        grads = out
-    return loss, grads
+    return loss, {"embedding": d_emb, "hidden_weights": d_w_hid,
+                  "hidden_bias": d_b_hid, "output_weights": d_w_out,
+                  "output_bias": d_b_out}
 
 
 _PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
                 "output_weights", "output_bias")
-
-
-def _flat_views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
-    """One view per parameter name into a flat buffer, packed in order."""
-    views, start = {}, 0
-    for name, shape in zip(_PARAM_NAMES, shapes):
-        size = int(np.prod(shape))
-        views[name] = flat[start:start + size].reshape(shape)
-        start += size
-    return views
 
 
 def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
@@ -307,15 +283,16 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     """
     if not len(rows):
         raise ValidationError("training corpus is empty")
-    shapes = [getattr(params, k).shape for k in _PARAM_NAMES]
-    flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
-    params = replace(params, vocab=dict(params.vocab),
-                     **_flat_views(flat, shapes))
+    arrays = [getattr(params, k) for k in _PARAM_NAMES]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    params = replace(params, vocab=dict(params.vocab), **{
+        k: flat[end - a.size:end].reshape(a.shape)
+        for k, a, end in zip(_PARAM_NAMES, arrays, ends)})
     grad = np.zeros_like(flat)
-    grad_views = _flat_views(grad, shapes)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     pieces = piece_rows(params, corpus)
-    _, counts = _positions(corpus, rows)
+    counts = _positions(corpus, rows)[1]
     n_docs = len(rows)
     # Cell buffers for the largest batch, reused by every step: fresh
     # [pieces, d] arrays per step get returned to the OS by the allocator
@@ -331,8 +308,10 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
         order = rng.permutation(n_docs)
         for start in range(0, n_docs, config.batch_size):
             batch = rows[order[start:start + config.batch_size]]
-            loss, _ = batch_loss_and_grads(params, pieces, corpus, batch,
-                                           out=grad_views, cells=cells)
+            loss, grads = batch_loss_and_grads(params, pieces, corpus, batch,
+                                               cells=cells)
+            np.concatenate([grads[k].ravel() for k in _PARAM_NAMES], out=grad)
+            del grads  # not held while the next step builds its own
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "

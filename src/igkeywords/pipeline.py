@@ -266,13 +266,25 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig) -> Aggregates:
     classes = corpus.label_space.classes
     class_rank = np.argsort(np.argsort(np.array(classes, dtype=object)))
     n_words = len(corpus.words)
-    keys, key_of = np.unique(class_rank[class_idx] * n_words + word_idx,
-                             return_inverse=True)
+    # One sort of the (group, round) cells: a group starts where the cell's
+    # key changes, and each group's cells come in round order.  The order
+    # within a cell does not matter, as bincount adds in input order.
+    n_rounds = len(rounds)
+    cells = (class_rank[class_idx] * n_words + word_idx) * n_rounds + round_of
+    del class_idx, word_idx, round_of  # only the cells are needed from here
+    order = np.argsort(cells)
+    cells = cells[order]
+    new_cell = np.ones(cells.size, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=new_cell[1:])
+    cell_of = np.empty_like(order)
+    cell_of[order] = np.cumsum(new_cell) - 1
+    cell_keys = cells[new_cell] // n_rounds
+    new_key = np.ones(cell_keys.size, dtype=bool)
+    np.not_equal(cell_keys[1:], cell_keys[:-1], out=new_key[1:])
+    keys, cell_key = cell_keys[new_key], np.cumsum(new_key) - 1
     n_keys = keys.size
+    key_of = cell_key[cell_of]
     instances = np.bincount(key_of, minlength=n_keys)
-    # (round, group) cells in round order, so each group sees its rounds in order.
-    cells, cell_of = np.unique(round_of * n_keys + key_of, return_inverse=True)
-    cell_key = cells % n_keys
     rounds_selected = np.bincount(cell_key, minlength=n_keys)
     if config.mean_mode == "pooled":
         mean_score = np.bincount(key_of, weights=score,

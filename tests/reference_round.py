@@ -1,7 +1,9 @@
-"""Test-only copies of the per-document round loop, the dict aggregate and
-the per-document document-frequency count that the batched explain pass,
-the grouped-sum aggregate and ``Corpus.doc_frequency`` replaced, and of
-the ``aggregates.json`` reader that ``aggregates.npz`` replaced.
+"""Test-only copies of the per-token input gradient that
+``model.pooled_logit_gradients`` replaced; of the per-document round loop,
+the dict aggregate and the per-document document-frequency count that the
+batched explain pass, the grouped-sum aggregate and
+``Corpus.doc_frequency`` replaced; and of the ``aggregates.json`` reader
+that ``aggregates.npz`` replaced.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
@@ -10,7 +12,8 @@ and attributes it with ``integrated_gradients``, written out step by step
 as it was before ``pooled_logit_gradients`` took its in-place form and
 IG moved to corpus rows, then the word-score chain ``normalize_document``
 and ``word_scores``.  They are the reference for the differential tests
-in ``test_batched_explain.py`` and ``test_attribution.py``.
+in ``test_batched_explain.py`` and ``test_attribution.py``, and the
+per-token gradient also for ``test_model.py``.
 """
 
 import dataclasses
@@ -54,6 +57,16 @@ def predict(params, doc, label_space, threshold) -> set[str]:
     out, _ = model.logits(params, document_inputs(params, doc).mean(axis=0))
     probs = 1.0 / (1.0 + np.exp(-out))
     return {label_space.classes[i] for i in np.flatnonzero(probs >= threshold)}
+
+
+def input_gradients_from_embeddings(params, inputs: np.ndarray,
+                                    class_index: int) -> np.ndarray:
+    """Exact d(logit_c)/d(inputs) of [T, d] token embeddings, mean pooled:
+    the pooled gradient over T, tiled over the tokens."""
+    n_tokens = inputs.shape[0]
+    d_pooled = model.pooled_logit_gradients(
+        params, inputs.mean(axis=0)[None, :], class_index)[0]
+    return np.tile(d_pooled / n_tokens, (n_tokens, 1))
 
 
 def integrated_gradients(params, doc, class_index, steps) -> np.ndarray:

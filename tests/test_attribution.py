@@ -4,10 +4,10 @@ import pytest
 from igkeywords.attribution import pair_attributions
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (TrainConfig, build_vocab, init_model,
-                              input_gradients_from_embeddings, piece_rows,
-                              pool_documents, train)
+                              piece_rows, pool_documents, train)
 from reference_corpus import make_document
-from reference_round import normalize_document, word_scores
+from reference_round import (input_gradients_from_embeddings,
+                             normalize_document, word_scores)
 
 
 def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,

@@ -127,21 +127,6 @@ def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
             assert np.array_equal(grads[name], ref_grads[name]), name
 
 
-def test_out_receives_the_gradients(mixed_corpus):
-    rows = np.arange(len(mixed_corpus))
-    params = init_model(build_vocab(mixed_corpus, rows), 4,
-                        TrainConfig(d=3, h=2))
-    prep = piece_rows(params, mixed_corpus), mixed_corpus
-    batch = np.array([5, 2, 7])
-    out = {name: np.full_like(getattr(params, name), np.nan)
-           for name in PARAM_NAMES}
-    _, grads = batch_loss_and_grads(params, *prep, batch, out=out)
-    _, fresh = batch_loss_and_grads(params, *prep, batch)
-    assert grads is out
-    for name in PARAM_NAMES:
-        assert np.array_equal(out[name], fresh[name]), name
-
-
 @pytest.mark.parametrize("optimizer,learning_rate",
                          [("adam", 0.01), ("sgd", 2.0)])
 @pytest.mark.parametrize("activation", ["tanh", "identity"])

