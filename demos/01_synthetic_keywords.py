@@ -26,7 +26,7 @@ print(f"planted markers: { {c: sorted(ws) for c, ws in markers.items()} }\n")
 # 10 rounds of: stratified 67/33 split -> train from scratch -> IG on
 # true-positive validation predictions -> keep top-20 words per document.
 config = PipelineConfig(ratio=0.67, top_n=20, rounds=10, sf_threshold=0.6,
-                        min_doc_frequency=5, ig_steps=50, master_seed=42,
+                        min_doc_frequency=5, master_seed=42,
                         train_config=TrainConfig(epochs=20, d=16, h=32))
 result = run_pipeline(corpus, config)
 

@@ -16,7 +16,7 @@ igkeywords run \
     --corpus "$workdir/corpus.jsonl" \
     --markers "$workdir/corpus.jsonl.markers.json" \
     --out-dir "$workdir/run" \
-    --rounds 5 --ig-steps 25 --epochs 20 \
+    --rounds 5 --epochs 20 \
     --master-seed 42 --dump-scores
 
 echo
@@ -35,5 +35,6 @@ echo
 # aggregates.tsv are exports it does not read)
 igkeywords report --run-dir "$workdir/run"
 
-# numerical self-checks: gradients, IG completeness, aggregation oracle
+# numerical self-checks: gradients, IG completeness, aggregation oracle,
+# closed-form IG path mean against quadrature
 igkeywords check

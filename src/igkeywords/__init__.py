@@ -5,7 +5,7 @@ from .corpus import (Corpus, LabelSpace, SplitSpec, SynthConfig, build_corpus,
                      stratified_split)
 from .model import (ModelParams, TrainConfig, init_model, logits, piece_rows,
                     pool_documents, predict_pooled, train)
-from .attribution import pair_attributions, top_word_scores
+from .attribution import pair_weights, token_scores, top_word_scores
 from .pipeline import (AggregateRecord, Aggregates, PipelineConfig,
                        PipelineResult, RoundResult, Selections, aggregate,
                        filter_keywords, run_pipeline, run_round)

@@ -2,88 +2,106 @@
 chain to word-level scores: sum embedding dims per token, L2-normalize
 per pair, take the max over a word's subword pieces.
 
-``pair_attributions`` is the one IG: the midpoint rule from a zero
-baseline for any number of (corpus row, class) pairs at once.
-``top_word_scores`` runs it, the reduction chain and the top-n pick for
-every attributed pair of a round, a chunk of pairs at a time.  No chunk
-sorts its tokens: ``Corpus.word_order``, computed once per corpus, holds
-each document's pieces in word order and the first piece of each word,
-so a pair's subword max is one ``np.maximum.reduceat`` over its tokens
-gathered in that order.  The top n of each pair come from one sort of a
-unique integer key per (pair, word) group, built from the pair, the
-dense rank of the group's score and the group's place in word order.
+The model pools by the mean, so d(logit)/d(token) is the pooled gradient
+over the token count T at every point of the path, and IG from a zero
+baseline gives token t the values ``embedding[t] * g / T``, where ``g`` is
+the pooled gradient's mean over the path.  ``model.path_mean_gradients``
+integrates that path exactly; ``pair_weights`` is ``g / T`` for any number
+of (corpus row, class) pairs at once, and it is the one IG.
+
+``token_scores`` sums each token's values over the embedding dimensions,
+``embedding[t] @ (g / T)``, without forming them: per chunk of pairs, one
+table of every model row's dot with every pair's weights, from which each
+token takes its own.  ``top_word_scores`` adds the normalization, the
+subword max and the top-n pick.  No chunk sorts its tokens:
+``Corpus.word_order``, computed once per corpus, holds each document's
+pieces in word order and the first piece of each word, so a pair's
+subword max is one ``np.maximum.reduceat`` over its tokens gathered in
+that order.  The top n of each pair come from one sort of a unique
+integer key per (pair, word) group, built from the pair, the dense rank
+of the group's score and the group's place in word order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, ValidationError
-from .model import ModelParams, pooled_logit_gradients
+from .corpus import Corpus
+from .model import ModelParams, path_mean_gradients
 
-#: IG path rows (pairs x steps) per chunk of ``top_word_scores``.  It bounds
-#: the chunk's temporaries at a few MB whatever the number of pairs: at
-#: 16384 rows a train-bound run peaked about 7 MB higher, and no faster.
-PATH_ROWS = 4096
+#: Score-table cells plus tokens per chunk of ``token_scores``: a pair
+#: takes a table cell for every model row (vocab+1) and one per token.  It
+#: bounds a chunk's temporaries at 0.5 MB each, whatever the number of
+#: pairs; a chunk holds at least one pair.  On an explain-bound round (473
+#: pairs) budgets from 2**15 to 2**17 took the same time, and one chunk of
+#: every pair raised the run's peak RSS by 6 MB.
+CHUNK_CELLS = 2**16
 
 
 class AttributionError(RuntimeError):
     """Non-finite values encountered during attribution."""
 
 
-def _mean_path_gradients(params: ModelParams, delta: np.ndarray,
-                         classes: np.ndarray, steps: int) -> np.ndarray:
-    """Mean of d(logit)/d(pooled) over the midpoint path from the zero
-    baseline to ``delta``, one row per row of ``delta`` and ``classes``.
-
-    Any non-finite gradient makes its row's mean non-finite, so only the
-    [rows, d] mean is checked; the [rows, m, d] gradients are scanned only
-    to name the first bad step.
-    """
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    path = alphas[None, :, None] * delta[:, None, :]  # [rows, m, d]
-    grads = pooled_logit_gradients(params, path, classes[:, None])
-    mean = grads.mean(axis=1)
-    if not np.isfinite(mean).all():
-        finite = np.isfinite(grads).all(axis=2)
-        if not finite.all():
-            _, bad = np.argwhere(~finite)[0]
-            raise AttributionError(f"non-finite gradient at IG step {bad + 1}")
-    return mean
-
-
-def pair_attributions(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
-                      pair_rows: np.ndarray, pooled: np.ndarray,
-                      pair_classes: np.ndarray, steps: int):
-    """Midpoint-rule IG with a zero baseline for every (document, class)
-    pair.
+def pair_weights(params: ModelParams, corpus: Corpus, pair_rows: np.ndarray,
+                 pooled: np.ndarray, pair_classes: np.ndarray) -> np.ndarray:
+    """IG with a zero baseline of every (document, class) pair, as one
+    [pairs, d] row of weights per pair: ``g / T``, the path-mean pooled
+    gradient over the document's token count.
 
     Pair ``p`` attributes class ``pair_classes[p]`` of document
     ``pair_rows[p]`` of ``corpus``, whose ``model.pool_documents`` row is
-    ``pooled[p]``; ``pieces`` is the corpus's ``model.piece_rows``.  Mean
-    pooling makes d(logit)/d(token) the pooled gradient over T at every
-    point of the path, so each pair's ``steps`` gradient evaluations are
-    one batched pass over interpolated pooled vectors.  Returns the
-    [tokens, d] IG values, pair after pair, the positions of those tokens
-    in ``corpus.piece_ids``/``word_ids`` and each pair's token count.
+    ``pooled[p]``.  Each token of the pair has the IG values
+    ``embedding[token] * weights[p]``.  A non-finite gradient raises
+    ``AttributionError`` naming the first such pair's document and class.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    tokens, counts = corpus.positions(pair_rows)
-    avg_grads = (_mean_path_gradients(params, pooled, pair_classes, steps)
-                 / counts[:, None])
-    values = np.take(params.embedding, pieces[tokens], axis=0)
-    values *= avg_grads[np.repeat(np.arange(counts.size), counts)]
-    return values, tokens, counts
+    weights = path_mean_gradients(params, pooled, pair_classes)
+    bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
+    if bad.size:
+        p = bad[0]
+        raise AttributionError(
+            f"non-finite IG gradient for document "
+            f"{corpus.doc_ids[pair_rows[p]]!r}, class "
+            f"{corpus.label_space.classes[pair_classes[p]]!r}")
+    counts = corpus.offsets[pair_rows + 1] - corpus.offsets[pair_rows]
+    weights /= counts[:, None]
+    return weights
+
+
+def token_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
+                 pair_rows: np.ndarray, weights: np.ndarray):
+    """Each pair's token scores, its IG values summed over the embedding
+    dimensions, a chunk of pairs at a time.
+
+    ``weights`` are the ``pair_weights`` of the pairs and ``pieces`` the
+    corpus's ``model.piece_rows``.  A chunk's scores come from one
+    [pairs, vocab+1] table of every pair's weights dotted with every model
+    row; a chunk holds at most CHUNK_CELLS table cells plus tokens.
+    Yields, per chunk: its first pair, the positions of its tokens in
+    ``corpus.piece_ids``/``word_ids`` pair after pair, each of its pairs'
+    token counts, the chunk's pair of each token, and the tokens' scores.
+    """
+    counts = corpus.offsets[pair_rows + 1] - corpus.offsets[pair_rows]
+    costs = np.cumsum(counts + params.embedding.shape[0])
+    first = 0
+    while first < len(pair_rows):
+        spent = costs[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(costs, spent + CHUNK_CELLS,
+                                                  side="right")))
+        tokens, chunk_counts = corpus.positions(pair_rows[first:stop])
+        table = weights[first:stop] @ params.embedding.T
+        token_pair = np.repeat(np.arange(stop - first), chunk_counts)
+        yield (first, tokens, chunk_counts, token_pair,
+               table[token_pair, pieces[tokens]])
+        first = stop
 
 
 def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
                     pair_rows: np.ndarray, pooled: np.ndarray,
-                    pair_classes: np.ndarray, steps: int, top_n: int):
+                    pair_classes: np.ndarray, top_n: int):
     """The top ``top_n`` word scores of every (document, class) pair.
 
-    The pairs and ``pieces`` are those of ``pair_attributions``.  A pair's
-    token scores are its IG values summed over the embedding dimensions,
+    The pairs are those of ``pair_weights`` and ``pieces`` the corpus's
+    ``model.piece_rows``.  A pair's token scores (``token_scores``) are
     divided by their L2 norm (an all-zero vector stays zero); a word's
     score is the max over its pieces, and the words are ranked by
     (-score, word).  Returns ``(pair, word, score)`` columns, pair after
@@ -91,23 +109,15 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     ``corpus.words``.
     """
     word_order, first_of_word = corpus.word_order
-    per_chunk = max(1, PATH_ROWS // steps)
+    weights = pair_weights(params, corpus, pair_rows, pooled, pair_classes)
     columns = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
                 np.empty(0))]
-    for first in range(0, len(pair_rows), per_chunk):
-        chunk = slice(first, first + per_chunk)
-        values, tokens, counts = pair_attributions(
-            params, pieces, corpus, pair_rows[chunk], pooled[chunk],
-            pair_classes[chunk], steps)
+    for first, tokens, counts, token_pair, scores in token_scores(
+            params, pieces, corpus, pair_rows, weights):
         n_pairs = counts.size
-        token_pair = np.repeat(np.arange(n_pairs), counts)
-        scores = values.sum(axis=1)
-        # L2 norm per pair, one BLAS dot each, as np.linalg.norm of the
-        # pair's token scores takes it.
-        ends = np.cumsum(counts)
-        norms = np.array([np.linalg.norm(scores[end - count:end])
-                          for end, count in zip(ends.tolist(),
-                                                counts.tolist())])
+        # L2 norm per pair, its squares added in token order
+        norms = np.sqrt(np.bincount(token_pair, weights=scores * scores,
+                                    minlength=n_pairs))
         norms[norms == 0.0] = 1.0
         scores /= norms[token_pair]
         # Max per (pair, word).  A pair's tokens are its document's pieces

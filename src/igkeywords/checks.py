@@ -1,8 +1,10 @@
-"""Numerical self-checks: the hand-written input gradient
-(``model.pooled_logit_gradients``, as integrated gradients calls it)
-against finite differences, the integrated gradients that score keywords
-(``attribution.pair_attributions``) against the completeness axiom, and
-the pipeline's aggregates against a naive recomputation from dumped rounds.
+"""Numerical self-checks: the model's input gradient
+(``model.pooled_logit_gradients``) against finite differences, the
+integrated gradients that score keywords (``attribution.pair_weights``
+and ``token_scores``) against the completeness axiom, the pipeline's
+aggregates against a naive recomputation from dumped rounds, and the
+closed-form path mean of the activation slope
+(``model.path_mean_slopes``) against quadrature.
 
 Each check function returns what it measures.  ``run_checks`` holds the
 measurements against their bounds for ``igkeywords check``; acceptance
@@ -24,20 +26,23 @@ from .corpus import (_WORD_RE, SplitSpec, SynthConfig, generate_synthetic,
 
 #: largest relative error |analytic - fd| / max(|fd|, 1e-8) of a gradient
 GRADIENT_BOUND = 1e-4
-#: at m=RESIDUAL_STEPS, the share of documents whose residual ratio must be
-#: within RESIDUAL_BOUND; the median ratio must not rise (beyond 1e-12)
-#: along CONVERGENCE_STEPS
-RESIDUAL_BOUND, RESIDUAL_SHARE, RESIDUAL_STEPS = 1e-3, 0.95, 300
-CONVERGENCE_STEPS = (10, 20, 40, 80, 160, 320, 640)
+#: largest residual ratio of any document (see ``completeness_ratios``)
+RESIDUAL_BOUND = 1e-10
 #: largest |difference| of an aggregate mean score from its recomputation
 ORACLE_BOUND = 1e-12
+
+#: largest relative error of a path-mean slope against quadrature, for
+#: pre-activation changes |a| up to QUADRATURE_REACH, which 64 panels of 20
+#: Gauss-Legendre nodes resolve to far below it; beyond, up to 1e8, the
+#: slopes must stay finite and >= 0
+PATH_MEAN_BOUND, QUADRATURE_REACH = 1e-12, 100.0
 
 #: the corpus and the run whose dumped rounds the oracle check reads
 ORACLE_SYNTH = SynthConfig(num_classes=4, docs_per_class=12,
                            background_vocab_size=150, markers_per_class=2,
                            doc_length=(8, 15))
 ORACLE_CONFIG = pipeline.PipelineConfig(
-    ratio=0.6, top_n=5, rounds=5, ig_steps=10, min_doc_frequency=1,
+    ratio=0.6, top_n=5, rounds=5, min_doc_frequency=1,
     master_seed=11, dump_scores=True,
     train_config=model.TrainConfig(epochs=10, d=8, h=8))
 
@@ -48,7 +53,7 @@ class CheckFailure(AssertionError):
 
 def gradient_error() -> float:
     """The largest relative error of ``model.pooled_logit_gradients``, on
-    a [rows, m, d] batch with a class per row as IG calls it, against
+    [rows, m, d] batches of path points with a class per row, against
     central differences (step 1e-4) of ``model.logits``, over 100 random
     models (d, h in 2..8, 2-4 classes) and batches (1-4 rows, 1-4 points)."""
     rng = np.random.default_rng(101)
@@ -91,12 +96,12 @@ def completeness_model():
     return params, corpus, val_rows
 
 
-def completeness_ratios(steps) -> np.ndarray:
-    """[len(steps), documents] residual ratios |sum of attributions -
-    (F(x) - F(0))| / max(1, |F(x) - F(0)|) at each step count, for each
-    validation document of ``completeness_model`` and one class per
-    document, cycling through the classes.  The attributions are
-    ``pair_attributions``, the IG that scores keywords."""
+def completeness_ratios() -> np.ndarray:
+    """The residual ratio |sum of token scores - (F(x) - F(0))| /
+    max(1, |F(x) - F(0)|) of each validation document of
+    ``completeness_model``, for one class per document, cycling through
+    the classes.  The token scores are those of ``token_scores``, the IG
+    that scores keywords."""
     params, corpus, val_rows = completeness_model()
     pieces = model.piece_rows(params, corpus)
     pooled = model.pool_documents(params, pieces, corpus, val_rows)
@@ -104,15 +109,57 @@ def completeness_ratios(steps) -> np.ndarray:
     f_x = model.logits(params, pooled)[0]
     f_0 = model.logits(params, np.zeros(pooled.shape[1]))[0]
     deltas = f_x[np.arange(len(val_rows)), classes] - f_0[classes]
-    ratios = np.empty((len(steps), len(val_rows)))
-    for i, m in enumerate(steps):
-        values, _, counts = attribution.pair_attributions(
-            params, pieces, corpus, val_rows, pooled, classes, m)
-        ends = np.cumsum(counts)
-        totals = np.array([values[end - count:end].sum() for end, count
-                           in zip(ends.tolist(), counts.tolist())])
-        ratios[i] = np.abs(totals - deltas) / np.maximum(1.0, np.abs(deltas))
-    return ratios
+    weights = attribution.pair_weights(params, corpus, val_rows, pooled,
+                                       classes)
+    totals = np.concatenate([
+        np.bincount(token_pair, weights=scores, minlength=counts.size)
+        for _, _, counts, token_pair, scores in attribution.token_scores(
+            params, pieces, corpus, val_rows, weights)])
+    return np.abs(totals - deltas) / np.maximum(1.0, np.abs(deltas))
+
+
+def path_mean_error() -> tuple[float, bool]:
+    """The largest relative error of ``model.path_mean_slopes`` against a
+    composite Gauss-Legendre quadrature (64 panels of 20 nodes) of the
+    activation's derivative along the path, written ``1 / cosh^2`` for tanh
+    so that it does not cancel where tanh saturates, over 100 random
+    models of either activation (d, h in 2..8, hidden biases of scale 4)
+    and pre-activation changes |a| from 0 to QUADRATURE_REACH; and whether
+    every slope is finite and >= 0 for |a| beyond, up to about 1e8."""
+    rng = np.random.default_rng(707)
+    nodes, node_weights = np.polynomial.legendre.leggauss(20)
+    panels = 64
+    # nodes and weights on [0, 1], panel after panel
+    alphas = ((np.arange(panels)[:, None] + (nodes + 1) / 2) / panels).ravel()
+    alpha_weights = np.tile(node_weights / (2 * panels), panels)
+    worst, bounded = 0.0, True
+    for i in range(100):
+        d, h = (int(n) for n in rng.integers(2, 9, size=2))
+        cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
+                                activation=("tanh", "identity")[i % 2],
+                                seed=int(rng.integers(2**31)))
+        params = model.init_model({"p": 0}, 2, cfg)
+        params.hidden_bias = 4.0 * rng.normal(size=h)
+        # pooled vectors from 0 out to |a| of about 1e8
+        pooled = (rng.normal(size=(12, d))
+                  * 10.0 ** rng.uniform(-8, 8, size=(12, 1)))
+        pooled[0] = 0.0
+        a = pooled @ params.hidden_weights
+        slopes = model.path_mean_slopes(params, a)
+        resolved = np.abs(a) <= QUADRATURE_REACH
+        beyond = slopes[~resolved]
+        bounded &= bool(np.all((beyond >= 0.0) & (beyond < np.inf)))
+        a_in, b_in = a[resolved], np.broadcast_to(params.hidden_bias,
+                                                  a.shape)[resolved]
+        if params.activation == "tanh":
+            pre = alphas[:, None] * a_in + b_in
+            integrand = np.cosh(pre) ** -2.0
+        else:
+            integrand = np.ones((alphas.size, a_in.size))
+        reference = alpha_weights @ integrand
+        worst = max(worst, float(np.max(np.abs(slopes[resolved] - reference)
+                                        / reference)))
+    return worst, bounded
 
 
 def oracle_error() -> float:
@@ -163,15 +210,11 @@ def run_checks():
     yield (error <= GRADIENT_BOUND, f"finite-difference gradients: largest "
            f"relative error {error:.2e} (bound {GRADIENT_BOUND:.0e})")
 
-    ratios = completeness_ratios((RESIDUAL_STEPS, *CONVERGENCE_STEPS))
-    share = float(np.mean(ratios[0] <= RESIDUAL_BOUND))
-    medians = np.median(ratios[1:], axis=1)
-    falling = bool(np.all(medians[1:] <= medians[:-1] + 1e-12))
-    yield (share >= RESIDUAL_SHARE and falling, f"IG completeness: {share:.1%}"
-           f" of documents within {RESIDUAL_BOUND:.0e} at m={RESIDUAL_STEPS} "
-           f"(bound {RESIDUAL_SHARE:.0%}), largest ratio {ratios[0].max():.2e}"
-           f"; median ratio {', '.join(f'{m:.1e}' for m in medians)} at m = "
-           f"{CONVERGENCE_STEPS} ({'never rises' if falling else 'rises'})")
+    ratios = completeness_ratios()
+    yield (bool(np.all(ratios <= RESIDUAL_BOUND)), f"IG completeness: "
+           f"{np.mean(ratios <= RESIDUAL_BOUND):.1%} of documents within "
+           f"{RESIDUAL_BOUND:.0e} (bound 100%), largest ratio "
+           f"{ratios.max():.2e}")
 
     try:
         delta = oracle_error()
@@ -180,3 +223,10 @@ def run_checks():
     else:
         yield (delta <= ORACLE_BOUND, f"pipeline oracle: largest |mean score "
                f"difference| {delta:.2e} (bound {ORACLE_BOUND:.0e})")
+
+    error, bounded = path_mean_error()
+    yield (error <= PATH_MEAN_BOUND and bounded, f"closed-form IG path mean: "
+           f"largest relative error {error:.2e} against quadrature for |a| <= "
+           f"{QUADRATURE_REACH:.0f} (bound {PATH_MEAN_BOUND:.0e}); "
+           f"{'finite and >= 0' if bounded else 'NOT finite and >= 0'} "
+           f"beyond")

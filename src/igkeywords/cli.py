@@ -8,7 +8,9 @@ The options of synth and run set fields of ``SynthConfig``,
 from its field, and the config's own checks reject bad values.  A plain
 key=value file given with ``--config`` (keys are option names without the
 leading dashes) may set any option of the command except the required
-``--out``/``--corpus``; options on the command line win.
+``--out``/``--corpus``; options on the command line win.  run still
+accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
+gradients no longer use: it prints one note to stderr and changes nothing.
 
 run writes ``config.json`` into its output directory: every
 ``PipelineConfig`` field (``TrainConfig`` nested under ``train_config``),
@@ -43,7 +45,7 @@ _SYNTH_OPTIONS = {
 _PIPELINE_OPTIONS = {
     "--ratio": "ratio", "--top-n": "top_n", "--rounds": "rounds",
     "--sf-threshold": "sf_threshold",
-    "--min-doc-frequency": "min_doc_frequency", "--ig-steps": "ig_steps",
+    "--min-doc-frequency": "min_doc_frequency",
     "--selection-target": "selection_target", "--master-seed": "master_seed",
     "--mean-mode": "mean_mode", "--workers": "workers",
     "--dump-scores": "dump_scores",
@@ -119,6 +121,8 @@ def _build_parser():
     defaults = pipeline.PipelineConfig()
     _add_options(p_run, _PIPELINE_OPTIONS, defaults)
     _add_options(p_run, _TRAIN_OPTIONS, defaults.train_config)
+    p_run.add_argument("--ig-steps", type=int, default=None,
+                       help="ignored: IG integrates its path exactly")
 
     p_report = sub.add_parser("report", help="re-render reports from a run dir")
     p_report.add_argument("--run-dir", required=True)
@@ -187,6 +191,7 @@ def load_run_config(run_dir):
             raise TypeError("classes is not a list of strings")
         if not isinstance(top_m, int):
             raise TypeError("top_m is not an integer")
+        saved.pop("ig_steps", None)  # saved by versions with a step count
         markers = saved.pop("markers", None)
         if markers is not None:
             markers = {c: set(words) for c, words in markers.items()}
@@ -198,6 +203,9 @@ def load_run_config(run_dir):
 
 def _cmd_run(args) -> int:
     config = pipeline_config(args)
+    if args.ig_steps is not None:
+        print("note: ig-steps is ignored; integrated gradients take the "
+              "exact path integral", file=sys.stderr)
     if args.top_m < 1:
         raise ValidationError("top_m must be >= 1")
     # Without --classes, the classes are the labels the corpus holds.

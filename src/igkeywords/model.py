@@ -14,7 +14,9 @@ maps every corpus piece to its model row once, and ``Corpus.positions``
 picks a set of documents' pieces out of that array.  ``pool_documents``
 with ``predict_pooled`` predict a whole validation set at once.  Mean
 pooling makes the model a function of the pooled vector alone, so
-``logits`` is the one forward pass, for any batch of pooled vectors.
+``logits`` is the one forward pass, for any batch of pooled vectors, and
+``path_mean_gradients`` integrates its input gradient along the straight
+path from the zero vector in closed form.
 """
 
 from __future__ import annotations
@@ -135,10 +137,18 @@ def logits(params: ModelParams, pooled: np.ndarray):
     return hidden @ params.output_weights + params.output_bias, hidden
 
 
+def _through_hidden(params: ModelParams, slopes: np.ndarray,
+                    class_index) -> np.ndarray:
+    """d(logit_c)/d(pooled) from [..., h] activation slopes, which it
+    overwrites: ``W_h (w_c * slopes)``."""
+    slopes *= params.output_weights.T[class_index]
+    return slopes @ params.hidden_weights.T
+
+
 def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
                            class_index) -> np.ndarray:
     """d(logit_c)/d(pooled) for a [..., d] batch of pooled vectors, the
-    model's one input gradient.
+    model's input gradient.
 
     ``class_index`` is one class for the whole batch, or an integer array
     that broadcasts against the batch's leading axes.  The activation and
@@ -148,8 +158,52 @@ def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
     d_pre += params.hidden_bias
     _activate(params, d_pre, out=d_pre)
     _activation_grad(params, d_pre, out=d_pre)
-    d_pre *= params.output_weights.T[class_index]
-    return d_pre @ params.hidden_weights.T
+    return _through_hidden(params, d_pre, class_index)
+
+
+def path_mean_slopes(params: ModelParams, a: np.ndarray) -> np.ndarray:
+    """The mean of the activation's derivative at ``alpha * a + b`` over
+    alpha in [0, 1], for [..., h] changes ``a`` of the hidden
+    pre-activation from the hidden bias ``b``.
+
+    The identity's is 1.  Tanh's is ``(tanh(a + b) - tanh(b)) / a``, which
+    equals ``sinh(a) / (a cosh(a + b) cosh(b))``; with ``c = a + b`` that
+    is ``2 (1 - exp(-2|a|)) / |a| * exp(|a| - |c| - |b|)`` over
+    ``(1 + exp(-2|c|)) (1 + exp(-2|b|))``.  The exponent is
+    ``-2 min(|c|, |b|)`` when c and b share a sign and 0 otherwise, never
+    positive, so the form neither cancels nor overflows: it stays finite
+    and >= 0 for any finite ``a``, and at ``a = 0`` it is ``1 / cosh(b)^2``.
+    """
+    if params.activation != "tanh":
+        return np.ones_like(a)
+    abs_a = np.abs(a)
+    abs_b = np.abs(params.hidden_bias)
+    c = a + params.hidden_bias
+    abs_c = np.abs(c)
+    # 2 (1 - exp(-2|a|)) / |a|, whose limit at a = 0 is 4
+    slopes = np.full_like(abs_a, 4.0)
+    np.divide(-2.0 * np.expm1(-2.0 * abs_a), abs_a, out=slopes,
+              where=abs_a > 0.0)
+    same_sign = np.sign(c) == np.sign(params.hidden_bias)
+    slopes *= np.exp(-2.0 * np.minimum(abs_c, abs_b) * same_sign)
+    slopes /= (1.0 + np.exp(-2.0 * abs_c)) * (1.0 + np.exp(-2.0 * abs_b))
+    return slopes
+
+
+def path_mean_gradients(params: ModelParams, pooled: np.ndarray,
+                        class_index) -> np.ndarray:
+    """The mean of d(logit_c)/d(pooled) over the straight path from the
+    zero vector to each [..., d] pooled vector: the path integral of
+    integrated gradients, exactly, from one [..., h] pass.
+
+    Along the path the hidden pre-activation is ``alpha * a + b`` with
+    ``a = pooled @ W_h``, so the mean gradient is ``W_h`` times
+    ``w_c * path_mean_slopes``.  ``class_index`` is as for
+    ``pooled_logit_gradients``.
+    """
+    return _through_hidden(
+        params, path_mean_slopes(params, pooled @ params.hidden_weights),
+        class_index)
 
 
 def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:

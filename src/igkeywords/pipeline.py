@@ -52,7 +52,6 @@ class PipelineConfig:
     rounds: int = 100            # repetitions N
     sf_threshold: float = 0.6    # selection-frequency threshold t (strict >)
     min_doc_frequency: int = 5   # document-frequency cutoff k (keep if df > k)
-    ig_steps: int = 50
     selection_target: str = "true-positive"
     master_seed: int = 0
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
@@ -63,8 +62,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValidationError("ratio must lie in (0, 1)")
-        if min(self.top_n, self.rounds, self.ig_steps) < 1:
-            raise ValidationError("top_n, rounds and ig_steps must be >= 1")
+        if min(self.top_n, self.rounds) < 1:
+            raise ValidationError("top_n and rounds must be >= 1")
         if not 0.0 <= self.sf_threshold <= 1.0:
             raise ValidationError("sf_threshold must lie in [0, 1]")
         if self.min_doc_frequency < 0:
@@ -239,7 +238,7 @@ def _explain(params: model.ModelParams, corpus: Corpus,
     pair_docs, pair_classes = np.nonzero(outcomes[config.selection_target])
     pair, word, score = attribution.top_word_scores(
         params, pieces, corpus, val_rows[pair_docs], pooled[pair_docs],
-        pair_classes, config.ig_steps, config.top_n)
+        pair_classes, config.top_n)
     return Selections(class_idx=pair_classes[pair], word_idx=word,
                       doc_idx=val_rows[pair_docs[pair]], score=score), counts
 

@@ -2,22 +2,25 @@
 ``model.pooled_logit_gradients`` replaced; of the per-document round loop,
 the dict aggregate and the per-document document-frequency count that the
 batched explain pass, the grouped-sum aggregate and
-``Corpus.doc_frequency`` replaced; and of the ``aggregates.json`` reader
-that ``aggregates.npz`` replaced.
+``Corpus.doc_frequency`` replaced; of the midpoint-rule integrated
+gradients that the closed-form path integral replaced; and of the
+``aggregates.json`` reader that ``aggregates.npz`` replaced.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
 ``reference_stratified_split``, predicts each document with ``predict``
-and attributes it with ``integrated_gradients``, written out step by step
-as it was before ``pooled_logit_gradients`` took its in-place form and
-IG moved to corpus rows, then the word-score chain ``normalize_document``
-and ``word_scores``.  They are the reference for the differential tests
-in ``test_batched_explain.py`` and ``test_attribution.py``, and the
-per-token gradient also for ``test_model.py``.
+and attributes it with ``integrated_gradients``, the closed-form path
+integral written out directly and applied token by token, then the
+word-score chain ``normalize_document`` and ``word_scores``.  They are the
+reference for the differential tests in ``test_batched_explain.py`` and
+``test_attribution.py``, and the per-token gradient also for
+``test_model.py``.  ``integrated_gradients`` with a step count is the
+midpoint rule, the oracle the closed form is shown to be the limit of.
 """
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -69,29 +72,65 @@ def input_gradients_from_embeddings(params, inputs: np.ndarray,
     return np.tile(d_pooled / n_tokens, (n_tokens, 1))
 
 
-def integrated_gradients(params, doc, class_index, steps) -> np.ndarray:
-    """Midpoint-rule IG with a zero baseline of one (document, class) pair:
-    the [T, d] attributions, operation for operation."""
-    inputs = document_inputs(params, doc)
-    base = np.zeros_like(inputs)
+def exact_path_gradient(params, pooled: np.ndarray,
+                        class_index: int) -> np.ndarray:
+    """The mean of d(logit_c)/d(pooled) over the path from the zero vector
+    to ``pooled``, from the path mean of tanh' written directly:
+    ``sinh(a) / (a cosh(a + b) cosh(b))``, and ``1 / cosh(b)^2`` at
+    ``a = 0`` (it overflows past |a| of about 710, which no model here
+    reaches)."""
+    a = pooled @ params.hidden_weights
+    b = params.hidden_bias
+    if params.activation == "tanh":
+        nonzero = np.where(a == 0.0, 1.0, a)
+        slopes = np.where(a == 0.0, 1.0 / np.cosh(b) ** 2,
+                          np.sinh(a) / (nonzero * np.cosh(a + b) * np.cosh(b)))
+    else:
+        slopes = np.ones_like(a)
+    return params.hidden_weights @ (params.output_weights[:, class_index]
+                                    * slopes)
+
+
+def midpoint_path_gradient(params, pooled: np.ndarray, class_index: int,
+                           steps: int) -> np.ndarray:
+    """The same mean by the midpoint rule with ``steps`` steps, operation
+    for operation as integrated gradients took it before the closed
+    form."""
     alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    pooled_base = base.mean(axis=0)
-    pooled_delta = inputs.mean(axis=0) - pooled_base
-    pooled_path = pooled_base + alphas[:, None] * pooled_delta
+    pooled_path = alphas[:, None] * pooled
     hidden_post = model._activate(
         params, pooled_path @ params.hidden_weights + params.hidden_bias)
     d_pre = (model._activation_grad(params, hidden_post)
              * params.output_weights[:, class_index])
     grads = d_pre @ params.hidden_weights.T
     assert np.isfinite(grads).all()
-    avg_grad = grads.mean(axis=0) / inputs.shape[0]
-    return (inputs - base) * avg_grad
+    return grads.mean(axis=0)
+
+
+def integrated_gradients(params, doc, class_index,
+                         steps=None) -> np.ndarray:
+    """IG with a zero baseline of one (document, class) pair: the [T, d]
+    attributions, token by token, each the token's embedding times the
+    path-mean gradient over T.  The path mean is exact, or by the midpoint
+    rule with ``steps`` steps."""
+    inputs = document_inputs(params, doc)
+    pooled = inputs.mean(axis=0)
+    if steps is None:
+        mean_grad = exact_path_gradient(params, pooled, class_index)
+    else:
+        mean_grad = midpoint_path_gradient(params, pooled, class_index, steps)
+    weights = mean_grad / inputs.shape[0]
+    return np.array([token * weights for token in inputs])
 
 
 def normalize_document(scores: np.ndarray) -> np.ndarray:
-    """Divide by the L2 norm; an all-zero vector is returned unchanged."""
+    """Divide by the L2 norm, the root of the squares added one by one in
+    order; an all-zero vector is returned unchanged."""
     scores = np.asarray(scores, dtype=float)
-    norm = np.linalg.norm(scores)
+    total = 0.0
+    for score in scores.tolist():
+        total += score * score
+    norm = math.sqrt(total)
     if norm == 0.0:
         return scores.copy()
     return scores / norm
@@ -168,8 +207,7 @@ def reference_run_round(corpus, config, round_index):
                 class_counts[c][slot] += 1
                 micro[slot] += 1
             if _matches_target(config.selection_target, pred, gold):
-                scores = integrated_gradients(params, doc, ci,
-                                              config.ig_steps).sum(axis=1)
+                scores = integrated_gradients(params, doc, ci).sum(axis=1)
                 records = word_scores(normalize_document(scores), doc, c)
                 selections.extend(top_n_words(records, config.top_n))
 

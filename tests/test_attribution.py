@@ -1,25 +1,29 @@
 import numpy as np
 import pytest
 
-from igkeywords.attribution import pair_attributions
+from igkeywords import checks
+from igkeywords.attribution import pair_weights
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (TrainConfig, build_vocab, init_model,
-                              piece_rows, pool_documents, train)
+                              path_mean_gradients, piece_rows,
+                              pool_documents, train)
 from reference_corpus import make_document
 from reference_round import (input_gradients_from_embeddings,
-                             normalize_document, word_scores)
+                             midpoint_path_gradient, normalize_document,
+                             word_scores)
 
 
 def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
-                        steps: int) -> np.ndarray:
-    """Generic midpoint-rule IG given any gradient callable on [T, d] inputs:
-    an architecture-independent reference for ``pair_attributions``."""
+                        nodes: int) -> np.ndarray:
+    """Generic IG given any gradient callable on [T, d] inputs, its path
+    integral by Gauss-Legendre quadrature with ``nodes`` nodes: an
+    architecture-independent reference for ``pair_weights``."""
+    alphas, weights = np.polynomial.legendre.leggauss(nodes)
     total = np.zeros_like(inputs, dtype=float)
     delta = inputs - baseline
-    for s in range(1, steps + 1):
-        alpha = (s - 0.5) / steps
-        total += gradient_fn(baseline + alpha * delta)
-    return delta * (total / steps)
+    for alpha, weight in zip((alphas + 1) / 2, weights / 2):
+        total += weight * gradient_fn(baseline + alpha * delta)
+    return delta * total
 
 
 def linear_model(rng, vocab_size=10, d=4, h=3, n_classes=2):
@@ -46,16 +50,16 @@ def piece_space():
     return LabelSpace(("a", "b"))
 
 
-def attribute_row(params, corpus, row, class_index, steps):
-    """``pair_attributions`` of one (row, class) pair: the [T, d] values
-    and the [T, d] input embeddings they attribute."""
+def attribute_row(params, corpus, row, class_index):
+    """The IG values ``pair_weights`` gives the tokens of one (row, class)
+    pair, [T, d], and the [T, d] input embeddings they attribute."""
     pieces = piece_rows(params, corpus)
     rows = np.array([row])
-    values, tokens, _ = pair_attributions(
-        params, pieces, corpus, rows, pool_documents(params, pieces, corpus,
-                                                     rows),
-        np.array([class_index]), steps)
-    return values, params.embedding[pieces[tokens]]
+    weights = pair_weights(params, corpus, rows,
+                           pool_documents(params, pieces, corpus, rows),
+                           np.array([class_index]))
+    inputs = params.embedding[pieces[corpus.positions(rows)[0]]]
+    return inputs * weights[0], inputs
 
 
 def pieces_corpus(piece_space, text="p1 p2 p3 p4"):
@@ -67,33 +71,46 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(0)
         params = linear_model(rng)
         corpus = pieces_corpus(piece_space)
-        for m in (1, 5, 50):
-            values, inputs = attribute_row(params, corpus, 0, 0, m)
-            w = effective_weights(params, 0) / inputs.shape[0]
-            assert np.allclose(values, inputs * w, atol=1e-12)
+        values, inputs = attribute_row(params, corpus, 0, 0)
+        w = effective_weights(params, 0) / inputs.shape[0]
+        assert np.allclose(values, inputs * w, atol=1e-12)
 
     def test_input_equal_to_baseline_gives_zero(self, piece_space):
         rng = np.random.default_rng(1)
         params = linear_model(rng)
         params.embedding[:] = 0.0
-        values, _ = attribute_row(params, pieces_corpus(piece_space), 0, 0, 10)
+        values, _ = attribute_row(params, pieces_corpus(piece_space), 0, 0)
         assert np.all(values == 0)
 
     def test_matches_generic_path_integral(self, small_synth):
         corpus, _ = small_synth
         cfg = TrainConfig(epochs=5, d=8, h=8, seed=3)
         params = trained_on_all(corpus, cfg)
-        values, inputs = attribute_row(params, corpus, 3, 1, 25)
+        values, inputs = attribute_row(params, corpus, 3, 1)
         reference = ig_from_gradient_fn(
             lambda x: input_gradients_from_embeddings(params, x, 1),
-            inputs, np.zeros_like(inputs), steps=25)
+            inputs, np.zeros_like(inputs), nodes=40)
         assert np.allclose(values, reference, atol=1e-12)
 
-    def test_bad_steps_rejected(self, piece_space):
-        rng = np.random.default_rng(5)
-        params = linear_model(rng)
-        with pytest.raises(ValidationError):
-            attribute_row(params, pieces_corpus(piece_space), 0, 0, 0)
+    def test_midpoint_rule_converges_to_it_at_second_order(self):
+        # The midpoint rule's error is -(f'(1) - f'(0)) / (24 m^2) +
+        # O(1/m^4), so quadrupling m divides it by 16, and m = 1000 after
+        # m = 200 by 25.
+        params, corpus, val_rows = checks.completeness_model()
+        pooled = pool_documents(params, piece_rows(params, corpus), corpus,
+                                val_rows)
+        classes = np.arange(len(val_rows)) % params.num_classes
+        exact = path_mean_gradients(params, pooled, classes)
+        errors = []
+        for m in (50, 200, 1000):
+            midpoint = np.array([
+                midpoint_path_gradient(params, row, c, m)
+                for row, c in zip(pooled, classes.tolist())])
+            errors.append(np.max(np.abs(midpoint - exact))
+                          / np.max(np.abs(exact)))
+        assert 1e-7 < errors[0] < 1e-4
+        assert errors[0] / errors[1] == pytest.approx(16, rel=0.05)
+        assert errors[1] / errors[2] == pytest.approx(25, rel=0.05)
 
 
 class TestNormalizeDocument:

@@ -2,8 +2,11 @@
 aggregate against the per-document round loop and the dict aggregate they
 replaced (``reference_round.py``).
 
-Both sides perform the same floating-point operations in the same order,
-so every comparison is exact (``np.array_equal`` or ``==``).
+Selected words, ranks, counts, F1 and aggregates compare exactly
+(``np.array_equal`` or ``==``).  IG values and word scores compare within
+a tolerance: the batched pass takes a token's score as one cell of a
+matrix product, the reference as the sum of its per-dimension values, and
+the two round differently.
 """
 
 import dataclasses
@@ -29,6 +32,18 @@ from reference_round import (WordScoreRecord, integrated_gradients,
                              reference_run_round, table_from_json, table_of,
                              token_ids, top_n_words, word_scores)
 
+#: largest |difference| of a normalized word score (at most 1 in size)
+#: from the reference's: a few roundings of a d-term dot product
+SCORE_TOLERANCE = 1e-13
+#: largest |difference| of an IG value from the reference's, relative to
+#: the size of the value's terms: |token| * (|W_h| @ |w_c|) / T
+VALUE_TOLERANCE = 1e-12
+
+
+def assert_scores_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= SCORE_TOLERANCE
+
 
 @pytest.fixture(scope="module")
 def criterion_4_corpus():
@@ -44,7 +59,7 @@ def train_config(activation="tanh"):
 
 
 def small_config(**overrides):
-    defaults = dict(ratio=0.6, top_n=5, rounds=3, ig_steps=10, master_seed=77,
+    defaults = dict(ratio=0.6, top_n=5, rounds=3, master_seed=77,
                     train_config=train_config())
     defaults.update(overrides)
     return PipelineConfig(**defaults)
@@ -77,9 +92,10 @@ def assert_round_matches_reference(corpus, config, round_index):
     records, per_class, micro_f1 = reference_run_round(corpus, config,
                                                        round_index)
     got = batched.selections
-    for name, want in zip(("class_idx", "word_idx", "doc_idx", "score"),
-                          as_columns(records, corpus)):
-        assert np.array_equal(getattr(got, name), want), name
+    *want, want_score = as_columns(records, corpus)
+    for name, column in zip(("class_idx", "word_idx", "doc_idx"), want):
+        assert np.array_equal(getattr(got, name), column), name
+    assert_scores_close(got.score, want_score)
     assert batched.per_class == per_class
     assert batched.micro_f1 == micro_f1
     return len(records)
@@ -110,15 +126,32 @@ def test_criterion_4_rounds_match_per_document_loop(criterion_4_corpus,
     assert selected > 0
 
 
-@pytest.mark.parametrize("path_rows", [1, 25, 10_000])
+def chunk_pair_counts(monkeypatch):
+    """A list that gets the pair count of each chunk ``token_scores``
+    yields from now on."""
+    sizes, token_scores = [], attribution.token_scores
+
+    def recorded(*args):
+        for chunk in token_scores(*args):
+            sizes.append(chunk[2].size)
+            yield chunk
+    monkeypatch.setattr(attribution, "token_scores", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("cells", [1, 25, 1000, 10_000])
 def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
-                                               path_rows):
-    # 1 row still takes one pair per chunk; 25 rows split 10-step pairs
-    # two to a chunk; 10,000 rows take every pair in one chunk.
+                                               cells):
+    # A pair costs about 320 cells, its vocab+1 table cells and its
+    # tokens.  A budget of 1 or 25 cells still takes one pair per chunk,
+    # 1,000 cells take three, and 10,000 take all six pairs in one chunk.
     corpus, _ = small_synth
     config = small_config(selection_target="false-negative")
-    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
+    sizes = chunk_pair_counts(monkeypatch)
     assert assert_round_matches_reference(corpus, config, 0) > 0
+    assert sizes == {1: [1] * 6, 25: [1] * 6, 1000: [3, 3],
+                     10_000: [6]}[cells]
 
 
 def test_batched_predictions_match_predict(small_synth):
@@ -159,25 +192,41 @@ def test_piece_rows_match_vocabulary_lookup(small_synth):
             [doc.words[wi] for _, wi in doc.subwords]
 
 
-def assert_pair_attributions_match(params, corpus, rows, classes, steps,
-                                   per_call):
-    """``pair_attributions`` of the (row, class) pairs, ``per_call`` pairs
-    at a time, equal the per-document IG of each pair, bit for bit."""
+def assert_pair_weights_match(params, corpus, rows, classes, per_call,
+                              steps=None):
+    """The IG values ``pair_weights`` gives the tokens of the (row, class)
+    pairs, ``per_call`` pairs at a time, match the per-document closed form
+    of each pair within VALUE_TOLERANCE.  With ``steps``, the midpoint rule
+    of that many steps is also within its error bound of them: its error
+    in the mean of tanh' along alpha * a + b is at most a^2 / (12 m^2), as
+    the third derivative of tanh is at most 2 in size, and 0 for the
+    identity."""
     pieces = model.piece_rows(params, corpus)
     pooled = model.pool_documents(params, pieces, corpus, rows)
     docs = documents_of(corpus)
+    w_h = np.abs(params.hidden_weights)
     for first in range(0, len(rows), per_call):
         part = slice(first, first + per_call)
-        values, tokens, counts = attribution.pair_attributions(
-            params, pieces, corpus, rows[part], pooled[part], classes[part],
-            steps)
-        assert np.array_equal(tokens, corpus.positions(rows[part])[0])
-        ends = np.cumsum(counts)
-        for row, ci, end, count in zip(rows[part], classes[part], ends,
-                                       counts):
-            assert np.array_equal(
-                values[end - count:end],
-                integrated_gradients(params, docs[row], ci, steps))
+        weights = attribution.pair_weights(params, corpus, rows[part],
+                                           pooled[part], classes[part])
+        for row, ci, w, pooled_row in zip(rows[part], classes[part], weights,
+                                          pooled[part]):
+            tokens, _ = corpus.positions(np.array([row]))
+            inputs = params.embedding[pieces[tokens]]
+            values = inputs * w
+            w_c = np.abs(params.output_weights[:, ci])
+            size = np.abs(inputs) * (w_h @ w_c) / len(tokens)
+            want = integrated_gradients(params, docs[row], ci)
+            assert np.all(np.abs(values - want) <= VALUE_TOLERANCE * size)
+            if steps is None:
+                continue
+            a = pooled_row @ params.hidden_weights
+            slope_error = (a * a / (12 * steps**2)
+                           if params.activation == "tanh" else 0 * a)
+            bound = (np.abs(inputs) * (w_h @ (w_c * slope_error))
+                     / len(tokens) + VALUE_TOLERANCE * size)
+            midpoint = integrated_gradients(params, docs[row], ci, steps)
+            assert np.all(np.abs(midpoint - values) <= bound)
 
 
 def test_oracle_gradients_unchanged(small_synth):
@@ -190,8 +239,8 @@ def test_oracle_gradients_unchanged(small_synth):
         params = model.train(model.init_model(model.build_vocab(corpus, rows),
                                               4, cfg), corpus, rows, cfg)
         pair_rows, pair_classes = np.divmod(np.arange(40), 4)
-        assert_pair_attributions_match(params, corpus, pair_rows,
-                                       pair_classes, 7, per_call=7)
+        assert_pair_weights_match(params, corpus, pair_rows, pair_classes,
+                                  per_call=7)
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +252,13 @@ def completeness_model():
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 def test_pair_attributions_match_per_document_ig(completeness_model,
                                                  activation, steps):
+    # The closed form against the per-document one, and the midpoint rule
+    # of ``steps`` steps within its error bound of it.
     params, corpus, val_rows = completeness_model
     params = dataclasses.replace(params, activation=activation)
-    assert_pair_attributions_match(params, corpus, val_rows,
-                                   np.zeros(len(val_rows), dtype=np.intp),
-                                   steps, per_call=len(val_rows))
+    assert_pair_weights_match(params, corpus, val_rows,
+                              np.zeros(len(val_rows), dtype=np.intp),
+                              per_call=len(val_rows), steps=steps)
 
 
 def test_all_zero_attributions_score_zero(small_synth, monkeypatch):
@@ -229,14 +280,14 @@ def test_all_zero_attributions_score_zero(small_synth, monkeypatch):
     assert silenced.any() and (selections.score[silenced] == 0.0).all()
 
 
-def reference_top_words(params, corpus, rows, classes, steps, top_n):
+def reference_top_words(params, corpus, rows, classes, top_n):
     """The (pair, word, score) columns of the per-document word-score
     chain, pair after pair."""
     docs = documents_of(corpus)
     word_of = {w: i for i, w in enumerate(corpus.words)}
     columns = []
     for pair, (row, ci) in enumerate(zip(rows.tolist(), classes.tolist())):
-        scores = integrated_gradients(params, docs[row], ci, steps).sum(axis=1)
+        scores = integrated_gradients(params, docs[row], ci).sum(axis=1)
         records = word_scores(normalize_document(scores), docs[row], str(ci))
         columns += [(pair, word_of[r.word], r.score)
                     for r in top_n_words(records, top_n)]
@@ -245,18 +296,17 @@ def reference_top_words(params, corpus, rows, classes, steps, top_n):
             np.array(score))
 
 
-def assert_top_words_match_reference(params, corpus, rows, classes, steps,
-                                     top_n):
-    """``top_word_scores`` of the (row, class) pairs equals the reference,
-    bit for bit: ``repr`` tells -0.0 from 0.0, as ``==`` does not."""
+def assert_top_words_match_reference(params, corpus, rows, classes, top_n):
+    """``top_word_scores`` of the (row, class) pairs picks the reference's
+    words in the reference's order, with scores within SCORE_TOLERANCE."""
     pieces = model.piece_rows(params, corpus)
     pooled = model.pool_documents(params, pieces, corpus, rows)
     got = attribution.top_word_scores(params, pieces, corpus, rows, pooled,
-                                      classes, steps, top_n)
-    want = reference_top_words(params, corpus, rows, classes, steps, top_n)
-    for name, g, w in zip(("pair", "word", "score"), got, want):
+                                      classes, top_n)
+    want = reference_top_words(params, corpus, rows, classes, top_n)
+    for name, g, w in zip(("pair", "word"), got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
-    assert list(map(repr, got[2].tolist())) == list(map(repr, want[2].tolist()))
+    assert_scores_close(got[2], want[2])
     return got
 
 
@@ -266,47 +316,55 @@ def untrained_model(corpus, d):
                             TrainConfig(d=d, h=4, activation="identity"))
 
 
-@pytest.mark.parametrize("path_rows", [1, 3 * 5, 10_000])
-def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, path_rows):
+@pytest.mark.parametrize("cells", [1, 15, 40, 10_000])
+def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, cells):
     # abcdx, abcdy and abcdz have their best piece, abcd, in common, so
-    # they tie; top 2 cuts the tie after abcdy.  3 pairs of 5 steps per
-    # chunk split the documents' pairs across chunks.
-    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    # they tie; top 2 cuts the tie after abcdy.  A pair costs the 7 cells
+    # of its table row and its 3-10 tokens: 1 and 15 cells take one pair
+    # per chunk, 40 split the documents' pairs across chunks of up to 3,
+    # and 10,000 take all 6 pairs in one chunk.
+    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
+    sizes = chunk_pair_counts(monkeypatch)
     corpus = build_corpus(
         [("t0", "abcdz qq abcdy abcdx qq abcdy", {"a"}),
          ("t1", "ww abcdx abcdz abcdy", {"b"}),
          ("t2", "abcdy qq", {"a", "b"})], LabelSpace(("a", "b")))
     params = untrained_model(corpus, d=3)
     # Identity activation: d(logit_0)/d(pooled) is the same vector g at
-    # every step, and a piece's token score for class 0 is its row . g.
+    # every point of the path, and a piece's token score for class 0 is
+    # its row . g.
     g = params.hidden_weights @ params.output_weights[:, 0]
     params.embedding[params.vocab["abcd"]] = 10 * g / np.linalg.norm(g)
     rows = np.repeat(np.arange(3), 2)
     classes = np.tile(np.arange(2), 3)
     pair, word, score = assert_top_words_match_reference(
-        params, corpus, rows, classes, steps=5, top_n=2)
+        params, corpus, rows, classes, top_n=2)
     first = [corpus.words[w] for w in word[pair == 0]]
     assert first == ["abcdx", "abcdy"]
     assert score[pair == 0][0] == score[pair == 0][1]
+    assert sizes == {1: [1] * 6, 15: [1] * 6, 40: [2, 3, 1],
+                     10_000: [6]}[cells]
 
 
-@pytest.mark.parametrize("path_rows", [1, 3 * 5, 10_000])
-def test_all_zero_class_matches_reference(small_synth, monkeypatch,
-                                          path_rows):
+@pytest.mark.parametrize("cells", [1, 15, 10_000])
+def test_all_zero_class_matches_reference(small_synth, monkeypatch, cells):
     # The silenced class of test_all_zero_attributions_score_zero: its
-    # IG values are 0.0 and -0.0, its word scores 0.0, and its words all
-    # tie, so the top 5 are its first 5 words.
-    monkeypatch.setattr(attribution, "PATH_ROWS", path_rows)
+    # IG values are all zero, its word scores 0.0, and its words all tie,
+    # so the top 5 are its first 5 words.  A pair costs about 365 cells
+    # here: 1 and 15 cells take one pair per chunk, 10,000 about 27.
+    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
+    sizes = chunk_pair_counts(monkeypatch)
     corpus, _ = small_synth
     params = untrained_model(corpus, d=2)
     params.output_weights[:, 1] = 0.0
     rows = np.repeat(np.arange(12), 4)
     classes = np.tile(np.arange(4), 12)
     pair, _, score = assert_top_words_match_reference(
-        params, corpus, rows, classes, steps=5, top_n=5)
+        params, corpus, rows, classes, top_n=5)
     silenced = classes[pair] == 1
     assert {repr(s) for s in score[silenced].tolist()} == {"0.0"}
     assert (score[~silenced] != 0.0).all()
+    assert (max(sizes) == 1) == (cells < 10_000) and len(sizes) > 1
 
 
 @pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])
@@ -392,7 +450,7 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(renamed, corpus_path)
     monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
-    argv = ["--rounds", "2", "--ig-steps", "5", "--epochs", "20",
+    argv = ["--rounds", "2", "--epochs", "20",
             "--learning-rate", "0.05", "--embedding-dim", "8",
             "--hidden-dim", "8", "--top-n", "5", "--min-doc-frequency", "1"]
     run_dir = tmp_path / "run"
@@ -426,15 +484,14 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
     corpus, _ = small_synth
     calls = []
 
-    def poisoned(params, pooled_batch, class_index):
-        grads = model.pooled_logit_gradients(params, pooled_batch,
-                                             class_index)
+    def poisoned(params, pooled, class_index):
+        grads = model.path_mean_gradients(params, pooled, class_index)
         if not calls:
             grads[..., 0] = np.nan
         calls.append(1)
         return grads
 
-    monkeypatch.setattr(attribution, "pooled_logit_gradients", poisoned)
+    monkeypatch.setattr(attribution, "path_mean_gradients", poisoned)
     with pytest.warns(UserWarning, match="round 0 failed: non-finite"):
         result = run_pipeline(corpus, small_config(rounds=2))
     assert [r.failed for r in result.rounds] == [True, False]
@@ -443,28 +500,34 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gradient_names_its_step(small_synth, monkeypatch, bad):
-    # One (pair, step) cell of the third pair of the first chunk: the
-    # error names that step, not the step of another pair or cell.
+def test_non_finite_gradient_names_its_pair(small_synth, monkeypatch, bad):
+    # One cell of the third pair and one of the fifth: the error names
+    # the third pair's document and class, not those of another pair.
     corpus, _ = small_synth
-    calls = []
+    pairs = []
+    top_word_scores = attribution.top_word_scores
 
-    def poisoned(params, pooled_batch, class_index):
-        grads = model.pooled_logit_gradients(params, pooled_batch,
-                                             class_index)
-        if not calls:
-            assert grads.shape[0] > 2 and grads.shape[1] == 10
-            grads[2, 6, 5] = bad
-        calls.append(1)
+    def recorded(*args):
+        pairs.append((args[3], args[5]))  # pair_rows, pair_classes
+        return top_word_scores(*args)
+
+    def poisoned(params, pooled, class_index):
+        grads = model.path_mean_gradients(params, pooled, class_index)
+        assert grads.shape[0] > 4
+        grads[2, 5] = grads[4, 0] = bad
         return grads
 
-    monkeypatch.setattr(attribution, "pooled_logit_gradients", poisoned)
+    monkeypatch.setattr(attribution, "top_word_scores", recorded)
+    monkeypatch.setattr(attribution, "path_mean_gradients", poisoned)
     with pytest.warns(UserWarning) as warned:
         result = run_round(corpus, small_config(), 0)
     assert result.failed
+    pair_rows, pair_classes = pairs[0]
     assert [str(w.message) for w in warned
             if "failed" in str(w.message)] == [
-        "round 0 failed: non-finite gradient at IG step 7"]
+        f"round 0 failed: non-finite IG gradient for document "
+        f"{corpus.doc_ids[pair_rows[2]]!r}, class "
+        f"{corpus.label_space.classes[pair_classes[2]]!r}"]
 
 
 def assert_document_without_subwords_fails(corpus, side):

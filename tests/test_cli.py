@@ -1,6 +1,9 @@
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from igkeywords.pipeline import PipelineConfig, load_aggregates
 from reference_round import table_from_json
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
-SMALL_RUN = ("--rounds", "2", "--ig-steps", "5", "--epochs", "4",
+SMALL_RUN = ("--rounds", "2", "--epochs", "4",
              "--embedding-dim", "8", "--hidden-dim", "8",
              "--min-doc-frequency", "1")
 REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
@@ -80,7 +83,6 @@ class TestParse:
                 (["run", "--corpus", "x", "--mean-mode", "median"],
                  pipeline_config),
                 (["run", "--corpus", "x", "--ratio", "1.5"], pipeline_config),
-                (["run", "--corpus", "x", "--ig-steps", "0"], pipeline_config),
                 (["synth", "--out", "x", "--doc-length-min", "9",
                   "--doc-length-max", "3"], synth_config)):
             with pytest.raises(ValidationError):
@@ -111,9 +113,9 @@ class TestRun:
         code = run_cli("run", "--corpus", str(corpus_path),
                        "--markers", str(markers_path),
                        "--out-dir", str(out_dir),
-                       "--rounds", "2", "--ig-steps", "10",
-                       "--epochs", "8", "--embedding-dim", "8",
-                       "--hidden-dim", "8", "--min-doc-frequency", "1",
+                       "--rounds", "2", "--epochs", "8",
+                       "--embedding-dim", "8", "--hidden-dim", "8",
+                       "--min-doc-frequency", "1",
                        "--dump-scores")
         assert code == 0
         for name in ("keywords.tsv", "keywords.json", "keywords.md",
@@ -131,7 +133,7 @@ class TestRun:
         corpus_path, _ = synth_files
         cfg = tmp_path / "run.conf"
         cfg.write_text("rounds = 2\nepochs = 8\nembedding-dim = 8\n"
-                       "hidden-dim = 8\nig-steps = 5\nmin-doc-frequency = 1\n")
+                       "hidden-dim = 8\nmin-doc-frequency = 1\n")
         out_dir = tmp_path / "run2"
         # CLI --rounds 1 must beat the file's rounds = 2
         code = run_cli("--config", str(cfg), "run",
@@ -230,6 +232,50 @@ class TestRun:
                        "--corpus", str(corpus_path))
         assert code == 1
 
+    def test_ig_steps_is_ignored(self, synth_files, tmp_path, capsys):
+        # --ig-steps, in the arguments or a --config file, prints one note
+        # and leaves every byte of the run directory as without it.
+        corpus_path, markers_path = synth_files
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("ig-steps = 7\n")
+        argv = ["run", "--corpus", str(corpus_path), "--markers",
+                str(markers_path), "--dump-scores", *SMALL_RUN]
+        runs = {"plain": argv, "flag": argv + ["--ig-steps", "7"],
+                "file": ["--config", str(cfg)] + argv}
+        notes = {}
+        for name, args in runs.items():
+            capsys.readouterr()
+            assert run_cli(*args, "--out-dir", str(tmp_path / name)) == 0
+            notes[name] = [line for line in
+                           capsys.readouterr().err.splitlines() if line]
+        assert notes["plain"] == []
+        assert notes["flag"] == notes["file"] == [
+            "note: ig-steps is ignored; integrated gradients take the exact "
+            "path integral"]
+        plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert "round_0001.json" in plain
+        for name in ("flag", "file"):
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == plain
+            for file_name in plain:
+                assert ((tmp_path / name / file_name).read_bytes()
+                        == (tmp_path / "plain" / file_name).read_bytes())
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "corpus.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "igkeywords", "synth", "--out", str(out),
+             "--num-classes", "2", "--docs-per-class", "5", "--seed", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text().splitlines()) == 10
+        bad = subprocess.run(
+            [sys.executable, "-m", "igkeywords", "frobnicate"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            check=False)
+        assert bad.returncode == 1
+
 
 def aggregates_npz_damages(run_dir) -> list[bytes]:
     """Damaged copies of ``aggregates.npz``: truncated, empty, not an
@@ -268,7 +314,7 @@ class TestReport:
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
                        "--out-dir", str(out_dir), "--rounds", "2",
-                       "--ig-steps", "5", "--epochs", "8",
+                       "--epochs", "8",
                        "--embedding-dim", "8", "--hidden-dim", "8",
                        "--min-doc-frequency", "1", "--dump-scores") == 0
         before = (out_dir / "keywords.tsv").read_bytes()
@@ -281,7 +327,7 @@ class TestReport:
         corpus_path, _ = synth_files
         out_dir = tmp_path / "run"
         flags = ["--corpus", str(corpus_path), "--out-dir", str(out_dir),
-                 "--ig-steps", "5", "--epochs", "4", "--embedding-dim", "8",
+                 "--epochs", "4", "--embedding-dim", "8",
                  "--hidden-dim", "8", "--min-doc-frequency", "1"]
         assert run_cli("run", *flags, "--rounds", "4") == 0
         assert run_cli("run", *flags, "--rounds", "2") == 0
@@ -332,9 +378,27 @@ class TestReport:
         assert markers == {c: set(words) for c, words in planted.items()}
         assert ((tmp_path / "a" / "config.json").read_bytes()
                 == (tmp_path / "b" / "config.json").read_bytes())
+        assert "ig_steps" not in json.loads(
+            (tmp_path / "a" / "config.json").read_text())
+
+    def test_report_reads_a_config_json_with_ig_steps(self, synth_files,
+                                                      tmp_path):
+        # config.json as written when IG took a step count
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 0
+        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        saved = json.loads((out_dir / "config.json").read_text())
+        (out_dir / "config.json").write_text(json.dumps(dict(saved,
+                                                             ig_steps=50)))
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        for name in REPORT_FILES:
+            assert (out_dir / name).read_bytes() == before[name], name
 
     @pytest.mark.parametrize("edit", [
-        lambda saved: saved.pop("ig_steps"),
+        lambda saved: saved.pop("top_n"),
         lambda saved: saved["train_config"].pop("epochs"),
         lambda saved: saved.pop("classes"),
         lambda saved: saved.update(bogus=1),
@@ -428,17 +492,19 @@ class TestCheck:
 
         def recorded(name, check):
             return lambda *args: measured.setdefault(name, check(*args))
-        names = ("gradient_error", "completeness_ratios", "oracle_error")
+        names = ("gradient_error", "completeness_ratios", "oracle_error",
+                 "path_mean_error")
         for name in names:
             monkeypatch.setattr(checks, name,
                                 recorded(name, getattr(checks, name)))
         assert run_cli("check") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line[:5] for line in lines] == ["PASS:"] * 3
+        assert [line[:5] for line in lines] == ["PASS:"] * 4
         for line, value in zip(lines, (
                 measured["gradient_error"],
-                measured["completeness_ratios"][0].max(),
-                measured["oracle_error"])):
+                measured["completeness_ratios"].max(),
+                measured["oracle_error"],
+                measured["path_mean_error"][0])):
             assert f"{value:.2e}" in line, line
 
         # A gradient error over its bound and a differing aggregate fail.
@@ -448,9 +514,22 @@ class TestCheck:
         monkeypatch.setattr(checks, "oracle_error", differs)
         assert run_cli("check") == 2
         lines = capsys.readouterr().out.splitlines()
-        assert [line[:5] for line in lines] == ["FAIL:", "PASS:", "FAIL:"]
+        assert [line[:5] for line in lines] == ["FAIL:", "PASS:", "FAIL:",
+                                                "PASS:"]
         assert "2.00e-04 (bound 1e-04)" in lines[0]
         assert lines[2].endswith("instance counts differ")
+
+        # A residual over its bound, a path-mean error over its bound and
+        # a slope that is not finite and >= 0 beyond quadrature fail.
+        monkeypatch.setattr(checks, "completeness_ratios",
+                            lambda: np.array([0.0, 2e-10]))
+        for path_mean in ((2e-12, True), (0.0, False)):
+            monkeypatch.setattr(checks, "path_mean_error",
+                                lambda: path_mean)
+            assert run_cli("check") == 2
+            lines = capsys.readouterr().out.splitlines()
+            assert [line[:5] for line in lines[1::2]] == ["FAIL:", "FAIL:"]
+        assert "50.0% of documents within 1e-10" in lines[1]
 
     def test_gradient_check_catches_a_class_mix_up(self, monkeypatch):
         # every row of a batch gets the first row's class

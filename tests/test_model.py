@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from igkeywords import checks
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
-                              build_vocab, init_model, logits, piece_rows,
-                              pool_documents, predict_pooled, train)
+                              build_vocab, init_model, logits,
+                              path_mean_gradients, path_mean_slopes,
+                              piece_rows, pool_documents,
+                              pooled_logit_gradients, predict_pooled, train)
 from reference_round import input_gradients_from_embeddings
 
 
@@ -144,6 +147,55 @@ class TestInputGradients:
         params = tiny_params()
         with pytest.raises(ValidationError):
             input_gradients(params, one_token_corpus(label_space), 5)
+
+
+class TestPathMean:
+    def test_slopes_match_quadrature(self):
+        # 100 random models of either activation, |a| from 0 to 100
+        # against Gauss-Legendre quadrature of 1 / cosh^2, and finite,
+        # non-negative slopes out to |a| of about 1e8
+        error, bounded = checks.path_mean_error()
+        assert error <= checks.PATH_MEAN_BOUND and bounded
+
+    def test_slopes_at_the_ends_of_their_range(self):
+        params = tiny_params()
+        b = np.array([-800.0, -30.0, -2.0, 0.0, 0.5, 30.0, 800.0])
+        params.hidden_bias = b
+        # a = 0: tanh'(b), also where cosh(b) overflows
+        with np.errstate(over="ignore"):
+            at_zero = 1.0 / np.cosh(b) ** 2
+        assert np.allclose(path_mean_slopes(params, np.zeros(b.size)),
+                           at_zero, rtol=1e-15, atol=0.0)
+        # |a| past 710, where sinh and cosh overflow.  Where the path
+        # crosses 0, tanh(a + b) - tanh(b) does not cancel, so the plain
+        # difference form is a reference there.
+        for a in (-1e3, 1e3, -1e300, 1e300):
+            slopes = path_mean_slopes(params, np.full(b.size, a))
+            assert np.all(np.isfinite(slopes)) and np.all(slopes >= 0.0)
+            crosses = np.sign(a + b) != np.sign(b)
+            assert np.allclose(slopes[crosses],
+                               (np.tanh(a + b) - np.tanh(b))[crosses] / a,
+                               rtol=1e-12, atol=0.0)
+        identity = dataclasses.replace(params, activation="identity")
+        assert np.all(path_mean_slopes(identity, np.full(3, 1e9)) == 1.0)
+
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    def test_gradients_are_the_path_mean_of_the_input_gradient(self,
+                                                               activation):
+        # A class per row, against Gauss-Legendre quadrature of
+        # pooled_logit_gradients along the path; |a| stays small, where
+        # 1 - tanh^2 has not lost its digits.
+        rng = np.random.default_rng(12)
+        params = dataclasses.replace(random_model(rng), activation=activation)
+        params.hidden_bias = rng.normal(size=params.hidden_bias.size)
+        pooled = rng.normal(size=(5, params.embedding.shape[1]))
+        classes = rng.integers(params.num_classes, size=5)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        path = ((nodes + 1) / 2)[None, :, None] * pooled[:, None, :]
+        reference = np.einsum("m,rmd->rd", weights / 2, pooled_logit_gradients(
+            params, path, classes[:, None]))
+        assert np.allclose(path_mean_gradients(params, pooled, classes),
+                           reference, rtol=1e-12, atol=1e-15)
 
 
 class TestParameterGradients:

@@ -25,7 +25,7 @@ def rec(word, score, doc_id="d1", class_name="a"):
 
 def toy_config(**overrides):
     defaults = dict(ratio=0.6, top_n=5, rounds=3, sf_threshold=0.6,
-                    min_doc_frequency=2, ig_steps=10, master_seed=77,
+                    min_doc_frequency=2, master_seed=77,
                     train_config=TrainConfig(epochs=30, d=8, h=8))
     defaults.update(overrides)
     return PipelineConfig(**defaults)
