@@ -9,7 +9,11 @@ Training works a batch at a time with no per-document Python: the mean
 pooling and the embedding-gradient scatter are each one ``np.bincount``
 over the batch's pieces, and the parameters, gradients and Adam moments
 each sit in one flat buffer, so an optimizer step is one elementwise
-update.  Documents reach the model as rows of the corpus: ``piece_rows``
+update.  One kernel, ``_pool_sums``, pools for both training and
+``pool_documents``: its bincount bins are gathered from a precomputed
+table of bin numbers into reused buffers, and the gradient scatter
+gathers its bins from a second table the shape of the embedding.
+Documents reach the model as rows of the corpus: ``piece_rows``
 maps every corpus piece to its model row once, and ``Corpus.positions``
 picks a set of documents' pieces out of that array.  ``pool_documents``
 with ``predict_pooled`` predict a whole validation set at once.  Mean
@@ -26,6 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, ValidationError
+
+
+#: Piece cells (pieces x d) per chunk of ``pool_documents``: it bounds
+#: each of the chunk's three [pieces, d]-sized buffers at 0.5 MB, whatever
+#: the number of documents; a chunk holds at least one document.  On an
+#: explain-bound validation set (500 documents, 110k pieces, d=16) budgets
+#: of 2**15 and 2**16 were fastest, 2**14 and 2**17 took 15-40% longer,
+#: and one chunk of every document 2.5 times as long.
+POOL_CELLS = 2**16
 
 
 class TrainingDivergedError(RuntimeError):
@@ -235,23 +248,66 @@ def _positions(corpus: Corpus, rows: np.ndarray):
     return positions, counts
 
 
+def _pool_sums(embedding: np.ndarray, model_rows: np.ndarray,
+               counts: np.ndarray, cells, slots: np.ndarray):
+    """[docs, d] sums of the embedding rows ``model_rows``, document after
+    document, ``counts[i]`` rows for document i, and the document of each
+    of those rows.
+
+    ``cells`` is an (int, float) pair of [rows, d] buffers with a row for
+    each of the pieces, which take the bins and values of one
+    ``np.bincount``; ``slots`` is a [docs, d] table of bin numbers,
+    ``arange(docs * d)``, with a row for each of the documents.  Both are
+    gathered, not computed, and bincount adds each bin's cells in input
+    order, so a row's sum is the sequential sum of ``mean(axis=0)``.
+    """
+    n_docs, n_cells = counts.size, model_rows.size
+    doc_of_piece = np.repeat(np.arange(n_docs), counts)
+    bins, values = cells[0][:n_cells], cells[1][:n_cells]
+    np.take(slots, doc_of_piece, axis=0, out=bins, mode="clip")
+    np.take(embedding, model_rows, axis=0, out=values, mode="clip")
+    sums = np.bincount(bins.ravel(), weights=values.ravel(),
+                       minlength=n_docs * embedding.shape[1])
+    return sums.reshape(n_docs, embedding.shape[1]), doc_of_piece
+
+
+def _pool_tables(pieces: int, docs: int, d: int):
+    """The buffers of ``_pool_sums`` for up to ``pieces`` pieces of up to
+    ``docs`` documents: (int, float) [pieces, d] cells and [docs, d]
+    slots."""
+    cells = np.empty((pieces, d), dtype=np.intp), np.empty((pieces, d))
+    return cells, np.arange(docs * d).reshape(docs, d)
+
+
 def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
                    rows: np.ndarray) -> np.ndarray:
     """Mean piece embedding of each document ``rows`` of ``corpus``,
     [docs, d]; ``pieces`` is the corpus's ``piece_rows``.
 
-    One ``np.bincount`` per embedding column adds each document's pieces in
-    order, so every row equals that document's ``mean(axis=0)`` bit for bit,
-    and no [pieces, d] temporary is built.
+    The documents are pooled by ``_pool_sums`` a chunk at a time, a chunk
+    holding whole documents and at most POOL_CELLS piece cells (a longer
+    document is a chunk of its own), so its [pieces, d] buffers are
+    allocated once and stay small.  Every row equals that document's
+    ``mean(axis=0)`` bit for bit.
     """
+    d = params.embedding.shape[1]
+    budget = POOL_CELLS // d  # pieces per chunk
     positions, counts = _positions(corpus, rows)
-    doc_of_piece = np.repeat(np.arange(rows.size), counts)
-    model_rows = pieces[positions]
-    columns = np.ascontiguousarray(params.embedding.T)
-    pooled = np.empty((rows.size, columns.shape[0]))
-    for j, column in enumerate(columns):
-        pooled[:, j] = np.bincount(doc_of_piece, weights=column[model_rows],
-                                   minlength=rows.size)
+    ends = np.cumsum(counts)
+    # Every document has a piece, so a chunk has no more documents than
+    # pieces, and the same bound sizes the cells and the slots.
+    most = min(positions.size, max(budget, int(counts.max(initial=0))))
+    cells, slots = _pool_tables(most, most, d)
+    pooled = np.empty((rows.size, d))
+    first = 0
+    while first < rows.size:
+        spent = ends[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(ends, spent + budget,
+                                                  side="right")))
+        pooled[first:stop] = _pool_sums(
+            params.embedding, pieces[positions[spent:ends[stop - 1]]],
+            counts[first:stop], cells, slots)[0]
+        first = stop
     pooled /= counts[:, None]
     return pooled
 
@@ -264,36 +320,40 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
     return 1.0 / (1.0 + np.exp(-out)) >= threshold
 
 
+def _step_tables(embedding: np.ndarray, counts: np.ndarray,
+                 batch_size: int):
+    """The buffers of ``batch_loss_and_grads`` for any batch of at most
+    ``batch_size`` documents with the piece counts ``counts``: the
+    ``_pool_tables`` of the largest such batch, and the embedding's
+    slots, a table of its cells' bin numbers."""
+    most = int(np.sort(counts)[-batch_size:].sum())
+    cells, slots = _pool_tables(most, batch_size, embedding.shape[1])
+    return cells, slots, np.arange(embedding.size).reshape(embedding.shape)
+
+
 def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
-                         corpus: Corpus, batch: np.ndarray, cells=None):
+                         corpus: Corpus, batch: np.ndarray, tables=None):
     """Mean BCE over the documents ``batch`` (rows of ``corpus``) plus
     gradients for every weight; ``pieces`` is the corpus's ``piece_rows``.
 
-    Pooling and the embedding-gradient scatter are each one ``np.bincount``
-    over the batch's pieces.  ``bincount`` adds in input order, so both
+    Pooling (``_pool_sums``) and the embedding-gradient scatter are each
+    one ``np.bincount`` over the batch's pieces, whose bins are gathered
+    from tables of bin numbers.  ``bincount`` adds in input order, so both
     perform the same sequential sums as a per-document ``mean(axis=0)`` and
     ``np.add.at``, bit for bit; the gradients come keyed by parameter name.
-    ``cells`` is an optional (int, float) pair of [rows, d] buffers with a
-    row for each of the batch's pieces; the bins and values of the two
-    bincounts go there instead of into new [pieces, d] arrays.
+    ``tables`` are the ``_step_tables`` of a batch size at least the
+    batch's, which ``train`` makes once and passes to every step, so no
+    step allocates [pieces, d] arrays; without them the step makes its
+    own.
     """
     embedding = params.embedding
-    d = embedding.shape[1]
-    n_batch = batch.size
     positions, counts = corpus.positions(batch)
     batch_pieces = pieces[positions]
-    row_of_piece = np.repeat(np.arange(n_batch), counts)
-    if cells is None:
-        bins, values = (np.empty((positions.size, d), dtype=np.intp),
-                        np.empty((positions.size, d)))
-    else:
-        bins, values = cells[0][:positions.size], cells[1][:positions.size]
-    columns = np.arange(d)
-    # bin of every (piece, column) cell: its batch row's cell in pooled
-    np.add(row_of_piece[:, None] * d, columns, out=bins)
-    np.take(embedding, batch_pieces, axis=0, out=values, mode="clip")
-    pooled = np.bincount(bins.ravel(), weights=values.ravel(),
-                         minlength=n_batch * d).reshape(n_batch, d)
+    if tables is None:
+        tables = _step_tables(embedding, counts, batch.size)
+    cells, pool_slots, embedding_slots = tables
+    pooled, row_of_piece = _pool_sums(embedding, batch_pieces, counts, cells,
+                                      pool_slots)
     pooled /= counts[:, None]
 
     z, hidden = logits(params, pooled)
@@ -311,9 +371,10 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
     d_pooled = d_pre @ params.hidden_weights.T
 
     # each piece's gradient, binned by its (piece, column) cell of embedding
+    bins, values = cells[0][:positions.size], cells[1][:positions.size]
     np.take(d_pooled / counts[:, None], row_of_piece, axis=0, out=values,
             mode="clip")
-    np.add(batch_pieces[:, None] * d, columns, out=bins)
+    np.take(embedding_slots, batch_pieces, axis=0, out=bins, mode="clip")
     d_emb = np.bincount(bins.ravel(), weights=values.ravel(),
                         minlength=embedding.size).reshape(embedding.shape)
 
@@ -348,12 +409,10 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     pieces = piece_rows(params, corpus)
     counts = _positions(corpus, rows)[1]
     n_docs = len(rows)
-    # Cell buffers for the largest batch, reused by every step: fresh
+    # Buffers for the largest batch, reused by every step: fresh
     # [pieces, d] arrays per step get returned to the OS by the allocator
     # and faulted in again on the next step.
-    most = int(np.sort(counts)[-config.batch_size:].sum())
-    cells = (np.empty((most, params.embedding.shape[1]), dtype=np.intp),
-             np.empty((most, params.embedding.shape[1])))
+    tables = _step_tables(params.embedding, counts, config.batch_size)
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
     step = 0
@@ -363,7 +422,7 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
         for start in range(0, n_docs, config.batch_size):
             batch = rows[order[start:start + config.batch_size]]
             loss, grads = batch_loss_and_grads(params, pieces, corpus, batch,
-                                               cells=cells)
+                                               tables=tables)
             np.concatenate([grads[k].ravel() for k in _PARAM_NAMES], out=grad)
             del grads  # not held while the next step builds its own
             if not np.isfinite(loss):

@@ -12,8 +12,9 @@ import pytest
 
 from igkeywords.corpus import build_corpus
 from igkeywords.model import (TrainConfig, _activate, _activation_grad,
-                              _bce_from_logits, batch_loss_and_grads,
-                              build_vocab, init_model, piece_rows, train)
+                              _bce_from_logits, _step_tables,
+                              batch_loss_and_grads, build_vocab, init_model,
+                              piece_rows, train)
 
 PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
                "output_weights", "output_bias")
@@ -117,14 +118,20 @@ def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
     params = init_model(_vocab_without_unknowns(mixed_corpus), 4, cfg)
     prep = piece_rows(params, mixed_corpus), mixed_corpus
     assert (prep[0] == params.unk_index).any()
+    # The buffers train makes once for batches of up to 8 documents and
+    # passes to every step; the later batches are smaller, as an epoch's
+    # last batch is, and find the earlier batches' cells in the buffers.
+    counts = np.diff(mixed_corpus.offsets)
+    tables = _step_tables(params.embedding, counts, batch_size=8)
     for batch in (np.arange(len(mixed_corpus)),
                   np.array([1]), np.array([6, 0, 0, 3, 1])):
-        loss, grads = batch_loss_and_grads(params, *prep, batch)
         ref_loss, ref_grads = reference_batch_loss_and_grads(
             params, *prep, batch)
-        assert loss == ref_loss
-        for name in PARAM_NAMES:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+        for kwargs in ({}, {"tables": tables}):
+            loss, grads = batch_loss_and_grads(params, *prep, batch, **kwargs)
+            assert loss == ref_loss
+            for name in PARAM_NAMES:
+                assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 @pytest.mark.parametrize("optimizer,learning_rate",

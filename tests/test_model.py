@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from igkeywords import checks
+from igkeywords import checks, model
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
                               build_vocab, init_model, logits,
@@ -126,6 +126,53 @@ class TestForward:
         params = tiny_params()
         with pytest.raises(ValidationError, match="has no subwords"):
             pooled(params, corpus_of(["tok", ""], label_space))
+
+
+class TestPoolDocuments:
+    TEXTS = ["alpha alpha alpha beta", "z", "gamma delta alpha gamma",
+             "unseenword alpha", "beta beta", "delta unknowable zz gamma",
+             "alpha", "epsilon beta gamma delta alpha beta"]
+
+    @pytest.mark.parametrize("cells", [1, 27, 10_000])
+    def test_chunks_match_per_document_mean(self, label_space, monkeypatch,
+                                            cells):
+        # The rows below have 10, 7, 1, 8, 5, 2, 8, 2 and 1 pieces.  At
+        # d=3 a budget of 1 cell takes one document per chunk, 27 cells
+        # (9 pieces) take up to two, with the 10-piece document alone, and
+        # 10,000 take every document in one chunk.
+        corpus = corpus_of(self.TEXTS, label_space)
+        rows = np.array([7, 0, 1, 2, 3, 4, 5, 6, 1])
+        params = init_model(build_vocab(corpus, np.arange(5)), 4,
+                            TrainConfig(d=3, h=2, seed=7))
+        # rows of very different sizes, so that any other order of the
+        # additions changes the sums
+        rng = np.random.default_rng(3)
+        params.embedding *= 10.0 ** rng.integers(
+            -8, 9, size=(params.embedding.shape[0], 1))
+        pieces = piece_rows(params, corpus)
+        assert (pieces == params.unk_index).any()
+        monkeypatch.setattr(model, "POOL_CELLS", cells)
+        sizes, pool_sums = [], model._pool_sums
+
+        def recorded(embedding, model_rows, counts, *buffers):
+            sizes.append(counts.size)
+            return pool_sums(embedding, model_rows, counts, *buffers)
+        monkeypatch.setattr(model, "_pool_sums", recorded)
+        got = pool_documents(params, pieces, corpus, rows)
+        expected = np.array([
+            params.embedding[pieces[corpus.offsets[r]:corpus.offsets[r + 1]]]
+            .mean(axis=0) for r in rows])
+        assert np.array_equal(got, expected)
+        assert sizes == {1: [1] * 9, 27: [1, 2, 1, 2, 1, 2],
+                         10_000: [9]}[cells]
+
+    def test_no_rows_pool_to_an_empty_array(self, label_space):
+        corpus = corpus_of(self.TEXTS, label_space)
+        params = init_model(build_vocab(corpus, all_rows(corpus)), 4,
+                            TrainConfig(d=16, h=2))
+        got = pool_documents(params, piece_rows(params, corpus), corpus,
+                             np.array([], dtype=np.intp))
+        assert got.shape == (0, 16)
 
 
 class TestInputGradients:
