@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, budget_chunks
 from .model import ModelParams, path_mean_gradients
 
 #: Score-table cells plus tokens per chunk of ``token_scores``: a pair
@@ -82,17 +82,12 @@ def token_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     """
     counts = corpus.offsets[pair_rows + 1] - corpus.offsets[pair_rows]
     costs = np.cumsum(counts + params.embedding.shape[0])
-    first = 0
-    while first < len(pair_rows):
-        spent = costs[first - 1] if first else 0
-        stop = max(first + 1, int(np.searchsorted(costs, spent + CHUNK_CELLS,
-                                                  side="right")))
+    for first, stop in budget_chunks(costs, CHUNK_CELLS):
         tokens, chunk_counts = corpus.positions(pair_rows[first:stop])
         table = weights[first:stop] @ params.embedding.T
         token_pair = np.repeat(np.arange(stop - first), chunk_counts)
         yield (first, tokens, chunk_counts, token_pair,
                table[token_pair, pieces[tokens]])
-        first = stop
 
 
 def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,

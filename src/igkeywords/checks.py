@@ -176,7 +176,7 @@ def oracle_error() -> float:
     with tempfile.TemporaryDirectory() as out_dir:
         result = pipeline.run_pipeline(corpus, ORACLE_CONFIG, out_dir=out_dir)
         for i in range(rounds):
-            path = os.path.join(out_dir, f"round_{i:04d}.json")
+            path = os.path.join(out_dir, pipeline._round_file(i))
             with open(path, encoding="utf-8") as fh:
                 for class_name, word, _, score in json.load(fh)["selections"]:
                     scores.setdefault((class_name, word), []).append(score)
@@ -184,22 +184,21 @@ def oracle_error() -> float:
     df = Counter(w for text in corpus.texts
                  for w in set(_WORD_RE.findall(text.lower())))
 
-    records = result.aggregates.records()
-    keys = {(r.class_name, r.word) for r in records}
-    if keys != set(scores):
+    table = result.aggregates
+    keys = table.pairs()
+    if set(keys) != set(scores):
         raise CheckFailure(f"aggregate keys differ from the dumps: "
-                           f"{sorted(keys ^ set(scores))[:5]}")
+                           f"{sorted(set(keys) ^ set(scores))[:5]}")
     worst = 0.0
-    for rec in records:
-        key = rec.class_name, rec.word
+    for key, mean, *got in zip(keys, *(getattr(table, f).tolist() for f in (
+            "mean_score", "instance_count", "rounds_selected",
+            "selection_frequency", "doc_frequency"))):
         pooled, n_hits = scores[key], len(hits[key])
-        want = (len(pooled), n_hits, n_hits / rounds, df[rec.word])
-        got = (rec.instance_count, rec.rounds_selected,
-               rec.selection_frequency, rec.doc_frequency)
+        want = [len(pooled), n_hits, n_hits / rounds, df[key[1]]]
         if got != want:
-            raise CheckFailure(f"{key}: (instances, rounds, SF, df) {got}, "
-                               f"recomputed {want}")
-        worst = max(worst, abs(rec.mean_score - sum(pooled) / len(pooled)))
+            raise CheckFailure(f"{key}: (instances, rounds, SF, df) "
+                               f"{tuple(got)}, recomputed {tuple(want)}")
+        worst = max(worst, abs(mean - sum(pooled) / len(pooled)))
     return worst
 
 

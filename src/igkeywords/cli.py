@@ -31,7 +31,8 @@ import time
 from . import checks, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
                      ValidationError, _is_string_list, generate_synthetic,
-                     load_corpus, load_markers, save_corpus, save_markers)
+                     load_corpus, load_markers, marker_sets, save_corpus,
+                     save_markers)
 from .fileio import atomic_write, malformed, utf8_lines
 
 # Option -> the config field it sets.
@@ -172,10 +173,13 @@ def _cmd_synth(args) -> int:
 
 
 def _from_fields(cls, values):
-    """``cls(**values)``; ``values`` must name every field of ``cls``."""
-    missing = {f.name for f in dataclasses.fields(cls)} - set(values)
-    if missing:
-        raise TypeError(f"missing {cls.__name__} fields {sorted(missing)}")
+    """``cls(**values)``; ``values`` must name every field of ``cls``, each
+    with a value of its default's type (an int will do for a float)."""
+    defaults = cls()
+    for f in dataclasses.fields(cls):
+        value, kind = values[f.name], type(getattr(defaults, f.name))
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise TypeError(f"{f.name} is {value!r}, not a {kind.__name__}")
     return cls(**values)
 
 
@@ -189,12 +193,13 @@ def load_run_config(run_dir):
         classes, top_m = saved.pop("classes"), saved.pop("top_m")
         if not _is_string_list(classes):
             raise TypeError("classes is not a list of strings")
-        if not isinstance(top_m, int):
+        LabelSpace(tuple(classes))  # rejects no classes and duplicates
+        if type(top_m) is not int:
             raise TypeError("top_m is not an integer")
         saved.pop("ig_steps", None)  # saved by versions with a step count
         markers = saved.pop("markers", None)
         if markers is not None:
-            markers = {c: set(words) for c, words in markers.items()}
+            markers = marker_sets(markers)
         train = _from_fields(model.TrainConfig, saved.pop("train_config"))
         config = _from_fields(pipeline.PipelineConfig,
                               dict(saved, train_config=train))

@@ -124,6 +124,19 @@ class Corpus:
                 + np.repeat(starts - (ends - counts), counts), counts)
 
 
+def budget_chunks(costs: np.ndarray, budget):
+    """``(first, stop)`` of each chunk of consecutive items whose costs add
+    up to at most ``budget``, or of one item that costs more; ``costs``
+    are the items' running cost totals (``np.cumsum``)."""
+    first = 0
+    while first < len(costs):
+        spent = costs[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(costs, spent + budget,
+                                                  side="right")))
+        yield first, stop
+        first = stop
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     ratio: float
@@ -421,9 +434,13 @@ def load_markers(path) -> dict[str, set[str]]:
     string lists."""
     with open(path, "rb") as fh, \
             malformed(path, "markers file", ValidationError):
-        markers = json.loads(fh.read().decode("utf-8"))
+        return marker_sets(json.loads(fh.read().decode("utf-8")))
+
+
+def marker_sets(markers) -> dict[str, set[str]]:
+    """The planted words per class of a parsed JSON object of string
+    lists; any other value raises ``TypeError``."""
     if not (isinstance(markers, dict)
             and all(map(_is_string_list, markers.values()))):
-        raise ValidationError(
-            f"{path}: malformed markers file: not an object of string lists")
+        raise TypeError("not an object of string lists")
     return {c: set(words) for c, words in markers.items()}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, ValidationError
+from .corpus import Corpus, ValidationError, budget_chunks
 
 
 #: Piece cells (pieces x d) per chunk of ``pool_documents``: it bounds
@@ -299,15 +299,10 @@ def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     most = min(positions.size, max(budget, int(counts.max(initial=0))))
     cells, slots = _pool_tables(most, most, d)
     pooled = np.empty((rows.size, d))
-    first = 0
-    while first < rows.size:
-        spent = ends[first - 1] if first else 0
-        stop = max(first + 1, int(np.searchsorted(ends, spent + budget,
-                                                  side="right")))
-        pooled[first:stop] = _pool_sums(
-            params.embedding, pieces[positions[spent:ends[stop - 1]]],
-            counts[first:stop], cells, slots)[0]
-        first = stop
+    for first, stop in budget_chunks(ends, budget):
+        chunk = positions[ends[first] - counts[first]:ends[stop - 1]]
+        pooled[first:stop] = _pool_sums(params.embedding, pieces[chunk],
+                                        counts[first:stop], cells, slots)[0]
     pooled /= counts[:, None]
     return pooled
 

@@ -14,7 +14,8 @@ pass predicts them all, ``attribution.top_word_scores`` scores every
 target pair in chunks, and the selections are columns of indices into the
 corpus's tables.  ``aggregate`` reduces them with grouped sums to an
 ``Aggregates`` table of columns, with document frequencies counted from
-the corpus; the filter masks its columns.  ``write_aggregates`` stores
+the corpus and class and word ids into the selections' tables; the
+filter keeps a sorted subset of its rows.  ``write_aggregates`` stores
 the columns in ``aggregates.npz``, which ``load_aggregates`` reads back
 for ``report``, and formats ``aggregates.json``/``.tsv`` from them slice by
 slice as exports that nothing in the program reads.  Every file of a run
@@ -23,10 +24,10 @@ directory is written atomically (``fileio.atomic_write``).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
@@ -128,48 +129,41 @@ class RoundResult:
     failed: bool = False
 
 
-@dataclass
-class AggregateRecord:
-    class_name: str
-    word: str
-    mean_score: float
-    rounds_selected: int
-    selection_frequency: float
-    instance_count: int
-    doc_frequency: int
-
-
-#: AggregateRecord's fields, which are the columns of Aggregates
-_AGGREGATE_FIELDS = tuple(f.name for f in dataclasses.fields(AggregateRecord))
+#: The numeric columns of Aggregates, by their dtype kind in aggregates.npz
+_NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
+                  "rounds_selected": "i", "instance_count": "i",
+                  "doc_frequency": "i"}
 
 
 @dataclass(eq=False)
 class Aggregates:
     """Per-(class, word) aggregates as columns, one row per pair in
-    (class name, word) order: object arrays of class names and words,
-    float mean scores and selection frequencies, and integer counts."""
+    (class name, word) order: ids into the ``classes`` and ``words``
+    tables (a run's label space and corpus words), float mean scores and
+    selection frequencies, and integer counts."""
 
-    class_name: np.ndarray
-    word: np.ndarray
+    class_idx: np.ndarray
+    word_idx: np.ndarray
     mean_score: np.ndarray
     rounds_selected: np.ndarray
     selection_frequency: np.ndarray
     instance_count: np.ndarray
     doc_frequency: np.ndarray
+    classes: Sequence[str]
+    words: Sequence[str]
 
     def __len__(self) -> int:
         return self.mean_score.size
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Aggregates):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f))
-                   for f in _AGGREGATE_FIELDS)
+    def __eq__(self, other) -> bool:  # the same rows, whatever the ids
+        return (isinstance(other, Aggregates) and self.pairs() == other.pairs()
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in _NUMERIC_KINDS))
 
-    def records(self, rows=slice(None)) -> list[AggregateRecord]:
-        """The rows (all of them, or those ``rows`` indexes) as records."""
-        return list(map(AggregateRecord, *(getattr(self, f)[rows].tolist()
-                                           for f in _AGGREGATE_FIELDS)))
+    def pairs(self) -> list[tuple[str, str]]:
+        """The (class name, word) of each row."""
+        return [(self.classes[c], self.words[w]) for c, w in
+                zip(self.class_idx.tolist(), self.word_idx.tolist())]
 
 
 def round_seeds(master_seed: int, round_index: int) -> tuple[int, int]:
@@ -263,7 +257,8 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig) -> Aggregates:
 
     # Groups ordered by (class name, word), the order of the table's rows.
     classes = corpus.label_space.classes
-    class_rank = np.argsort(np.argsort(np.array(classes, dtype=object)))
+    by_name = np.argsort(np.array(classes, dtype=object))
+    class_rank = np.argsort(by_name)
     n_words = len(corpus.words)
     # One sort of the (group, round) cells: a group starts where the cell's
     # key changes, and each group's cells come in round order.  The order
@@ -296,18 +291,18 @@ def aggregate(rounds, corpus: Corpus, config: PipelineConfig) -> Aggregates:
 
     rank_of_key, word_of_key = np.divmod(keys, n_words)
     return Aggregates(
-        class_name=np.array(sorted(classes), dtype=object)[rank_of_key],
-        word=np.array(corpus.words, dtype=object)[word_of_key],
+        class_idx=by_name[rank_of_key], word_idx=word_of_key,
         mean_score=mean_score, rounds_selected=rounds_selected,
         selection_frequency=rounds_selected / config.rounds,
         instance_count=instances,
-        doc_frequency=corpus.doc_frequency()[word_of_key])
+        doc_frequency=corpus.doc_frequency()[word_of_key],
+        classes=classes, words=corpus.words)
 
 
 def filter_keywords(table: Aggregates, config: PipelineConfig,
-                    class_order=None) -> list[AggregateRecord]:
-    """Keep the rows with SF strictly above t and df strictly above k, as
-    records sorted per class by mean score descending (word breaks ties).
+                    class_order=None) -> Aggregates:
+    """Keep the rows with SF strictly above t and df strictly above k,
+    sorted per class by mean score descending (word breaks ties).
 
     Classes come in ``class_order``, then any others by name.  The sort is
     stable over the table's (class name, word) row order, which breaks
@@ -315,21 +310,21 @@ def filter_keywords(table: Aggregates, config: PipelineConfig,
     """
     rows = np.flatnonzero((table.selection_frequency > config.sf_threshold)
                           & (table.doc_frequency > config.min_doc_frequency))
-    names = table.class_name[rows].tolist()
     listed = list(class_order or ())
     rank = {c: i for i, c in
-            enumerate(listed + sorted(set(names).difference(listed)))}
-    class_rank = np.fromiter(map(rank.__getitem__, names), dtype=np.intp,
-                             count=rows.size)
-    return table.records(rows[np.lexsort((-table.mean_score[rows],
-                                          class_rank))])
+            enumerate(listed + sorted(set(table.classes).difference(listed)))}
+    class_rank = np.array([rank[c] for c in table.classes],
+                          dtype=np.intp)[table.class_idx[rows]]
+    kept = rows[np.lexsort((-table.mean_score[rows], class_rank))]
+    return replace(table, **{f: getattr(table, f)[kept] for f in
+                             ("class_idx", "word_idx", *_NUMERIC_KINDS)})
 
 
 @dataclass
 class PipelineResult:
     rounds: list[RoundResult]
     aggregates: Aggregates
-    keywords: list[AggregateRecord]
+    keywords: Aggregates  # the rows filter_keywords keeps, in its order
     config: PipelineConfig
     # The corpus whose tables the rounds' selections index; None when read
     # back from a run directory.
@@ -425,10 +420,10 @@ def load_round_artifacts(out_dir, rounds: int,
 
     Dumped selections stay the ``[class, word, doc_id, score]`` rows as
     parsed (an empty list when scores were not dumped).  A file that is
-    not JSON, lacks a field, holds a field of the wrong type, describes
-    another round than its name, or is of a successful round whose
-    ``per_class`` does not hold exactly ``classes`` raises
-    ``ValidationError`` naming it.
+    not JSON, lacks a field, holds a field of the wrong type (a boolean is
+    not a number), describes another round than its name, or is of a
+    successful round whose ``per_class`` does not hold exactly ``classes``
+    raises ``ValidationError`` naming it.
     """
     results = []
     for round_index in range(rounds):
@@ -439,12 +434,12 @@ def load_round_artifacts(out_dir, rounds: int,
             per_class, micro_f1 = payload["per_class"], payload["micro_f1"]
             if not (isinstance(per_class, dict) and all(
                     isinstance(stats, dict)
-                    and isinstance(stats["f1"], (int, float))
-                    and isinstance(stats["support"], (int, float))
+                    and type(stats["f1"]) in (int, float)
+                    and type(stats["support"]) in (int, float)
                     for stats in per_class.values())):
                 raise TypeError("per_class is not an object of objects with "
                                 "numeric f1 and support")
-            if not isinstance(micro_f1, (int, float)):
+            if type(micro_f1) not in (int, float):
                 raise TypeError("micro_f1 is not a number")
             if not isinstance(payload["failed"], bool):
                 raise TypeError("failed is not a boolean")
@@ -469,12 +464,9 @@ def load_round_artifacts(out_dir, rounds: int,
 #: The columns of aggregates.json/.tsv
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
                 "rounds_selected", "instance_count", "doc_frequency")
-#: The numeric fields of the table and the dtype kind of each in
-#: aggregates.npz, and the string fields, stored there as codes
-_NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
-                  "rounds_selected": "i", "instance_count": "i",
-                  "doc_frequency": "i"}
-_CODED_FIELDS = ("class_name", "word")
+#: Each id column of Aggregates, its string table and its aggregates.npz key
+_ID_COLUMNS = (("class_idx", "classes", "class_name"),
+               ("word_idx", "words", "word"))
 # One row's text with None where each value goes: a row dict as json.dumps
 # writes it, opened by the end of the row before, and a TSV line.
 _JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
@@ -485,11 +477,11 @@ _TSV_ROW[-1] = "\n"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _value_texts(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The text of each distinct value of ``column`` and, per row, the
-    index of its value's text."""
+def _value_texts(column, text=repr) -> tuple[list[str], np.ndarray]:
+    """The ``text`` of each distinct value of ``column``, in value order,
+    and, per row, the index of its value's text."""
     values, codes = np.unique(column, return_inverse=True)
-    return list(map(repr, values.tolist())), codes
+    return list(map(text, values.tolist())), codes
 
 
 def _aggregate_lines(table: Aggregates, part: slice,
@@ -497,65 +489,55 @@ def _aggregate_lines(table: Aggregates, part: slice,
     """The ``aggregates.json`` rows (joined by ", ") and ``aggregates.tsv``
     lines of the rows in ``part``, which holds at least one row.
 
-    Strings go through the ``ensure_ascii`` encoder of json.dumps; floats
-    and integers through ``repr``, which is what json.dumps writes for a
-    finite float and for an int.  Selection frequencies are round counts
-    over the configured rounds, so they are finite; a mean score that is
-    not is spelt as json.dumps spells it.  ``lookups`` holds the
-    ``_value_texts`` of the selection frequency and the three counts.
+    ``lookups`` holds each other column's value texts in JSON and in TSV
+    and each row's index into them.  JSON spells strings with the
+    ``ensure_ascii`` encoder of json.dumps and numbers by ``repr``, as
+    json.dumps does a finite float and an int.  Selection frequencies are
+    round counts over the configured rounds, so they are finite; a mean
+    score that is not is spelt as json.dumps spells it.
     """
-    classes = table.class_name[part].tolist()
-    words = table.word[part].tolist()
     scores = table.mean_score[part]
     means = list(map(float.__repr__, scores.tolist()))
     json_means = means if np.isfinite(scores).all() else [
         _JSON_NON_FINITE.get(m, m) for m in means]
-    counts = [list(map(texts.__getitem__, codes[part].tolist()))
-              for texts, codes in lookups]
-    json_values = [list(map(encode_basestring_ascii, classes)),
-                   list(map(encode_basestring_ascii, words)), json_means,
-                   *counts]
-    tsv_values = [classes, words, means, *counts]
+    columns = []
+    for json_texts, tsv_texts, codes in lookups:
+        rows = codes[part].tolist()
+        tsv_column = list(map(tsv_texts.__getitem__, rows))
+        columns.append((tsv_column if json_texts is tsv_texts
+                        else list(map(json_texts.__getitem__, rows)),
+                        tsv_column))
+    columns.insert(2, (json_means, means))
     # Each value goes into its slots of the repeated row texts.
     json_parts, tsv_parts = _JSON_ROW * len(means), _TSV_ROW * len(means)
     width = len(_JSON_ROW)
-    for j, (json_column, tsv_column) in enumerate(zip(json_values,
-                                                      tsv_values)):
+    for j, (json_column, tsv_column) in enumerate(columns):
         json_parts[2 * j + 1::width] = json_column
         tsv_parts[2 * j::width] = tsv_column
     json_parts[0] = json_parts[0][len("}, "):]  # no row before the first
     return "".join(json_parts) + "}", "".join(tsv_parts)
 
 
-def _coded(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A column of strings as int32 codes, each row's index among the
-    column's distinct values, and those values in order of first row as
-    the bytes of a JSON list.
-
-    Numpy's fixed-width string arrays drop trailing NULs, so they cannot
-    hold every string exactly; ``ensure_ascii`` JSON can.
-    """
-    index: dict[str, int] = {}
-    codes = np.fromiter((index.setdefault(v, len(index))
-                         for v in column.tolist()),
-                        dtype=np.int32, count=column.size)
-    return codes, np.frombuffer(json.dumps(list(index)).encode("ascii"),
-                                dtype=np.uint8)
-
-
 def write_aggregates(table: Aggregates, out_dir) -> None:
-    """Write the columns to ``aggregates.npz``, the numeric ones as they are
-    and each string one as ``<field>`` codes and ``<field>_values`` (see
-    ``_coded``), and export them as ``aggregates.json`` (the bytes of
-    ``json.dumps`` of the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS
-    rows at a time."""
+    """Write the columns to ``aggregates.npz``, each id column as int32
+    codes into the bytes of an ``ensure_ascii`` JSON list of the entries
+    of its table that rows use (numpy's string arrays drop trailing NULs),
+    and export them as ``aggregates.json`` (the bytes of ``json.dumps`` of
+    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time."""
     os.makedirs(out_dir, exist_ok=True)
     arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
-    for f in _CODED_FIELDS:
-        arrays[f], arrays[f + "_values"] = _coded(getattr(table, f))
-    lookups = [_value_texts(getattr(table, f))
-               for f in ("selection_frequency", "rounds_selected",
-                         "instance_count", "doc_frequency")]
+    lookups = []
+    for ids, strings, key in _ID_COLUMNS:
+        texts, codes = _value_texts(getattr(table, ids),
+                                    getattr(table, strings).__getitem__)
+        arrays[key] = codes.astype(np.int32)
+        arrays[key + "_values"] = np.frombuffer(
+            json.dumps(texts).encode("ascii"), dtype=np.uint8)
+        lookups.append((list(map(encode_basestring_ascii, texts)), texts,
+                        codes))
+    for f in list(_NUMERIC_KINDS)[1:]:  # the columns after the mean score
+        texts, codes = _value_texts(getattr(table, f))
+        lookups.append((texts, texts, codes))
     with atomic_write(os.path.join(out_dir, "aggregates.npz"),
                       binary=True) as npz, \
             atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
@@ -580,7 +562,8 @@ def _column(archive, name: str, kind: str) -> np.ndarray:
 
 
 def load_aggregates(out_dir) -> Aggregates:
-    """The table that ``write_aggregates`` wrote to ``aggregates.npz``.
+    """The table that ``write_aggregates`` wrote to ``aggregates.npz``,
+    over the archive's string tables, in whatever order they are.
 
     A file that is not such an archive, lacks a column, holds a column of
     the wrong dtype kind or length, a code out of range or values that are
@@ -591,15 +574,17 @@ def load_aggregates(out_dir) -> Aggregates:
             np.load(path, allow_pickle=False) as archive:
         columns = {f: _column(archive, f, kind)
                    for f, kind in _NUMERIC_KINDS.items()}
-        for f in _CODED_FIELDS:
-            codes = _column(archive, f, "i")
-            values = json.loads(_column(archive, f + "_values", "u").tobytes())
+        tables = {}
+        for ids, strings, key in _ID_COLUMNS:
+            codes = _column(archive, key, "i")
+            values = json.loads(_column(archive, key + "_values",
+                                        "u").tobytes())
             if not _is_string_list(values):
-                raise TypeError(f"{f}_values is not a JSON list of strings")
+                raise TypeError(f"{key}_values is not a JSON list of strings")
             if codes.size and not (0 <= codes.min()
                                    and codes.max() < len(values)):
-                raise ValueError(f"{f} holds a code out of range")
-            columns[f] = np.array(values, dtype=object)[codes]
+                raise ValueError(f"{key} holds a code out of range")
+            columns[ids], tables[strings] = codes, values
         if len({column.size for column in columns.values()}) > 1:
             raise ValueError("columns of unequal length")
-        return Aggregates(**columns)
+        return Aggregates(**columns, **tables)

@@ -38,17 +38,18 @@ class UniquenessStat:
     sd: float
 
 
-def build_keyword_table(records, class_names, top_m: int) -> KeywordTable:
-    """Truncate filtered aggregate records to the top M per class.
+def build_keyword_table(keywords, class_names, top_m: int) -> KeywordTable:
+    """Truncate the filtered aggregate rows to the top M per class.
 
     Every listed class appears, even with no surviving keywords.
     """
     rows: dict[str, list[tuple[str, float, int]]] = {c: [] for c in class_names}
-    for rec in records:
-        bucket = rows.setdefault(rec.class_name, [])
+    for (c, w), score, sf in zip(keywords.pairs(),
+                                 keywords.mean_score.tolist(),
+                                 keywords.selection_frequency.tolist()):
+        bucket = rows.setdefault(c, [])
         if len(bucket) < top_m:
-            bucket.append((rec.word, rec.mean_score,
-                           int(round(rec.selection_frequency * 100))))
+            bucket.append((w, score, int(round(sf * 100))))
     return KeywordTable(rows=rows, top_m=top_m)
 
 
@@ -129,19 +130,16 @@ def uniqueness(table: KeywordTable, top_m: int | None = None) -> UniquenessStat:
     return UniquenessStat(top_m=top_m, per_class=per_class, mean=mean, sd=sd)
 
 
-def marker_recovery(records, planted: dict[str, set[str]]):
-    """Score filtered keywords against planted synthetic markers.
+def marker_recovery(keywords, planted: dict[str, set[str]]):
+    """Score the filtered aggregate rows against planted synthetic markers.
 
     Returns per-class {"recall", "precision"}.  With an empty keyword
     list, precision is 1.0 (the list claims nothing false).
     """
-    keywords: dict[str, set[str]] = {c: set() for c in planted}
-    for rec in records:
-        if rec.class_name in keywords:
-            keywords[rec.class_name].add(rec.word)
+    kept = keywords.pairs()
     out = {}
     for c, markers in planted.items():
-        found = keywords[c]
+        found = {word for name, word in kept if name == c}
         hit = markers & found
         recall = len(hit) / len(markers) if markers else 1.0
         precision = len(hit) / len(found) if found else 1.0
@@ -152,7 +150,8 @@ def marker_recovery(records, planted: dict[str, set[str]]):
 def write_reports(result, out_dir, top_m: int, class_names,
                   planted=None) -> None:
     """Emit the standard report files into a run directory; the keyword
-    tables list the classes in the order ``class_names``."""
+    tables list the classes in the order ``class_names``; without
+    ``planted``, no ``recovery.json`` is left."""
     os.makedirs(out_dir, exist_ok=True)
     table = build_keyword_table(result.keywords, class_names, top_m)
     stat = uniqueness(table)  # rejects a bad top_m before any file is written
@@ -172,3 +171,5 @@ def write_reports(result, out_dir, top_m: int, class_names,
         put("recovery.json", json.dumps(
             marker_recovery(result.keywords, planted), indent=2,
             sort_keys=True))
+    elif os.path.exists(stale := os.path.join(out_dir, "recovery.json")):
+        os.remove(stale)

@@ -3,8 +3,12 @@
 the dict aggregate and the per-document document-frequency count that the
 batched explain pass, the grouped-sum aggregate and
 ``Corpus.doc_frequency`` replaced; of the midpoint-rule integrated
-gradients that the closed-form path integral replaced; and of the
-``aggregates.json`` reader that ``aggregates.npz`` replaced.
+gradients that the closed-form path integral replaced; of the
+``aggregates.json`` reader that ``aggregates.npz`` replaced; and of the
+``aggregates.npz`` string tables in order of first row, as they were
+written before they held the entries of the run's tables in table order.
+``AggregateRecord``, one aggregate row with its class name and word
+spelt out, is the row type of the dict aggregate and of the tests.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
@@ -18,7 +22,6 @@ reference for the differential tests in ``test_batched_explain.py`` and
 midpoint rule, the oracle the closed form is shown to be the limit of.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -28,9 +31,24 @@ import numpy as np
 
 from igkeywords import model
 from igkeywords.corpus import SplitSpec, ValidationError
-from igkeywords.pipeline import (AggregateRecord, Aggregates, _f1_metrics,
-                                 round_seeds)
+from igkeywords.pipeline import Aggregates, _f1_metrics, round_seeds
 from reference_corpus import documents_of, reference_stratified_split
+
+
+@dataclass
+class AggregateRecord:
+    class_name: str
+    word: str
+    mean_score: float
+    rounds_selected: int
+    selection_frequency: float
+    instance_count: int
+    doc_frequency: int
+
+
+#: AggregateRecord's numeric fields, columns of the aggregate table
+NUMERIC_FIELDS = ("mean_score", "rounds_selected", "selection_frequency",
+                  "instance_count", "doc_frequency")
 
 
 @dataclass(frozen=True)
@@ -231,13 +249,44 @@ def compute_doc_frequency(documents) -> dict[str, int]:
 
 
 def table_of(records) -> Aggregates:
-    """The aggregate table whose rows are ``records``."""
-    types = {"class_name": object, "word": object, "mean_score": float,
-             "selection_frequency": float}
-    return Aggregates(**{
-        f.name: np.array([getattr(r, f.name) for r in records],
-                         dtype=types.get(f.name, np.intp))
-        for f in dataclasses.fields(AggregateRecord)})
+    """The aggregate table whose rows are ``records``, over tables of their
+    class names and words in order of first row."""
+    classes = {c: i for i, c in enumerate(dict.fromkeys(
+        r.class_name for r in records))}
+    words = {w: i for i, w in enumerate(dict.fromkeys(
+        r.word for r in records))}
+    floats = ("mean_score", "selection_frequency")
+    return Aggregates(
+        class_idx=np.array([classes[r.class_name] for r in records],
+                           dtype=np.intp),
+        word_idx=np.array([words[r.word] for r in records], dtype=np.intp),
+        classes=list(classes), words=list(words),
+        **{f: np.array([getattr(r, f) for r in records],
+                       dtype=float if f in floats else np.intp)
+           for f in NUMERIC_FIELDS})
+
+
+def aggregate_records(table: Aggregates) -> list[AggregateRecord]:
+    """The rows of an aggregate table as records."""
+    return [AggregateRecord(class_name, word, *values)
+            for (class_name, word), *values in zip(
+                table.pairs(), *(getattr(table, f).tolist()
+                                 for f in NUMERIC_FIELDS))]
+
+
+def first_row_archive(table: Aggregates) -> dict[str, np.ndarray]:
+    """The arrays of an ``aggregates.npz`` of ``table`` whose string
+    tables hold each column's distinct values in order of first row."""
+    arrays = {f: getattr(table, f) for f in NUMERIC_FIELDS}
+    pairs = table.pairs()
+    for key, column in (("class_name", [c for c, _ in pairs]),
+                        ("word", [w for _, w in pairs])):
+        index = {}
+        arrays[key] = np.array([index.setdefault(v, len(index))
+                                for v in column], dtype=np.int32)
+        arrays[key + "_values"] = np.frombuffer(
+            json.dumps(list(index)).encode("ascii"), dtype=np.uint8)
+    return arrays
 
 
 def table_from_json(run_dir) -> Aggregates:

@@ -15,6 +15,7 @@ from igkeywords.model import (TrainConfig, init_model, piece_rows,
                               pool_documents)
 from igkeywords.pipeline import PipelineConfig, filter_keywords, run_pipeline
 from igkeywords.report import build_keyword_table, uniqueness, write_reports
+from reference_round import aggregate_records
 
 
 @contextmanager
@@ -114,7 +115,8 @@ def test_criterion_5_synthetic_marker_recovery(big_run):
     with criterion(5, "planted markers recovered with high selection frequency"):
         result = big_run["result"]
         markers = big_run["markers"]
-        keywords = {(r.class_name, r.word): r for r in result.keywords}
+        keywords = {(r.class_name, r.word): r
+                    for r in aggregate_records(result.keywords)}
         for class_name, planted in markers.items():
             found = {w for c, w in keywords if c == class_name} & planted
             recall = len(found) / len(planted)
@@ -164,8 +166,7 @@ def test_criterion_7_worker_determinism(big_run, tmp_path):
 
 def test_criterion_8_filter_semantics():
     with criterion(8, "strict SF and df threshold boundaries"):
-        from igkeywords.pipeline import AggregateRecord
-        from reference_round import table_of
+        from reference_round import AggregateRecord, table_of
 
         t, k, eps = 0.6, 5, 1e-9
         config = PipelineConfig(sf_threshold=t, min_doc_frequency=k)

@@ -22,12 +22,12 @@ from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
-from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
-                                 Selections, aggregate, load_aggregates,
-                                 round_seeds, run_pipeline, run_round,
-                                 write_aggregates)
+from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
+                                 aggregate, load_aggregates, round_seeds,
+                                 run_pipeline, run_round, write_aggregates)
 from reference_corpus import documents_of, records_of
-from reference_round import (WordScoreRecord, integrated_gradients,
+from reference_round import (AggregateRecord, WordScoreRecord,
+                             aggregate_records, integrated_gradients,
                              normalize_document, predict, reference_aggregate,
                              reference_run_round, table_from_json, table_of,
                              token_ids, top_n_words, word_scores)
@@ -381,7 +381,7 @@ def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
     want = reference_aggregate(
         [(r.round_index, as_records(r.selections, corpus)) for r in rounds],
         corpus, config)
-    assert aggregate(rounds, corpus, config).records() == want
+    assert aggregate_records(aggregate(rounds, corpus, config)) == want
     assert any(r.rounds_selected < 3 for r in want)
     assert any(r.instance_count > r.rounds_selected for r in want)
 
@@ -407,7 +407,7 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
         written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
             encoding="utf-8")
         assert written == expected.getvalue()
-    assert_aggregate_files(tmp_path, result.aggregates.records())
+    assert_aggregate_files(tmp_path, aggregate_records(result.aggregates))
 
 
 def assert_aggregate_files(run_dir, records):
@@ -461,7 +461,7 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
         ["run", "--corpus", str(corpus_path), *argv]))
     result = run_pipeline(load_corpus(corpus_path, LabelSpace(
         tuple(sorted(names.values())))), config)
-    records = result.aggregates.records()
+    records = aggregate_records(result.aggregates)
     assert {r.class_name for r in records} == set(names.values())
     assert {r.word.rstrip("0123456789") for r in records} >= set(prefixes)
     assert_aggregate_files(run_dir, records)

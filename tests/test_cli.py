@@ -14,7 +14,8 @@ from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
 from igkeywords.pipeline import PipelineConfig, load_aggregates
-from reference_round import table_from_json
+from reference_round import (aggregate_records, first_row_archive,
+                             table_from_json)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SMALL_RUN = ("--rounds", "2", "--epochs", "4",
@@ -481,6 +482,111 @@ class TestReport:
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
         assert "aggregates.npz" in capsys.readouterr().err
         assert (out_dir / "keywords.tsv").read_bytes() == keywords
+
+    @pytest.mark.parametrize("name, edit", [
+        ("config.json", lambda saved: saved.update(markers={"c0": "qaa"})),
+        ("config.json", lambda saved: saved.update(top_m=True)),
+        ("config.json", lambda saved: saved.update(rounds=True)),
+        ("config.json", lambda saved: saved.update(rounds=2.5)),
+        ("config.json", lambda saved: saved["train_config"].update(
+            epochs=1.5)),
+        ("config.json", lambda saved: saved.update(ratio="0.6")),
+        ("config.json", lambda saved: saved.update(dump_scores=0)),
+        ("config.json", lambda saved: saved.update(
+            classes=["c0", "c1", "c0"])),
+        ("config.json", lambda saved: saved.update(classes=[])),
+        ("round_0000.json", lambda saved: saved.update(micro_f1=True)),
+        ("round_0001.json", lambda saved: saved["per_class"]["c1"].update(
+            f1=False)),
+        ("round_0000.json", lambda saved: saved["per_class"]["c2"].update(
+            support=True)),
+    ], ids=["markers-a-string", "top-m-a-bool", "rounds-a-bool",
+            "rounds-a-float", "epochs-a-float", "ratio-a-string",
+            "dump-scores-an-int", "duplicate-classes", "no-classes",
+            "micro-f1-a-bool", "f1-a-bool", "support-a-bool"])
+    def test_wrongly_typed_field_exit_code(self, synth_files, tmp_path,
+                                           capsys, name, edit):
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 0
+        before = {report: (out_dir / report).read_bytes()
+                  for report in REPORT_FILES}
+        saved = json.loads((out_dir / name).read_text())
+        edit(saved)
+        (out_dir / name).write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert f"{out_dir / name}: malformed" in capsys.readouterr().err
+        for report in REPORT_FILES:
+            assert (out_dir / report).read_bytes() == before[report], report
+
+    def test_float_fields_take_integers(self, synth_files, tmp_path):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), "--sf-threshold", "0.0",
+                       *SMALL_RUN) == 0
+        keywords = (out_dir / "keywords.tsv").read_bytes()
+        saved = json.loads((out_dir / "config.json").read_text())
+        assert saved["sf_threshold"] == 0.0
+        (out_dir / "config.json").write_text(
+            json.dumps(dict(saved, sf_threshold=0)))
+        assert load_run_config(out_dir)[0].sf_threshold == 0
+        (out_dir / "keywords.tsv").unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        assert (out_dir / "keywords.tsv").read_bytes() == keywords
+
+    def test_run_without_markers_removes_recovery_json(self, synth_files,
+                                                       tmp_path):
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        flags = ["--corpus", str(corpus_path), "--out-dir", str(out_dir),
+                 *SMALL_RUN]
+        assert run_cli("run", *flags, "--markers", str(markers_path)) == 0
+        assert (out_dir / "recovery.json").exists()
+        assert run_cli("run", *flags) == 0
+        assert "markers" not in json.loads(
+            (out_dir / "config.json").read_text())
+        assert not (out_dir / "recovery.json").exists()
+        # nor does report bring one back, or mind one left over
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        assert not (out_dir / "recovery.json").exists()
+        (out_dir / "recovery.json").write_text("{}")
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        assert not (out_dir / "recovery.json").exists()
+
+    def test_reads_string_tables_in_first_row_order(self, synth_files,
+                                                    tmp_path):
+        # aggregates.npz as written when each string table held a column's
+        # distinct values in order of first row
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), "--top-m", "3",
+                       "--learning-rate", "0.1", "--sf-threshold", "0.4",
+                       *SMALL_RUN) == 0
+        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        table = load_aggregates(out_dir)
+        archive = first_row_archive(table)
+        with np.load(out_dir / "aggregates.npz") as written:
+            assert set(written) == set(archive)
+            assert all(written[key].dtype == archive[key].dtype
+                       for key in archive)
+            # the layouts differ, so the test reads another numbering
+            assert not np.array_equal(written["word"], archive["word"])
+        np.savez(out_dir / "aggregates.npz", **archive)
+        loaded = load_aggregates(out_dir)
+        assert loaded == table
+        assert aggregate_records(loaded) == aggregate_records(table)
+        assert loaded == table_from_json(out_dir)
+        for name in REPORT_FILES:
+            (out_dir / name).unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        for name in REPORT_FILES:
+            assert (out_dir / name).read_bytes() == before[name], name
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

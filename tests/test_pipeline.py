@@ -9,12 +9,12 @@ import pytest
 from igkeywords import pipeline
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
-from igkeywords.pipeline import (AggregateRecord, PipelineConfig, RoundResult,
-                                 Selections, aggregate, filter_keywords,
-                                 load_aggregates, load_round_artifacts,
-                                 round_seeds, run_pipeline, run_round,
-                                 write_aggregates)
-from reference_round import (WordScoreRecord, table_from_json, table_of,
+from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
+                                 aggregate, filter_keywords, load_aggregates,
+                                 load_round_artifacts, round_seeds,
+                                 run_pipeline, run_round, write_aggregates)
+from reference_round import (AggregateRecord, WordScoreRecord,
+                             aggregate_records, table_from_json, table_of,
                              top_n_words)
 
 
@@ -84,7 +84,7 @@ class TestAggregate:
             make_round(3, [], corpus),
             make_round(4, [], corpus),
         ]
-        (record,) = aggregate(rounds, corpus, config).records()
+        (record,) = aggregate_records(aggregate(rounds, corpus, config))
         assert record.mean_score == pytest.approx((0.2 + 0.4 + 0.6) / 3)
         assert record.rounds_selected == 2
         assert record.selection_frequency == pytest.approx(0.4)
@@ -97,14 +97,14 @@ class TestAggregate:
             make_round(0, [rec("w", 0.2)], corpus),
             make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
         ]
-        (record,) = aggregate(rounds, corpus, config).records()
+        (record,) = aggregate_records(aggregate(rounds, corpus, config))
         assert record.mean_score == pytest.approx((0.2 + 0.5) / 2)
 
     def test_never_selected_word_absent(self):
         config = toy_config(rounds=1)
         corpus = one_document_corpus("w other")
         rounds = [make_round(0, [rec("w", 0.2)], corpus)]
-        records = aggregate(rounds, corpus, config).records()
+        records = aggregate_records(aggregate(rounds, corpus, config))
         assert {r.word for r in records} == {"w"}
 
     def test_requires_rounds(self):
@@ -135,8 +135,7 @@ class TestFilterKeywords:
                    agg("z", 0.9, 10, 0.7, class_name="b")]
         kept = filter_keywords(table_of(records), config,
                                class_order=("a", "b"))
-        assert [(r.class_name, r.word) for r in kept] == [
-            ("a", "y"), ("a", "x"), ("b", "z")]
+        assert kept.pairs() == [("a", "y"), ("a", "x"), ("b", "z")]
 
     def test_soundness(self):
         config = toy_config(sf_threshold=0.5, min_doc_frequency=3)
@@ -144,7 +143,7 @@ class TestFilterKeywords:
         records = [agg(f"w{i}", float(rng.uniform()), int(rng.integers(10)))
                    for i in range(50)]
         kept = filter_keywords(table_of(records), config)
-        kept_set = {r.word for r in kept}
+        kept_set = {w for _, w in kept.pairs()}
         for r in records:
             passes = (r.selection_frequency > 0.5 and r.doc_frequency > 3)
             assert (r.word in kept_set) == passes
@@ -168,8 +167,8 @@ class TestFilterKeywords:
             key=lambda r: (rank.get(r.class_name, len(rank)), r.class_name,
                            -r.mean_score, r.word))
         assert len(want) > 20
-        assert filter_keywords(table_of(records), config,
-                               class_order=class_order) == want
+        assert aggregate_records(filter_keywords(
+            table_of(records), config, class_order=class_order)) == want
 
 
 def selected_gold(result, corpus):
@@ -228,7 +227,7 @@ class TestRunPipeline:
         corpus, _ = small_synth
         config = toy_config(rounds=2)
         result = run_pipeline(corpus, config)
-        for record in result.aggregates.records():
+        for record in aggregate_records(result.aggregates):
             assert 0 < record.selection_frequency <= 1
             assert record.rounds_selected <= config.rounds
             assert record.instance_count >= record.rounds_selected
@@ -287,10 +286,28 @@ class TestAggregatesNpz:
         write_aggregates(table, tmp_path)
         loaded = load_aggregates(tmp_path)
         assert loaded == table
-        assert loaded.records() == records
-        for column in (loaded.class_name, loaded.word):
-            assert column.dtype == object
-            assert all(type(value) is str for value in column)
+        assert aggregate_records(loaded) == records
+        for strings in (loaded.classes, loaded.words):
+            assert all(type(value) is str for value in strings)
+        # the tables hold each distinct class name and word once
+        assert sorted(loaded.classes) == sorted({r.class_name
+                                                 for r in records})
+        assert sorted(loaded.words) == sorted({r.word for r in records})
+
+    def test_tables_keep_only_the_entries_rows_use(self, tmp_path):
+        table = table_of(self.RECORDS)
+        padded = dataclasses.replace(
+            table, class_idx=table.class_idx + 1, word_idx=table.word_idx * 2,
+            classes=["unused", *table.classes],
+            words=[w for word in table.words for w in (word, "unused")])
+        assert padded == table
+        write_aggregates(padded, tmp_path)
+        loaded = load_aggregates(tmp_path)
+        assert loaded == table
+        assert "unused" not in loaded.classes + loaded.words
+        # in the order of the written tables
+        assert loaded.classes == list(table.classes)
+        assert loaded.words == list(table.words)
 
     def test_same_table_writes_the_same_bytes(self, tmp_path):
         write_aggregates(table_of(self.RECORDS), tmp_path / "a")

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from igkeywords.corpus import ValidationError
-from igkeywords.pipeline import AggregateRecord, RoundResult
+from igkeywords.pipeline import RoundResult
 from igkeywords.report import (EMPTY_CLASS_MARKER, build_keyword_table,
                                f1_summary, marker_recovery,
                                render_f1_summary, render_keyword_table,
                                uniqueness)
+from reference_round import AggregateRecord
+from reference_round import table_of as aggregate_table
 
 
 def agg(class_name, word, score, sf, df=10):
@@ -25,12 +27,12 @@ def round_result(index, micro, per_class):
 class TestKeywordTable:
     def test_tsv_row_formatting(self):
         records = [agg("ID", "question", 0.5874, 1.0)]
-        table = build_keyword_table(records, ["ID"], 15)
+        table = build_keyword_table(aggregate_table(records), ["ID"], 15)
         out = render_keyword_table(table, "tsv")
         assert "ID\tquestion\t0.5874\t100" in out
 
     def test_empty_class_marker(self):
-        table = build_keyword_table([], ["SP"], 15)
+        table = build_keyword_table(aggregate_table([]), ["SP"], 15)
         out = render_keyword_table(table, "tsv")
         assert EMPTY_CLASS_MARKER in out
         md = render_keyword_table(table, "markdown")
@@ -38,12 +40,12 @@ class TestKeywordTable:
 
     def test_truncation_to_top_m(self):
         records = [agg("a", "high", 0.9, 1.0), agg("a", "low", 0.1, 1.0)]
-        table = build_keyword_table(records, ["a"], 1)
+        table = build_keyword_table(aggregate_table(records), ["a"], 1)
         assert [w for w, _, _ in table.rows["a"]] == ["high"]
 
     def test_json_round_trip(self):
         records = [agg("a", "word", 0.12345, 0.87)]
-        table = build_keyword_table(records, ["a"], 15)
+        table = build_keyword_table(aggregate_table(records), ["a"], 15)
         payload = json.loads(render_keyword_table(table, "json"))
         assert payload["a"][0]["word"] == "word"
         assert payload["a"][0]["score"] == pytest.approx(0.12345, abs=1e-4)
@@ -120,16 +122,18 @@ class TestUniqueness:
 class TestMarkerRecovery:
     def test_full_recovery(self):
         records = [agg("a", w, 0.5, 1.0) for w in ("m1", "m2", "m3", "x", "y")]
-        out = marker_recovery(records, {"a": {"m1", "m2", "m3"}})
+        out = marker_recovery(aggregate_table(records),
+                              {"a": {"m1", "m2", "m3"}})
         assert out["a"]["recall"] == 1.0
         assert out["a"]["precision"] == pytest.approx(0.6)
 
     def test_empty_keyword_list(self):
-        out = marker_recovery([], {"a": {"m1"}})
+        out = marker_recovery(aggregate_table([]), {"a": {"m1"}})
         assert out["a"]["recall"] == 0.0
         assert out["a"]["precision"] == 1.0
 
     def test_partial_recovery(self):
         records = [agg("a", "m1", 0.5, 1.0), agg("a", "m2", 0.4, 1.0)]
-        out = marker_recovery(records, {"a": {"m1", "m2", "m3"}})
+        out = marker_recovery(aggregate_table(records),
+                              {"a": {"m1", "m2", "m3"}})
         assert out["a"]["recall"] == pytest.approx(2 / 3)
