@@ -1,7 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end CLI workflow: synthesize a corpus, run the pipeline,
 # re-render reports, and run the numerical self-checks.
+#
+# Runs the package from this checkout's src/ (no install needed), with
+# python3 or the interpreter named by $PYTHON.  The outputs go to a new
+# directory under $TMPDIR (default /tmp).
 set -euo pipefail
+
+src=$(cd "$(dirname "$0")/../src" && pwd)
+igkeywords() {
+    PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON:-python3}" \
+        -m igkeywords "$@"
+}
 
 workdir=$(mktemp -d)
 echo "working in $workdir"

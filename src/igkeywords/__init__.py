@@ -6,9 +6,9 @@ from .corpus import (Corpus, LabelSpace, SplitSpec, SynthConfig, build_corpus,
 from .model import (ModelParams, TrainConfig, init_model, logits, piece_rows,
                     pool_documents, predict_pooled, train)
 from .attribution import pair_weights, token_scores, top_word_scores
-from .pipeline import (Aggregates, PipelineConfig, PipelineResult,
-                       RoundResult, Selections, aggregate, filter_keywords,
-                       run_pipeline, run_round)
+from .pipeline import (AggregateFold, Aggregates, PipelineConfig,
+                       PipelineResult, RoundResult, Selections,
+                       filter_keywords, run_pipeline, run_round)
 from .report import (F1Summary, KeywordTable, UniquenessStat,
                      build_keyword_table, f1_summary, marker_recovery,
                      render_keyword_table, uniqueness)

@@ -12,11 +12,11 @@ leading dashes) may set any option of the command except the required
 accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
 gradients no longer use: it prints one note to stderr and changes nothing.
 
-run writes ``config.json`` into its output directory: every
-``PipelineConfig`` field (``TrainConfig`` nested under ``train_config``),
-``classes``, ``top_m`` and, if ``--markers`` was given, ``markers``, the
-planted words per class.  report reads it back and rewrites every report
-file run wrote, so it takes no option besides ``--run-dir``.
+Before round 0, run writes ``config.json`` into its output directory
+(every ``PipelineConfig`` field, ``TrainConfig`` nested under
+``train_config``, ``classes``, ``top_m`` and, if ``--markers`` was given,
+``markers``, the planted words per class) and removes an earlier run's
+reports.  report reads it back and rewrites every report file run wrote.
 """
 
 from __future__ import annotations
@@ -220,15 +220,18 @@ def _cmd_run(args) -> int:
     planted = load_markers(args.markers) if args.markers else None
     out_dir = args.out_dir or os.path.join(
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
-    result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
-    # Saved before the reports, so that it matches the round artifacts
-    # even if writing a report fails.
+    # Saved before round 0, with the earlier run's reports removed, so
+    # that a run that stops part way leaves only its own files.
     saved = dict(dataclasses.asdict(config), classes=list(classes),
                  top_m=args.top_m)
     if planted is not None:
         saved["markers"] = {c: sorted(words) for c, words in planted.items()}
+    os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(saved, fh, indent=2)
+    for name in set(report.REPORT_FILES) & set(os.listdir(out_dir)):
+        os.remove(os.path.join(out_dir, name))
+    result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
     report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
                          class_names=classes)
     print(f"run complete; reports in {out_dir}")
@@ -239,7 +242,7 @@ def _cmd_report(args) -> int:
     run_dir = args.run_dir
     config, classes, top_m, planted = load_run_config(run_dir)
     rounds = pipeline.load_round_artifacts(run_dir, config.rounds, classes)
-    aggregates = pipeline.load_aggregates(run_dir)
+    aggregates = pipeline.load_aggregates(run_dir, classes)
     keywords = pipeline.filter_keywords(aggregates, config,
                                         class_order=classes)
     result = pipeline.PipelineResult(rounds=rounds, aggregates=aggregates,

@@ -7,23 +7,25 @@ keep the top-n words per document.  Rounds are aggregated into per-
 selection frequency and corpus document frequency.
 
 The corpus is piece and word ids over sorted tables (``corpus.Corpus``).
-A round works on rows of it, the train and validation rows of its split,
-and on ``model.piece_rows``, the model row of every corpus piece.  Its
-explain half is array code over the validation rows: one pooled forward
-pass predicts them all, ``attribution.top_word_scores`` scores every
-target pair in chunks, and the selections are columns of indices into the
-corpus's tables.  ``aggregate`` reduces them with grouped sums to an
-``Aggregates`` table of columns, with document frequencies counted from
-the corpus and class and word ids into the selections' tables; the
-filter keeps a sorted subset of its rows.  ``write_aggregates`` stores
-the columns in ``aggregates.npz``, which ``load_aggregates`` reads back
-for ``report``, and formats ``aggregates.json``/``.tsv`` from them slice by
-slice as exports that nothing in the program reads.  Every file of a run
-directory is written atomically (``fileio.atomic_write``).
+A round works on rows of it and on ``model.piece_rows``, the model row of
+every corpus piece.  Its explain half is array code over the validation
+rows, and its selections are columns of indices into the corpus's tables.
+``run_pipeline`` takes the rounds in round order and, as each finishes,
+folds it into an ``AggregateFold``, writes its ``round_NNNN.json`` and
+drops its selections: the ``RoundResult``s it returns carry metrics, not
+selections.  Before round 0 it removes an earlier run's round artifacts
+and aggregates, so a run that stops part way leaves only its own finished
+rounds.  The fold's ``Aggregates`` table holds class and word ids into the
+corpus's tables, and the filter keeps a sorted subset of its rows.
+``write_aggregates`` stores the columns in ``aggregates.npz``, which
+``load_aggregates`` reads back for ``report``, and exports them as
+``aggregates.json``/``.tsv``, which nothing in the program reads.  Every
+file of a run directory is written atomically (``fileio.atomic_write``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -120,9 +122,9 @@ class Selections:
 @dataclass
 class RoundResult:
     round_index: int
-    # Rounds read back by load_round_artifacts hold the dumped
-    # [class, word, doc_id, score] rows instead.
-    selections: Selections | list
+    # Empty once run_pipeline has folded the round, and in rounds read
+    # back by load_round_artifacts.
+    selections: Selections
     per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
     micro_f1: float
     val_doc_count: int
@@ -237,66 +239,57 @@ def _explain(params: model.ModelParams, corpus: Corpus,
                       doc_idx=val_rows[pair_docs[pair]], score=score), counts
 
 
-def aggregate(rounds, corpus: Corpus, config: PipelineConfig) -> Aggregates:
-    """Merge round selections into the per-(class, word) aggregate table.
+class AggregateFold:
+    """The aggregate table of rounds added one at a time, in round order.
 
-    Grouped sums over the selection columns: ``np.bincount`` adds each
-    group's scores in round and selection order, as a running sum would.
-    The selection-frequency denominator is the configured round count, so
-    failed rounds count against stability.  ``corpus`` holds the word
-    table the selections index and gives the document frequencies.
+    Dense [classes, words] accumulators (flattened) hold each cell's score
+    sum, instance count and rounds selected.  Scores (``pooled``) or each
+    round's per-cell means (``round-mean``) are added in order onto the
+    running sums, as a grouped ``np.bincount`` over all rounds would add
+    them.  Failed (empty) rounds count against stability, as the
+    selection frequency divides by the configured round count.
     """
-    if not rounds:
-        raise ValidationError("aggregate requires at least one round")
-    rounds = sorted(rounds, key=lambda r: r.round_index)
-    columns = [r.selections for r in rounds]
-    class_idx = np.concatenate([s.class_idx for s in columns])
-    word_idx = np.concatenate([s.word_idx for s in columns])
-    score = np.concatenate([s.score for s in columns])
-    round_of = np.repeat(np.arange(len(rounds)), [len(s) for s in columns])
 
-    # Groups ordered by (class name, word), the order of the table's rows.
-    classes = corpus.label_space.classes
-    by_name = np.argsort(np.array(classes, dtype=object))
-    class_rank = np.argsort(by_name)
-    n_words = len(corpus.words)
-    # One sort of the (group, round) cells: a group starts where the cell's
-    # key changes, and each group's cells come in round order.  The order
-    # within a cell does not matter, as bincount adds in input order.
-    n_rounds = len(rounds)
-    cells = (class_rank[class_idx] * n_words + word_idx) * n_rounds + round_of
-    del class_idx, word_idx, round_of  # only the cells are needed from here
-    order = np.argsort(cells)
-    cells = cells[order]
-    new_cell = np.ones(cells.size, dtype=bool)
-    np.not_equal(cells[1:], cells[:-1], out=new_cell[1:])
-    cell_of = np.empty_like(order)
-    cell_of[order] = np.cumsum(new_cell) - 1
-    cell_keys = cells[new_cell] // n_rounds
-    new_key = np.ones(cell_keys.size, dtype=bool)
-    np.not_equal(cell_keys[1:], cell_keys[:-1], out=new_key[1:])
-    keys, cell_key = cell_keys[new_key], np.cumsum(new_key) - 1
-    n_keys = keys.size
-    key_of = cell_key[cell_of]
-    instances = np.bincount(key_of, minlength=n_keys)
-    rounds_selected = np.bincount(cell_key, minlength=n_keys)
-    if config.mean_mode == "pooled":
-        mean_score = np.bincount(key_of, weights=score,
-                                 minlength=n_keys) / instances
-    else:
-        round_means = (np.bincount(cell_of, weights=score)
-                       / np.bincount(cell_of))
-        mean_score = np.bincount(cell_key, weights=round_means,
-                                 minlength=n_keys) / rounds_selected
+    def __init__(self, corpus: Corpus, config: PipelineConfig):
+        self.corpus, self.config = corpus, config
+        cells = len(corpus.label_space) * len(corpus.words)
+        self.score_sum = np.zeros(cells)
+        self.instances, self.rounds_selected = np.zeros((2, cells), np.intp)
 
-    rank_of_key, word_of_key = np.divmod(keys, n_words)
-    return Aggregates(
-        class_idx=by_name[rank_of_key], word_idx=word_of_key,
-        mean_score=mean_score, rounds_selected=rounds_selected,
-        selection_frequency=rounds_selected / config.rounds,
-        instance_count=instances,
-        doc_frequency=corpus.doc_frequency()[word_of_key],
-        classes=classes, words=corpus.words)
+    def add(self, selections: Selections) -> None:
+        """Fold in the next round's selections."""
+        cells = selections.class_idx * len(self.corpus.words) \
+            + selections.word_idx
+        counts = np.bincount(cells, minlength=self.instances.size)
+        self.instances += counts
+        selected = counts > 0
+        self.rounds_selected += selected
+        if self.config.mean_mode == "pooled":
+            np.add.at(self.score_sum, cells, selections.score)
+        else:
+            sums = np.bincount(cells, weights=selections.score,
+                               minlength=counts.size)
+            self.score_sum[selected] += sums[selected] / counts[selected]
+
+    def table(self) -> Aggregates:
+        """The cells selected at least once, in (class name, word) order."""
+        classes, words = self.corpus.label_space.classes, self.corpus.words
+        by_name = np.argsort(np.array(classes, dtype=object))
+        cells = (by_name[:, None] * len(words) + np.arange(len(words))).ravel()
+        cells = cells[self.instances[cells] > 0]
+        class_idx, word_idx = np.divmod(cells, len(words))
+        instances, rounds_selected = (self.instances[cells],
+                                      self.rounds_selected[cells])
+        pooled = self.config.mean_mode == "pooled"
+        return Aggregates(
+            class_idx=class_idx, word_idx=word_idx,
+            mean_score=self.score_sum[cells] / (instances if pooled
+                                                else rounds_selected),
+            rounds_selected=rounds_selected,
+            selection_frequency=rounds_selected / self.config.rounds,
+            instance_count=instances,
+            doc_frequency=self.corpus.doc_frequency()[word_idx],
+            classes=classes, words=words)
 
 
 def filter_keywords(table: Aggregates, config: PipelineConfig,
@@ -322,13 +315,10 @@ def filter_keywords(table: Aggregates, config: PipelineConfig,
 
 @dataclass
 class PipelineResult:
-    rounds: list[RoundResult]
+    rounds: list[RoundResult]  # their metrics; the selections are folded
     aggregates: Aggregates
     keywords: Aggregates  # the rows filter_keywords keeps, in its order
     config: PipelineConfig
-    # The corpus whose tables the rounds' selections index; None when read
-    # back from a run directory.
-    corpus: Corpus | None = None
 
 
 # A pool worker's corpus, handed over once by the pool's initializer
@@ -350,76 +340,74 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
                  out_dir=None) -> PipelineResult:
     """Run all rounds (optionally across processes), aggregate, and filter.
 
-    Results are identical for any worker count: rounds are seeded
-    individually and merged in round order.
+    Each round is folded, written to ``out_dir`` and its selections dropped
+    as it finishes, in round order, so results are identical for any
+    worker count (rounds are seeded individually).
     """
-    indices = list(range(config.rounds))
-    if config.workers == 1:
-        rounds = [run_round(corpus, config, i) for i in indices]
-    else:
-        # Rounds never read the document texts, so workers get none.
-        untexted = replace(corpus, texts=())
-        with ProcessPoolExecutor(max_workers=config.workers,
-                                 initializer=_init_worker,
-                                 initargs=(untexted,)) as pool:
-            rounds = list(pool.map(_round_task,
-                                   [(config, i) for i in indices]))
-    rounds.sort(key=lambda r: r.round_index)
-    aggregates = aggregate(rounds, corpus, config)
+    if out_dir is not None:
+        _remove_run_files(out_dir)
+    fold, rounds = AggregateFold(corpus, config), []
+    indices = range(config.rounds)
+    with contextlib.ExitStack() as stack:
+        finished = (run_round(corpus, config, i) for i in indices)
+        if config.workers > 1:
+            # Rounds never read the document texts, so workers get none.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=config.workers, initializer=_init_worker,
+                initargs=(replace(corpus, texts=()),)))
+            finished = pool.map(_round_task, [(config, i) for i in indices])
+        for rr in finished:
+            fold.add(rr.selections)
+            if out_dir is not None:
+                _write_round(rr, corpus, config.dump_scores, out_dir)
+            rr.selections = Selections.empty()
+            rounds.append(rr)
+    aggregates = fold.table()
     keywords = filter_keywords(aggregates, config,
                                class_order=corpus.label_space.classes)
-    result = PipelineResult(rounds=rounds, aggregates=aggregates,
-                            keywords=keywords, config=config,
-                            corpus=corpus)
     if out_dir is not None:
-        write_round_artifacts(result, out_dir)
         write_aggregates(aggregates, out_dir)
-    return result
+    return PipelineResult(rounds=rounds, aggregates=aggregates,
+                          keywords=keywords, config=config)
 
 
 def _round_file(round_index: int) -> str:
     return f"round_{round_index:04d}.json"
 
 
-def write_round_artifacts(result: PipelineResult, out_dir) -> None:
-    """Write one artifact per round and delete round artifacts left in
-    ``out_dir`` by an earlier run that are not part of this one."""
+def _remove_run_files(out_dir) -> None:
+    """Remove the round artifacts and aggregates left in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    written = {_round_file(rr.round_index) for rr in result.rounds}
     for name in os.listdir(out_dir):
         if (name.startswith("round_") and name.endswith(".json")
-                and name not in written):
+                or name in _AGGREGATE_FILES):
             os.remove(os.path.join(out_dir, name))
-    for rr in result.rounds:
-        payload = {
-            "round_index": rr.round_index,
-            "failed": rr.failed,
-            "micro_f1": rr.micro_f1,
-            "per_class": rr.per_class,
-            "val_doc_count": rr.val_doc_count,
-        }
-        path = os.path.join(out_dir, _round_file(rr.round_index))
-        with atomic_write(path) as fh:
-            if not result.config.dump_scores:
-                fh.write(json.dumps(payload))
-                continue
-            # The selections close the payload; they are written where
-            # json.dumps would put them, DUMP_ROWS rows at a time.
-            payload["selections"] = []
-            fh.write(json.dumps(payload)[:-2])
-            for start in range(0, len(rr.selections), DUMP_ROWS):
-                rows = rr.selections.dumped(result.corpus, start,
-                                            start + DUMP_ROWS)
-                fh.write((", " if start else "") + json.dumps(rows)[1:-1])
-            fh.write("]}")
+
+
+def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
+                 out_dir) -> None:
+    """Write a round's artifact, with its selections if ``dump_scores``."""
+    payload = {f: getattr(rr, f) for f in ("round_index", "failed", "micro_f1",
+                                           "per_class", "val_doc_count")}
+    with atomic_write(os.path.join(out_dir,
+                                   _round_file(rr.round_index))) as fh:
+        if not dump_scores:
+            fh.write(json.dumps(payload))
+            return
+        # The selections close the payload; they are written where
+        # json.dumps would put them, DUMP_ROWS rows at a time.
+        payload["selections"] = []
+        fh.write(json.dumps(payload)[:-2])
+        for start in range(0, len(rr.selections), DUMP_ROWS):
+            rows = rr.selections.dumped(corpus, start, start + DUMP_ROWS)
+            fh.write((", " if start else "") + json.dumps(rows)[1:-1])
+        fh.write("]}")
 
 
 def load_round_artifacts(out_dir, rounds: int,
                          classes) -> list[RoundResult]:
-    """Read the artifacts of rounds 0..rounds-1; other files are ignored.
-
-    Dumped selections stay the ``[class, word, doc_id, score]`` rows as
-    parsed (an empty list when scores were not dumped).  A file that is
+    """Read the metrics in the artifacts of rounds 0..rounds-1; other
+    files are ignored, and so are dumped selections.  A file that is
     not JSON, lacks a field, holds a field of the wrong type (a boolean is
     not a number), describes another round than its name, or is of a
     successful round whose ``per_class`` does not hold exactly ``classes``
@@ -454,13 +442,15 @@ def load_round_artifacts(out_dir, rounds: int,
                                  f"not the run's classes {sorted(classes)}")
             results.append(RoundResult(
                 round_index=round_index,
-                selections=payload.get("selections", []),
+                selections=Selections.empty(),
                 per_class=per_class, micro_f1=micro_f1,
                 val_doc_count=payload["val_doc_count"],
                 failed=payload["failed"]))
     return results
 
 
+#: The files write_aggregates writes
+_AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
 #: The columns of aggregates.json/.tsv
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
                 "rounds_selected", "instance_count", "doc_frequency")
@@ -561,13 +551,14 @@ def _column(archive, name: str, kind: str) -> np.ndarray:
     return column
 
 
-def load_aggregates(out_dir) -> Aggregates:
+def load_aggregates(out_dir, classes=None) -> Aggregates:
     """The table that ``write_aggregates`` wrote to ``aggregates.npz``,
     over the archive's string tables, in whatever order they are.
 
     A file that is not such an archive, lacks a column, holds a column of
-    the wrong dtype kind or length, a code out of range or values that are
-    not a JSON list of strings raises ``ValidationError`` naming it.
+    the wrong dtype kind or length, a code out of range, values that are
+    not a JSON list of strings or, if ``classes`` is given, a class not
+    among them raises ``ValidationError`` naming it.
     """
     path = os.path.join(out_dir, "aggregates.npz")
     with malformed(path, "aggregates", ValidationError), \
@@ -587,4 +578,7 @@ def load_aggregates(out_dir) -> Aggregates:
             columns[ids], tables[strings] = codes, values
         if len({column.size for column in columns.values()}) > 1:
             raise ValueError("columns of unequal length")
+        if classes is not None and set(tables["classes"]) - set(classes):
+            raise ValueError(f"class_name_values holds classes not in "
+                             f"{sorted(classes)}")
         return Aggregates(**columns, **tables)

@@ -12,6 +12,9 @@ from .corpus import ValidationError
 from .fileio import atomic_write
 
 EMPTY_CLASS_MARKER = "- no stable keywords -"
+#: The files write_reports writes into a run directory
+REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
+                "f1_summary.tsv", "uniqueness.json", "recovery.json")
 
 
 @dataclass

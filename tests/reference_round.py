@@ -1,14 +1,15 @@
 """Test-only copies of the per-token input gradient that
 ``model.pooled_logit_gradients`` replaced; of the per-document round loop,
 the dict aggregate and the per-document document-frequency count that the
-batched explain pass, the grouped-sum aggregate and
+batched explain pass, the round-by-round ``AggregateFold`` and
 ``Corpus.doc_frequency`` replaced; of the midpoint-rule integrated
 gradients that the closed-form path integral replaced; of the
 ``aggregates.json`` reader that ``aggregates.npz`` replaced; and of the
 ``aggregates.npz`` string tables in order of first row, as they were
 written before they held the entries of the run's tables in table order.
 ``AggregateRecord``, one aggregate row with its class name and word
-spelt out, is the row type of the dict aggregate and of the tests.
+spelt out, is the row type of the dict aggregate and of the tests;
+``fold_rounds`` folds a list of rounds the way ``run_pipeline`` does.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
@@ -31,7 +32,8 @@ import numpy as np
 
 from igkeywords import model
 from igkeywords.corpus import SplitSpec, ValidationError
-from igkeywords.pipeline import Aggregates, _f1_metrics, round_seeds
+from igkeywords.pipeline import (AggregateFold, Aggregates, _f1_metrics,
+                                 round_seeds)
 from reference_corpus import documents_of, reference_stratified_split
 
 
@@ -302,6 +304,24 @@ def table_from_json(run_dir) -> Aggregates:
         for r in rows])
 
 
+def fold_rounds(rounds, corpus, config) -> Aggregates:
+    """The aggregate table of ``rounds`` (``RoundResult``s in any order),
+    folded in round order as ``run_pipeline`` folds them."""
+    fold = AggregateFold(corpus, config)
+    for rr in sorted(rounds, key=lambda r: r.round_index):
+        fold.add(rr.selections)
+    return fold.table()
+
+
+def running_sum(values) -> float:
+    """The values added one by one from 0.0, as the program's sums add
+    them; ``sum()`` of floats is compensated on Python >= 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def reference_aggregate(rounds, corpus, config):
     """``rounds`` is a list of (round_index, [WordScoreRecord])."""
     rounds = sorted(rounds, key=lambda r: r[0])
@@ -322,10 +342,10 @@ def reference_aggregate(rounds, corpus, config):
         per_round_scores = scores[(class_name, word)]
         if config.mean_mode == "pooled":
             pooled = [s for vals in per_round_scores for s in vals]
-            mean_score = sum(pooled) / len(pooled)
+            mean_score = running_sum(pooled) / len(pooled)
         else:
-            round_means = [sum(v) / len(v) for v in per_round_scores]
-            mean_score = sum(round_means) / len(round_means)
+            round_means = [running_sum(v) / len(v) for v in per_round_scores]
+            mean_score = running_sum(round_means) / len(round_means)
         n_selected = len(round_hits[(class_name, word)])
         out.append(AggregateRecord(
             class_name=class_name,

@@ -23,11 +23,12 @@ from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
                                save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
-                                 aggregate, load_aggregates, round_seeds,
-                                 run_pipeline, run_round, write_aggregates)
+                                 load_aggregates, round_seeds, run_pipeline,
+                                 run_round, write_aggregates)
 from reference_corpus import documents_of, records_of
 from reference_round import (AggregateRecord, WordScoreRecord,
-                             aggregate_records, integrated_gradients,
+                             aggregate_records, fold_rounds,
+                             integrated_gradients,
                              normalize_document, predict, reference_aggregate,
                              reference_run_round, table_from_json, table_of,
                              token_ids, top_n_words, word_scores)
@@ -381,7 +382,7 @@ def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
     want = reference_aggregate(
         [(r.round_index, as_records(r.selections, corpus)) for r in rounds],
         corpus, config)
-    assert aggregate_records(aggregate(rounds, corpus, config)) == want
+    assert aggregate_records(fold_rounds(rounds, corpus, config)) == want
     assert any(r.rounds_selected < 3 for r in want)
     assert any(r.instance_count > r.rounds_selected for r in want)
 
@@ -393,15 +394,16 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
     config = small_config(rounds=2, dump_scores=True)
     monkeypatch.setattr(pipeline, "DUMP_ROWS", dump_rows)
     result = run_pipeline(corpus, config, out_dir=tmp_path)
+    selections = [run_round(corpus, config, rr.round_index).selections
+                  for rr in result.rounds]
     # 7 rows per slice splits both files into several slices
-    assert min(len(result.rounds[0].selections), len(result.aggregates)) > 7
-    for rr in result.rounds:
+    assert min(len(selections[0]), len(result.aggregates)) > 7
+    for rr, selected in zip(result.rounds, selections):
         payload = {"round_index": rr.round_index, "failed": rr.failed,
                    "micro_f1": rr.micro_f1, "per_class": rr.per_class,
                    "val_doc_count": rr.val_doc_count,
                    "selections": [[r.class_name, r.word, r.doc_id, r.score]
-                                  for r in as_records(rr.selections,
-                                                      result.corpus)]}
+                                  for r in as_records(selected, corpus)]}
         expected = io.StringIO()
         json.dump(payload, expected)
         written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
@@ -480,7 +482,8 @@ def test_aggregate_files_spell_non_finite_scores_like_json(tmp_path):
     assert_aggregate_files(tmp_path, records)
 
 
-def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
+def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch,
+                                             tmp_path):
     corpus, _ = small_synth
     calls = []
 
@@ -493,10 +496,14 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch):
 
     monkeypatch.setattr(attribution, "path_mean_gradients", poisoned)
     with pytest.warns(UserWarning, match="round 0 failed: non-finite"):
-        result = run_pipeline(corpus, small_config(rounds=2))
+        result = run_pipeline(corpus, small_config(rounds=2,
+                                                   dump_scores=True),
+                              out_dir=tmp_path)
     assert [r.failed for r in result.rounds] == [True, False]
-    assert len(result.rounds[0].selections) == 0
-    assert len(result.rounds[1].selections) > 0
+    dumped = [json.loads((tmp_path / f"round_{i:04d}.json").read_text(
+        encoding="utf-8"))["selections"] for i in range(2)]
+    assert len(dumped[0]) == 0
+    assert len(dumped[1]) > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

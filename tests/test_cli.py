@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igkeywords import checks, model
+from igkeywords import checks, model, pipeline
 from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
@@ -587,6 +587,65 @@ class TestReport:
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         for name in REPORT_FILES:
             assert (out_dir / name).read_bytes() == before[name], name
+
+    def test_class_not_in_config_json_exit_code(self, synth_files, tmp_path,
+                                                capsys):
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), "--learning-rate", "0.1",
+                       *SMALL_RUN) == 0
+        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        with np.load(out_dir / "aggregates.npz") as archive:
+            arrays = dict(archive)
+        names = json.loads(arrays["class_name_values"].tobytes())
+        names[-1] = "zz"
+        arrays["class_name_values"] = np.frombuffer(
+            json.dumps(names).encode("ascii"), dtype=np.uint8)
+        np.savez(out_dir / "aggregates.npz", **arrays)
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert (f"{out_dir / 'aggregates.npz'}: malformed"
+                in capsys.readouterr().err)
+        for name in REPORT_FILES:
+            assert (out_dir / name).read_bytes() == before[name], name
+
+    def test_stopped_run_leaves_only_its_finished_rounds(
+            self, synth_files, tmp_path, capsys, monkeypatch):
+        corpus_path, markers_path = synth_files
+        out_dir, fresh = tmp_path / "run", tmp_path / "fresh"
+        argv = ["run", "--corpus", str(corpus_path), *SMALL_RUN,
+                "--rounds", "3"]
+        # a finished earlier run, with more rounds and every report file
+        assert run_cli(*argv, "--out-dir", str(out_dir), "--rounds", "4",
+                       "--markers", str(markers_path), "--dump-scores") == 0
+        run_round = pipeline.run_round
+
+        def stop_at_round_2(corpus, config, round_index):
+            if round_index == 2:
+                raise RuntimeError("stopped at round 2")
+            return run_round(corpus, config, round_index)
+
+        monkeypatch.setattr(pipeline, "run_round", stop_at_round_2)
+        capsys.readouterr()
+        assert run_cli(*argv, "--out-dir", str(out_dir)) == 2
+        assert "stopped at round 2" in capsys.readouterr().err
+        assert sorted(os.listdir(out_dir)) == [
+            "config.json", "round_0000.json", "round_0001.json"]
+        stopped = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert "round_0002.json" in capsys.readouterr().err
+        assert sorted(os.listdir(out_dir)) == sorted(stopped)
+        monkeypatch.undo()
+        assert run_cli(*argv, "--out-dir", str(fresh)) == 0
+        for name, data in stopped.items():
+            assert (fresh / name).read_bytes() == data, name
+        assert run_cli(*argv, "--out-dir", str(out_dir)) == 0
+        assert sorted(os.listdir(out_dir)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            assert ((out_dir / name).read_bytes()
+                    == (fresh / name).read_bytes()), name
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "--run-dir", str(tmp_path / "none")) == 1

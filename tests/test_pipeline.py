@@ -5,16 +5,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igkeywords import pipeline
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
-                                 aggregate, filter_keywords, load_aggregates,
+                                 filter_keywords, load_aggregates,
                                  load_round_artifacts, round_seeds,
                                  run_pipeline, run_round, write_aggregates)
 from reference_round import (AggregateRecord, WordScoreRecord,
-                             aggregate_records, table_from_json, table_of,
+                             aggregate_records, fold_rounds,
+                             reference_aggregate, table_from_json, table_of,
                              top_n_words)
 
 
@@ -84,7 +87,7 @@ class TestAggregate:
             make_round(3, [], corpus),
             make_round(4, [], corpus),
         ]
-        (record,) = aggregate_records(aggregate(rounds, corpus, config))
+        (record,) = aggregate_records(fold_rounds(rounds, corpus, config))
         assert record.mean_score == pytest.approx((0.2 + 0.4 + 0.6) / 3)
         assert record.rounds_selected == 2
         assert record.selection_frequency == pytest.approx(0.4)
@@ -97,20 +100,48 @@ class TestAggregate:
             make_round(0, [rec("w", 0.2)], corpus),
             make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
         ]
-        (record,) = aggregate_records(aggregate(rounds, corpus, config))
+        (record,) = aggregate_records(fold_rounds(rounds, corpus, config))
         assert record.mean_score == pytest.approx((0.2 + 0.5) / 2)
 
     def test_never_selected_word_absent(self):
         config = toy_config(rounds=1)
         corpus = one_document_corpus("w other")
         rounds = [make_round(0, [rec("w", 0.2)], corpus)]
-        records = aggregate_records(aggregate(rounds, corpus, config))
+        records = aggregate_records(fold_rounds(rounds, corpus, config))
         assert {r.word for r in records} == {"w"}
 
     def test_requires_rounds(self):
-        corpus = one_document_corpus("w")
+        # the fold's selection frequencies divide by the configured rounds
         with pytest.raises(ValidationError):
-            aggregate([], corpus, toy_config())
+            toy_config(rounds=0)
+
+    # Classes out of name order, so that the table's class order shows.
+    FOLD_CORPUS = build_corpus(
+        [("d1", "p q r", {"b"}), ("d2", "q r s t", {"a"}),
+         ("d3", "s p", {"a", "c"})], LabelSpace(("c", "a", "b")))
+    # Scores over many magnitudes, so that any other order of additions
+    # changes a sum.
+    SCORES = st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1, 1),
+                       st.integers(-40, 40))
+    SELECTIONS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                                    SCORES), max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rounds=st.lists(SELECTIONS, min_size=1, max_size=6),
+           mean_mode=st.sampled_from(["pooled", "round-mean"]))
+    @example(rounds=[[(0, 1, 0.5), (0, 1, 1e-20), (2, 0, -3.0)], [],
+                     [(0, 1, 1e20), (0, 1, -1e20), (0, 1, 0.25)]],
+             mean_mode="round-mean")
+    def test_fold_equals_reference_aggregate(self, rounds, mean_mode):
+        # Empty rounds stand for failed ones; cells repeat within a round.
+        corpus = self.FOLD_CORPUS
+        config = toy_config(rounds=len(rounds), mean_mode=mean_mode)
+        records = [[rec(corpus.words[w], score,
+                        class_name=corpus.label_space.classes[c])
+                    for c, w, score in selected] for selected in rounds]
+        folded = [make_round(i, r, corpus) for i, r in enumerate(records)]
+        want = reference_aggregate(list(enumerate(records)), corpus, config)
+        assert aggregate_records(fold_rounds(folded, corpus, config)) == want
 
 
 def agg(word, sf, df, score=0.5, class_name="a"):
@@ -209,6 +240,10 @@ class TestRunRound:
         assert all(n <= 3 for n in per_doc_class.values())
 
 
+ROUND_METRICS = ("round_index", "failed", "micro_f1", "per_class",
+                 "val_doc_count")
+
+
 class TestRunPipeline:
     def test_artifacts_round_trip(self, small_synth, tmp_path):
         corpus, _ = small_synth
@@ -216,9 +251,16 @@ class TestRunPipeline:
         result = run_pipeline(corpus, config, out_dir=tmp_path)
         rounds = load_round_artifacts(tmp_path, 2, corpus.label_space.classes)
         assert len(rounds) == 2
-        for loaded, ran in zip(rounds, result.rounds):
-            assert loaded.selections == ran.selections.dumped(result.corpus)
-        assert rounds[0].selections
+        dumped = [json.loads((tmp_path / pipeline._round_file(i)).read_text(
+            encoding="utf-8"))["selections"] for i in range(2)]
+        for i, (loaded, ran) in enumerate(zip(rounds, result.rounds)):
+            assert dumped[i] == run_round(corpus, config,
+                                          i).selections.dumped(corpus)
+            assert ([getattr(loaded, f) for f in ROUND_METRICS]
+                    == [getattr(ran, f) for f in ROUND_METRICS])
+            # folded rounds and rounds read back carry no selections
+            assert len(loaded.selections) == len(ran.selections) == 0
+        assert dumped[0]
         aggregates = load_aggregates(tmp_path)
         assert aggregates == result.aggregates
         assert aggregates == table_from_json(tmp_path)
@@ -232,14 +274,22 @@ class TestRunPipeline:
             assert record.rounds_selected <= config.rounds
             assert record.instance_count >= record.rounds_selected
 
-    def test_worker_count_does_not_change_results(self, small_synth):
+    def test_worker_count_does_not_change_results(self, small_synth,
+                                                  tmp_path):
         corpus, _ = small_synth
-        config = toy_config(rounds=3)
-        serial = run_pipeline(corpus, config)
-        parallel = run_pipeline(corpus, dataclasses.replace(config, workers=2))
+        config = toy_config(rounds=3, dump_scores=True)
+        serial = run_pipeline(corpus, config, out_dir=tmp_path / "1")
+        parallel = run_pipeline(corpus, dataclasses.replace(config, workers=2),
+                                out_dir=tmp_path / "2")
         assert serial.aggregates == parallel.aggregates
         assert [r.micro_f1 for r in serial.rounds] == \
             [r.micro_f1 for r in parallel.rounds]
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names == sorted(os.listdir(tmp_path / "2"))
+        assert "round_0002.json" in names
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_failed_aggregate_write_keeps_the_previous_files(
             self, small_synth, tmp_path, monkeypatch):

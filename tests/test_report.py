@@ -3,7 +3,7 @@ import json
 import pytest
 
 from igkeywords.corpus import ValidationError
-from igkeywords.pipeline import RoundResult
+from igkeywords.pipeline import RoundResult, Selections
 from igkeywords.report import (EMPTY_CLASS_MARKER, build_keyword_table,
                                f1_summary, marker_recovery,
                                render_f1_summary, render_keyword_table,
@@ -20,7 +20,7 @@ def agg(class_name, word, score, sf, df=10):
 
 
 def round_result(index, micro, per_class):
-    return RoundResult(round_index=index, selections=[], per_class=per_class,
+    return RoundResult(round_index=index, selections=Selections.empty(), per_class=per_class,
                        micro_f1=micro, val_doc_count=30)
 
 
@@ -72,13 +72,13 @@ class TestF1Summary:
     def test_failed_rounds_excluded(self):
         good = round_result(0, 0.6, {"a": {"precision": 0, "recall": 0,
                                            "f1": 0.4, "support": 3.0}})
-        bad = RoundResult(round_index=1, selections=[], per_class={},
+        bad = RoundResult(round_index=1, selections=Selections.empty(), per_class={},
                           micro_f1=0.0, val_doc_count=0, failed=True)
         summary = f1_summary([good, bad])
         assert summary.rounds == 1
 
     def test_no_successful_rounds_rejected(self):
-        bad = RoundResult(round_index=0, selections=[], per_class={},
+        bad = RoundResult(round_index=0, selections=Selections.empty(), per_class={},
                           micro_f1=0.0, val_doc_count=0, failed=True)
         with pytest.raises(ValidationError):
             f1_summary([bad])
