@@ -5,14 +5,15 @@ layer (tanh by default) -> per-class logits (``logits``).  The backward
 pass is written out by hand so that gradients with respect to the input
 token embeddings are exact and cheap.
 
-Training works a batch at a time with no per-document Python: the mean
-pooling and the embedding-gradient scatter are each one ``np.bincount``
-over the batch's pieces, and the parameters, gradients and Adam moments
-each sit in one flat buffer, so an optimizer step is one elementwise
-update.  One kernel, ``_pool_sums``, pools for both training and
-``pool_documents``: its bincount bins are gathered from a precomputed
-table of bin numbers into reused buffers, and the gradient scatter
-gathers its bins from a second table the shape of the embedding.
+Mean pooling makes the model a linear function of a bag-of-pieces
+matrix: ``_bag`` counts each document's pieces over the distinct model
+rows a batch or chunk of documents uses, with one ``np.bincount``, so the
+pooled vectors are one matrix product with those embedding rows, and the
+embedding gradient one product with its transpose.  That kernel pools for
+both training (``batch_loss_and_grads``) and ``pool_documents``.  The
+parameters, gradients and Adam moments each sit in one flat buffer, so an
+optimizer step is one elementwise update, done in place.
+
 Documents reach the model as rows of the corpus: ``piece_rows``
 maps every corpus piece to its model row once, and ``Corpus.positions``
 picks a set of documents' pieces out of that array.  ``pool_documents``
@@ -32,17 +33,18 @@ import numpy as np
 from .corpus import Corpus, ValidationError, budget_chunks
 
 
-#: Piece cells (pieces x d) per chunk of ``pool_documents``: it bounds
-#: each of the chunk's three [pieces, d]-sized buffers at 0.5 MB, whatever
-#: the number of documents; a chunk holds at least one document.  On an
-#: explain-bound validation set (500 documents, 110k pieces, d=16) budgets
-#: of 2**15 and 2**16 were fastest, 2**14 and 2**17 took 15-40% longer,
-#: and one chunk of every document 2.5 times as long.
+#: Bag cells (documents x (vocab+1)) per chunk of ``pool_documents``: it
+#: bounds a chunk's bag-of-pieces matrix, whose columns are at most the
+#: model's rows, at 0.5 MB; a chunk holds at least one document.  Pooling
+#: 500-660 validation documents over about 1,100 rows took least time at
+#: 2**15-2**16 cells (57 documents a chunk), 2**14 took 30% longer and
+#: 2**17 and up 1.2 to 2.5 times as long.  Bigger vocabularies want more
+#: cells: over 22k rows 2**18 was fastest and 2**16 took 1.8 times as long.
 POOL_CELLS = 2**16
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """The loss or, after the last update, a parameter is not finite."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.d, self.h) <= 0:
             raise ValidationError("epochs, batch_size, d, h must be positive")
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError("learning_rate must be finite and >= 0")
+        if not np.isfinite(self.weight_init_scale):
+            raise ValidationError("weight_init_scale must be finite")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValidationError("decision_threshold must lie in (0, 1)")
         if self.optimizer not in ("sgd", "adam"):
@@ -248,35 +252,26 @@ def _positions(corpus: Corpus, rows: np.ndarray):
     return positions, counts
 
 
-def _pool_sums(embedding: np.ndarray, model_rows: np.ndarray,
-               counts: np.ndarray, cells, slots: np.ndarray):
-    """[docs, d] sums of the embedding rows ``model_rows``, document after
-    document, ``counts[i]`` rows for document i, and the document of each
-    of those rows.
+def _bag(model_rows: np.ndarray, counts: np.ndarray, width: int):
+    """The bag-of-pieces matrix of documents whose pieces have the model
+    rows ``model_rows``, document after document, ``counts[i]`` of them for
+    document i: [docs, k] float piece counts over the k distinct rows
+    ``used`` (ascending) that the documents use, of a model's ``width``
+    rows, and ``used``.
 
-    ``cells`` is an (int, float) pair of [rows, d] buffers with a row for
-    each of the pieces, which take the bins and values of one
-    ``np.bincount``; ``slots`` is a [docs, d] table of bin numbers,
-    ``arange(docs * d)``, with a row for each of the documents.  Both are
-    gathered, not computed, and bincount adds each bin's cells in input
-    order, so a row's sum is the sequential sum of ``mean(axis=0)``.
+    Mean pooling is the linear map ``bag @ embedding[used] / counts``, and
+    its gradient reaches the rows ``used`` of the embedding as
+    ``bag.T @ (d_pooled / counts)``.
     """
-    n_docs, n_cells = counts.size, model_rows.size
-    doc_of_piece = np.repeat(np.arange(n_docs), counts)
-    bins, values = cells[0][:n_cells], cells[1][:n_cells]
-    np.take(slots, doc_of_piece, axis=0, out=bins, mode="clip")
-    np.take(embedding, model_rows, axis=0, out=values, mode="clip")
-    sums = np.bincount(bins.ravel(), weights=values.ravel(),
-                       minlength=n_docs * embedding.shape[1])
-    return sums.reshape(n_docs, embedding.shape[1]), doc_of_piece
-
-
-def _pool_tables(pieces: int, docs: int, d: int):
-    """The buffers of ``_pool_sums`` for up to ``pieces`` pieces of up to
-    ``docs`` documents: (int, float) [pieces, d] cells and [docs, d]
-    slots."""
-    cells = np.empty((pieces, d), dtype=np.intp), np.empty((pieces, d))
-    return cells, np.arange(docs * d).reshape(docs, d)
+    mark = np.zeros(width, dtype=bool)
+    mark[model_rows] = True
+    used = np.flatnonzero(mark)
+    column = np.empty(width, dtype=np.intp)  # the bag column of each row used
+    column[used] = np.arange(used.size)
+    cells = column[model_rows]
+    cells += np.repeat(np.arange(counts.size) * used.size, counts)
+    bag = np.bincount(cells, minlength=counts.size * used.size)
+    return bag.reshape(counts.size, used.size).astype(float), used
 
 
 def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
@@ -284,25 +279,22 @@ def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     """Mean piece embedding of each document ``rows`` of ``corpus``,
     [docs, d]; ``pieces`` is the corpus's ``piece_rows``.
 
-    The documents are pooled by ``_pool_sums`` a chunk at a time, a chunk
-    holding whole documents and at most POOL_CELLS piece cells (a longer
-    document is a chunk of its own), so its [pieces, d] buffers are
-    allocated once and stay small.  Every row equals that document's
-    ``mean(axis=0)`` bit for bit.
+    The documents are pooled a chunk at a time, each chunk one product of
+    its bag-of-pieces matrix (``_bag``) with the embedding rows it uses.  A
+    chunk holds whole documents and at most POOL_CELLS cells of
+    documents x (vocab+1), the widest its bag can be (it holds at least one
+    document).
     """
-    d = params.embedding.shape[1]
-    budget = POOL_CELLS // d  # pieces per chunk
     positions, counts = _positions(corpus, rows)
     ends = np.cumsum(counts)
-    # Every document has a piece, so a chunk has no more documents than
-    # pieces, and the same bound sizes the cells and the slots.
-    most = min(positions.size, max(budget, int(counts.max(initial=0))))
-    cells, slots = _pool_tables(most, most, d)
-    pooled = np.empty((rows.size, d))
-    for first, stop in budget_chunks(ends, budget):
-        chunk = positions[ends[first] - counts[first]:ends[stop - 1]]
-        pooled[first:stop] = _pool_sums(params.embedding, pieces[chunk],
-                                        counts[first:stop], cells, slots)[0]
+    pooled = np.empty((rows.size, params.embedding.shape[1]))
+    width = params.embedding.shape[0]
+    for first, stop in budget_chunks(width * np.arange(1, rows.size + 1),
+                                     POOL_CELLS):
+        bag, used = _bag(pieces[positions[ends[first] - counts[first]:
+                                          ends[stop - 1]]],
+                         counts[first:stop], width)
+        np.matmul(bag, params.embedding[used], out=pooled[first:stop])
     pooled /= counts[:, None]
     return pooled
 
@@ -315,71 +307,47 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
     return 1.0 / (1.0 + np.exp(-out)) >= threshold
 
 
-def _step_tables(embedding: np.ndarray, counts: np.ndarray,
-                 batch_size: int):
-    """The buffers of ``batch_loss_and_grads`` for any batch of at most
-    ``batch_size`` documents with the piece counts ``counts``: the
-    ``_pool_tables`` of the largest such batch, and the embedding's
-    slots, a table of its cells' bin numbers."""
-    most = int(np.sort(counts)[-batch_size:].sum())
-    cells, slots = _pool_tables(most, batch_size, embedding.shape[1])
-    return cells, slots, np.arange(embedding.size).reshape(embedding.shape)
+_PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
+                "output_weights", "output_bias")
 
 
 def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
-                         corpus: Corpus, batch: np.ndarray, tables=None):
-    """Mean BCE over the documents ``batch`` (rows of ``corpus``) plus
-    gradients for every weight; ``pieces`` is the corpus's ``piece_rows``.
+                         counts: np.ndarray, labels: np.ndarray, grads=None):
+    """Mean BCE over a batch of documents plus the gradient of every
+    weight: ``(loss, grads)``, the gradients keyed by parameter name.
 
-    Pooling (``_pool_sums``) and the embedding-gradient scatter are each
-    one ``np.bincount`` over the batch's pieces, whose bins are gathered
-    from tables of bin numbers.  ``bincount`` adds in input order, so both
-    perform the same sequential sums as a per-document ``mean(axis=0)`` and
-    ``np.add.at``, bit for bit; the gradients come keyed by parameter name.
-    ``tables`` are the ``_step_tables`` of a batch size at least the
-    batch's, which ``train`` makes once and passes to every step, so no
-    step allocates [pieces, d] arrays; without them the step makes its
-    own.
+    The batch's documents have the model rows ``pieces``, document after
+    document, ``counts[i]`` of them for document i, and the [docs, C] 0/1
+    ``labels``.  Pooling and the embedding gradient are products with the
+    batch's bag-of-pieces matrix (``_bag``): ``bag @ embedding[used]``
+    divided by the counts, and ``bag.T @ (d_pooled / counts)`` for the rows
+    ``used``; every other embedding row's gradient is zero.  The gradients
+    are written into ``grads``, arrays of the parameters' shapes keyed by
+    name, which ``train`` makes once as views of its flat gradient buffer;
+    without them the step makes its own.
     """
-    embedding = params.embedding
-    positions, counts = corpus.positions(batch)
-    batch_pieces = pieces[positions]
-    if tables is None:
-        tables = _step_tables(embedding, counts, batch.size)
-    cells, pool_slots, embedding_slots = tables
-    pooled, row_of_piece = _pool_sums(embedding, batch_pieces, counts, cells,
-                                      pool_slots)
+    if grads is None:
+        grads = {k: np.empty_like(getattr(params, k)) for k in _PARAM_NAMES}
+    bag, used = _bag(pieces, counts, params.embedding.shape[0])
+    pooled = bag @ params.embedding[used]
     pooled /= counts[:, None]
 
     z, hidden = logits(params, pooled)
-    y = corpus.labels[batch]
-    loss = _bce_from_logits(z, y)
+    loss = _bce_from_logits(z, labels)
 
     probs = 1.0 / (1.0 + np.exp(-z))
-    d_logits = (probs - y) / z.size
-    d_w_out = hidden.T @ d_logits
-    d_b_out = d_logits.sum(axis=0)
-    d_post = d_logits @ params.output_weights.T
-    d_pre = d_post * _activation_grad(params, hidden)
-    d_w_hid = pooled.T @ d_pre
-    d_b_hid = d_pre.sum(axis=0)
+    d_logits = (probs - labels) / z.size
+    np.matmul(hidden.T, d_logits, out=grads["output_weights"])
+    np.sum(d_logits, axis=0, out=grads["output_bias"])
+    d_pre = d_logits @ params.output_weights.T
+    d_pre *= _activation_grad(params, hidden)
+    np.matmul(pooled.T, d_pre, out=grads["hidden_weights"])
+    np.sum(d_pre, axis=0, out=grads["hidden_bias"])
     d_pooled = d_pre @ params.hidden_weights.T
-
-    # each piece's gradient, binned by its (piece, column) cell of embedding
-    bins, values = cells[0][:positions.size], cells[1][:positions.size]
-    np.take(d_pooled / counts[:, None], row_of_piece, axis=0, out=values,
-            mode="clip")
-    np.take(embedding_slots, batch_pieces, axis=0, out=bins, mode="clip")
-    d_emb = np.bincount(bins.ravel(), weights=values.ravel(),
-                        minlength=embedding.size).reshape(embedding.shape)
-
-    return loss, {"embedding": d_emb, "hidden_weights": d_w_hid,
-                  "hidden_bias": d_b_hid, "output_weights": d_w_out,
-                  "output_bias": d_b_out}
-
-
-_PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
-                "output_weights", "output_bias")
+    d_pooled /= counts[:, None]
+    grads["embedding"].fill(0.0)
+    grads["embedding"][used] = bag.T @ d_pooled
+    return loss, grads
 
 
 def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
@@ -388,52 +356,68 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     with seeded shuffling; returns new params.
 
     The five parameters, their gradients and the Adam moments each live in
-    one flat buffer (the returned fields are views into it), so every
-    optimizer step is one elementwise update over all weights.
+    one flat buffer (the returned fields and the step's gradients are views
+    into them), so every optimizer step is one elementwise update over all
+    weights, done in place.  Raises TrainingDivergedError when the loss or,
+    after the last update, a parameter is not finite.
     """
     if not len(rows):
         raise ValidationError("training corpus is empty")
+    _positions(corpus, rows)  # every document has a piece
     arrays = [getattr(params, k) for k in _PARAM_NAMES]
-    flat = np.concatenate([a.ravel() for a in arrays])
     ends = np.cumsum([a.size for a in arrays]).tolist()
-    params = replace(params, vocab=dict(params.vocab), **{
-        k: flat[end - a.size:end].reshape(a.shape)
-        for k, a, end in zip(_PARAM_NAMES, arrays, ends)})
-    grad = np.zeros_like(flat)
-    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
+
+    def views(buffer):
+        return {k: buffer[end - a.size:end].reshape(a.shape)
+                for k, a, end in zip(_PARAM_NAMES, arrays, ends)}
+    flat = np.concatenate([a.ravel() for a in arrays])
+    params = replace(params, vocab=dict(params.vocab), **views(flat))
+    grad = np.empty_like(flat)
+    grads = views(grad)
+    # the Adam moments, and two scratch buffers for the update
+    m_state, v_state, scratch, update = np.zeros((4, flat.size))
     pieces = piece_rows(params, corpus)
-    counts = _positions(corpus, rows)[1]
-    n_docs = len(rows)
-    # Buffers for the largest batch, reused by every step: fresh
-    # [pieces, d] arrays per step get returned to the OS by the allocator
-    # and faulted in again on the next step.
-    tables = _step_tables(params.embedding, counts, config.batch_size)
+    lr, b1, b2 = config.learning_rate, config.adam_beta1, config.adam_beta2
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
     step = 0
 
     for epoch in range(config.epochs):
-        order = rng.permutation(n_docs)
-        for start in range(0, n_docs, config.batch_size):
-            batch = rows[order[start:start + config.batch_size]]
-            loss, grads = batch_loss_and_grads(params, pieces, corpus, batch,
-                                               tables=tables)
-            np.concatenate([grads[k].ravel() for k in _PARAM_NAMES], out=grad)
-            del grads  # not held while the next step builds its own
+        order = rows[rng.permutation(len(rows))]
+        positions, counts = corpus.positions(order)
+        epoch_pieces, labels = pieces[positions], corpus.labels[order]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for start in range(0, len(rows), config.batch_size):
+            stop = min(start + config.batch_size, len(rows))
+            loss, _ = batch_loss_and_grads(
+                params, epoch_pieces[offsets[start]:offsets[stop]],
+                counts[start:stop], labels[start:stop], grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "
-                    f"(learning_rate={config.learning_rate})")
+                    f"(learning_rate={lr})")
             if config.optimizer == "sgd":
-                flat -= config.learning_rate * grad
+                np.multiply(grad, lr, out=update)
             else:
+                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
+                # update lr m_hat / (sqrt(v_hat) + eps), in that order
                 step += 1
-                b1, b2 = config.adam_beta1, config.adam_beta2
-                m_state = b1 * m_state + (1 - b1) * grad
-                v_state = b2 * v_state + (1 - b2) * grad ** 2
-                m_hat = m_state / (1 - b1 ** step)
-                v_hat = v_state / (1 - b2 ** step)
-                flat -= (config.learning_rate * m_hat
-                         / (np.sqrt(v_hat) + config.adam_eps))
+                m_state *= b1
+                np.multiply(grad, 1 - b1, out=scratch)
+                m_state += scratch
+                v_state *= b2
+                np.square(grad, out=scratch)
+                scratch *= 1 - b2
+                v_state += scratch
+                np.divide(v_state, 1 - b2 ** step, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += config.adam_eps
+                np.divide(m_state, 1 - b1 ** step, out=update)
+                update *= lr
+                update /= scratch
+            flat -= update
+    if not np.isfinite(flat).all():
+        raise TrainingDivergedError(
+            f"non-finite parameter after epoch {config.epochs} "
+            f"(learning_rate={lr})")
     return params
-

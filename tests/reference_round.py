@@ -9,7 +9,9 @@ gradients that the closed-form path integral replaced; of the
 written before they held the entries of the run's tables in table order.
 ``AggregateRecord``, one aggregate row with its class name and word
 spelt out, is the row type of the dict aggregate and of the tests;
-``fold_rounds`` folds a list of rounds the way ``run_pipeline`` does.
+``fold_rounds`` folds a list of rounds the way ``run_pipeline`` does;
+``gamma`` is the rounding constant of the bounds on sums that the
+bag-of-pieces kernel adds in another order than its references.
 
 The loop works on the corpus as ``Document`` objects tokenized one by one
 (``reference_corpus.documents_of``), splits them with the set-based
@@ -59,6 +61,15 @@ class WordScoreRecord:
     doc_id: str
     class_name: str
     score: float
+
+
+def gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, u = 2**-53: a float64 sum or
+    dot product of n terms, in any order, with or without fused
+    multiply-adds, lies within ``gamma_n * sum|terms|`` of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1)."""
+    u = 2.0 ** -53
+    return n * u / (1 - n * u)
 
 
 def token_ids(params, doc) -> np.ndarray:

@@ -130,6 +130,19 @@ class TestRun:
                        "--rounds", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--weight-init-scale", "nan"), ("--weight-init-scale", "inf")])
+    def test_non_finite_setting_exit_code(self, synth_files, tmp_path, capsys,
+                                          flag, value):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        code = run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), flag, value, *SMALL_RUN)
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_config_file_with_cli_override(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
         cfg = tmp_path / "run.conf"

@@ -5,12 +5,12 @@ import pytest
 
 from igkeywords import checks, model
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
-from igkeywords.model import (ModelParams, TrainConfig, batch_loss_and_grads,
-                              build_vocab, init_model, logits,
-                              path_mean_gradients, path_mean_slopes,
+from igkeywords.model import (ModelParams, TrainConfig, TrainingDivergedError,
+                              batch_loss_and_grads, build_vocab, init_model,
+                              logits, path_mean_gradients, path_mean_slopes,
                               piece_rows, pool_documents,
                               pooled_logit_gradients, predict_pooled, train)
-from reference_round import input_gradients_from_embeddings
+from reference_round import gamma, input_gradients_from_embeddings
 
 
 def input_gradients(params, corpus, class_index):
@@ -23,10 +23,16 @@ def input_gradients(params, corpus, class_index):
     return input_gradients_from_embeddings(params, inputs, class_index)
 
 
+def step(params, corpus, batch):
+    """``batch_loss_and_grads`` of the documents ``batch`` of ``corpus``."""
+    positions, counts = corpus.positions(batch)
+    return batch_loss_and_grads(params, piece_rows(params, corpus)[positions],
+                                counts, corpus.labels[batch])
+
+
 def corpus_loss(params, corpus) -> float:
     """Mean BCE over a whole corpus."""
-    return batch_loss_and_grads(params, piece_rows(params, corpus), corpus,
-                                np.arange(len(corpus)))[0]
+    return step(params, corpus, np.arange(len(corpus)))[0]
 
 
 def all_rows(corpus):
@@ -66,6 +72,17 @@ def random_model(rng, vocab_size=12, d=4, h=4, n_classes=3):
     cfg = TrainConfig(d=d, h=h, seed=int(rng.integers(2**31)))
     vocab = {f"p{i}": i for i in range(vocab_size)}
     return init_model(vocab, n_classes, cfg)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -0.1), ("weight_init_scale", float("nan")),
+        ("weight_init_scale", float("inf")),
+        ("weight_init_scale", -float("inf"))])
+    def test_rejects_non_finite_or_negative(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestInitModel:
@@ -136,34 +153,36 @@ class TestPoolDocuments:
     @pytest.mark.parametrize("cells", [1, 27, 10_000])
     def test_chunks_match_per_document_mean(self, label_space, monkeypatch,
                                             cells):
-        # The rows below have 10, 7, 1, 8, 5, 2, 8, 2 and 1 pieces.  At
-        # d=3 a budget of 1 cell takes one document per chunk, 27 cells
-        # (9 pieces) take up to two, with the 10-piece document alone, and
-        # 10,000 take every document in one chunk.
+        # The rows below have 10, 7, 1, 8, 5, 2, 8, 2 and 1 pieces, and the
+        # model has 10 rows.  A budget of 1 cell of documents x rows takes
+        # one document per chunk, 27 cells take two, and 10,000 take every
+        # document in one chunk.
         corpus = corpus_of(self.TEXTS, label_space)
         rows = np.array([7, 0, 1, 2, 3, 4, 5, 6, 1])
         params = init_model(build_vocab(corpus, np.arange(5)), 4,
                             TrainConfig(d=3, h=2, seed=7))
-        # rows of very different sizes, so that any other order of the
-        # additions changes the sums
-        rng = np.random.default_rng(3)
-        params.embedding *= 10.0 ** rng.integers(
-            -8, 9, size=(params.embedding.shape[0], 1))
+        assert params.embedding.shape[0] == 10
         pieces = piece_rows(params, corpus)
         assert (pieces == params.unk_index).any()
         monkeypatch.setattr(model, "POOL_CELLS", cells)
-        sizes, pool_sums = [], model._pool_sums
+        sizes, bag = [], model._bag
 
-        def recorded(embedding, model_rows, counts, *buffers):
+        def recorded(model_rows, counts, width):
             sizes.append(counts.size)
-            return pool_sums(embedding, model_rows, counts, *buffers)
-        monkeypatch.setattr(model, "_pool_sums", recorded)
+            return bag(model_rows, counts, width)
+        monkeypatch.setattr(model, "_bag", recorded)
         got = pool_documents(params, pieces, corpus, rows)
-        expected = np.array([
-            params.embedding[pieces[corpus.offsets[r]:corpus.offsets[r + 1]]]
-            .mean(axis=0) for r in rows])
-        assert np.array_equal(got, expected)
-        assert sizes == {1: [1] * 9, 27: [1, 2, 1, 2, 1, 2],
+        spans = [params.embedding[pieces[corpus.offsets[r]:
+                                         corpus.offsets[r + 1]]]
+                 for r in rows]
+        # The bag product adds a document's p pieces in another order than
+        # mean(axis=0); with the division, each side is within
+        # gamma(p + 1) * mean|pieces| of the exact mean.  The embedding's
+        # rows are of comparable size, so no row's error hides another's.
+        for vector, span in zip(got, spans):
+            bound = 2 * gamma(len(span) + 1) * np.abs(span).mean(axis=0)
+            assert (np.abs(vector - span.mean(axis=0)) <= bound).all()
+        assert sizes == {1: [1] * 9, 27: [2, 2, 2, 2, 1],
                          10_000: [9]}[cells]
 
     def test_no_rows_pool_to_an_empty_array(self, label_space):
@@ -255,21 +274,20 @@ class TestParameterGradients:
         batch = all_rows(corpus)
         params = init_model(build_vocab(corpus, batch), 4,
                             TrainConfig(d=4, h=4, seed=2))
-        prep = piece_rows(params, corpus), corpus
-        _, grads = batch_loss_and_grads(params, *prep, batch)
-        step = 1e-5
+        _, grads = step(params, corpus, batch)
+        h = 1e-5
         for name in ("hidden_weights", "output_weights", "hidden_bias",
                      "output_bias", "embedding"):
             arr = getattr(params, name)
             flat = arr.reshape(-1)
             for idx in range(0, flat.size, max(1, flat.size // 10)):
                 orig = flat[idx]
-                flat[idx] = orig + step
-                hi, _ = batch_loss_and_grads(params, *prep, batch)
-                flat[idx] = orig - step
-                lo, _ = batch_loss_and_grads(params, *prep, batch)
+                flat[idx] = orig + h
+                hi, _ = step(params, corpus, batch)
+                flat[idx] = orig - h
+                lo, _ = step(params, corpus, batch)
                 flat[idx] = orig
-                fd = (hi - lo) / (2 * step)
+                fd = (hi - lo) / (2 * h)
                 assert grads[name].reshape(-1)[idx] == pytest.approx(
                     fd, rel=1e-4, abs=1e-9)
 
@@ -323,6 +341,38 @@ class TestTrain:
         params0 = init_model(build_vocab(corpus, rows), 4, cfg)
         trained = train(params0, corpus, rows, cfg)
         assert corpus_loss(trained, corpus) < corpus_loss(params0, corpus)
+
+    def test_non_finite_loss_names_its_epoch(self, small_synth,
+                                             monkeypatch):
+        corpus, _ = small_synth
+        rows = all_rows(corpus)  # 160 documents: 5 steps an epoch
+        cfg = TrainConfig(epochs=4, d=8, h=8, seed=4)
+        params = init_model(build_vocab(corpus, rows), 4, cfg)
+        bce, calls = model._bce_from_logits, []
+
+        def diverging(z, targets):  # NaN at the third step of epoch 3
+            calls.append(1)
+            return float("nan") if len(calls) == 13 else bce(z, targets)
+        monkeypatch.setattr(model, "_bce_from_logits", diverging)
+        with pytest.raises(TrainingDivergedError,
+                           match="non-finite loss at epoch 3 "):
+            train(params, corpus, rows, cfg)
+        assert len(calls) == 13
+
+    def test_overflowing_last_update_raises(self, small_synth):
+        # One step whose loss is finite and whose update overflows; tanh
+        # would saturate at these weights and flatten the gradient.
+        corpus, _ = small_synth
+        rows = all_rows(corpus)
+        cfg = TrainConfig(epochs=1, batch_size=len(rows), optimizer="sgd",
+                          learning_rate=1e308, weight_init_scale=10.0,
+                          d=8, h=8, seed=4, activation="identity")
+        params = init_model(build_vocab(corpus, rows), 4, cfg)
+        with np.errstate(over="ignore"):  # in exp(-logit) and the update
+            assert np.isfinite(corpus_loss(params, corpus))
+            with pytest.raises(TrainingDivergedError,
+                               match="non-finite parameter after epoch 1 "):
+                train(params, corpus, rows, cfg)
 
 
 class TestPredict:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igkeywords import pipeline
+from igkeywords import model, pipeline
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
@@ -273,6 +273,29 @@ class TestRunPipeline:
             assert 0 < record.selection_frequency <= 1
             assert record.rounds_selected <= config.rounds
             assert record.instance_count >= record.rounds_selected
+
+    def test_diverged_round_fails_and_is_not_folded(self, small_synth,
+                                                    monkeypatch):
+        corpus, _ = small_synth
+        config = toy_config(rounds=3)
+        survivors = [run_round(corpus, config, i) for i in (1, 2)]
+        bce, calls = model._bce_from_logits, []
+
+        def diverging(z, targets):  # NaN at the first step of round 0
+            calls.append(1)
+            return float("nan") if len(calls) == 1 else bce(z, targets)
+        monkeypatch.setattr(model, "_bce_from_logits", diverging)
+        with pytest.warns(UserWarning, match="round 0 failed: non-finite "
+                                             "loss at epoch 1"):
+            result = run_pipeline(corpus, config)
+        assert [r.failed for r in result.rounds] == [True, False, False]
+        assert result.rounds[0].micro_f1 == 0.0
+        # The failed round adds nothing, and selection frequency still
+        # divides by the three configured rounds.
+        table = result.aggregates
+        assert table == fold_rounds(survivors, corpus, config)
+        assert table.rounds_selected.max() <= 2
+        assert (table.selection_frequency == table.rounds_selected / 3).all()
 
     def test_worker_count_does_not_change_results(self, small_synth,
                                                   tmp_path):
