@@ -63,8 +63,7 @@ def gradient_error() -> float:
         n_classes = int(rng.integers(2, 5))
         cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
                                 seed=int(rng.integers(2**31)))
-        params = model.init_model({f"p{i}": i for i in range(20)},
-                                  n_classes, cfg)
+        params = model.init_model(np.arange(20), n_classes, cfg)
         n_rows, n_points = (int(n) for n in rng.integers(1, 5, size=2))
         path = rng.normal(size=(n_rows, n_points, d))
         classes = rng.integers(n_classes, size=n_rows)
@@ -138,7 +137,7 @@ def path_mean_error() -> tuple[float, bool]:
         cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
                                 activation=("tanh", "identity")[i % 2],
                                 seed=int(rng.integers(2**31)))
-        params = model.init_model({"p": 0}, 2, cfg)
+        params = model.init_model(np.arange(1), 2, cfg)
         params.hidden_bias = 4.0 * rng.normal(size=h)
         # pooled vectors from 0 out to |a| of about 1e8
         pooled = (rng.normal(size=(12, d))

@@ -86,10 +86,6 @@ class Corpus:
         return len(self.doc_ids)
 
     @cached_property
-    def piece_index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.pieces)}
-
-    @cached_property
     def word_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each document's pieces ordered stably by word: the positions in
         ``piece_ids``/``word_ids`` in that order, and a flag on the first

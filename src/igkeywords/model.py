@@ -14,14 +14,16 @@ both training (``batch_loss_and_grads``) and ``pool_documents``.  The
 parameters, gradients and Adam moments each sit in one flat buffer, so an
 optimizer step is one elementwise update, done in place.
 
-Documents reach the model as rows of the corpus: ``piece_rows``
-maps every corpus piece to its model row once, and ``Corpus.positions``
-picks a set of documents' pieces out of that array.  ``pool_documents``
-with ``predict_pooled`` predict a whole validation set at once.  Mean
-pooling makes the model a function of the pooled vector alone, so
-``logits`` is the one forward pass, for any batch of pooled vectors, and
-``path_mean_gradients`` integrates its input gradient along the straight
-path from the zero vector in closed form.
+A model's vocabulary is the ascending corpus piece ids its embedding
+rows stand for, so it means something only next to that corpus.
+Documents reach the model as rows of the corpus: ``piece_rows`` maps
+every corpus piece to its model row with one scatter, and
+``Corpus.positions`` picks a set of documents' pieces out of that array.
+``pool_documents`` with ``predict_pooled`` predict a whole validation set
+at once.  Mean pooling makes the model a function of the pooled vector
+alone, so ``logits`` is the one forward pass, for any batch of pooled
+vectors, and ``path_mean_gradients`` integrates its input gradient along
+the straight path from the zero vector in closed form.
 """
 
 from __future__ import annotations
@@ -80,12 +82,15 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
+    """Weights over the pieces of the corpus the model was built from, the
+    only corpus its ascending piece ids ``vocab`` mean something next to."""
+
     embedding: np.ndarray       # [vocab+1, d]; last row is the unknown piece
     hidden_weights: np.ndarray  # [d, h]
     hidden_bias: np.ndarray     # [h]
     output_weights: np.ndarray  # [h, C]
     output_bias: np.ndarray     # [C]
-    vocab: dict[str, int]
+    vocab: np.ndarray           # [vocab]; row i is corpus piece vocab[i]
     activation: str = "tanh"
 
     @property
@@ -97,20 +102,22 @@ class ModelParams:
         return self.output_bias.shape[0]
 
 
-def build_vocab(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
-    """Map each subword piece of the documents ``rows`` of ``corpus`` to a
-    contiguous index, in sorted piece order."""
+def build_vocab(corpus: Corpus, rows: np.ndarray) -> np.ndarray:
+    """The ascending ids of the pieces that the documents ``rows`` of
+    ``corpus`` hold, in sorted piece order: a vocabulary that means
+    something only next to ``corpus``."""
     positions, _ = corpus.positions(rows)
     present = np.bincount(corpus.piece_ids[positions],
                           minlength=len(corpus.pieces))
-    return {corpus.pieces[g]: i
-            for i, g in enumerate(np.flatnonzero(present).tolist())}
+    return np.flatnonzero(present)
 
 
-def init_model(vocab: dict[str, int], num_classes: int,
+def init_model(vocab: np.ndarray, num_classes: int,
                config: TrainConfig) -> ModelParams:
-    """Uniform weights in [-scale, scale], zero biases; seeded."""
-    if not vocab:
+    """A model with an embedding row per corpus piece id of ``vocab`` and
+    one for the unknown piece: uniform weights in [-scale, scale], zero
+    biases; seeded."""
+    if not len(vocab):
         raise ValidationError("vocabulary must be non-empty")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed & (2**64 - 1)))
     s = config.weight_init_scale
@@ -122,7 +129,7 @@ def init_model(vocab: dict[str, int], num_classes: int,
         hidden_bias=np.zeros(config.h),
         output_weights=uniform(config.h, num_classes),
         output_bias=np.zeros(num_classes),
-        vocab=dict(vocab),
+        vocab=vocab,
         activation=config.activation,
     )
 
@@ -231,14 +238,11 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def piece_rows(params: ModelParams, corpus: Corpus) -> np.ndarray:
-    """The model row of every piece of ``corpus``, aligned with
-    ``corpus.piece_ids``: one remap array from the corpus's piece table to
-    the model's rows, unknown pieces to ``unk``."""
+    """The model row of every piece of ``corpus``, the corpus the model was
+    built from, aligned with ``corpus.piece_ids``: one scatter of the rows
+    over the piece table, pieces outside the vocabulary to ``unk``."""
     remap = np.full(len(corpus.pieces), params.unk_index, dtype=np.intp)
-    index = corpus.piece_index
-    for piece, row in params.vocab.items():
-        if piece in index:
-            remap[index[piece]] = row
+    remap[params.vocab] = np.arange(len(params.vocab))
     return remap[corpus.piece_ids]
 
 
@@ -304,7 +308,8 @@ def predict_pooled(params: ModelParams, pooled: np.ndarray,
     """[docs, C] mask of sigmoid probabilities >= threshold, from the pooled
     vectors of ``pool_documents``."""
     out, _ = logits(params, pooled)
-    return 1.0 / (1.0 + np.exp(-out)) >= threshold
+    with np.errstate(over="ignore"):  # a logit below -709 gives 0
+        return 1.0 / (1.0 + np.exp(-out)) >= threshold
 
 
 _PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
@@ -312,7 +317,7 @@ _PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
 
 
 def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
-                         counts: np.ndarray, labels: np.ndarray, grads=None):
+                         counts: np.ndarray, labels: np.ndarray, grads):
     """Mean BCE over a batch of documents plus the gradient of every
     weight: ``(loss, grads)``, the gradients keyed by parameter name.
 
@@ -323,11 +328,8 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
     divided by the counts, and ``bag.T @ (d_pooled / counts)`` for the rows
     ``used``; every other embedding row's gradient is zero.  The gradients
     are written into ``grads``, arrays of the parameters' shapes keyed by
-    name, which ``train`` makes once as views of its flat gradient buffer;
-    without them the step makes its own.
+    name, which ``train`` makes once as views of its flat gradient buffer.
     """
-    if grads is None:
-        grads = {k: np.empty_like(getattr(params, k)) for k in _PARAM_NAMES}
     bag, used = _bag(pieces, counts, params.embedding.shape[0])
     pooled = bag @ params.embedding[used]
     pooled /= counts[:, None]
@@ -335,7 +337,8 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
     z, hidden = logits(params, pooled)
     loss = _bce_from_logits(z, labels)
 
-    probs = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # a logit below -709 gives 0
+        probs = 1.0 / (1.0 + np.exp(-z))
     d_logits = (probs - labels) / z.size
     np.matmul(hidden.T, d_logits, out=grads["output_weights"])
     np.sum(d_logits, axis=0, out=grads["output_bias"])
@@ -371,7 +374,7 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
         return {k: buffer[end - a.size:end].reshape(a.shape)
                 for k, a, end in zip(_PARAM_NAMES, arrays, ends)}
     flat = np.concatenate([a.ravel() for a in arrays])
-    params = replace(params, vocab=dict(params.vocab), **views(flat))
+    params = replace(params, **views(flat))
     grad = np.empty_like(flat)
     grads = views(grad)
     # the Adam moments, and two scratch buffers for the update

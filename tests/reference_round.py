@@ -72,25 +72,30 @@ def gamma(n: int) -> float:
     return n * u / (1 - n * u)
 
 
-def token_ids(params, doc) -> np.ndarray:
-    """The model row of each piece of ``doc``, unknown pieces to ``unk``."""
+def token_ids(params, corpus, doc) -> np.ndarray:
+    """The model row of each piece of ``doc``, a document of ``corpus``,
+    looked up by the piece's string; unknown pieces to ``unk``."""
+    vocab = {corpus.pieces[g]: row
+             for row, g in enumerate(params.vocab.tolist())}
     unk = params.unk_index
-    return np.array([params.vocab.get(p, unk) for p, _ in doc.subwords],
+    return np.array([vocab.get(p, unk) for p, _ in doc.subwords],
                     dtype=np.intp)
 
 
-def document_inputs(params, doc) -> np.ndarray:
+def document_inputs(params, corpus, doc) -> np.ndarray:
     """The [T, d] input embeddings of ``doc``; it must have a piece."""
     if not doc.subwords:
         raise ValidationError(f"document {doc.id!r} has no subwords")
-    return params.embedding[token_ids(params, doc)].astype(float)
+    return params.embedding[token_ids(params, corpus, doc)].astype(float)
 
 
-def predict(params, doc, label_space, threshold) -> set[str]:
+def predict(params, corpus, doc, threshold) -> set[str]:
     """Classes whose sigmoid probability is >= threshold."""
-    out, _ = model.logits(params, document_inputs(params, doc).mean(axis=0))
+    out, _ = model.logits(params,
+                          document_inputs(params, corpus, doc).mean(axis=0))
     probs = 1.0 / (1.0 + np.exp(-out))
-    return {label_space.classes[i] for i in np.flatnonzero(probs >= threshold)}
+    return {corpus.label_space.classes[i]
+            for i in np.flatnonzero(probs >= threshold)}
 
 
 def input_gradients_from_embeddings(params, inputs: np.ndarray,
@@ -138,13 +143,13 @@ def midpoint_path_gradient(params, pooled: np.ndarray, class_index: int,
     return grads.mean(axis=0)
 
 
-def integrated_gradients(params, doc, class_index,
+def integrated_gradients(params, corpus, doc, class_index,
                          steps=None) -> np.ndarray:
     """IG with a zero baseline of one (document, class) pair: the [T, d]
     attributions, token by token, each the token's embedding times the
     path-mean gradient over T.  The path mean is exact, or by the midpoint
     rule with ``steps`` steps."""
-    inputs = document_inputs(params, doc)
+    inputs = document_inputs(params, corpus, doc)
     pooled = inputs.mean(axis=0)
     if steps is None:
         mean_grad = exact_path_gradient(params, pooled, class_index)
@@ -211,8 +216,9 @@ def reference_run_round(corpus, config, round_index):
     train_idx, val_idx = reference_stratified_split(
         documents, classes, SplitSpec(ratio=config.ratio, seed=split_seed))
 
-    vocab = {p: i for i, p in enumerate(sorted(
-        {p for i in train_idx for p, _ in documents[i].subwords}))}
+    piece_id = {p: i for i, p in enumerate(corpus.pieces)}
+    vocab = np.array(sorted({piece_id[p] for i in train_idx
+                             for p, _ in documents[i].subwords}))
     train_cfg = replace(config.train_config, seed=train_seed)
     params = model.init_model(vocab, len(corpus.label_space), train_cfg)
     params = model.train(params, corpus, np.array(train_idx), train_cfg)
@@ -223,7 +229,7 @@ def reference_run_round(corpus, config, round_index):
     selections = []
 
     for doc in (documents[i] for i in val_idx):
-        predicted = predict(params, doc, corpus.label_space, threshold)
+        predicted = predict(params, corpus, doc, threshold)
         for ci, c in enumerate(classes):
             pred, gold = c in predicted, c in doc.labels
             if pred and gold:
@@ -238,7 +244,8 @@ def reference_run_round(corpus, config, round_index):
                 class_counts[c][slot] += 1
                 micro[slot] += 1
             if _matches_target(config.selection_target, pred, gold):
-                scores = integrated_gradients(params, doc, ci).sum(axis=1)
+                scores = integrated_gradients(params, corpus, doc,
+                                              ci).sum(axis=1)
                 records = word_scores(normalize_document(scores), doc, c)
                 selections.extend(top_n_words(records, config.top_n))
 

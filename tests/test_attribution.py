@@ -26,12 +26,11 @@ def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
     return delta * total
 
 
-def linear_model(rng, vocab_size=10, d=4, h=3, n_classes=2):
+def linear_model(rng, vocab_size, d=4, h=3, n_classes=2):
     """Identity activation makes the logit linear in the inputs."""
     cfg = TrainConfig(d=d, h=h, activation="identity",
                       seed=int(rng.integers(2**31)))
-    vocab = {f"p{i}": i for i in range(vocab_size)}
-    return init_model(vocab, n_classes, cfg)
+    return init_model(np.arange(vocab_size), n_classes, cfg)
 
 
 def trained_on_all(corpus, cfg):
@@ -69,17 +68,18 @@ def pieces_corpus(piece_space, text="p1 p2 p3 p4"):
 class TestIntegratedGradients:
     def test_linear_exactness(self, piece_space):
         rng = np.random.default_rng(0)
-        params = linear_model(rng)
         corpus = pieces_corpus(piece_space)
+        params = linear_model(rng, vocab_size=len(corpus.pieces))
         values, inputs = attribute_row(params, corpus, 0, 0)
         w = effective_weights(params, 0) / inputs.shape[0]
         assert np.allclose(values, inputs * w, atol=1e-12)
 
     def test_input_equal_to_baseline_gives_zero(self, piece_space):
         rng = np.random.default_rng(1)
-        params = linear_model(rng)
+        corpus = pieces_corpus(piece_space)
+        params = linear_model(rng, vocab_size=len(corpus.pieces))
         params.embedding[:] = 0.0
-        values, _ = attribute_row(params, pieces_corpus(piece_space), 0, 0)
+        values, _ = attribute_row(params, corpus, 0, 0)
         assert np.all(values == 0)
 
     def test_matches_generic_path_integral(self, small_synth):

@@ -168,7 +168,7 @@ def test_batched_predictions_match_predict(small_synth):
     docs = documents_of(corpus)
     for doc, mask in zip((docs[i] for i in val_rows), predicted):
         assert {classes[i] for i in np.flatnonzero(mask)} == \
-            predict(params, doc, corpus.label_space, 0.5)
+            predict(params, corpus, doc, 0.5)
     assert predicted.any()
 
 
@@ -178,9 +178,9 @@ def test_piece_rows_match_vocabulary_lookup(small_synth):
     rows = np.arange(len(corpus))
     # vocabulary from half the corpus, so the other half has unknown pieces
     vocab = model.build_vocab(corpus, rows[::2])
-    assert list(vocab) == sorted({p for doc in docs[::2]
-                                  for p, _ in doc.subwords})
-    assert list(vocab.values()) == list(range(len(vocab)))
+    assert vocab.dtype.kind == "i" and (np.diff(vocab) > 0).all()
+    assert [corpus.pieces[g] for g in vocab] == sorted(
+        {p for doc in docs[::2] for p, _ in doc.subwords})
     params = model.init_model(vocab, 4, TrainConfig(d=4, h=4))
     pieces = model.piece_rows(params, corpus)
     assert pieces.shape == corpus.piece_ids.shape
@@ -188,7 +188,7 @@ def test_piece_rows_match_vocabulary_lookup(small_synth):
     for row in rows:
         doc = docs[row]
         span = slice(corpus.offsets[row], corpus.offsets[row + 1])
-        assert np.array_equal(pieces[span], token_ids(params, doc))
+        assert np.array_equal(pieces[span], token_ids(params, corpus, doc))
         assert [corpus.words[w] for w in corpus.word_ids[span]] == \
             [doc.words[wi] for _, wi in doc.subwords]
 
@@ -217,7 +217,7 @@ def assert_pair_weights_match(params, corpus, rows, classes, per_call,
             values = inputs * w
             w_c = np.abs(params.output_weights[:, ci])
             size = np.abs(inputs) * (w_h @ w_c) / len(tokens)
-            want = integrated_gradients(params, docs[row], ci)
+            want = integrated_gradients(params, corpus, docs[row], ci)
             assert np.all(np.abs(values - want) <= VALUE_TOLERANCE * size)
             if steps is None:
                 continue
@@ -226,7 +226,8 @@ def assert_pair_weights_match(params, corpus, rows, classes, per_call,
                            if params.activation == "tanh" else 0 * a)
             bound = (np.abs(inputs) * (w_h @ (w_c * slope_error))
                      / len(tokens) + VALUE_TOLERANCE * size)
-            midpoint = integrated_gradients(params, docs[row], ci, steps)
+            midpoint = integrated_gradients(params, corpus, docs[row], ci,
+                                            steps)
             assert np.all(np.abs(midpoint - values) <= bound)
 
 
@@ -288,7 +289,8 @@ def reference_top_words(params, corpus, rows, classes, top_n):
     word_of = {w: i for i, w in enumerate(corpus.words)}
     columns = []
     for pair, (row, ci) in enumerate(zip(rows.tolist(), classes.tolist())):
-        scores = integrated_gradients(params, docs[row], ci).sum(axis=1)
+        scores = integrated_gradients(params, corpus, docs[row],
+                                      ci).sum(axis=1)
         records = word_scores(normalize_document(scores), docs[row], str(ci))
         columns += [(pair, word_of[r.word], r.score)
                     for r in top_n_words(records, top_n)]
@@ -335,7 +337,8 @@ def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, cells):
     # every point of the path, and a piece's token score for class 0 is
     # its row . g.
     g = params.hidden_weights @ params.output_weights[:, 0]
-    params.embedding[params.vocab["abcd"]] = 10 * g / np.linalg.norm(g)
+    row = np.searchsorted(params.vocab, corpus.pieces.index("abcd"))
+    params.embedding[row] = 10 * g / np.linalg.norm(g)
     rows = np.repeat(np.arange(3), 2)
     classes = np.tile(np.arange(2), 3)
     pair, word, score = assert_top_words_match_reference(

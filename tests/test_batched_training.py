@@ -27,10 +27,12 @@ PARAM_NAMES = ("embedding", "hidden_weights", "hidden_bias",
 
 
 def step(params, pieces, corpus, batch):
-    """``batch_loss_and_grads`` of the documents ``batch`` of ``corpus``."""
+    """``batch_loss_and_grads`` of the documents ``batch`` of ``corpus``,
+    into gradient arrays of its own."""
     positions, counts = corpus.positions(batch)
+    grads = {k: np.empty_like(getattr(params, k)) for k in PARAM_NAMES}
     return batch_loss_and_grads(params, pieces[positions], counts,
-                                corpus.labels[batch])
+                                corpus.labels[batch], grads)
 
 
 def reference_batch_loss_and_grads(params, pieces, corpus, batch):
@@ -77,8 +79,7 @@ def reference_train(params, corpus, rows, config):
     """Training with the production step and one optimizer update per
     parameter array."""
     params = dataclasses.replace(
-        params, vocab=dict(params.vocab),
-        **{k: getattr(params, k).copy() for k in PARAM_NAMES})
+        params, **{k: getattr(params, k).copy() for k in PARAM_NAMES})
     pieces = piece_rows(params, corpus)
     n_docs = len(rows)
     rng = np.random.default_rng(

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ def input_gradients(params, corpus, class_index):
 
 
 def step(params, corpus, batch):
-    """``batch_loss_and_grads`` of the documents ``batch`` of ``corpus``."""
+    """``batch_loss_and_grads`` of the documents ``batch`` of ``corpus``,
+    into gradient arrays of its own."""
     positions, counts = corpus.positions(batch)
+    grads = {k: np.empty_like(getattr(params, k)) for k in model._PARAM_NAMES}
     return batch_loss_and_grads(params, piece_rows(params, corpus)[positions],
-                                counts, corpus.labels[batch])
+                                counts, corpus.labels[batch], grads)
 
 
 def corpus_loss(params, corpus) -> float:
@@ -47,7 +50,7 @@ def tiny_params(w_emb=0.3, w_hid=1.0, w_out=2.0, activation="tanh"):
         hidden_bias=np.zeros(1),
         output_weights=np.array([[w_out]]),
         output_bias=np.zeros(1),
-        vocab={"tok": 0},
+        vocab=np.arange(1),
         activation=activation,
     )
 
@@ -70,8 +73,7 @@ def pooled(params, corpus):
 
 def random_model(rng, vocab_size=12, d=4, h=4, n_classes=3):
     cfg = TrainConfig(d=d, h=h, seed=int(rng.integers(2**31)))
-    vocab = {f"p{i}": i for i in range(vocab_size)}
-    return init_model(vocab, n_classes, cfg)
+    return init_model(np.arange(vocab_size), n_classes, cfg)
 
 
 class TestTrainConfig:
@@ -88,15 +90,14 @@ class TestTrainConfig:
 class TestInitModel:
     def test_deterministic(self):
         cfg = TrainConfig(seed=5)
-        vocab = {"a": 0, "b": 1}
+        vocab = np.arange(2)
         p1, p2 = init_model(vocab, 3, cfg), init_model(vocab, 3, cfg)
         assert np.array_equal(p1.embedding, p2.embedding)
         assert np.array_equal(p1.output_weights, p2.output_weights)
 
     def test_shapes(self):
         cfg = TrainConfig(d=16, h=32)
-        vocab = {f"p{i}": i for i in range(5000)}
-        params = init_model(vocab, 4, cfg)
+        params = init_model(np.arange(5000), 4, cfg)
         assert params.embedding.shape == (5001, 16)
         assert params.hidden_weights.shape == (16, 32)
         assert params.output_weights.shape == (32, 4)
@@ -105,7 +106,7 @@ class TestInitModel:
 
     def test_zero_scale_gives_zero_logits(self, label_space):
         cfg = TrainConfig(weight_init_scale=0.0)
-        params = init_model({"tok": 0}, 4, cfg)
+        params = init_model(np.arange(1), 4, cfg)
         out, _ = logits(params, pooled(params, one_token_corpus(label_space)))
         assert np.all(out == 0)
 
@@ -119,23 +120,23 @@ class TestForward:
         assert vectors[0, 0] == pytest.approx(0.3)
 
     def test_zero_weights_give_half_probability(self, label_space):
-        params = init_model({"tok": 0}, 4, TrainConfig(weight_init_scale=0.0))
+        params = init_model(np.arange(1), 4, TrainConfig(weight_init_scale=0.0))
         vectors = pooled(params, one_token_corpus(label_space))
         assert predict_pooled(params, vectors, 0.5).all()
         assert not predict_pooled(params, vectors, np.nextafter(0.5, 1)).any()
 
     def test_pooling_linearity(self, label_space):
         rng = np.random.default_rng(0)
-        params = random_model(rng)
         corpus = corpus_of(["p1 p2 p3 p4 p5"], label_space)
+        params = random_model(rng, vocab_size=len(corpus.pieces))
         doubled = dataclasses.replace(params, embedding=2 * params.embedding)
         assert np.allclose(pooled(doubled, corpus), 2 * pooled(params, corpus))
 
     def test_permutation_invariance(self, label_space):
         rng = np.random.default_rng(1)
-        params = random_model(rng)
         corpus = corpus_of(["p1 p2 p3 p4 p5 p6 p7", "p7 p6 p5 p4 p3 p2 p1"],
                            label_space)
+        params = random_model(rng, vocab_size=len(corpus.pieces))
         out, _ = logits(params, pooled(params, corpus))
         assert np.allclose(out[0], out[1], atol=1e-12)
 
@@ -377,7 +378,7 @@ class TestTrain:
 
 class TestPredict:
     def test_boundary_is_inclusive(self, label_space):
-        params = init_model({"tok": 0}, 4, TrainConfig(weight_init_scale=0.0))
+        params = init_model(np.arange(1), 4, TrainConfig(weight_init_scale=0.0))
         vectors = pooled(params, one_token_corpus(label_space))
         assert predict_pooled(params, vectors, 0.5).all()
 
@@ -388,11 +389,26 @@ class TestPredict:
         assert predict_pooled(params, vectors, 0.5).tolist() == [[True]]
         assert predict_pooled(params, vectors, 0.99).tolist() == [[False]]
 
+    def test_logit_below_exp_range_is_probability_zero(self):
+        # exp(-logit) overflows for a logit below about -709; the sigmoid
+        # is 0 there, in prediction and in the training step, silently.
+        params = tiny_params()
+        params.output_bias[:] = -1000.0
+        corpus = one_token_corpus(LabelSpace(("only",)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vectors = pooled(params, corpus)
+            assert not predict_pooled(params, vectors,
+                                      np.nextafter(0.0, 1.0)).any()
+            _, grads = step(params, corpus, np.array([0]))
+        # d(loss)/d(logit) = probability - label = 0 - 1
+        assert grads["output_bias"].tolist() == [-1.0]
+
     def test_bias_monotonicity(self):
         rng = np.random.default_rng(11)
-        params = random_model(rng)
-        vectors = pooled(params, corpus_of(["p1 p2 p3"],
-                                           LabelSpace(("a", "b", "c"))))
+        corpus = corpus_of(["p1 p2 p3"], LabelSpace(("a", "b", "c")))
+        params = random_model(rng, vocab_size=len(corpus.pieces))
+        vectors = pooled(params, corpus)
         before = predict_pooled(params, vectors, 0.5)[0]
         params.output_bias[0] += 5.0
         after = predict_pooled(params, vectors, 0.5)[0]
