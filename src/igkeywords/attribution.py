@@ -10,10 +10,11 @@ integrates that path exactly; ``pair_weights`` is ``g / T`` for any number
 of (corpus row, class) pairs at once, and it is the one IG.
 
 ``token_scores`` sums each token's values over the embedding dimensions,
-``embedding[t] @ (g / T)``, without forming them: per chunk of pairs, one
-table of every model row's dot with every pair's weights, from which each
+``embedding[t] @ (g / T)``, without forming them: per batch of
+``model.DOC_BATCH`` pairs, one table of every pair's weights dotted with
+every model row the batch uses (``model.used_rows``), from which each
 token takes its own.  ``top_word_scores`` adds the normalization, the
-subword max and the top-n pick.  No chunk sorts its tokens:
+subword max and the top-n pick.  No batch sorts its tokens:
 ``Corpus.word_order``, computed once per corpus, holds each document's
 pieces in word order and the first piece of each word, so a pair's
 subword max is one ``np.maximum.reduceat`` over its tokens gathered in
@@ -26,16 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, budget_chunks
+from . import model
+from .corpus import Corpus
 from .model import ModelParams, path_mean_gradients
-
-#: Score-table cells plus tokens per chunk of ``token_scores``: a pair
-#: takes a table cell for every model row (vocab+1) and one per token.  It
-#: bounds a chunk's temporaries at 0.5 MB each, whatever the number of
-#: pairs; a chunk holds at least one pair.  On an explain-bound round (473
-#: pairs) budgets from 2**15 to 2**17 took the same time, and one chunk of
-#: every pair raised the run's peak RSS by 6 MB.
-CHUNK_CELLS = 2**16
 
 
 class AttributionError(RuntimeError):
@@ -70,24 +64,24 @@ def pair_weights(params: ModelParams, corpus: Corpus, pair_rows: np.ndarray,
 def token_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
                  pair_rows: np.ndarray, weights: np.ndarray):
     """Each pair's token scores, its IG values summed over the embedding
-    dimensions, a chunk of pairs at a time.
+    dimensions, ``model.DOC_BATCH`` pairs at a time.
 
     ``weights`` are the ``pair_weights`` of the pairs and ``pieces`` the
-    corpus's ``model.piece_rows``.  A chunk's scores come from one
-    [pairs, vocab+1] table of every pair's weights dotted with every model
-    row; a chunk holds at most CHUNK_CELLS table cells plus tokens.
-    Yields, per chunk: its first pair, the positions of its tokens in
-    ``corpus.piece_ids``/``word_ids`` pair after pair, each of its pairs'
-    token counts, the chunk's pair of each token, and the tokens' scores.
+    corpus's ``model.piece_rows``.  A batch's scores come from one
+    [pairs, k] table of every pair's weights dotted with each of the k
+    model rows the batch uses.  Yields, per batch: its first pair, the
+    positions of its tokens in ``corpus.piece_ids``/``word_ids`` pair after
+    pair, each of its pairs' token counts, the batch's pair of each token,
+    and the tokens' scores.
     """
-    counts = corpus.offsets[pair_rows + 1] - corpus.offsets[pair_rows]
-    costs = np.cumsum(counts + params.embedding.shape[0])
-    for first, stop in budget_chunks(costs, CHUNK_CELLS):
-        tokens, chunk_counts = corpus.positions(pair_rows[first:stop])
-        table = weights[first:stop] @ params.embedding.T
-        token_pair = np.repeat(np.arange(stop - first), chunk_counts)
-        yield (first, tokens, chunk_counts, token_pair,
-               table[token_pair, pieces[tokens]])
+    for first in range(0, pair_rows.size, model.DOC_BATCH):
+        batch = slice(first, first + model.DOC_BATCH)
+        tokens, counts = corpus.positions(pair_rows[batch])
+        used, columns = model.used_rows(pieces[tokens],
+                                        params.embedding.shape[0])
+        table = weights[batch] @ params.embedding[used].T
+        token_pair = np.repeat(np.arange(counts.size), counts)
+        yield first, tokens, counts, token_pair, table[token_pair, columns]
 
 
 def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
@@ -117,7 +111,7 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
         scores /= norms[token_pair]
         # Max per (pair, word).  A pair's tokens are its document's pieces
         # in place, so the document's cached word order, shifted from the
-        # document's place in the corpus to the pair's in the chunk, sorts
+        # document's place in the corpus to the pair's in the batch, sorts
         # them, and the cached flags start its word groups.
         in_order = word_order[tokens]
         starts = np.flatnonzero(first_of_word[tokens])
@@ -133,7 +127,7 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
         _, dense = np.unique(-best, return_inverse=True)
         n_groups, n_ranks = best.size, int(dense.max()) + 1
         if n_groups * n_ranks > np.iinfo(np.int64).max:
-            raise OverflowError("too many word groups in one chunk to rank")
+            raise OverflowError("too many word groups in one batch to rank")
         per_pair = np.bincount(group_pair, minlength=n_pairs)
         pair_first = np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
         in_pair = np.arange(n_groups) - pair_first

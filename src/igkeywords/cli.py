@@ -220,8 +220,8 @@ def _cmd_run(args) -> int:
     planted = load_markers(args.markers) if args.markers else None
     out_dir = args.out_dir or os.path.join(
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
-    # Saved before round 0, with the earlier run's reports removed, so
-    # that a run that stops part way leaves only its own files.
+    # Saved before round 0, which removes the earlier run's files, so that
+    # a run that stops part way leaves only its own.
     saved = dict(dataclasses.asdict(config), classes=list(classes),
                  top_m=args.top_m)
     if planted is not None:
@@ -229,8 +229,6 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(saved, fh, indent=2)
-    for name in set(report.REPORT_FILES) & set(os.listdir(out_dir)):
-        os.remove(os.path.join(out_dir, name))
     result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
     report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
                          class_names=classes)

@@ -120,19 +120,6 @@ class Corpus:
                 + np.repeat(starts - (ends - counts), counts), counts)
 
 
-def budget_chunks(costs: np.ndarray, budget):
-    """``(first, stop)`` of each chunk of consecutive items whose costs add
-    up to at most ``budget``, or of one item that costs more; ``costs``
-    are the items' running cost totals (``np.cumsum``)."""
-    first = 0
-    while first < len(costs):
-        spent = costs[first - 1] if first else 0
-        stop = max(first + 1, int(np.searchsorted(costs, spent + budget,
-                                                  side="right")))
-        yield first, stop
-        first = stop
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     ratio: float

@@ -6,13 +6,16 @@ pass is written out by hand so that gradients with respect to the input
 token embeddings are exact and cheap.
 
 Mean pooling makes the model a linear function of a bag-of-pieces
-matrix: ``_bag`` counts each document's pieces over the distinct model
-rows a batch or chunk of documents uses, with one ``np.bincount``, so the
-pooled vectors are one matrix product with those embedding rows, and the
-embedding gradient one product with its transpose.  That kernel pools for
-both training (``batch_loss_and_grads``) and ``pool_documents``.  The
-parameters, gradients and Adam moments each sit in one flat buffer, so an
-optimizer step is one elementwise update, done in place.
+matrix.  Every batch of documents works over the distinct model rows it
+uses (``used_rows``): ``_pool`` counts each document's pieces over those
+rows with one ``np.bincount``, so the pooled vectors are one matrix
+product with those embedding rows, and the embedding gradient one product
+with its transpose.  That product pools for both training
+(``batch_loss_and_grads``) and ``pool_documents``, which walks its
+documents in batches of DOC_BATCH; ``attribution.token_scores`` takes its
+score tables over the same columns.  The parameters, gradients and Adam
+moments each sit in one flat buffer, so an optimizer step is one
+elementwise update, done in place.
 
 A model's vocabulary is the ascending corpus piece ids its embedding
 rows stand for, so it means something only next to that corpus.
@@ -32,17 +35,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, ValidationError, budget_chunks
+from .corpus import Corpus, ValidationError
 
 
-#: Bag cells (documents x (vocab+1)) per chunk of ``pool_documents``: it
-#: bounds a chunk's bag-of-pieces matrix, whose columns are at most the
-#: model's rows, at 0.5 MB; a chunk holds at least one document.  Pooling
-#: 500-660 validation documents over about 1,100 rows took least time at
-#: 2**15-2**16 cells (57 documents a chunk), 2**14 took 30% longer and
-#: 2**17 and up 1.2 to 2.5 times as long.  Bigger vocabularies want more
-#: cells: over 22k rows 2**18 was fastest and 2**16 took 1.8 times as long.
-POOL_CELLS = 2**16
+#: Documents per batch of ``pool_documents`` and attributed pairs per
+#: batch of ``attribution.token_scores``.  A batch's bag and score table
+#: span only the model rows the batch uses, never the model's width.  On
+#: the benchmark corpora (about 1,100 rows) the explain half of a round
+#: took the same time at 32 and 64 (medians of 7: 11.9 and 11.6 ms on
+#: explain-bound, 7.3 and 6.8 ms on train-bound) and 1.5-2 times as long
+#: at 16.  On a random-word corpus (38,850 rows), where a batch's
+#: documents share few rows and its bag grows with the square of its size,
+#: 64 took 1.3 times as long as 16-32, and pooling alone twice as long.
+DOC_BATCH = 32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -240,7 +245,14 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
 def piece_rows(params: ModelParams, corpus: Corpus) -> np.ndarray:
     """The model row of every piece of ``corpus``, the corpus the model was
     built from, aligned with ``corpus.piece_ids``: one scatter of the rows
-    over the piece table, pieces outside the vocabulary to ``unk``."""
+    over the piece table, pieces outside the vocabulary to ``unk``.  A
+    vocabulary id beyond the corpus's piece table raises
+    ``ValidationError``: the model was built from another corpus."""
+    if params.vocab[-1] >= len(corpus.pieces):
+        raise ValidationError(
+            f"the model's largest piece id, {params.vocab[-1]}, is not below "
+            f"the corpus's {len(corpus.pieces)} pieces: the model was built "
+            f"from another corpus")
     remap = np.full(len(corpus.pieces), params.unk_index, dtype=np.intp)
     remap[params.vocab] = np.arange(len(params.vocab))
     return remap[corpus.piece_ids]
@@ -256,26 +268,39 @@ def _positions(corpus: Corpus, rows: np.ndarray):
     return positions, counts
 
 
-def _bag(model_rows: np.ndarray, counts: np.ndarray, width: int):
-    """The bag-of-pieces matrix of documents whose pieces have the model
-    rows ``model_rows``, document after document, ``counts[i]`` of them for
-    document i: [docs, k] float piece counts over the k distinct rows
-    ``used`` (ascending) that the documents use, of a model's ``width``
-    rows, and ``used``.
-
-    Mean pooling is the linear map ``bag @ embedding[used] / counts``, and
-    its gradient reaches the rows ``used`` of the embedding as
-    ``bag.T @ (d_pooled / counts)``.
-    """
+def used_rows(model_rows: np.ndarray, width: int):
+    """The distinct rows ``used`` (ascending) among ``model_rows``, rows of
+    a model ``width`` rows wide, and the column in ``used`` of each entry
+    of ``model_rows``: the one column space of a batch's bag-of-pieces
+    matrix and score table."""
     mark = np.zeros(width, dtype=bool)
     mark[model_rows] = True
     used = np.flatnonzero(mark)
-    column = np.empty(width, dtype=np.intp)  # the bag column of each row used
+    column = np.empty(width, dtype=np.intp)  # the column of each row used
     column[used] = np.arange(used.size)
-    cells = column[model_rows]
+    return used, column[model_rows]
+
+
+def _pool(embedding: np.ndarray, model_rows: np.ndarray, counts: np.ndarray,
+          out=None):
+    """The mean-pooled vectors of a batch of documents whose pieces have
+    the model rows ``model_rows``, document after document, ``counts[i]``
+    of them for document i, written into ``out`` if given:
+    ``(pooled, bag, used)``.
+
+    ``bag`` is the batch's [docs, k] float bag-of-pieces matrix, its piece
+    counts over the k distinct rows ``used`` (``used_rows``).  Mean pooling
+    is the linear map ``bag @ embedding[used] / counts``, and its gradient
+    reaches the rows ``used`` of the embedding as
+    ``bag.T @ (d_pooled / counts)``.
+    """
+    used, cells = used_rows(model_rows, embedding.shape[0])
     cells += np.repeat(np.arange(counts.size) * used.size, counts)
     bag = np.bincount(cells, minlength=counts.size * used.size)
-    return bag.reshape(counts.size, used.size).astype(float), used
+    bag = bag.reshape(counts.size, used.size).astype(float)
+    pooled = np.matmul(bag, embedding[used], out=out)
+    pooled /= counts[:, None]
+    return pooled, bag, used
 
 
 def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
@@ -283,23 +308,14 @@ def pool_documents(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     """Mean piece embedding of each document ``rows`` of ``corpus``,
     [docs, d]; ``pieces`` is the corpus's ``piece_rows``.
 
-    The documents are pooled a chunk at a time, each chunk one product of
-    its bag-of-pieces matrix (``_bag``) with the embedding rows it uses.  A
-    chunk holds whole documents and at most POOL_CELLS cells of
-    documents x (vocab+1), the widest its bag can be (it holds at least one
-    document).
+    The documents are pooled DOC_BATCH at a time, each batch one ``_pool``
+    product over the model rows it uses.
     """
-    positions, counts = _positions(corpus, rows)
-    ends = np.cumsum(counts)
     pooled = np.empty((rows.size, params.embedding.shape[1]))
-    width = params.embedding.shape[0]
-    for first, stop in budget_chunks(width * np.arange(1, rows.size + 1),
-                                     POOL_CELLS):
-        bag, used = _bag(pieces[positions[ends[first] - counts[first]:
-                                          ends[stop - 1]]],
-                         counts[first:stop], width)
-        np.matmul(bag, params.embedding[used], out=pooled[first:stop])
-    pooled /= counts[:, None]
+    for first in range(0, rows.size, DOC_BATCH):
+        batch = slice(first, first + DOC_BATCH)
+        positions, counts = _positions(corpus, rows[batch])
+        _pool(params.embedding, pieces[positions], counts, out=pooled[batch])
     return pooled
 
 
@@ -324,15 +340,13 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
     The batch's documents have the model rows ``pieces``, document after
     document, ``counts[i]`` of them for document i, and the [docs, C] 0/1
     ``labels``.  Pooling and the embedding gradient are products with the
-    batch's bag-of-pieces matrix (``_bag``): ``bag @ embedding[used]``
+    batch's bag-of-pieces matrix (``_pool``): ``bag @ embedding[used]``
     divided by the counts, and ``bag.T @ (d_pooled / counts)`` for the rows
     ``used``; every other embedding row's gradient is zero.  The gradients
     are written into ``grads``, arrays of the parameters' shapes keyed by
     name, which ``train`` makes once as views of its flat gradient buffer.
     """
-    bag, used = _bag(pieces, counts, params.embedding.shape[0])
-    pooled = bag @ params.embedding[used]
-    pooled /= counts[:, None]
+    pooled, bag, used = _pool(params.embedding, pieces, counts)
 
     z, hidden = logits(params, pooled)
     loss = _bce_from_logits(z, labels)

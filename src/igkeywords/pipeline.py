@@ -13,9 +13,9 @@ rows, and its selections are columns of indices into the corpus's tables.
 ``run_pipeline`` takes the rounds in round order and, as each finishes,
 folds it into an ``AggregateFold``, writes its ``round_NNNN.json`` and
 drops its selections: the ``RoundResult``s it returns carry metrics, not
-selections.  Before round 0 it removes an earlier run's round artifacts
-and aggregates, so a run that stops part way leaves only its own finished
-rounds.  The fold's ``Aggregates`` table holds class and word ids into the
+selections.  Before round 0 it removes an earlier run's round artifacts,
+aggregates and reports, so a run that stops part way leaves only its own
+finished rounds.  The fold's ``Aggregates`` table holds class and word ids into the
 corpus's tables, and the filter keeps a sorted subset of its rows.
 ``write_aggregates`` stores the columns in ``aggregates.npz``, which
 ``load_aggregates`` reads back for ``report``, and exports them as
@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import attribution, model
+from . import attribution, model, report
 from .corpus import (Corpus, SplitSpec, ValidationError, _is_string_list,
                      stratified_split)
 from .fileio import atomic_write, malformed
@@ -376,11 +376,12 @@ def _round_file(round_index: int) -> str:
 
 
 def _remove_run_files(out_dir) -> None:
-    """Remove the round artifacts and aggregates left in ``out_dir``."""
+    """Remove the round artifacts, aggregates and reports left in
+    ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     for name in os.listdir(out_dir):
         if (name.startswith("round_") and name.endswith(".json")
-                or name in _AGGREGATE_FILES):
+                or name in _AGGREGATE_FILES or name in report.REPORT_FILES):
             os.remove(os.path.join(out_dir, name))
 
 

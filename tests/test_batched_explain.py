@@ -127,32 +127,30 @@ def test_criterion_4_rounds_match_per_document_loop(criterion_4_corpus,
     assert selected > 0
 
 
-def chunk_pair_counts(monkeypatch):
-    """A list that gets the pair count of each chunk ``token_scores``
+def batch_pair_counts(monkeypatch):
+    """A list that gets the pair count of each batch ``token_scores``
     yields from now on."""
     sizes, token_scores = [], attribution.token_scores
 
     def recorded(*args):
-        for chunk in token_scores(*args):
-            sizes.append(chunk[2].size)
-            yield chunk
+        for batch in token_scores(*args):
+            sizes.append(batch[2].size)
+            yield batch
     monkeypatch.setattr(attribution, "token_scores", recorded)
     return sizes
 
 
-@pytest.mark.parametrize("cells", [1, 25, 1000, 10_000])
+@pytest.mark.parametrize("batch", [1, 4, 25, 1000, 10_000])
 def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
-                                               cells):
-    # A pair costs about 320 cells, its vocab+1 table cells and its
-    # tokens.  A budget of 1 or 25 cells still takes one pair per chunk,
-    # 1,000 cells take three, and 10,000 take all six pairs in one chunk.
+                                               batch):
+    # Six pairs: a batch of 1 takes one pair at a time, 4 split them 4 + 2,
+    # and 25 and up take all six in one batch.
     corpus, _ = small_synth
     config = small_config(selection_target="false-negative")
-    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
-    sizes = chunk_pair_counts(monkeypatch)
+    monkeypatch.setattr(model, "DOC_BATCH", batch)
+    sizes = batch_pair_counts(monkeypatch)
     assert assert_round_matches_reference(corpus, config, 0) > 0
-    assert sizes == {1: [1] * 6, 25: [1] * 6, 1000: [3, 3],
-                     10_000: [6]}[cells]
+    assert sizes == {1: [1] * 6, 4: [4, 2]}.get(batch, [6])
 
 
 def test_batched_predictions_match_predict(small_synth):
@@ -233,7 +231,7 @@ def assert_pair_weights_match(params, corpus, rows, classes, per_call,
 
 def test_oracle_gradients_unchanged(small_synth):
     # Every class of ten documents, 7 pairs per call: calls split the
-    # pairs of a document, as chunks of top_word_scores do.
+    # pairs of a document, as batches of top_word_scores do.
     corpus, _ = small_synth
     for activation in ("tanh", "identity"):
         cfg = TrainConfig(epochs=5, d=8, h=8, activation=activation)
@@ -319,15 +317,14 @@ def untrained_model(corpus, d):
                             TrainConfig(d=d, h=4, activation="identity"))
 
 
-@pytest.mark.parametrize("cells", [1, 15, 40, 10_000])
-def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, cells):
+@pytest.mark.parametrize("batch", [1, 4, 15, 40, 10_000])
+def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, batch):
     # abcdx, abcdy and abcdz have their best piece, abcd, in common, so
-    # they tie; top 2 cuts the tie after abcdy.  A pair costs the 7 cells
-    # of its table row and its 3-10 tokens: 1 and 15 cells take one pair
-    # per chunk, 40 split the documents' pairs across chunks of up to 3,
-    # and 10,000 take all 6 pairs in one chunk.
-    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
-    sizes = chunk_pair_counts(monkeypatch)
+    # they tie; top 2 cuts the tie after abcdy.  Of the six pairs, a batch
+    # of 1 takes one at a time, 4 split them 4 + 2, with the documents'
+    # pairs across batches, and 15 and up take all six in one batch.
+    monkeypatch.setattr(model, "DOC_BATCH", batch)
+    sizes = batch_pair_counts(monkeypatch)
     corpus = build_corpus(
         [("t0", "abcdz qq abcdy abcdx qq abcdy", {"a"}),
          ("t1", "ww abcdx abcdz abcdy", {"b"}),
@@ -346,18 +343,62 @@ def test_words_tied_by_a_shared_piece_rank_by_word(monkeypatch, cells):
     first = [corpus.words[w] for w in word[pair == 0]]
     assert first == ["abcdx", "abcdy"]
     assert score[pair == 0][0] == score[pair == 0][1]
-    assert sizes == {1: [1] * 6, 15: [1] * 6, 40: [2, 3, 1],
-                     10_000: [6]}[cells]
+    assert sizes == {1: [1] * 6, 4: [4, 2]}.get(batch, [6])
 
 
-@pytest.mark.parametrize("cells", [1, 15, 10_000])
-def test_all_zero_class_matches_reference(small_synth, monkeypatch, cells):
+def test_batches_span_only_the_model_rows_they_use(monkeypatch):
+    # A model over some 4,000 pieces pools and scores three short
+    # documents, two to a batch: each bag and score table spans the few
+    # rows its batch uses, never the model's width.
+    monkeypatch.setattr(model, "DOC_BATCH", 2)
+    corpus = build_corpus(
+        [("wide", " ".join(f"{i:04x}" for i in range(4000)), {"a"}),
+         ("t0", "w1 w2 w1 w3", {"a"}), ("t1", "w2 w5", {"b"}),
+         ("t2", "w7 zz", {"b"})], LabelSpace(("a", "b")))
+    params = untrained_model(corpus, d=3)
+    pieces = model.piece_rows(params, corpus)
+    widths, pool = [], model._pool
+
+    def recorded(embedding, model_rows, counts, out=None):
+        got = pool(embedding, model_rows, counts, out)
+        widths.append((got[1].shape[1], np.unique(model_rows).size))
+        return got
+    monkeypatch.setattr(model, "_pool", recorded)
+    derived = []
+
+    class Watched(np.ndarray):
+        """Notes the shape of every array computed from it."""
+
+        def __array_finalize__(self, obj):
+            derived.append(self.shape)
+    embedding = params.embedding
+    params = dataclasses.replace(params, embedding=embedding.view(Watched))
+    pair_rows, classes = np.repeat([1, 2, 3], 2), np.tile(np.arange(2), 3)
+    pooled = model.pool_documents(params, pieces, corpus, pair_rows)
+    assert widths == [(3, 3), (2, 2), (2, 2)]
+    weights = attribution.pair_weights(params, corpus, pair_rows, pooled,
+                                       classes)
+    for first, tokens, _, token_pair, scores in attribution.token_scores(
+            params, pieces, corpus, pair_rows, weights):
+        want = np.einsum("td,td->t", embedding[pieces[tokens]],
+                         weights[first + token_pair])
+        assert np.allclose(scores, want, rtol=1e-13, atol=0.0)
+    # The view itself aside, every array computed from the embedding is
+    # one batch's: a [2, 3] or [2, 2] table, the rows it spans, or its
+    # scores, of which t0's two pairs have the most, 8.
+    assert len(params.embedding) > 4000
+    assert max(side for shape in derived[1:] for side in shape) <= 8
+
+
+@pytest.mark.parametrize("batch", [1, 15, 10_000])
+def test_all_zero_class_matches_reference(small_synth, monkeypatch, batch):
     # The silenced class of test_all_zero_attributions_score_zero: its
     # IG values are all zero, its word scores 0.0, and its words all tie,
-    # so the top 5 are its first 5 words.  A pair costs about 365 cells
-    # here: 1 and 15 cells take one pair per chunk, 10,000 about 27.
-    monkeypatch.setattr(attribution, "CHUNK_CELLS", cells)
-    sizes = chunk_pair_counts(monkeypatch)
+    # so the top 5 are its first 5 words.  Of the 48 pairs, a batch of 1
+    # takes one at a time, 15 split them 15 + 15 + 15 + 3, and 10,000 take
+    # all in one batch.
+    monkeypatch.setattr(model, "DOC_BATCH", batch)
+    sizes = batch_pair_counts(monkeypatch)
     corpus, _ = small_synth
     params = untrained_model(corpus, d=2)
     params.output_weights[:, 1] = 0.0
@@ -368,7 +409,7 @@ def test_all_zero_class_matches_reference(small_synth, monkeypatch, cells):
     silenced = classes[pair] == 1
     assert {repr(s) for s in score[silenced].tolist()} == {"0.0"}
     assert (score[~silenced] != 0.0).all()
-    assert (max(sizes) == 1) == (cells < 10_000) and len(sizes) > 1
+    assert sizes == {1: [1] * 48, 15: [15, 15, 15, 3]}.get(batch, [48])
 
 
 @pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from igkeywords.corpus import (CONTINUATION, CorpusParseError, LabelSpace,
                                SplitSpec, SynthConfig, ValidationError,
-                               budget_chunks, build_corpus,
-                               generate_synthetic, load_corpus, save_corpus,
-                               stratified_split)
+                               build_corpus, generate_synthetic, load_corpus,
+                               save_corpus, stratified_split)
 from reference_corpus import (document_view, documents_of, encode_documents,
                               records_of, reference_load_corpus,
                               reference_stratified_split, tokenize)
@@ -278,23 +277,6 @@ class TestDocFrequency:
                               corpus.label_space)
         assert doc_frequency(corpus) == compute_doc_frequency(
             documents_of(corpus))
-
-
-class TestBudgetChunks:
-    @given(st.lists(st.integers(0, 20), max_size=30), st.integers(0, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_greedy_packing(self, costs, budget):
-        # each chunk takes items while their costs fit, and at least one
-        want, first = [], 0
-        while first < len(costs):
-            stop, spent = first + 1, costs[first]
-            while stop < len(costs) and spent + costs[stop] <= budget:
-                spent += costs[stop]
-                stop += 1
-            want.append((first, stop))
-            first = stop
-        assert list(budget_chunks(np.cumsum(costs, dtype=np.int64),
-                                  budget)) == want
 
 
 def single_class_corpus(label_space, n=100):

@@ -151,13 +151,13 @@ class TestPoolDocuments:
              "unseenword alpha", "beta beta", "delta unknowable zz gamma",
              "alpha", "epsilon beta gamma delta alpha beta"]
 
-    @pytest.mark.parametrize("cells", [1, 27, 10_000])
+    @pytest.mark.parametrize("batch", [1, 2, 27, 10_000])
     def test_chunks_match_per_document_mean(self, label_space, monkeypatch,
-                                            cells):
+                                            batch):
         # The rows below have 10, 7, 1, 8, 5, 2, 8, 2 and 1 pieces, and the
-        # model has 10 rows.  A budget of 1 cell of documents x rows takes
-        # one document per chunk, 27 cells take two, and 10,000 take every
-        # document in one chunk.
+        # model has 10 rows.  A batch of 1 takes one document at a time, 2
+        # split the nine documents 2 + 2 + 2 + 2 + 1, and 27 and up take
+        # every document in one batch.
         corpus = corpus_of(self.TEXTS, label_space)
         rows = np.array([7, 0, 1, 2, 3, 4, 5, 6, 1])
         params = init_model(build_vocab(corpus, np.arange(5)), 4,
@@ -165,13 +165,13 @@ class TestPoolDocuments:
         assert params.embedding.shape[0] == 10
         pieces = piece_rows(params, corpus)
         assert (pieces == params.unk_index).any()
-        monkeypatch.setattr(model, "POOL_CELLS", cells)
-        sizes, bag = [], model._bag
+        monkeypatch.setattr(model, "DOC_BATCH", batch)
+        sizes, pool = [], model._pool
 
-        def recorded(model_rows, counts, width):
+        def recorded(embedding, model_rows, counts, out=None):
             sizes.append(counts.size)
-            return bag(model_rows, counts, width)
-        monkeypatch.setattr(model, "_bag", recorded)
+            return pool(embedding, model_rows, counts, out)
+        monkeypatch.setattr(model, "_pool", recorded)
         got = pool_documents(params, pieces, corpus, rows)
         spans = [params.embedding[pieces[corpus.offsets[r]:
                                          corpus.offsets[r + 1]]]
@@ -183,8 +183,7 @@ class TestPoolDocuments:
         for vector, span in zip(got, spans):
             bound = 2 * gamma(len(span) + 1) * np.abs(span).mean(axis=0)
             assert (np.abs(vector - span.mean(axis=0)) <= bound).all()
-        assert sizes == {1: [1] * 9, 27: [2, 2, 2, 2, 1],
-                         10_000: [9]}[cells]
+        assert sizes == {1: [1] * 9, 2: [2, 2, 2, 2, 1]}.get(batch, [9])
 
     def test_no_rows_pool_to_an_empty_array(self, label_space):
         corpus = corpus_of(self.TEXTS, label_space)
@@ -193,6 +192,15 @@ class TestPoolDocuments:
         got = pool_documents(params, piece_rows(params, corpus), corpus,
                              np.array([], dtype=np.intp))
         assert got.shape == (0, 16)
+
+    def test_a_model_of_another_corpus_is_rejected(self):
+        # a model over ten piece ids, pooling a corpus of five pieces
+        corpus = build_corpus([("lin", "p1 p2 p3 p4 p5", {"a"})],
+                              LabelSpace(("a", "b")))
+        params = init_model(np.arange(10), 2, TrainConfig(d=6, h=4))
+        with pytest.raises(ValidationError,
+                           match=r"largest piece id, 9, .* 5 pieces"):
+            pooled(params, corpus)
 
 
 class TestInputGradients:

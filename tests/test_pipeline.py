@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igkeywords import model, pipeline
+from igkeywords import model, pipeline, report
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
@@ -264,6 +264,18 @@ class TestRunPipeline:
         aggregates = load_aggregates(tmp_path)
         assert aggregates == result.aggregates
         assert aggregates == table_from_json(tmp_path)
+
+    def test_a_run_removes_an_earlier_runs_files(self, small_synth,
+                                                 tmp_path):
+        corpus, markers = small_synth
+        earlier = run_pipeline(corpus, toy_config(rounds=3), out_dir=tmp_path)
+        report.write_reports(earlier, tmp_path, top_m=5, planted=markers,
+                             class_names=corpus.label_space.classes)
+        assert set(report.REPORT_FILES) <= set(os.listdir(tmp_path))
+        run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
+        assert sorted(os.listdir(tmp_path)) == [
+            "aggregates.json", "aggregates.npz", "aggregates.tsv",
+            "round_0000.json", "round_0001.json"]
 
     def test_sf_bounds_and_round_counts(self, small_synth):
         corpus, _ = small_synth
