@@ -36,6 +36,15 @@ class AttributionError(RuntimeError):
     """Non-finite values encountered during attribution."""
 
 
+def _pair_error(what: str, corpus: Corpus, pair_rows: np.ndarray,
+                pair_classes: np.ndarray, p: int) -> AttributionError:
+    """An ``AttributionError`` for a non-finite ``what`` of pair ``p``,
+    naming its document and class."""
+    return AttributionError(
+        f"non-finite {what} for document {corpus.doc_ids[pair_rows[p]]!r}, "
+        f"class {corpus.label_space.classes[pair_classes[p]]!r}")
+
+
 def pair_weights(params: ModelParams, corpus: Corpus, pair_rows: np.ndarray,
                  pooled: np.ndarray, pair_classes: np.ndarray) -> np.ndarray:
     """IG with a zero baseline of every (document, class) pair, as one
@@ -51,11 +60,8 @@ def pair_weights(params: ModelParams, corpus: Corpus, pair_rows: np.ndarray,
     weights = path_mean_gradients(params, pooled, pair_classes)
     bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
     if bad.size:
-        p = bad[0]
-        raise AttributionError(
-            f"non-finite IG gradient for document "
-            f"{corpus.doc_ids[pair_rows[p]]!r}, class "
-            f"{corpus.label_space.classes[pair_classes[p]]!r}")
+        raise _pair_error("IG gradient", corpus, pair_rows, pair_classes,
+                          bad[0])
     counts = corpus.offsets[pair_rows + 1] - corpus.offsets[pair_rows]
     weights /= counts[:, None]
     return weights
@@ -95,7 +101,8 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     score is the max over its pieces, and the words are ranked by
     (-score, word).  Returns ``(pair, word, score)`` columns, pair after
     pair, each pair's words best first, with words as ids into
-    ``corpus.words``.
+    ``corpus.words``.  A non-finite norm (scores past about 1.3e154
+    overflow their squares) raises ``AttributionError`` naming the pair.
     """
     word_order, first_of_word = corpus.word_order
     weights = pair_weights(params, corpus, pair_rows, pooled, pair_classes)
@@ -105,8 +112,13 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
             params, pieces, corpus, pair_rows, weights):
         n_pairs = counts.size
         # L2 norm per pair, its squares added in token order
-        norms = np.sqrt(np.bincount(token_pair, weights=scores * scores,
-                                    minlength=n_pairs))
+        with np.errstate(over="ignore"):  # a non-finite norm raises below
+            norms = np.sqrt(np.bincount(token_pair, weights=scores * scores,
+                                        minlength=n_pairs))
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise _pair_error("token-score norm", corpus, pair_rows,
+                              pair_classes, first + bad[0])
         norms[norms == 0.0] = 1.0
         scores /= norms[token_pair]
         # Max per (pair, word).  A pair's tokens are its document's pieces

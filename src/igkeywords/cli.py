@@ -16,7 +16,8 @@ Before round 0, run writes ``config.json`` into its output directory
 (every ``PipelineConfig`` field, ``TrainConfig`` nested under
 ``train_config``, ``classes``, ``top_m`` and, if ``--markers`` was given,
 ``markers``, the planted words per class) and removes an earlier run's
-reports.  report reads it back and rewrites every report file run wrote.
+reports.  report reads it back, ignoring the ``_RETIRED_FIELDS`` of
+earlier versions, and rewrites every report file run wrote.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ _PIPELINE_OPTIONS = {
     "--sf-threshold": "sf_threshold",
     "--min-doc-frequency": "min_doc_frequency",
     "--selection-target": "selection_target", "--master-seed": "master_seed",
-    "--mean-mode": "mean_mode", "--workers": "workers",
-    "--dump-scores": "dump_scores",
+    "--workers": "workers", "--dump-scores": "dump_scores",
 }
 _TRAIN_OPTIONS = {
     "--epochs": "epochs", "--learning-rate": "learning_rate",
     "--batch-size": "batch_size", "--embedding-dim": "d", "--hidden-dim": "h",
-    "--weight-init-scale": "weight_init_scale", "--optimizer": "optimizer",
+    "--weight-init-scale": "weight_init_scale",
     "--decision-threshold": "decision_threshold", "--activation": "activation",
 }
 
@@ -183,6 +183,12 @@ def _from_fields(cls, values):
     return cls(**values)
 
 
+#: Fields that earlier versions saved in config.json, at its top level or
+#: under train_config, and that no longer change what report writes
+_RETIRED_FIELDS = ("ig_steps", "mean_mode", "optimizer", "adam_beta1",
+                   "adam_beta2", "adam_eps")
+
+
 def load_run_config(run_dir):
     """The ``PipelineConfig``, class order, ``top_m`` and planted markers
     (None if run had none) that ``run`` saved in ``config.json``."""
@@ -196,11 +202,14 @@ def load_run_config(run_dir):
         LabelSpace(tuple(classes))  # rejects no classes and duplicates
         if type(top_m) is not int:
             raise TypeError("top_m is not an integer")
-        saved.pop("ig_steps", None)  # saved by versions with a step count
+        train = saved.pop("train_config")
+        for name in _RETIRED_FIELDS:
+            saved.pop(name, None)
+            train.pop(name, None)
         markers = saved.pop("markers", None)
         if markers is not None:
             markers = marker_sets(markers)
-        train = _from_fields(model.TrainConfig, saved.pop("train_config"))
+        train = _from_fields(model.TrainConfig, train)
         config = _from_fields(pipeline.PipelineConfig,
                               dict(saved, train_config=train))
     return config, classes, top_m, markers

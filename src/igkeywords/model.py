@@ -13,9 +13,9 @@ product with those embedding rows, and the embedding gradient one product
 with its transpose.  That product pools for both training
 (``batch_loss_and_grads``) and ``pool_documents``, which walks its
 documents in batches of DOC_BATCH; ``attribution.token_scores`` takes its
-score tables over the same columns.  The parameters, gradients and Adam
-moments each sit in one flat buffer, so an optimizer step is one
-elementwise update, done in place.
+score tables over the same columns.  ``train`` minimizes the loss with
+Adam; the parameters, gradients and Adam moments each sit in one flat
+buffer, so a step is one elementwise update, done in place.
 
 A model's vocabulary is the ascending corpus piece ids its embedding
 rows stand for, so it means something only next to that corpus.
@@ -49,6 +49,9 @@ from .corpus import Corpus, ValidationError
 #: 64 took 1.3 times as long as 16-32, and pooling alone twice as long.
 DOC_BATCH = 32
 
+#: Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """The loss or, after the last update, a parameter is not finite."""
@@ -62,10 +65,6 @@ class TrainConfig:
     d: int = 16
     h: int = 32
     weight_init_scale: float = 0.1
-    optimizer: str = "adam"  # "sgd" or "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     decision_threshold: float = 0.5
     activation: str = "tanh"  # "tanh" or "identity"
     seed: int = 0
@@ -79,8 +78,6 @@ class TrainConfig:
             raise ValidationError("weight_init_scale must be finite")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValidationError("decision_threshold must lie in (0, 1)")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in ("tanh", "identity"):
             raise ValidationError(f"unknown activation {self.activation!r}")
 
@@ -209,13 +206,15 @@ def path_mean_slopes(params: ModelParams, a: np.ndarray) -> np.ndarray:
     abs_b = np.abs(params.hidden_bias)
     c = a + params.hidden_bias
     abs_c = np.abs(c)
-    # 2 (1 - exp(-2|a|)) / |a|, whose limit at a = 0 is 4
-    slopes = np.full_like(abs_a, 4.0)
-    np.divide(-2.0 * np.expm1(-2.0 * abs_a), abs_a, out=slopes,
-              where=abs_a > 0.0)
-    same_sign = np.sign(c) == np.sign(params.hidden_bias)
-    slopes *= np.exp(-2.0 * np.minimum(abs_c, abs_b) * same_sign)
-    slopes /= (1.0 + np.exp(-2.0 * abs_c)) * (1.0 + np.exp(-2.0 * abs_b))
+    # Past about 9e307, -2|x| overflows to -inf, whose exp is the 0 wanted.
+    with np.errstate(over="ignore"):
+        # 2 (1 - exp(-2|a|)) / |a|, whose limit at a = 0 is 4
+        slopes = np.full_like(abs_a, 4.0)
+        np.divide(-2.0 * np.expm1(-2.0 * abs_a), abs_a, out=slopes,
+                  where=abs_a > 0.0)
+        same_sign = np.sign(c) == np.sign(params.hidden_bias)
+        slopes *= np.exp(-2.0 * np.minimum(abs_c, abs_b) * same_sign)
+        slopes /= (1.0 + np.exp(-2.0 * abs_c)) * (1.0 + np.exp(-2.0 * abs_b))
     return slopes
 
 
@@ -370,11 +369,11 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
 def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
           config: TrainConfig) -> ModelParams:
     """Minimize mean per-class BCE over the documents ``rows`` of ``corpus``
-    with seeded shuffling; returns new params.
+    with Adam and seeded shuffling; returns new params.
 
     The five parameters, their gradients and the Adam moments each live in
     one flat buffer (the returned fields and the step's gradients are views
-    into them), so every optimizer step is one elementwise update over all
+    into them), so every Adam step is one elementwise update over all
     weights, done in place.  Raises TrainingDivergedError when the loss or,
     after the last update, a parameter is not finite.
     """
@@ -394,7 +393,7 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     # the Adam moments, and two scratch buffers for the update
     m_state, v_state, scratch, update = np.zeros((4, flat.size))
     pieces = piece_rows(params, corpus)
-    lr, b1, b2 = config.learning_rate, config.adam_beta1, config.adam_beta2
+    lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
     step = 0
@@ -413,25 +412,22 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"(learning_rate={lr})")
-            if config.optimizer == "sgd":
-                np.multiply(grad, lr, out=update)
-            else:
-                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
-                # update lr m_hat / (sqrt(v_hat) + eps), in that order
-                step += 1
-                m_state *= b1
-                np.multiply(grad, 1 - b1, out=scratch)
-                m_state += scratch
-                v_state *= b2
-                np.square(grad, out=scratch)
-                scratch *= 1 - b2
-                v_state += scratch
-                np.divide(v_state, 1 - b2 ** step, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                scratch += config.adam_eps
-                np.divide(m_state, 1 - b1 ** step, out=update)
-                update *= lr
-                update /= scratch
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
+            # update lr m_hat / (sqrt(v_hat) + eps), in that order
+            step += 1
+            m_state *= b1
+            np.multiply(grad, 1 - b1, out=scratch)
+            m_state += scratch
+            v_state *= b2
+            np.square(grad, out=scratch)
+            scratch *= 1 - b2
+            v_state += scratch
+            np.divide(v_state, 1 - b2 ** step, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            np.divide(m_state, 1 - b1 ** step, out=update)
+            update *= lr
+            update /= scratch
             flat -= update
     if not np.isfinite(flat).all():
         raise TrainingDivergedError(

@@ -43,8 +43,8 @@ from .fileio import atomic_write, malformed
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
 
-#: rows per json.dumps call when writing dumped selections and aggregates,
-#: so that no file's whole text is held in memory at once
+#: rows per slice when writing the aggregate exports, so that neither
+#: file's whole text is held in memory at once
 DUMP_ROWS = 1024
 
 
@@ -58,7 +58,6 @@ class PipelineConfig:
     selection_target: str = "true-positive"
     master_seed: int = 0
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
-    mean_mode: str = "pooled"    # "pooled" or "round-mean"
     workers: int = 1
     dump_scores: bool = False
 
@@ -74,8 +73,6 @@ class PipelineConfig:
         if self.selection_target not in SELECTION_TARGETS:
             raise ValidationError(
                 f"selection_target must be one of {SELECTION_TARGETS}")
-        if self.mean_mode not in ("pooled", "round-mean"):
-            raise ValidationError("mean_mode must be 'pooled' or 'round-mean'")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -105,18 +102,15 @@ class Selections:
         return all(np.array_equal(getattr(self, k), getattr(other, k))
                    for k in ("class_idx", "word_idx", "doc_idx", "score"))
 
-    def dumped(self, corpus: Corpus, start: int = 0,
-               stop: int | None = None) -> list[list]:
-        """``[class, word, doc_id, score]`` per selection (of those from
-        ``start`` to ``stop``), as dumped."""
-        part = slice(start, stop)
+    def dumped(self, corpus: Corpus) -> list[list]:
+        """``[class, word, doc_id, score]`` per selection, as dumped."""
         classes, words, doc_ids = (corpus.label_space.classes, corpus.words,
                                    corpus.doc_ids)
         return [[classes[c], words[w], doc_ids[d], s]
-                for c, w, d, s in zip(self.class_idx[part].tolist(),
-                                      self.word_idx[part].tolist(),
-                                      self.doc_idx[part].tolist(),
-                                      self.score[part].tolist())]
+                for c, w, d, s in zip(self.class_idx.tolist(),
+                                      self.word_idx.tolist(),
+                                      self.doc_idx.tolist(),
+                                      self.score.tolist())]
 
 
 @dataclass
@@ -243,11 +237,12 @@ class AggregateFold:
     """The aggregate table of rounds added one at a time, in round order.
 
     Dense [classes, words] accumulators (flattened) hold each cell's score
-    sum, instance count and rounds selected.  Scores (``pooled``) or each
-    round's per-cell means (``round-mean``) are added in order onto the
-    running sums, as a grouped ``np.bincount`` over all rounds would add
-    them.  Failed (empty) rounds count against stability, as the
-    selection frequency divides by the configured round count.
+    sum, instance count and rounds selected.  Each selection's score is
+    added in order onto its cell's running sum, as a grouped
+    ``np.bincount`` over all rounds would add them, so a cell's mean pools
+    its scores across documents and rounds.  Failed (empty) rounds count
+    against stability, as the selection frequency divides by the
+    configured round count.
     """
 
     def __init__(self, corpus: Corpus, config: PipelineConfig):
@@ -262,14 +257,8 @@ class AggregateFold:
             + selections.word_idx
         counts = np.bincount(cells, minlength=self.instances.size)
         self.instances += counts
-        selected = counts > 0
-        self.rounds_selected += selected
-        if self.config.mean_mode == "pooled":
-            np.add.at(self.score_sum, cells, selections.score)
-        else:
-            sums = np.bincount(cells, weights=selections.score,
-                               minlength=counts.size)
-            self.score_sum[selected] += sums[selected] / counts[selected]
+        self.rounds_selected += counts > 0
+        np.add.at(self.score_sum, cells, selections.score)
 
     def table(self) -> Aggregates:
         """The cells selected at least once, in (class name, word) order."""
@@ -280,11 +269,9 @@ class AggregateFold:
         class_idx, word_idx = np.divmod(cells, len(words))
         instances, rounds_selected = (self.instances[cells],
                                       self.rounds_selected[cells])
-        pooled = self.config.mean_mode == "pooled"
         return Aggregates(
             class_idx=class_idx, word_idx=word_idx,
-            mean_score=self.score_sum[cells] / (instances if pooled
-                                                else rounds_selected),
+            mean_score=self.score_sum[cells] / instances,
             rounds_selected=rounds_selected,
             selection_frequency=rounds_selected / self.config.rounds,
             instance_count=instances,
@@ -390,19 +377,11 @@ def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
     """Write a round's artifact, with its selections if ``dump_scores``."""
     payload = {f: getattr(rr, f) for f in ("round_index", "failed", "micro_f1",
                                            "per_class", "val_doc_count")}
+    if dump_scores:
+        payload["selections"] = rr.selections.dumped(corpus)
     with atomic_write(os.path.join(out_dir,
                                    _round_file(rr.round_index))) as fh:
-        if not dump_scores:
-            fh.write(json.dumps(payload))
-            return
-        # The selections close the payload; they are written where
-        # json.dumps would put them, DUMP_ROWS rows at a time.
-        payload["selections"] = []
-        fh.write(json.dumps(payload)[:-2])
-        for start in range(0, len(rr.selections), DUMP_ROWS):
-            rows = rr.selections.dumped(corpus, start, start + DUMP_ROWS)
-            fh.write((", " if start else "") + json.dumps(rows)[1:-1])
-        fh.write("]}")
+        fh.write(json.dumps(payload))
 
 
 def load_round_artifacts(out_dir, rounds: int,

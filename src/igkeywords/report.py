@@ -152,27 +152,29 @@ def marker_recovery(keywords, planted: dict[str, set[str]]):
 
 def write_reports(result, out_dir, top_m: int, class_names,
                   planted=None) -> None:
-    """Emit the standard report files into a run directory; the keyword
-    tables list the classes in the order ``class_names``; without
-    ``planted``, no ``recovery.json`` is left."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Emit the standard report files into a run directory, the keyword
+    tables' classes in the order ``class_names``, and no ``recovery.json``
+    without ``planted``.  Every text is built before the first file is
+    written, so a report that cannot be built writes no file."""
     table = build_keyword_table(result.keywords, class_names, top_m)
-    stat = uniqueness(table)  # rejects a bad top_m before any file is written
-
-    def put(name, text):
+    stat = uniqueness(table)
+    texts = {
+        "keywords.tsv": render_keyword_table(table, "tsv"),
+        "keywords.json": render_keyword_table(table, "json"),
+        "keywords.md": render_keyword_table(table, "markdown"),
+        "f1_summary.tsv": render_f1_summary(f1_summary(result.rounds)),
+        "uniqueness.json": json.dumps(
+            {"top_m": stat.top_m, "per_class": stat.per_class,
+             "mean": stat.mean, "sd": stat.sd}, indent=2, sort_keys=True),
+    }
+    if planted is not None:
+        texts["recovery.json"] = json.dumps(
+            marker_recovery(result.keywords, planted), indent=2,
+            sort_keys=True)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
         with atomic_write(os.path.join(out_dir, name)) as fh:
             fh.write(text)
-
-    put("keywords.tsv", render_keyword_table(table, "tsv"))
-    put("keywords.json", render_keyword_table(table, "json"))
-    put("keywords.md", render_keyword_table(table, "markdown"))
-    put("f1_summary.tsv", render_f1_summary(f1_summary(result.rounds)))
-    put("uniqueness.json", json.dumps(
-        {"top_m": stat.top_m, "per_class": stat.per_class,
-         "mean": stat.mean, "sd": stat.sd}, indent=2, sort_keys=True))
-    if planted is not None:
-        put("recovery.json", json.dumps(
-            marker_recovery(result.keywords, planted), indent=2,
-            sort_keys=True))
-    elif os.path.exists(stale := os.path.join(out_dir, "recovery.json")):
+    if planted is None and os.path.exists(
+            stale := os.path.join(out_dir, "recovery.json")):
         os.remove(stale)

@@ -347,31 +347,22 @@ def reference_aggregate(rounds, corpus, config):
     scores = {}
     round_hits = {}
     for round_index, records in rounds:
-        per_round = {}
         for rec in records:
             key = (rec.class_name, rec.word)
-            per_round.setdefault(key, []).append(rec.score)
+            scores.setdefault(key, []).append(rec.score)
             round_hits.setdefault(key, set()).add(round_index)
-        for key, vals in per_round.items():
-            scores.setdefault(key, []).append(vals)
 
     out = []
     for (class_name, word) in sorted(scores):
-        per_round_scores = scores[(class_name, word)]
-        if config.mean_mode == "pooled":
-            pooled = [s for vals in per_round_scores for s in vals]
-            mean_score = running_sum(pooled) / len(pooled)
-        else:
-            round_means = [running_sum(v) / len(v) for v in per_round_scores]
-            mean_score = running_sum(round_means) / len(round_means)
+        pooled = scores[(class_name, word)]  # in round, then record, order
         n_selected = len(round_hits[(class_name, word)])
         out.append(AggregateRecord(
             class_name=class_name,
             word=word,
-            mean_score=mean_score,
+            mean_score=running_sum(pooled) / len(pooled),
             rounds_selected=n_selected,
             selection_frequency=n_selected / config.rounds,
-            instance_count=sum(len(v) for v in per_round_scores),
+            instance_count=len(pooled),
             doc_frequency=doc_frequency.get(word, 0),
         ))
     return out

@@ -412,11 +412,9 @@ def test_all_zero_class_matches_reference(small_synth, monkeypatch, batch):
     assert sizes == {1: [1] * 48, 15: [15, 15, 15, 3]}.get(batch, [48])
 
 
-@pytest.mark.parametrize("mean_mode", ["pooled", "round-mean"])
-def test_grouped_aggregate_equals_dict_aggregate(small_synth, mean_mode):
+def test_grouped_aggregate_equals_dict_aggregate(small_synth):
     corpus, _ = small_synth
-    config = small_config(rounds=4, mean_mode=mean_mode,
-                          selection_target="false-negative")
+    config = small_config(rounds=4, selection_target="false-negative")
     rounds = [run_round(corpus, config, i) for i in range(3)]
     rounds.append(RoundResult(round_index=3, selections=Selections.empty(),
                               per_class={}, micro_f1=0.0, val_doc_count=64,
@@ -579,6 +577,30 @@ def test_non_finite_gradient_names_its_pair(small_synth, monkeypatch, bad):
         f"round 0 failed: non-finite IG gradient for document "
         f"{corpus.doc_ids[pair_rows[2]]!r}, class "
         f"{corpus.label_space.classes[pair_classes[2]]!r}"]
+
+
+def test_overflowing_norm_names_its_pair(small_synth):
+    # With the identity, a pair's weights g / T do not depend on the
+    # embedding, so scaling it by 1e160 takes the token scores of a class
+    # with output weights past 1e155, where their squares overflow.  The
+    # pairs of class 0, which has none, fill the first batch and open the
+    # second, whose second pair is the first to overflow.
+    corpus, _ = small_synth
+    first = model.DOC_BATCH + 1
+    rows = np.arange(first + 1)
+    params = model.init_model(model.build_vocab(corpus, rows), 4,
+                              TrainConfig(d=8, h=8, activation="identity"))
+    params.embedding *= 1e160
+    params.output_weights[:, 0] = 0.0
+    pieces = model.piece_rows(params, corpus)
+    pooled = model.pool_documents(params, pieces, corpus, rows)
+    classes = np.repeat([0, 1], [first, 1])
+    with pytest.raises(attribution.AttributionError) as got:
+        attribution.top_word_scores(params, pieces, corpus, rows, pooled,
+                                    classes, top_n=5)
+    assert str(got.value) == (
+        f"non-finite token-score norm for document "
+        f"{corpus.doc_ids[first]!r}, class {corpus.label_space.classes[1]!r}")
 
 
 def assert_document_without_subwords_fails(corpus, side):

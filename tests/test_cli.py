@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igkeywords import checks, model, pipeline
+from igkeywords import checks, model, pipeline, report
 from igkeywords.cli import (load_run_config, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
@@ -50,10 +50,12 @@ class TestParse:
     def test_options_set_their_fields(self):
         config = pipeline_config(parse_args(
             ["run", "--corpus", "x", "--embedding-dim", "8", "--dump-scores",
-             "--mean-mode", "round-mean", "--learning-rate", "0.1"]))
+             "--selection-target", "false-negative", "--learning-rate",
+             "0.1"]))
         assert config.train_config.d == 8
         assert config.train_config.learning_rate == 0.1
-        assert config.dump_scores and config.mean_mode == "round-mean"
+        assert config.dump_scores
+        assert config.selection_target == "false-negative"
         synth = synth_config(parse_args(
             ["synth", "--out", "x", "--doc-length-min", "3",
              "--doc-length-max", "9", "--zipf-exponent", "1.5"]))
@@ -79,9 +81,9 @@ class TestParse:
 
     def test_config_checks_reject_bad_values(self):
         for argv, build in (
-                (["run", "--corpus", "x", "--optimizer", "lbfgs"],
+                (["run", "--corpus", "x", "--activation", "relu"],
                  pipeline_config),
-                (["run", "--corpus", "x", "--mean-mode", "median"],
+                (["run", "--corpus", "x", "--selection-target", "all"],
                  pipeline_config),
                 (["run", "--corpus", "x", "--ratio", "1.5"], pipeline_config),
                 (["synth", "--out", "x", "--doc-length-min", "9",
@@ -142,6 +144,25 @@ class TestRun:
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_every_round_failing_leaves_no_report(self, synth_files,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        corpus_path, markers_path = synth_files
+
+        def diverging(*args):
+            raise model.TrainingDivergedError("non-finite loss at epoch 1")
+        monkeypatch.setattr(model, "train", diverging)
+        out_dir = tmp_path / "run"
+        with pytest.warns(UserWarning, match=r"round \d failed"):
+            code = run_cli("run", "--corpus", str(corpus_path),
+                           "--markers", str(markers_path),
+                           "--out-dir", str(out_dir), *SMALL_RUN)
+        assert code == 1
+        assert "no successful rounds" in capsys.readouterr().err
+        assert "round_0001.json" in os.listdir(out_dir)
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        assert not set(report.REPORT_FILES) & set(os.listdir(out_dir))
 
     def test_config_file_with_cli_override(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
@@ -397,7 +418,8 @@ class TestReport:
 
     def test_report_reads_a_config_json_with_ig_steps(self, synth_files,
                                                       tmp_path):
-        # config.json as written when IG took a step count
+        # config.json as written when IG took a step count, and when the
+        # aggregate mean, the optimizer and Adam's constants were fields
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
@@ -405,8 +427,14 @@ class TestReport:
                        "--out-dir", str(out_dir), *SMALL_RUN) == 0
         before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
         saved = json.loads((out_dir / "config.json").read_text())
-        (out_dir / "config.json").write_text(json.dumps(dict(saved,
-                                                             ig_steps=50)))
+        for retired in ("ig_steps", "mean_mode", "optimizer", "adam_beta1",
+                        "adam_beta2", "adam_eps"):
+            assert retired not in saved and retired not in saved[
+                "train_config"]
+        saved.update(ig_steps=50, mean_mode="pooled")
+        saved["train_config"].update(optimizer="adam", adam_beta1=0.9,
+                                     adam_beta2=0.999, adam_eps=1e-8)
+        (out_dir / "config.json").write_text(json.dumps(saved))
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         for name in REPORT_FILES:
             assert (out_dir / name).read_bytes() == before[name], name

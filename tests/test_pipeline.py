@@ -93,16 +93,6 @@ class TestAggregate:
         assert record.selection_frequency == pytest.approx(0.4)
         assert record.instance_count == 3
 
-    def test_round_mean_mode(self):
-        config = toy_config(rounds=2, mean_mode="round-mean")
-        corpus = one_document_corpus("w")
-        rounds = [
-            make_round(0, [rec("w", 0.2)], corpus),
-            make_round(1, [rec("w", 0.4), rec("w", 0.6, doc_id="d2")], corpus),
-        ]
-        (record,) = aggregate_records(fold_rounds(rounds, corpus, config))
-        assert record.mean_score == pytest.approx((0.2 + 0.5) / 2)
-
     def test_never_selected_word_absent(self):
         config = toy_config(rounds=1)
         corpus = one_document_corpus("w other")
@@ -127,15 +117,13 @@ class TestAggregate:
                                     SCORES), max_size=12)
 
     @settings(max_examples=200, deadline=None)
-    @given(rounds=st.lists(SELECTIONS, min_size=1, max_size=6),
-           mean_mode=st.sampled_from(["pooled", "round-mean"]))
+    @given(rounds=st.lists(SELECTIONS, min_size=1, max_size=6))
     @example(rounds=[[(0, 1, 0.5), (0, 1, 1e-20), (2, 0, -3.0)], [],
-                     [(0, 1, 1e20), (0, 1, -1e20), (0, 1, 0.25)]],
-             mean_mode="round-mean")
-    def test_fold_equals_reference_aggregate(self, rounds, mean_mode):
+                     [(0, 1, 1e20), (0, 1, -1e20), (0, 1, 0.25)]])
+    def test_fold_equals_reference_aggregate(self, rounds):
         # Empty rounds stand for failed ones; cells repeat within a round.
         corpus = self.FOLD_CORPUS
-        config = toy_config(rounds=len(rounds), mean_mode=mean_mode)
+        config = toy_config(rounds=len(rounds))
         records = [[rec(corpus.words[w], score,
                         class_name=corpus.label_space.classes[c])
                     for c, w, score in selected] for selected in rounds]
