@@ -1,10 +1,11 @@
-"""Numerical self-checks: the model's input gradient
-(``model.pooled_logit_gradients``) against finite differences, the
-integrated gradients that score keywords (``attribution.pair_weights``
-and ``token_scores``) against the completeness axiom, the pipeline's
-aggregates against a naive recomputation from dumped rounds, and the
-closed-form path mean of the activation slope
-(``model.path_mean_slopes``) against quadrature.
+"""Numerical self-checks: the model's one input gradient, the path mean
+that integrated gradients takes (``model.path_mean_gradients``), against
+finite differences of the path-averaged logit, the integrated gradients
+that score keywords (``attribution.pair_weights`` and ``token_scores``)
+against the completeness axiom, the pipeline's aggregates against a naive
+recomputation from dumped rounds, and the closed-form path mean of the
+activation slope (``model.path_mean_slopes``) against quadrature.  Both
+path integrals are taken with the nodes of ``path_nodes``.
 
 Each check function returns what it measures.  ``run_checks`` holds the
 measurements against their bounds for ``igkeywords check``; acceptance
@@ -32,9 +33,9 @@ RESIDUAL_BOUND = 1e-10
 ORACLE_BOUND = 1e-12
 
 #: largest relative error of a path-mean slope against quadrature, for
-#: pre-activation changes |a| up to QUADRATURE_REACH, which 64 panels of 20
-#: Gauss-Legendre nodes resolve to far below it; beyond, up to 1e8, the
-#: slopes must stay finite and >= 0
+#: pre-activation changes |a| up to QUADRATURE_REACH, which the nodes of
+#: ``path_nodes`` resolve to far below it; beyond, up to 1e8, the slopes
+#: must stay finite and >= 0
 PATH_MEAN_BOUND, QUADRATURE_REACH = 1e-12, 100.0
 
 #: the corpus and the run whose dumped rounds the oracle check reads
@@ -51,26 +52,42 @@ class CheckFailure(AssertionError):
     """A difference that no measured value describes."""
 
 
+def path_nodes():
+    """Composite Gauss-Legendre quadrature on [0, 1], 64 panels of 20 nodes:
+    ``(alphas, weights)``, panel after panel."""
+    nodes, node_weights = np.polynomial.legendre.leggauss(20)
+    panels = 64
+    alphas = ((np.arange(panels)[:, None] + (nodes + 1) / 2) / panels).ravel()
+    return alphas, np.tile(node_weights / (2 * panels), panels)
+
+
 def gradient_error() -> float:
-    """The largest relative error of ``model.pooled_logit_gradients``, on
-    [rows, m, d] batches of path points with a class per row, against
-    central differences (step 1e-4) of ``model.logits``, over 100 random
-    models (d, h in 2..8, 2-4 classes) and batches (1-4 rows, 1-4 points)."""
+    """The largest relative error of ``model.path_mean_gradients``, on
+    [rows, d] pooled vectors x with a class c per row, against central
+    differences (step 1e-4) of the path-averaged logit
+    ``H(y) = integral over alpha in [0, 1] of logit_c(alpha x + y)`` at
+    y = 0, whose gradient is exactly the path mean; H by the quadrature of
+    ``path_nodes``.  Over 100 random models of either activation (d, h in
+    2..8, 2-4 classes) and batches of 1-4 rows."""
     rng = np.random.default_rng(101)
+    alphas, alpha_weights = path_nodes()
     step, worst = 1e-4, 0.0
-    for _ in range(100):
+    for i in range(100):
         d, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         n_classes = int(rng.integers(2, 5))
         cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
+                                activation=("tanh", "identity")[i % 2],
                                 seed=int(rng.integers(2**31)))
         params = model.init_model(np.arange(20), n_classes, cfg)
-        n_rows, n_points = (int(n) for n in rng.integers(1, 5, size=2))
-        path = rng.normal(size=(n_rows, n_points, d))
+        n_rows = int(rng.integers(1, 5))
+        pooled = rng.normal(size=(n_rows, d))
         classes = rng.integers(n_classes, size=n_rows)
-        analytic = model.pooled_logit_gradients(params, path, classes[:, None])
-        # each point moved by +-step along each axis, for its row's class
-        hi, lo = (model.logits(params, path[:, :, None, :] + move)[0]
-                  [np.arange(n_rows), ..., classes]
+        analytic = model.path_mean_gradients(params, pooled, classes)
+        # [rows, nodes, d] path points, each moved by +-step along each
+        # axis, for its row's class: H of [rows, d] moves
+        path = alphas[:, None] * pooled[:, None, :]
+        hi, lo = (model.logits(params, path[:, None] + move[:, None])[0]
+                  [np.arange(n_rows), ..., classes] @ alpha_weights
                   for move in (step * np.eye(d), -step * np.eye(d)))
         fd = (hi - lo) / (2 * step)
         worst = max(worst, float(np.max(np.abs(analytic - fd)
@@ -118,19 +135,15 @@ def completeness_ratios() -> np.ndarray:
 
 
 def path_mean_error() -> tuple[float, bool]:
-    """The largest relative error of ``model.path_mean_slopes`` against a
-    composite Gauss-Legendre quadrature (64 panels of 20 nodes) of the
-    activation's derivative along the path, written ``1 / cosh^2`` for tanh
-    so that it does not cancel where tanh saturates, over 100 random
-    models of either activation (d, h in 2..8, hidden biases of scale 4)
-    and pre-activation changes |a| from 0 to QUADRATURE_REACH; and whether
-    every slope is finite and >= 0 for |a| beyond, up to about 1e8."""
+    """The largest relative error of ``model.path_mean_slopes`` against the
+    quadrature of ``path_nodes`` of the activation's derivative along the
+    path, written ``1 / cosh^2`` for tanh so that it does not cancel where
+    tanh saturates, over 100 random models of either activation (d, h in
+    2..8, hidden biases of scale 4) and pre-activation changes |a| from 0
+    to QUADRATURE_REACH; and whether every slope is finite and >= 0 for |a|
+    beyond, up to about 1e8."""
     rng = np.random.default_rng(707)
-    nodes, node_weights = np.polynomial.legendre.leggauss(20)
-    panels = 64
-    # nodes and weights on [0, 1], panel after panel
-    alphas = ((np.arange(panels)[:, None] + (nodes + 1) / 2) / panels).ravel()
-    alpha_weights = np.tile(node_weights / (2 * panels), panels)
+    alphas, alpha_weights = path_nodes()
     worst, bounded = 0.0, True
     for i in range(100):
         d, h = (int(n) for n in rng.integers(2, 9, size=2))

@@ -2,7 +2,7 @@
 stratified splitting over its label matrix; synthetic data.
 
 A word is a maximal alphanumeric run of the lowercased text, cut into
-pieces of at most ``max_piece_len`` characters; every piece after a word's
+pieces of at most MAX_PIECE_LEN characters; every piece after a word's
 first carries the ``##`` prefix.  A word's attribution score is the max
 over its pieces, so the corpus keeps the word of every piece.  Subsets of
 the corpus, such as the halves of a split, are rows: arrays of document
@@ -29,7 +29,8 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 #: prefix marking a non-initial piece of a word
 CONTINUATION = "##"
 
-DEFAULT_MAX_PIECE_LEN = 4
+#: the longest piece of a word, in characters
+MAX_PIECE_LEN = 4
 
 
 class ValidationError(ValueError):
@@ -173,8 +174,7 @@ def _sorted_table(index: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(table), rank
 
 
-def build_corpus(records, label_space: LabelSpace | None = None,
-                 max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
+def build_corpus(records, label_space: LabelSpace | None = None) -> Corpus:
     """The corpus of ``(id, text, labels)`` records, in one pass over them.
 
     Each text is lowercased whole and split into words, numbered in order
@@ -183,8 +183,6 @@ def build_corpus(records, label_space: LabelSpace | None = None,
     arrays.  Without ``label_space`` the classes are the sorted labels of
     the records.
     """
-    if max_piece_len < 1:
-        raise ValidationError("max_piece_len must be >= 1")
     known = None if label_space is None else set(label_space.classes)
     word_index = _first_seen()
     doc_ids, texts, doc_labels = [], [], []
@@ -210,9 +208,9 @@ def build_corpus(records, label_space: LabelSpace | None = None,
     piece_index = _first_seen()
     word_pieces, piece_counts = array("i"), array("q")
     for word in word_index:
-        cuts = range(0, len(word), max_piece_len)
-        word_pieces.extend(piece_index[CONTINUATION + word[s:s + max_piece_len]
-                                       if s else word[:max_piece_len]]
+        cuts = range(0, len(word), MAX_PIECE_LEN)
+        word_pieces.extend(piece_index[CONTINUATION + word[s:s + MAX_PIECE_LEN]
+                                       if s else word[:MAX_PIECE_LEN]]
                            for s in cuts)
         piece_counts.append(len(cuts))
     words, word_rank = _sorted_table(word_index)
@@ -274,11 +272,10 @@ def _read_records(path):
         raise ValidationError(f"{path}: corpus is empty")
 
 
-def load_corpus(path, label_space: LabelSpace | None = None,
-                max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Corpus:
+def load_corpus(path, label_space: LabelSpace | None = None) -> Corpus:
     """Load a JSONL corpus (fields: id, text, labels) in one pass; without
     ``label_space`` the classes are the sorted labels it holds."""
-    return build_corpus(_read_records(path), label_space, max_piece_len)
+    return build_corpus(_read_records(path), label_space)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -25,8 +25,9 @@ every corpus piece to its model row with one scatter, and
 ``pool_documents`` with ``predict_pooled`` predict a whole validation set
 at once.  Mean pooling makes the model a function of the pooled vector
 alone, so ``logits`` is the one forward pass, for any batch of pooled
-vectors, and ``path_mean_gradients`` integrates its input gradient along
-the straight path from the zero vector in closed form.
+vectors, and ``path_mean_gradients``, the model's one input gradient,
+integrates d(logit)/d(pooled) along the straight path from the zero
+vector in closed form.
 """
 
 from __future__ import annotations
@@ -136,23 +137,18 @@ def init_model(vocab: np.ndarray, num_classes: int,
     )
 
 
-def _activate(params: ModelParams, pre: np.ndarray, out=None) -> np.ndarray:
-    """The hidden activation of ``pre``, written into ``out`` if given."""
+def _activate(params: ModelParams, pre: np.ndarray) -> np.ndarray:
+    """The hidden activation of ``pre``."""
     if params.activation == "tanh":
-        return np.tanh(pre, out=out)
-    return np.positive(pre, out=out)  # the identity
+        return np.tanh(pre)
+    return pre  # the identity
 
 
-def _activation_grad(params: ModelParams, post: np.ndarray, out=None):
-    """The activation's derivative from its output ``post``, into ``out``."""
-    if out is None:
-        out = np.empty_like(post)
+def _activation_grad(params: ModelParams, post: np.ndarray) -> np.ndarray:
+    """The activation's derivative from its output ``post``."""
     if params.activation == "tanh":
-        np.square(post, out=out)
-        np.subtract(1.0, out, out=out)
-    else:  # the identity's derivative
-        out.fill(1.0)
-    return out
+        return 1.0 - np.square(post)
+    return np.ones_like(post)  # the identity's derivative
 
 
 def logits(params: ModelParams, pooled: np.ndarray):
@@ -161,30 +157,6 @@ def logits(params: ModelParams, pooled: np.ndarray):
     hidden = _activate(params, pooled @ params.hidden_weights
                        + params.hidden_bias)
     return hidden @ params.output_weights + params.output_bias, hidden
-
-
-def _through_hidden(params: ModelParams, slopes: np.ndarray,
-                    class_index) -> np.ndarray:
-    """d(logit_c)/d(pooled) from [..., h] activation slopes, which it
-    overwrites: ``W_h (w_c * slopes)``."""
-    slopes *= params.output_weights.T[class_index]
-    return slopes @ params.hidden_weights.T
-
-
-def pooled_logit_gradients(params: ModelParams, pooled_batch: np.ndarray,
-                           class_index) -> np.ndarray:
-    """d(logit_c)/d(pooled) for a [..., d] batch of pooled vectors, the
-    model's input gradient.
-
-    ``class_index`` is one class for the whole batch, or an integer array
-    that broadcasts against the batch's leading axes.  The activation and
-    its derivative are taken in place, in one buffer.
-    """
-    d_pre = pooled_batch @ params.hidden_weights
-    d_pre += params.hidden_bias
-    _activate(params, d_pre, out=d_pre)
-    _activation_grad(params, d_pre, out=d_pre)
-    return _through_hidden(params, d_pre, class_index)
 
 
 def path_mean_slopes(params: ModelParams, a: np.ndarray) -> np.ndarray:
@@ -222,16 +194,18 @@ def path_mean_gradients(params: ModelParams, pooled: np.ndarray,
                         class_index) -> np.ndarray:
     """The mean of d(logit_c)/d(pooled) over the straight path from the
     zero vector to each [..., d] pooled vector: the path integral of
-    integrated gradients, exactly, from one [..., h] pass.
+    integrated gradients, exactly, from one [..., h] pass.  It is the
+    model's one input gradient.
 
     Along the path the hidden pre-activation is ``alpha * a + b`` with
     ``a = pooled @ W_h``, so the mean gradient is ``W_h`` times
-    ``w_c * path_mean_slopes``.  ``class_index`` is as for
-    ``pooled_logit_gradients``.
+    ``w_c * path_mean_slopes``.  ``class_index`` is one class for every
+    vector, or an integer array that broadcasts against their leading
+    axes.
     """
-    return _through_hidden(
-        params, path_mean_slopes(params, pooled @ params.hidden_weights),
-        class_index)
+    slopes = path_mean_slopes(params, pooled @ params.hidden_weights)
+    slopes *= params.output_weights.T[class_index]
+    return slopes @ params.hidden_weights.T
 
 
 def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -375,7 +349,8 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     one flat buffer (the returned fields and the step's gradients are views
     into them), so every Adam step is one elementwise update over all
     weights, done in place.  Raises TrainingDivergedError when the loss or,
-    after the last update, a parameter is not finite.
+    after the last update, a parameter is not finite; the overflows on the
+    way there raise no warning.
     """
     if not len(rows):
         raise ValidationError("training corpus is empty")
@@ -398,37 +373,40 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
         np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
     step = 0
 
-    for epoch in range(config.epochs):
-        order = rows[rng.permutation(len(rows))]
-        positions, counts = corpus.positions(order)
-        epoch_pieces, labels = pieces[positions], corpus.labels[order]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for start in range(0, len(rows), config.batch_size):
-            stop = min(start + config.batch_size, len(rows))
-            loss, _ = batch_loss_and_grads(
-                params, epoch_pieces[offsets[start]:offsets[stop]],
-                counts[start:stop], labels[start:stop], grads)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch + 1} "
-                    f"(learning_rate={lr})")
-            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
-            # update lr m_hat / (sqrt(v_hat) + eps), in that order
-            step += 1
-            m_state *= b1
-            np.multiply(grad, 1 - b1, out=scratch)
-            m_state += scratch
-            v_state *= b2
-            np.square(grad, out=scratch)
-            scratch *= 1 - b2
-            v_state += scratch
-            np.divide(v_state, 1 - b2 ** step, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += ADAM_EPS
-            np.divide(m_state, 1 - b1 ** step, out=update)
-            update *= lr
-            update /= scratch
-            flat -= update
+    # A diverging run overflows silently; the loss and parameter checks
+    # fail it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rows[rng.permutation(len(rows))]
+            positions, counts = corpus.positions(order)
+            epoch_pieces, labels = pieces[positions], corpus.labels[order]
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            for start in range(0, len(rows), config.batch_size):
+                stop = min(start + config.batch_size, len(rows))
+                loss, _ = batch_loss_and_grads(
+                    params, epoch_pieces[offsets[start]:offsets[stop]],
+                    counts[start:stop], labels[start:stop], grads)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch + 1} "
+                        f"(learning_rate={lr})")
+                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
+                # update lr m_hat / (sqrt(v_hat) + eps), in that order
+                step += 1
+                m_state *= b1
+                np.multiply(grad, 1 - b1, out=scratch)
+                m_state += scratch
+                v_state *= b2
+                np.square(grad, out=scratch)
+                scratch *= 1 - b2
+                v_state += scratch
+                np.divide(v_state, 1 - b2 ** step, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += ADAM_EPS
+                np.divide(m_state, 1 - b1 ** step, out=update)
+                update *= lr
+                update /= scratch
+                flat -= update
     if not np.isfinite(flat).all():
         raise TrainingDivergedError(
             f"non-finite parameter after epoch {config.epochs} "

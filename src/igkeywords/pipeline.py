@@ -30,7 +30,6 @@ import json
 import os
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
@@ -338,6 +337,8 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     with contextlib.ExitStack() as stack:
         finished = (run_round(corpus, config, i) for i in indices)
         if config.workers > 1:
+            # imported here, so that a run without a pool never loads it
+            from concurrent.futures import ProcessPoolExecutor
             # Rounds never read the document texts, so workers get none.
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, initializer=_init_worker,

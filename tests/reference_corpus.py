@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from igkeywords.corpus import (CONTINUATION, DEFAULT_MAX_PIECE_LEN, _WORD_RE,
+from igkeywords.corpus import (CONTINUATION, MAX_PIECE_LEN, _WORD_RE,
                                ValidationError, parse_record)
 
 
@@ -48,7 +48,7 @@ def document_view(corpus, i) -> Document:
                                      np.flatnonzero(corpus.labels[i])))
 
 
-def tokenize(text: str, max_piece_len: int = DEFAULT_MAX_PIECE_LEN):
+def tokenize(text: str, max_piece_len: int = MAX_PIECE_LEN):
     """Split text into lowercase words and fixed-length character pieces.
 
     Words are maximal alphanumeric runs.  Each word is chopped into
@@ -75,7 +75,7 @@ def tokenize(text: str, max_piece_len: int = DEFAULT_MAX_PIECE_LEN):
 
 
 def make_document(doc_id, text, labels, label_space,
-                  max_piece_len: int = DEFAULT_MAX_PIECE_LEN) -> Document:
+                  max_piece_len: int = MAX_PIECE_LEN) -> Document:
     unknown = set(labels) - set(label_space.classes)
     if unknown:
         raise ValidationError(
@@ -102,7 +102,7 @@ def documents_of(corpus):
 
 
 def reference_load_corpus(path, label_space,
-                          max_piece_len: int = DEFAULT_MAX_PIECE_LEN):
+                          max_piece_len: int = MAX_PIECE_LEN):
     """The documents of a JSONL corpus, tokenized one by one."""
     documents = []
     with open(path, encoding="utf-8") as fh:

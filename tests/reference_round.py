@@ -1,5 +1,6 @@
-"""Test-only copies of the per-token input gradient that
-``model.pooled_logit_gradients`` replaced; of the per-document round loop,
+"""Test-only copies of the model's input gradient at a point, which
+``model.path_mean_gradients``, its mean along the path, replaced; of the
+per-token input gradient; of the per-document round loop,
 the dict aggregate and the per-document document-frequency count that the
 batched explain pass, the round-by-round ``AggregateFold`` and
 ``Corpus.doc_frequency`` replaced; of the midpoint-rule integrated
@@ -20,7 +21,7 @@ and attributes it with ``integrated_gradients``, the closed-form path
 integral written out directly and applied token by token, then the
 word-score chain ``normalize_document`` and ``word_scores``.  They are the
 reference for the differential tests in ``test_batched_explain.py`` and
-``test_attribution.py``, and the per-token gradient also for
+``test_attribution.py``, and the point and per-token gradients also for
 ``test_model.py``.  ``integrated_gradients`` with a step count is the
 midpoint rule, the oracle the closed form is shown to be the limit of.
 """
@@ -98,12 +99,23 @@ def predict(params, corpus, doc, threshold) -> set[str]:
             for i in np.flatnonzero(probs >= threshold)}
 
 
+def pooled_logit_gradients(params, pooled: np.ndarray,
+                           class_index) -> np.ndarray:
+    """d(logit_c)/d(pooled) at each [..., d] pooled vector: ``W_h`` times
+    ``w_c`` times the activation's derivative there.  ``class_index`` is as
+    for ``model.path_mean_gradients``."""
+    _, hidden = model.logits(params, pooled)
+    slopes = (model._activation_grad(params, hidden)
+              * params.output_weights.T[class_index])
+    return slopes @ params.hidden_weights.T
+
+
 def input_gradients_from_embeddings(params, inputs: np.ndarray,
                                     class_index: int) -> np.ndarray:
     """Exact d(logit_c)/d(inputs) of [T, d] token embeddings, mean pooled:
     the pooled gradient over T, tiled over the tokens."""
     n_tokens = inputs.shape[0]
-    d_pooled = model.pooled_logit_gradients(
+    d_pooled = pooled_logit_gradients(
         params, inputs.mean(axis=0)[None, :], class_index)[0]
     return np.tile(d_pooled / n_tokens, (n_tokens, 1))
 

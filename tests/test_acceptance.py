@@ -58,7 +58,7 @@ def big_run(tmp_path_factory):
 def test_criterion_1_gradient_correctness():
     with criterion(1, "analytic input gradients match finite differences"):
         start = time.perf_counter()
-        # every token and dimension of 100 random models and inputs
+        # every dimension of the IG path mean of 100 random models and inputs
         error = checks.gradient_error()
         assert error <= 1e-4, error
         assert time.perf_counter() - start < 10.0

@@ -311,6 +311,17 @@ class TestRun:
             check=False)
         assert bad.returncode == 1
 
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a run with workers > 1 imports the pool
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, igkeywords.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 def aggregates_npz_damages(run_dir) -> list[bytes]:
     """Damaged copies of ``aggregates.npz``: truncated, empty, not an
@@ -738,14 +749,14 @@ class TestCheck:
         assert "50.0% of documents within 1e-10" in lines[1]
 
     def test_gradient_check_catches_a_class_mix_up(self, monkeypatch):
-        # every row of a batch gets the first row's class
-        correct = model.pooled_logit_gradients
+        # every row of a batch gets the first row's class, in the gradient
+        # that integrated gradients takes
+        correct = model.path_mean_gradients
 
-        def mixed_up(params, pooled_batch, class_index):
+        def mixed_up(params, pooled, class_index):
             first = np.asarray(class_index).flat[0]
-            return correct(params, pooled_batch,
-                           np.full_like(class_index, first))
-        monkeypatch.setattr(model, "pooled_logit_gradients", mixed_up)
+            return correct(params, pooled, np.full_like(class_index, first))
+        monkeypatch.setattr(model, "path_mean_gradients", mixed_up)
         assert checks.gradient_error() > checks.GRADIENT_BOUND
 
 

@@ -1,11 +1,13 @@
 import json
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igkeywords import corpus as corpus_module
 from igkeywords.corpus import (CONTINUATION, CorpusParseError, LabelSpace,
                                SplitSpec, SynthConfig, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
@@ -41,11 +43,21 @@ def documents(corpus):
     return [document_view(corpus, i) for i in range(len(corpus))]
 
 
+@contextmanager
+def piece_length(n):
+    """Corpora built inside cut words into pieces of at most ``n``
+    characters."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "MAX_PIECE_LEN", n)
+        yield
+
+
 def tokens(text, max_piece_len=4):
     """The words and (piece, word index) pairs of ``text`` as the corpus
-    holds them."""
-    doc = document_view(build_corpus([("d", text, [])], LabelSpace(("a",)),
-                                     max_piece_len), 0)
+    holds them, cut into pieces of at most ``max_piece_len``."""
+    with piece_length(max_piece_len):
+        doc = document_view(build_corpus([("d", text, [])],
+                                         LabelSpace(("a",))), 0)
     return list(doc.words), list(doc.subwords)
 
 
@@ -93,10 +105,6 @@ class TestTokenize:
         # "İ".lower() is "i" plus a combining dot, which is not a word
         # character: lowercased word by word, "İx" would stay one word.
         assert tokens("İx", 4)[0] == tokenize("İx", 4)[0] == ["i", "x"]
-
-    def test_bad_piece_length(self):
-        with pytest.raises(ValidationError):
-            tokens("abc", 0)
 
 
 class TestLoadCorpus:
@@ -211,7 +219,8 @@ class TestIngestMatchesOracle:
                     load_corpus(path)
                 return
             space = LabelSpace(tuple(seen))
-        corpus = load_corpus(path, space if with_classes else None, piece_len)
+        with piece_length(piece_len):
+            corpus = load_corpus(path, space if with_classes else None)
         assert corpus.label_space == space
         assert_matches_oracle(corpus, reference_load_corpus(path, space,
                                                             piece_len))
@@ -238,9 +247,10 @@ class TestWordOrder:
            st.integers(min_value=1, max_value=5))
     @settings(max_examples=150, deadline=None)
     def test_sorts_each_document_stably_by_word(self, doc_texts, piece_len):
-        corpus = build_corpus([(f"d{i}", text, [])
-                               for i, text in enumerate(doc_texts)],
-                              LabelSpace(("a",)), piece_len)
+        with piece_length(piece_len):
+            corpus = build_corpus([(f"d{i}", text, [])
+                                   for i, text in enumerate(doc_texts)],
+                                  LabelSpace(("a",)))
         order, first = corpus.word_order
         assert order.shape == first.shape == corpus.word_ids.shape
         bounds = corpus.offsets.tolist()

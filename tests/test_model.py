@@ -9,9 +9,10 @@ from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import (ModelParams, TrainConfig, TrainingDivergedError,
                               batch_loss_and_grads, build_vocab, init_model,
                               logits, path_mean_gradients, path_mean_slopes,
-                              piece_rows, pool_documents,
-                              pooled_logit_gradients, predict_pooled, train)
-from reference_round import gamma, input_gradients_from_embeddings
+                              piece_rows, pool_documents, predict_pooled,
+                              train)
+from reference_round import (gamma, input_gradients_from_embeddings,
+                             pooled_logit_gradients)
 
 
 def input_gradients(params, corpus, class_index):
@@ -371,11 +372,23 @@ class TestTrain:
                           learning_rate=1e308, weight_init_scale=10.0,
                           d=8, h=8, seed=4, activation="identity")
         params = init_model(build_vocab(corpus, rows), 4, cfg)
-        with np.errstate(over="ignore"):  # in exp(-logit) and the update
-            assert np.isfinite(corpus_loss(params, corpus))
-            with pytest.raises(TrainingDivergedError,
-                               match="non-finite parameter after epoch 1 "):
-                train(params, corpus, rows, cfg)
+        assert np.isfinite(corpus_loss(params, corpus))
+        # the update overflows silently, under warnings as errors
+        with pytest.raises(TrainingDivergedError,
+                           match="non-finite parameter after epoch 1 "):
+            train(params, corpus, rows, cfg)
+
+    def test_diverging_run_raises_without_warnings(self, small_synth):
+        # The pooling product and the logits overflow to inf and NaN on
+        # the way; with warnings as errors (pyproject.toml) only the
+        # divergence itself may surface.
+        corpus, _ = small_synth
+        rows = all_rows(corpus)
+        cfg = TrainConfig(epochs=3, learning_rate=1e308,
+                          weight_init_scale=10.0, d=8, h=8, seed=4)
+        params = init_model(build_vocab(corpus, rows), 4, cfg)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss"):
+            train(params, corpus, rows, cfg)
 
 
 class TestPredict:
