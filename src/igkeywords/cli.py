@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import checks, model, pipeline, report
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
@@ -268,8 +269,17 @@ def _cmd_check(_args) -> int:
     return 2 if failed else 0
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI shows it: one line, without the file, line and
+    source text that raised it."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # formatwarning rather than showwarning, so that a caller recording
+    # warnings (warnings.catch_warnings(record=True)) still receives them
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parse_args(argv)
         handler = {"synth": _cmd_synth, "run": _cmd_run,
@@ -281,6 +291,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

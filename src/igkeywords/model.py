@@ -15,7 +15,10 @@ with its transpose.  That product pools for both training
 documents in batches of DOC_BATCH; ``attribution.token_scores`` takes its
 score tables over the same columns.  ``train`` minimizes the loss with
 Adam; the parameters, gradients and Adam moments each sit in one flat
-buffer, so a step is one elementwise update, done in place.
+buffer, so a step is one elementwise update, done in place.  The moments
+are kept scaled by ``1 / (1 - beta)``, which moves Adam's bias
+corrections into two scalars, in the order Kingma & Ba give after their
+Algorithm 1: a step makes one division over the weights, not three.
 
 A model's vocabulary is the ascending corpus piece ids its embedding
 rows stand for, so it means something only next to that corpus.
@@ -32,6 +35,7 @@ vector in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,7 +216,8 @@ def _bce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     # stable: max(z,0) - z*y + log(1 + exp(-|z|))
     per_cell = (np.maximum(logits, 0.0) - logits * targets
                 + np.log1p(np.exp(-np.abs(logits))))
-    return float(per_cell.mean())
+    # the reduction ``mean`` runs, without its Python wrapper
+    return float(np.add.reduce(per_cell, axis=None) / per_cell.size)
 
 
 def piece_rows(params: ModelParams, corpus: Corpus) -> np.ndarray:
@@ -248,7 +253,7 @@ def used_rows(model_rows: np.ndarray, width: int):
     matrix and score table."""
     mark = np.zeros(width, dtype=bool)
     mark[model_rows] = True
-    used = np.flatnonzero(mark)
+    used = mark.nonzero()[0]
     column = np.empty(width, dtype=np.intp)  # the column of each row used
     column[used] = np.arange(used.size)
     return used, column[model_rows]
@@ -269,8 +274,9 @@ def _pool(embedding: np.ndarray, model_rows: np.ndarray, counts: np.ndarray,
     """
     used, cells = used_rows(model_rows, embedding.shape[0])
     cells += np.repeat(np.arange(counts.size) * used.size, counts)
-    bag = np.bincount(cells, minlength=counts.size * used.size)
-    bag = bag.reshape(counts.size, used.size).astype(float)
+    bag = np.bincount(cells, weights=np.ones(cells.size),
+                      minlength=counts.size * used.size)
+    bag = bag.reshape(counts.size, used.size)
     pooled = np.matmul(bag, embedding[used], out=out)
     pooled /= counts[:, None]
     return pooled, bag, used
@@ -328,11 +334,11 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
         probs = 1.0 / (1.0 + np.exp(-z))
     d_logits = (probs - labels) / z.size
     np.matmul(hidden.T, d_logits, out=grads["output_weights"])
-    np.sum(d_logits, axis=0, out=grads["output_bias"])
+    np.add.reduce(d_logits, axis=0, out=grads["output_bias"])
     d_pre = d_logits @ params.output_weights.T
     d_pre *= _activation_grad(params, hidden)
     np.matmul(pooled.T, d_pre, out=grads["hidden_weights"])
-    np.sum(d_pre, axis=0, out=grads["hidden_bias"])
+    np.add.reduce(d_pre, axis=0, out=grads["hidden_bias"])
     d_pooled = d_pre @ params.hidden_weights.T
     d_pooled /= counts[:, None]
     grads["embedding"].fill(0.0)
@@ -348,9 +354,17 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     The five parameters, their gradients and the Adam moments each live in
     one flat buffer (the returned fields and the step's gradients are views
     into them), so every Adam step is one elementwise update over all
-    weights, done in place.  Raises TrainingDivergedError when the loss or,
-    after the last update, a parameter is not finite; the overflows on the
-    way there raise no warning.
+    weights, done in place.  The moments are stored scaled, as
+    ``M = m / (1 - b1)`` and ``V = v / (1 - b2)``, so that step t updates
+    ``M = b1 M + g``, ``V = b2 V + g^2`` and
+    ``theta -= alpha_t M / (sqrt(V) + eps / c_t)``, with
+    ``c_t = sqrt((1 - b2) / (1 - b2^t))`` and
+    ``alpha_t = lr (1 - b1) / ((1 - b1^t) c_t)``: the textbook update
+    ``lr m_hat / (sqrt(v_hat) + eps)`` in algebra, with one division
+    instead of three; only its rounding differs.  Raises
+    TrainingDivergedError when the loss or, after the last update, a
+    parameter is not finite; the overflows on the way there raise no
+    warning.
     """
     if not len(rows):
         raise ValidationError("training corpus is empty")
@@ -365,8 +379,8 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     params = replace(params, **views(flat))
     grad = np.empty_like(flat)
     grads = views(grad)
-    # the Adam moments, and two scratch buffers for the update
-    m_state, v_state, scratch, update = np.zeros((4, flat.size))
+    # the scaled Adam moments, and two scratch buffers for the update
+    m_scaled, v_scaled, scratch, update = np.zeros((4, flat.size))
     pieces = piece_rows(params, corpus)
     lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
     rng = np.random.default_rng(
@@ -380,31 +394,30 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
             order = rows[rng.permutation(len(rows))]
             positions, counts = corpus.positions(order)
             epoch_pieces, labels = pieces[positions], corpus.labels[order]
-            offsets = np.concatenate([[0], np.cumsum(counts)])
+            offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
             for start in range(0, len(rows), config.batch_size):
                 stop = min(start + config.batch_size, len(rows))
                 loss, _ = batch_loss_and_grads(
                     params, epoch_pieces[offsets[start]:offsets[stop]],
                     counts[start:stop], labels[start:stop], grads)
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch + 1} "
                         f"(learning_rate={lr})")
-                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the
-                # update lr m_hat / (sqrt(v_hat) + eps), in that order
+                # the scaled-moment step of the docstring; alpha scales M
+                # before the division, so that an update that overflows
+                # still overflows
                 step += 1
-                m_state *= b1
-                np.multiply(grad, 1 - b1, out=scratch)
-                m_state += scratch
-                v_state *= b2
+                c = math.sqrt((1 - b2) / (1 - b2 ** step))
+                alpha = lr * (1 - b1) / ((1 - b1 ** step) * c)
+                m_scaled *= b1
+                m_scaled += grad
                 np.square(grad, out=scratch)
-                scratch *= 1 - b2
-                v_state += scratch
-                np.divide(v_state, 1 - b2 ** step, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                scratch += ADAM_EPS
-                np.divide(m_state, 1 - b1 ** step, out=update)
-                update *= lr
+                v_scaled *= b2
+                v_scaled += scratch
+                np.sqrt(v_scaled, out=scratch)
+                scratch += ADAM_EPS / c
+                np.multiply(m_scaled, alpha, out=update)
                 update /= scratch
                 flat -= update
     if not np.isfinite(flat).all():

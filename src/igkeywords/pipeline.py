@@ -542,8 +542,10 @@ def load_aggregates(out_dir, classes=None) -> Aggregates:
     among them raises ``ValidationError`` naming it.
     """
     path = os.path.join(out_dir, "aggregates.npz")
-    with malformed(path, "aggregates", ValidationError), \
-            np.load(path, allow_pickle=False) as archive:
+    # np.load leaves a file it opened itself open if the archive is damaged
+    with open(path, "rb") as fh, \
+            malformed(path, "aggregates", ValidationError), \
+            np.load(fh, allow_pickle=False) as archive:
         columns = {f: _column(archive, f, kind)
                    for f, kind in _NUMERIC_KINDS.items()}
         tables = {}

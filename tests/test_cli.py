@@ -164,6 +164,30 @@ class TestRun:
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
         assert not set(report.REPORT_FILES) & set(os.listdir(out_dir))
 
+    def test_failed_round_warns_in_one_line(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        corpus_path = tmp_path / "corpus.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "igkeywords", "synth",
+             "--out", str(corpus_path), "--num-classes", "2",
+             "--docs-per-class", "20", "--background-vocab-size", "100",
+             "--markers-per-class", "1"], env=env, check=True,
+            capture_output=True)
+        done = subprocess.run(
+            [sys.executable, "-m", "igkeywords", "run",
+             "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "run"),
+             "--rounds", "3", "--epochs", "3", "--learning-rate", "1e308",
+             "--weight-init-scale", "10"], env=env, capture_output=True,
+            text=True, check=False)
+        assert done.returncode == 1, done.stderr
+        lines = done.stderr.splitlines()
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            f"warning: round {i} failed: non-finite loss at epoch 2 "
+            f"(learning_rate=1e+308)" for i in range(3)]
+        assert "pipeline.py" not in done.stderr
+        assert lines[-1] == "error: no successful rounds to summarize"
+
     def test_config_file_with_cli_override(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
         cfg = tmp_path / "run.conf"

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -381,6 +383,18 @@ class TestAggregatesNpz:
         # in the order of the written tables
         assert loaded.classes == list(table.classes)
         assert loaded.words == list(table.words)
+
+    def test_damaged_archive_leaves_no_file_open(self, tmp_path):
+        write_aggregates(table_of(self.RECORDS), tmp_path)
+        path = tmp_path / "aggregates.npz"
+        path.write_bytes(path.read_bytes()[:-10])  # truncated
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="malformed aggregates"):
+                load_aggregates(tmp_path)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_same_table_writes_the_same_bytes(self, tmp_path):
         write_aggregates(table_of(self.RECORDS), tmp_path / "a")
