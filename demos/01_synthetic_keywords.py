@@ -38,4 +38,4 @@ print("top keywords per class (word / mean score / SF%):")
 print(render_keyword_table(table, "tsv"))
 
 print("marker recovery:", marker_recovery(result.keywords, markers))
-print("top-8 uniqueness:", uniqueness(table).per_class)
+print("top-8 uniqueness:", uniqueness(table)["per_class"])

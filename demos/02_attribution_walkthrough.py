@@ -13,8 +13,8 @@ Documents are rows of the corpus, so one document is a one-row array;
 import numpy as np
 
 from igkeywords.attribution import pair_weights
-from igkeywords.corpus import (CONTINUATION, SplitSpec, SynthConfig,
-                               generate_synthetic, stratified_split)
+from igkeywords.corpus import (CONTINUATION, SynthConfig, generate_synthetic,
+                               stratified_split)
 from igkeywords.model import (TrainConfig, build_vocab, init_model, logits,
                               piece_rows, pool_documents, predict_pooled,
                               train)
@@ -23,8 +23,9 @@ synth = SynthConfig(num_classes=3, docs_per_class=80,
                     background_vocab_size=600, markers_per_class=2,
                     doc_length=(12, 25))
 corpus, markers = generate_synthetic(synth, seed=7)
-# The split gives rows: indices of the documents of each half.
-train_rows, val_rows = stratified_split(corpus, SplitSpec(ratio=0.67, seed=0))
+# The split (train ratio 0.67, seed 0) gives rows: indices of the documents
+# of each half.
+train_rows, val_rows = stratified_split(corpus, 0.67, 0)
 
 cfg = TrainConfig(epochs=25, d=12, h=16, seed=3)
 params = train(init_model(build_vocab(corpus, train_rows), 3, cfg), corpus,
@@ -50,7 +51,7 @@ print(f"predicted: {({classes[c] for c in np.flatnonzero(predicted)})}\n")
 # Sum dims, L2-normalize the token vector, then take each word's max over
 # its subword pieces.
 (target,) = sorted(gold)[:1]
-class_index = corpus.label_space.index(target)
+class_index = classes.index(target)
 (w,) = pair_weights(params, corpus, rows, pooled, np.array([class_index]))
 tokens = positions
 values = params.embedding[pieces[tokens]] * w   # [tokens, d]

@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 
 from . import attribution, model, pipeline
-from .corpus import (_WORD_RE, SplitSpec, SynthConfig, generate_synthetic,
+from .corpus import (_WORD_RE, SynthConfig, generate_synthetic,
                      stratified_split)
 
 #: largest relative error |analytic - fd| / max(|fd|, 1e-8) of a gradient
@@ -103,8 +103,7 @@ def completeness_model():
                         background_vocab_size=500, markers_per_class=3,
                         doc_length=(15, 30))
     corpus, _ = generate_synthetic(synth, seed=303)
-    train_rows, val_rows = stratified_split(corpus,
-                                            SplitSpec(ratio=0.67, seed=1))
+    train_rows, val_rows = stratified_split(corpus, 0.67, 1)
     cfg = model.TrainConfig(epochs=20, d=12, h=16, seed=5)
     params = model.train(
         model.init_model(model.build_vocab(corpus, train_rows), 3, cfg),

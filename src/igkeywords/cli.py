@@ -13,10 +13,10 @@ accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
 gradients no longer use: it prints one note to stderr and changes nothing.
 
 Before round 0, run writes ``config.json`` into its output directory
-(every ``PipelineConfig`` field, ``TrainConfig`` nested under
-``train_config``, ``classes``, ``top_m`` and, if ``--markers`` was given,
-``markers``, the planted words per class) and removes an earlier run's
-reports.  report reads it back, ignoring the ``_RETIRED_FIELDS`` of
+(every ``PipelineConfig`` field, ``top_m`` among them, ``TrainConfig``
+nested under ``train_config``, ``classes`` and, if ``--markers`` was
+given, ``markers``, the planted words per class) and removes an earlier
+run's reports.  report reads it back, ignoring the ``_RETIRED_FIELDS`` of
 earlier versions, and rewrites every report file run wrote.
 """
 
@@ -46,8 +46,8 @@ _SYNTH_OPTIONS = {
     "--multilabel-prob": "multilabel_prob", "--zipf-exponent": "zipf_exponent",
 }
 _PIPELINE_OPTIONS = {
-    "--ratio": "ratio", "--top-n": "top_n", "--rounds": "rounds",
-    "--sf-threshold": "sf_threshold",
+    "--ratio": "ratio", "--top-n": "top_n", "--top-m": "top_m",
+    "--rounds": "rounds", "--sf-threshold": "sf_threshold",
     "--min-doc-frequency": "min_doc_frequency",
     "--selection-target": "selection_target", "--master-seed": "master_seed",
     "--workers": "workers", "--dump-scores": "dump_scores",
@@ -118,8 +118,6 @@ def _build_parser():
     p_run.add_argument("--markers", default=None,
                        help="planted-marker sidecar JSON for recovery scoring")
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--top-m", type=int, default=15,
-                       help="keywords per class in the report tables")
     defaults = pipeline.PipelineConfig()
     _add_options(p_run, _PIPELINE_OPTIONS, defaults)
     _add_options(p_run, _TRAIN_OPTIONS, defaults.train_config)
@@ -191,18 +189,16 @@ _RETIRED_FIELDS = ("ig_steps", "mean_mode", "optimizer", "adam_beta1",
 
 
 def load_run_config(run_dir):
-    """The ``PipelineConfig``, class order, ``top_m`` and planted markers
-    (None if run had none) that ``run`` saved in ``config.json``."""
+    """The ``PipelineConfig``, class order and planted markers (None if
+    run had none) that ``run`` saved in ``config.json``."""
     path = os.path.join(run_dir, "config.json")
     with open(path, "rb") as fh, \
             malformed(path, "run config", ValidationError):
         saved = json.loads(fh.read().decode("utf-8"))
-        classes, top_m = saved.pop("classes"), saved.pop("top_m")
+        classes = saved.pop("classes")
         if not _is_string_list(classes):
             raise TypeError("classes is not a list of strings")
-        LabelSpace(tuple(classes))  # rejects no classes and duplicates
-        if type(top_m) is not int:
-            raise TypeError("top_m is not an integer")
+        LabelSpace(tuple(classes))  # rejects no, repeated and bad names
         train = saved.pop("train_config")
         for name in _RETIRED_FIELDS:
             saved.pop(name, None)
@@ -213,7 +209,7 @@ def load_run_config(run_dir):
         train = _from_fields(model.TrainConfig, train)
         config = _from_fields(pipeline.PipelineConfig,
                               dict(saved, train_config=train))
-    return config, classes, top_m, markers
+    return config, classes, markers
 
 
 def _cmd_run(args) -> int:
@@ -221,8 +217,6 @@ def _cmd_run(args) -> int:
     if args.ig_steps is not None:
         print("note: ig-steps is ignored; integrated gradients take the "
               "exact path integral", file=sys.stderr)
-    if args.top_m < 1:
-        raise ValidationError("top_m must be >= 1")
     # Without --classes, the classes are the labels the corpus holds.
     corpus = load_corpus(args.corpus, LabelSpace(tuple(
         args.classes.split(","))) if args.classes else None)
@@ -232,31 +226,27 @@ def _cmd_run(args) -> int:
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
     # Saved before round 0, which removes the earlier run's files, so that
     # a run that stops part way leaves only its own.
-    saved = dict(dataclasses.asdict(config), classes=list(classes),
-                 top_m=args.top_m)
+    saved = dict(dataclasses.asdict(config), classes=list(classes))
     if planted is not None:
         saved["markers"] = {c: sorted(words) for c, words in planted.items()}
     os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(saved, fh, indent=2)
     result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
-    report.write_reports(result, out_dir, top_m=args.top_m, planted=planted,
-                         class_names=classes)
+    report.write_reports(result, out_dir, classes, planted)
     print(f"run complete; reports in {out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
     run_dir = args.run_dir
-    config, classes, top_m, planted = load_run_config(run_dir)
+    config, classes, planted = load_run_config(run_dir)
     rounds = pipeline.load_round_artifacts(run_dir, config.rounds, classes)
     aggregates = pipeline.load_aggregates(run_dir, classes)
-    keywords = pipeline.filter_keywords(aggregates, config,
-                                        class_order=classes)
+    keywords = pipeline.filter_keywords(aggregates, config)
     result = pipeline.PipelineResult(rounds=rounds, aggregates=aggregates,
                                      keywords=keywords, config=config)
-    report.write_reports(result, run_dir, top_m=top_m, planted=planted,
-                         class_names=classes)
+    report.write_reports(result, run_dir, classes, planted)
     print(f"re-rendered reports in {run_dir}")
     return 0
 

@@ -52,13 +52,14 @@ class LabelSpace:
             raise ValidationError("label space must be non-empty")
         if len(set(self.classes)) != len(self.classes):
             raise ValidationError("duplicate class names in label space")
+        for name in self.classes:  # each is a field of the TSV reports
+            if not {"\t", "\n", "\r"}.isdisjoint(name):
+                raise ValidationError(
+                    f"class name {name!r} holds a tab or a line break")
         object.__setattr__(self, "classes", tuple(self.classes))
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def index(self, name: str) -> int:
-        return self.classes.index(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,16 +120,6 @@ class Corpus:
         ends = np.cumsum(counts)
         return (np.arange(ends[-1] if ends.size else 0)
                 + np.repeat(starts - (ends - counts), counts), counts)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    ratio: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise ValidationError("split ratio must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -288,8 +279,8 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def stratified_split(corpus: Corpus,
-                     spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(corpus: Corpus, ratio: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic iterative multilabel stratified split; returns the
     train and validation rows.
 
@@ -297,9 +288,11 @@ def stratified_split(corpus: Corpus,
     to the split whose remaining demand for that label is largest.  Global
     split sizes are capped so |train| = round(ratio * |corpus|).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
+    if not 0.0 < ratio < 1.0:
+        raise ValidationError("split ratio must lie in (0, 1)")
+    rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
     n_docs = len(corpus)
-    n_train = int(round(spec.ratio * n_docs))
+    n_train = int(round(ratio * n_docs))
     n_train = min(max(n_train, 1), n_docs - 1)
     capacity = [n_train, n_docs - n_train]
 
@@ -312,7 +305,7 @@ def stratified_split(corpus: Corpus,
                 "stratification is best-effort", stacklevel=2)
 
     # remaining per-(label, split) demand
-    demand = [[spec.ratio * rows.size, (1 - spec.ratio) * rows.size]
+    demand = [[ratio * rows.size, (1 - ratio) * rows.size]
               for rows in members]
     labels_of = [[] for _ in range(n_docs)]
     for i, lab in zip(*(a.tolist() for a in np.nonzero(corpus.labels))):
@@ -380,8 +373,13 @@ def generate_synthetic(config: SynthConfig, seed: int):
 
     background = [f"w{i}" for i in range(config.background_vocab_size)]
     ranks = np.arange(1, config.background_vocab_size + 1, dtype=float)
-    probs = ranks ** -config.zipf_exponent
-    probs /= probs.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = ranks ** -config.zipf_exponent
+        total = probs.sum()
+    if not np.isfinite(total):  # a sum of weights >= 0, finite if they are
+        raise ValidationError(f"zipf_exponent {config.zipf_exponent!r} "
+                              "gives Zipf weights without a finite sum")
+    probs /= total
 
     lo, hi = config.doc_length
     records = []

@@ -79,8 +79,9 @@ class TrainConfig:
             raise ValidationError("epochs, batch_size, d, h must be positive")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValidationError("learning_rate must be finite and >= 0")
-        if not np.isfinite(self.weight_init_scale):
-            raise ValidationError("weight_init_scale must be finite")
+        if not (np.isfinite(self.weight_init_scale)
+                and self.weight_init_scale >= 0):
+            raise ValidationError("weight_init_scale must be finite and >= 0")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValidationError("decision_threshold must lie in (0, 1)")
         if self.activation not in ("tanh", "identity"):

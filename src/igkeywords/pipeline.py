@@ -15,8 +15,10 @@ folds it into an ``AggregateFold``, writes its ``round_NNNN.json`` and
 drops its selections: the ``RoundResult``s it returns carry metrics, not
 selections.  Before round 0 it removes an earlier run's round artifacts,
 aggregates and reports, so a run that stops part way leaves only its own
-finished rounds.  The fold's ``Aggregates`` table holds class and word ids into the
-corpus's tables, and the filter keeps a sorted subset of its rows.
+finished rounds.  The fold's ``Aggregates`` table holds class and word ids
+into the corpus's tables; the filter keeps a subset of its rows, classes by
+name and each by mean score.  ``PipelineConfig`` holds every setting of a
+run, ``top_m``, the report tables' rows per class, among them.
 ``write_aggregates`` stores the columns in ``aggregates.npz``, which
 ``load_aggregates`` reads back for ``report``, and exports them as
 ``aggregates.json``/``.tsv``, which nothing in the program reads.  Every
@@ -36,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import attribution, model, report
-from .corpus import (Corpus, SplitSpec, ValidationError, _is_string_list,
+from .corpus import (Corpus, ValidationError, _is_string_list,
                      stratified_split)
 from .fileio import atomic_write, malformed
 
@@ -51,6 +53,7 @@ DUMP_ROWS = 1024
 class PipelineConfig:
     ratio: float = 0.67          # train fraction r
     top_n: int = 20              # words kept per document
+    top_m: int = 15              # keywords per class in the report tables
     rounds: int = 100            # repetitions N
     sf_threshold: float = 0.6    # selection-frequency threshold t (strict >)
     min_doc_frequency: int = 5   # document-frequency cutoff k (keep if df > k)
@@ -63,8 +66,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValidationError("ratio must lie in (0, 1)")
-        if min(self.top_n, self.rounds) < 1:
-            raise ValidationError("top_n and rounds must be >= 1")
+        if min(self.top_n, self.top_m, self.rounds) < 1:
+            raise ValidationError("top_n, top_m and rounds must be >= 1")
         if not 0.0 <= self.sf_threshold <= 1.0:
             raise ValidationError("sf_threshold must lie in [0, 1]")
         if self.min_doc_frequency < 0:
@@ -94,12 +97,6 @@ class Selections:
 
     def __len__(self) -> int:
         return self.score.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Selections):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, k), getattr(other, k))
-                   for k in ("class_idx", "word_idx", "doc_idx", "score"))
 
     def dumped(self, corpus: Corpus) -> list[list]:
         """``[class, word, doc_id, score]`` per selection, as dumped."""
@@ -150,11 +147,6 @@ class Aggregates:
     def __len__(self) -> int:
         return self.mean_score.size
 
-    def __eq__(self, other) -> bool:  # the same rows, whatever the ids
-        return (isinstance(other, Aggregates) and self.pairs() == other.pairs()
-                and all(np.array_equal(getattr(self, f), getattr(other, f))
-                        for f in _NUMERIC_KINDS))
-
     def pairs(self) -> list[tuple[str, str]]:
         """The (class name, word) of each row."""
         return [(self.classes[c], self.words[w]) for c, w in
@@ -183,8 +175,7 @@ def run_round(corpus: Corpus, config: PipelineConfig,
     if round_index >= config.rounds:
         raise ValidationError("round_index must be below the configured rounds")
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
-    train_rows, val_rows = stratified_split(
-        corpus, SplitSpec(ratio=config.ratio, seed=split_seed))
+    train_rows, val_rows = stratified_split(corpus, config.ratio, split_seed)
 
     vocab = model.build_vocab(corpus, train_rows)
     train_cfg = replace(config.train_config, seed=train_seed)
@@ -278,20 +269,16 @@ class AggregateFold:
             classes=classes, words=words)
 
 
-def filter_keywords(table: Aggregates, config: PipelineConfig,
-                    class_order=None) -> Aggregates:
+def filter_keywords(table: Aggregates, config: PipelineConfig) -> Aggregates:
     """Keep the rows with SF strictly above t and df strictly above k,
-    sorted per class by mean score descending (word breaks ties).
+    classes by name, each sorted by mean score descending.
 
-    Classes come in ``class_order``, then any others by name.  The sort is
-    stable over the table's (class name, word) row order, which breaks
-    the ties.
+    The sort is stable over the table's (class name, word) row order, so
+    the word breaks ties.
     """
     rows = np.flatnonzero((table.selection_frequency > config.sf_threshold)
                           & (table.doc_frequency > config.min_doc_frequency))
-    listed = list(class_order or ())
-    rank = {c: i for i, c in
-            enumerate(listed + sorted(set(table.classes).difference(listed)))}
+    rank = {c: i for i, c in enumerate(sorted(table.classes))}
     class_rank = np.array([rank[c] for c in table.classes],
                           dtype=np.intp)[table.class_idx[rows]]
     kept = rows[np.lexsort((-table.mean_score[rows], class_rank))]
@@ -351,8 +338,7 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
             rr.selections = Selections.empty()
             rounds.append(rr)
     aggregates = fold.table()
-    keywords = filter_keywords(aggregates, config,
-                               class_order=corpus.label_space.classes)
+    keywords = filter_keywords(aggregates, config)
     if out_dir is not None:
         write_aggregates(aggregates, out_dir)
     return PipelineResult(rounds=rounds, aggregates=aggregates,

@@ -1,12 +1,15 @@
 """Keyword tables, F1 summaries, uniqueness statistics, and synthetic
-marker recovery scoring.
+marker recovery scoring, as plain dicts and lists.
+
+A keyword table is ``{class: [(word, mean score, SF percent)]}``, at most
+``top_m`` rows a class; ``write_reports`` takes ``top_m`` from the config
+of the ``PipelineResult`` it renders.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 from .corpus import ValidationError
 from .fileio import atomic_write
@@ -17,32 +20,10 @@ REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
                 "f1_summary.tsv", "uniqueness.json", "recovery.json")
 
 
-@dataclass
-class KeywordTable:
-    """Per-class top-M rows of (word, mean_score, sf_percent)."""
-
-    rows: dict[str, list[tuple[str, float, int]]]
-    top_m: int
-
-
-@dataclass
-class F1Summary:
-    per_class: dict[str, dict[str, float]]  # mean_f1, sd_f1, mean_support
-    micro_mean: float
-    micro_sd: float
-    rounds: int  # successful rounds included
-
-
-@dataclass
-class UniquenessStat:
-    top_m: int
-    per_class: dict[str, int]
-    mean: float
-    sd: float
-
-
-def build_keyword_table(keywords, class_names, top_m: int) -> KeywordTable:
-    """Truncate the filtered aggregate rows to the top M per class.
+def build_keyword_table(keywords, class_names, top_m: int) -> dict:
+    """The first ``top_m`` filtered aggregate rows of each class as
+    ``(word, mean score, SF percent)``, classes in the order
+    ``class_names``.
 
     Every listed class appears, even with no surviving keywords.
     """
@@ -53,19 +34,18 @@ def build_keyword_table(keywords, class_names, top_m: int) -> KeywordTable:
         bucket = rows.setdefault(c, [])
         if len(bucket) < top_m:
             bucket.append((w, score, int(round(sf * 100))))
-    return KeywordTable(rows=rows, top_m=top_m)
+    return rows
 
 
-def render_keyword_table(table: KeywordTable, fmt: str = "tsv") -> str:
+def render_keyword_table(table, fmt: str = "tsv") -> str:
     """Serialize a keyword table; scores to 4 decimals, SF as integer percent."""
     if fmt == "json":
         payload = {c: [{"word": w, "score": round(s, 4), "sf_percent": p}
                        for w, s, p in rows]
-                   for c, rows in table.rows.items()}
+                   for c, rows in table.items()}
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = []
-    for c in table.rows:
-        rows = table.rows[c]
+    for c, rows in table.items():
         if fmt == "markdown":
             lines.append(f"### {c}")
             lines.append("| Word | Score | SF(%) |")
@@ -90,8 +70,10 @@ def _mean_sd(values):
     return mean, sd
 
 
-def f1_summary(rounds) -> F1Summary:
-    """Per-class and micro mean/SD of F1 over successful rounds."""
+def f1_summary(rounds) -> dict:
+    """Per-class and micro mean/SD of F1 over successful rounds: a dict of
+    ``per_class`` (``mean_f1``, ``sd_f1`` and ``mean_support`` a class),
+    ``micro_mean``, ``micro_sd`` and ``rounds``, the successful rounds."""
     ok = [r for r in rounds if not r.failed]
     if not ok:
         raise ValidationError("no successful rounds to summarize")
@@ -104,33 +86,32 @@ def f1_summary(rounds) -> F1Summary:
         per_class[c] = {"mean_f1": mean, "sd_f1": sd,
                         "mean_support": sum(supports) / len(supports)}
     micro_mean, micro_sd = _mean_sd([r.micro_f1 for r in ok])
-    return F1Summary(per_class=per_class, micro_mean=micro_mean,
-                     micro_sd=micro_sd, rounds=len(ok))
+    return {"per_class": per_class, "micro_mean": micro_mean,
+            "micro_sd": micro_sd, "rounds": len(ok)}
 
 
-def render_f1_summary(summary: F1Summary) -> str:
+def render_f1_summary(summary: dict) -> str:
     lines = ["Class\tF1(M)\tSD\tSupport(M)"]
-    for c, stats in summary.per_class.items():
+    for c, stats in summary["per_class"].items():
         lines.append(f"{c}\t{stats['mean_f1']:.4f}\t{stats['sd_f1']:.4f}"
                      f"\t{stats['mean_support']:.1f}")
-    lines.append(f"Micro AVG\t{summary.micro_mean:.4f}"
-                 f"\t{summary.micro_sd:.4f}\t-")
-    lines.append(f"# rounds: {summary.rounds}")
+    lines.append(f"Micro AVG\t{summary['micro_mean']:.4f}"
+                 f"\t{summary['micro_sd']:.4f}\t-")
+    lines.append(f"# rounds: {summary['rounds']}")
     return "\n".join(lines) + "\n"
 
 
-def uniqueness(table: KeywordTable, top_m: int | None = None) -> UniquenessStat:
-    """Count, per class, top-M keywords found in no other class's top-M."""
-    top_m = table.top_m if top_m is None else top_m
-    if top_m < 1:
-        raise ValidationError("top_m must be >= 1")
-    tops = {c: {w for w, _, _ in rows[:top_m]} for c, rows in table.rows.items()}
+def uniqueness(table) -> dict:
+    """``per_class``, the number of each class's keywords in a keyword
+    table that no other class lists, and its ``mean`` and ``sd`` over the
+    classes."""
+    tops = {c: {w for w, _, _ in rows} for c, rows in table.items()}
     per_class = {}
     for c, words in tops.items():
         others = set().union(*(tops[o] for o in tops if o != c)) if len(tops) > 1 else set()
         per_class[c] = len(words - others)
     mean, sd = _mean_sd(list(per_class.values())) if per_class else (0.0, 0.0)
-    return UniquenessStat(top_m=top_m, per_class=per_class, mean=mean, sd=sd)
+    return {"per_class": per_class, "mean": mean, "sd": sd}
 
 
 def marker_recovery(keywords, planted: dict[str, set[str]]):
@@ -150,22 +131,21 @@ def marker_recovery(keywords, planted: dict[str, set[str]]):
     return out
 
 
-def write_reports(result, out_dir, top_m: int, class_names,
-                  planted=None) -> None:
+def write_reports(result, out_dir, class_names, planted=None) -> None:
     """Emit the standard report files into a run directory, the keyword
-    tables' classes in the order ``class_names``, and no ``recovery.json``
-    without ``planted``.  Every text is built before the first file is
-    written, so a report that cannot be built writes no file."""
+    tables' classes in the order ``class_names`` and ``top_m`` rows per
+    class at most, and no ``recovery.json`` without ``planted``.  Every
+    text is built before the first file is written, so a report that
+    cannot be built writes no file."""
+    top_m = result.config.top_m
     table = build_keyword_table(result.keywords, class_names, top_m)
-    stat = uniqueness(table)
     texts = {
         "keywords.tsv": render_keyword_table(table, "tsv"),
         "keywords.json": render_keyword_table(table, "json"),
         "keywords.md": render_keyword_table(table, "markdown"),
         "f1_summary.tsv": render_f1_summary(f1_summary(result.rounds)),
-        "uniqueness.json": json.dumps(
-            {"top_m": stat.top_m, "per_class": stat.per_class,
-             "mean": stat.mean, "sd": stat.sd}, indent=2, sort_keys=True),
+        "uniqueness.json": json.dumps(dict(uniqueness(table), top_m=top_m),
+                                      indent=2, sort_keys=True),
     }
     if planted is not None:
         texts["recovery.json"] = json.dumps(

@@ -141,12 +141,12 @@ def encode_documents(docs, classes) -> dict:
                          for doc in docs]).reshape(len(docs), len(classes)))
 
 
-def reference_stratified_split(documents, classes, spec):
+def reference_stratified_split(documents, classes, ratio, seed):
     """The original set-based iterative stratified split; returns the
     train and validation document indices."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
     n_docs = len(documents)
-    n_train = int(round(spec.ratio * n_docs))
+    n_train = int(round(ratio * n_docs))
     n_train = min(max(n_train, 1), n_docs - 1)
     capacity = [n_train, n_docs - n_train]
 
@@ -161,7 +161,7 @@ def reference_stratified_split(documents, classes, spec):
                 "stratification is best-effort", stacklevel=2)
 
     # remaining per-(split, label) demand
-    demand = {lab: [spec.ratio * len(m), (1 - spec.ratio) * len(m)]
+    demand = {lab: [ratio * len(m), (1 - ratio) * len(m)]
               for lab, m in label_members.items()}
     assignment = np.full(n_docs, -1, dtype=int)
     unassigned = set(range(n_docs))

@@ -11,6 +11,8 @@ written before they held the entries of the run's tables in table order.
 ``AggregateRecord``, one aggregate row with its class name and word
 spelt out, is the row type of the dict aggregate and of the tests;
 ``fold_rounds`` folds a list of rounds the way ``run_pipeline`` does;
+``same_selections`` and ``same_table`` compare rounds' selections and
+aggregate tables column by column;
 ``gamma`` is the rounding constant of the bounds on sums that the
 bag-of-pieces kernel adds in another order than its references.
 
@@ -34,9 +36,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from igkeywords import model
-from igkeywords.corpus import SplitSpec, ValidationError
-from igkeywords.pipeline import (AggregateFold, Aggregates, _f1_metrics,
-                                 round_seeds)
+from igkeywords.corpus import ValidationError
+from igkeywords.pipeline import (_NUMERIC_KINDS, AggregateFold, Aggregates,
+                                 _f1_metrics, round_seeds)
 from reference_corpus import documents_of, reference_stratified_split
 
 
@@ -226,7 +228,7 @@ def reference_run_round(corpus, config, round_index):
     documents = documents_of(corpus)
     classes = corpus.label_space.classes
     train_idx, val_idx = reference_stratified_split(
-        documents, classes, SplitSpec(ratio=config.ratio, seed=split_seed))
+        documents, classes, config.ratio, split_seed)
 
     piece_id = {p: i for i, p in enumerate(corpus.pieces)}
     vocab = np.array(sorted({piece_id[p] for i in train_idx
@@ -296,6 +298,19 @@ def table_of(records) -> Aggregates:
         **{f: np.array([getattr(r, f) for r in records],
                        dtype=float if f in floats else np.intp)
            for f in NUMERIC_FIELDS})
+
+
+def same_selections(a, b) -> bool:
+    """Whether two ``Selections`` hold equal columns."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("class_idx", "word_idx", "doc_idx", "score"))
+
+
+def same_table(a: Aggregates, b: Aggregates) -> bool:
+    """Whether two aggregate tables hold the same rows, whatever ids
+    their string tables give them."""
+    return a.pairs() == b.pairs() and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in _NUMERIC_KINDS)
 
 
 def aggregate_records(table: Aggregates) -> list[AggregateRecord]:

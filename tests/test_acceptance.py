@@ -47,8 +47,7 @@ def big_run(tmp_path_factory):
     start = time.perf_counter()
     result = run_pipeline(corpus, PIPE_CONFIG, out_dir=out_dir)
     elapsed = time.perf_counter() - start
-    write_reports(result, out_dir, top_m=15, planted=markers,
-                  class_names=corpus.label_space.classes)
+    write_reports(result, out_dir, corpus.label_space.classes, markers)
     return {"corpus": corpus, "markers": markers, "result": result,
             "out_dir": out_dir, "elapsed": elapsed}
 
@@ -134,14 +133,13 @@ def test_criterion_6_uniqueness(big_run):
         classes = big_run["corpus"].label_space.classes
         table = build_keyword_table(result.keywords, classes, 10)
         # brute-force set comparison, independent of the uniqueness() helper
-        tops = {c: {w for w, _, _ in rows} for c, rows in table.rows.items()}
+        tops = {c: {w for w, _, _ in rows} for c, rows in table.items()}
         counts = []
         for c, words in tops.items():
             others = set().union(*(tops[o] for o in tops if o != c))
             counts.append(len(words - others))
         assert sum(counts) / len(counts) >= 8.0, counts
-        stat = uniqueness(table)
-        assert stat.per_class == {
+        assert uniqueness(table)["per_class"] == {
             c: n for c, n in zip(tops, counts)}
 
 
@@ -153,8 +151,7 @@ def test_criterion_7_worker_determinism(big_run, tmp_path):
         markers = big_run["markers"]
         config4 = dataclasses.replace(PIPE_CONFIG, workers=4)
         result4 = run_pipeline(corpus, config4, out_dir=tmp_path)
-        write_reports(result4, tmp_path, top_m=15, planted=markers,
-                      class_names=corpus.label_space.classes)
+        write_reports(result4, tmp_path, corpus.label_space.classes, markers)
         for name in ("keywords.tsv", "f1_summary.tsv"):
             a = (big_run["out_dir"] / name).read_bytes()
             b = (tmp_path / name).read_bytes()

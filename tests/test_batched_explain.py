@@ -3,10 +3,10 @@ aggregate against the per-document round loop and the dict aggregate they
 replaced (``reference_round.py``).
 
 Selected words, ranks, counts, F1 and aggregates compare exactly
-(``np.array_equal`` or ``==``).  IG values and word scores compare within
-a tolerance: the batched pass takes a token's score as one cell of a
-matrix product, the reference as the sum of its per-dimension values, and
-the two round differently.
+(``np.array_equal``, ``same_table`` or ``==``).  IG values and word scores
+compare within a tolerance: the batched pass takes a token's score as one
+cell of a matrix product, the reference as the sum of its per-dimension
+values, and the two round differently.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from igkeywords import attribution, checks, cli, model, pipeline
-from igkeywords.corpus import (LabelSpace, SplitSpec, ValidationError,
+from igkeywords.corpus import (LabelSpace, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
@@ -30,8 +30,9 @@ from reference_round import (AggregateRecord, WordScoreRecord,
                              aggregate_records, fold_rounds,
                              integrated_gradients,
                              normalize_document, predict, reference_aggregate,
-                             reference_run_round, table_from_json, table_of,
-                             token_ids, top_n_words, word_scores)
+                             reference_run_round, same_selections, same_table,
+                             table_from_json, table_of, token_ids, top_n_words,
+                             word_scores)
 
 #: largest |difference| of a normalized word score (at most 1 in size)
 #: from the reference's: a few roundings of a d-term dot product
@@ -76,7 +77,7 @@ def as_columns(records, corpus):
     """Reference WordScoreRecords as (class, word, doc, score) columns."""
     word_of = {w: i for i, w in enumerate(corpus.words)}
     doc_of = {d: i for i, d in enumerate(corpus.doc_ids)}
-    return (np.array([corpus.label_space.index(r.class_name)
+    return (np.array([corpus.label_space.classes.index(r.class_name)
                       for r in records], dtype=np.intp),
             np.array([word_of[r.word] for r in records], dtype=np.intp),
             np.array([doc_of[r.doc_id] for r in records], dtype=np.intp),
@@ -155,7 +156,7 @@ def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
 
 def test_batched_predictions_match_predict(small_synth):
     corpus, _ = small_synth
-    train_rows, val_rows = stratified_split(corpus, SplitSpec(0.6, 5))
+    train_rows, val_rows = stratified_split(corpus, 0.6, 5)
     cfg = dataclasses.replace(train_config(), seed=3)
     params = model.init_model(model.build_vocab(corpus, train_rows), 4, cfg)
     params = model.train(params, corpus, train_rows, cfg)
@@ -509,7 +510,7 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
     assert {r.class_name for r in records} == set(names.values())
     assert {r.word.rstrip("0123456789") for r in records} >= set(prefixes)
     assert_aggregate_files(run_dir, records)
-    assert load_aggregates(run_dir) == table_from_json(run_dir)
+    assert same_table(load_aggregates(run_dir), table_from_json(run_dir))
     keywords = (run_dir / "keywords.tsv").read_text(encoding="utf-8")
     assert '"hi"' in keywords and "日本" in keywords
     assert cli.main(["report", "--run-dir", str(run_dir)]) == 0
@@ -612,8 +613,8 @@ def assert_document_without_subwords_fails(corpus, side):
     config = small_config(rounds=20)
     round_index = next(
         i for i in range(config.rounds)
-        if empty in stratified_split(corpus, SplitSpec(
-            config.ratio, round_seeds(config.master_seed, i)[0]))[side])
+        if empty in stratified_split(
+            corpus, config.ratio, round_seeds(config.master_seed, i)[0])[side])
     with pytest.raises(ValidationError, match="'empty' has no subwords") as got:
         run_round(corpus, config, round_index)
     with pytest.raises(ValidationError) as want:
@@ -634,4 +635,5 @@ def test_selections_len_and_equality():
                    np.array([0.5, 0.25]))
     b = dataclasses.replace(a, score=np.array([0.5, 0.125]))
     assert len(a) == 2 and len(Selections.empty()) == 0
-    assert a == dataclasses.replace(a) and a != b
+    assert same_selections(a, dataclasses.replace(a))
+    assert not same_selections(a, b)

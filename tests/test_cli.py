@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from igkeywords.cli import (load_run_config, main, parse_args,
 from igkeywords.corpus import SynthConfig, ValidationError
 from igkeywords.pipeline import PipelineConfig, load_aggregates
 from reference_round import (aggregate_records, first_row_archive,
-                             table_from_json)
+                             same_table, table_from_json)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SMALL_RUN = ("--rounds", "2", "--epochs", "4",
@@ -77,7 +78,7 @@ class TestParse:
             flags = workload["flags"]
             assert config.rounds == int(flags[flags.index("--rounds") + 1])
             assert config.dump_scores == ("--dump-scores" in flags)
-            assert config.master_seed == 3 and args.top_m == 15
+            assert config.master_seed == 3 and config.top_m == 15
 
     def test_config_checks_reject_bad_values(self):
         for argv, build in (
@@ -108,6 +109,19 @@ class TestSynth:
                        "--background-vocab-size", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("exponent", ["nan", "-inf", "-1e308", "-83"])
+    def test_zipf_weights_without_a_finite_sum_exit_code(
+            self, tmp_path, capsys, exponent):
+        # -83 over the default 5,000 words: finite weights, infinite sum
+        out = tmp_path / "x.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("synth", "--out", str(out),
+                           f"--zipf-exponent={exponent}")
+        assert code == 1
+        assert "zipf_exponent" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestRun:
     def test_full_run_emits_reports(self, synth_files, tmp_path):
@@ -134,7 +148,8 @@ class TestRun:
 
     @pytest.mark.parametrize("flag,value", [
         ("--learning-rate", "nan"), ("--learning-rate", "inf"),
-        ("--weight-init-scale", "nan"), ("--weight-init-scale", "inf")])
+        ("--weight-init-scale", "nan"), ("--weight-init-scale", "inf"),
+        ("--weight-init-scale", "-0.1")])
     def test_non_finite_setting_exit_code(self, synth_files, tmp_path, capsys,
                                           flag, value):
         corpus_path, _ = synth_files
@@ -231,6 +246,24 @@ class TestRun:
                            "--rounds", "1", *extra)
             assert code == 1, extra
             assert (f"malformed record on line 2: {problem}"
+                    in capsys.readouterr().err), extra
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["x\ty", "z\nw", "r\r"],
+                             ids=["tab", "newline", "carriage-return"])
+    def test_class_name_that_breaks_a_tsv_row_exit_code(self, tmp_path,
+                                                        capsys, name):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": "some words here",
+                        "labels": [label]}) + "\n"
+            for i, label in enumerate(["ok", name] * 4)))
+        for extra in ((), ("--classes", f"ok,{name}")):
+            code = run_cli("run", "--corpus", str(corpus_path),
+                           "--out-dir", str(tmp_path / "run"),
+                           "--rounds", "1", *extra)
+            assert code == 1, extra
+            assert (f"class name {name!r} holds a tab or a line break"
                     in capsys.readouterr().err), extra
         assert not (tmp_path / "run").exists()
 
@@ -426,7 +459,7 @@ class TestReport:
         assert [len(rows) for rows in keywords.values()] == [2, 2, 2]
         # The table report reads is the one the JSON export spells, and
         # the exports are not read back.
-        assert load_aggregates(out_dir) == table_from_json(out_dir)
+        assert same_table(load_aggregates(out_dir), table_from_json(out_dir))
         for name in REPORT_FILES + ("aggregates.json", "aggregates.tsv"):
             (out_dir / name).unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
@@ -440,10 +473,10 @@ class TestReport:
                 "--selection-target", "false-negative", *SMALL_RUN]
         for name in ("a", "b"):
             assert run_cli(*argv, "--out-dir", str(tmp_path / name)) == 0
-        config, classes, top_m, markers = load_run_config(tmp_path / "a")
+        config, classes, markers = load_run_config(tmp_path / "a")
         assert config == pipeline_config(parse_args(argv))
         assert config.train_config.learning_rate == 0.05
-        assert (classes, top_m) == (["c0", "c1", "c2"], 15)
+        assert (classes, config.top_m) == (["c0", "c1", "c2"], 15)
         planted = json.loads(markers_path.read_text())
         assert markers == {c: set(words) for c, words in planted.items()}
         assert ((tmp_path / "a" / "config.json").read_bytes()
@@ -484,9 +517,11 @@ class TestReport:
         lambda saved: saved.update(top_m=0),
         lambda saved: saved.update(classes=5),
         lambda saved: saved.update(top_m="3"),
+        lambda saved: saved.update(classes=["c0", "c1", "c\t2"]),
     ], ids=["missing-field", "missing-train-field", "missing-classes",
             "unknown-field", "unknown-train-field", "out-of-range",
-            "top-m-out-of-range", "classes-not-a-list", "top-m-a-string"])
+            "top-m-out-of-range", "classes-not-a-list", "top-m-a-string",
+            "class-name-with-a-tab"])
     def test_malformed_config_json_exit_code(self, synth_files, tmp_path,
                                              capsys, edit):
         corpus_path, _ = synth_files
@@ -655,9 +690,9 @@ class TestReport:
             assert not np.array_equal(written["word"], archive["word"])
         np.savez(out_dir / "aggregates.npz", **archive)
         loaded = load_aggregates(out_dir)
-        assert loaded == table
+        assert same_table(loaded, table)
         assert aggregate_records(loaded) == aggregate_records(table)
-        assert loaded == table_from_json(out_dir)
+        assert same_table(loaded, table_from_json(out_dir))
         for name in REPORT_FILES:
             (out_dir / name).unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0

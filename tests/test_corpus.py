@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from igkeywords import corpus as corpus_module
 from igkeywords.corpus import (CONTINUATION, CorpusParseError, LabelSpace,
-                               SplitSpec, SynthConfig, ValidationError,
+                               SynthConfig, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
 from reference_corpus import (document_view, documents_of, encode_documents,
@@ -297,22 +297,21 @@ def single_class_corpus(label_space, n=100):
 class TestStratifiedSplit:
     def test_single_class_plain_split(self, label_space):
         corpus = single_class_corpus(label_space, 100)
-        train, val = stratified_split(corpus, SplitSpec(ratio=0.67, seed=0))
+        train, val = stratified_split(corpus, 0.67, 0)
         assert len(train) == 67
         assert len(val) == 33
 
     def test_partition(self, label_space):
         corpus = single_class_corpus(label_space, 50)
         for seed in range(5):
-            train, val = stratified_split(corpus, SplitSpec(ratio=0.6, seed=seed))
+            train, val = stratified_split(corpus, 0.6, seed)
             assert set(train).isdisjoint(val)
             assert set(train) | set(val) == set(range(len(corpus)))
 
     def test_determinism(self, small_synth):
         corpus, _ = small_synth
-        spec = SplitSpec(ratio=0.67, seed=99)
-        a = stratified_split(corpus, spec)
-        b = stratified_split(corpus, spec)
+        a = stratified_split(corpus, 0.67, 99)
+        b = stratified_split(corpus, 0.67, 99)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -322,29 +321,34 @@ class TestStratifiedSplit:
         corpus = build_corpus([(f"{cls}{i}", f"tok{i} pad", {cls})
                                for cls, n in sizes.items() for i in range(n)],
                               label_space)
-        train, _ = stratified_split(corpus, SplitSpec(ratio=0.67, seed=3))
+        train, _ = stratified_split(corpus, 0.67, 3)
         for cls, n in sizes.items():
-            in_train = corpus.labels[train, label_space.index(cls)].sum()
+            in_train = corpus.labels[train, label_space.classes.index(cls)].sum()
             assert 0.62 <= in_train / n <= 0.72
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, float("nan")])
+    def test_ratio_outside_the_open_unit_interval(self, label_space, ratio):
+        with pytest.raises(ValidationError, match="split ratio"):
+            stratified_split(single_class_corpus(label_space, 10), ratio, 0)
 
     def test_rare_class_warning(self, label_space):
         corpus = build_corpus([("a", "x y", {"HI"})]
                               + [(f"b{i}", "z w", {"ID"}) for i in range(10)],
                               label_space)
         with pytest.warns(UserWarning, match="fewer than 2"):
-            stratified_split(corpus, SplitSpec(ratio=0.5, seed=0))
+            stratified_split(corpus, 0.5, 0)
 
 
-def split_both_ways(label_sets, classes, spec):
+def split_both_ways(label_sets, classes, ratio, seed):
     """The row split and the set-based oracle's split of documents with
     ``label_sets``, each with the warnings it gave."""
     space = LabelSpace(classes)
     corpus = build_corpus([(f"d{i}", "x", labels)
                            for i, labels in enumerate(label_sets)], space)
     results = []
-    for split in (lambda: stratified_split(corpus, spec),
+    for split in (lambda: stratified_split(corpus, ratio, seed),
                   lambda: reference_stratified_split(documents_of(corpus),
-                                                     classes, spec)):
+                                                     classes, ratio, seed)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             train, val = split()
@@ -364,8 +368,7 @@ class TestSplitMatchesOracle:
            st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=200, deadline=None)
     def test_random_label_matrices(self, label_sets, ratio, seed):
-        got, want = split_both_ways(label_sets, self.CLASSES,
-                                    SplitSpec(ratio, seed))
+        got, want = split_both_ways(label_sets, self.CLASSES, ratio, seed)
         assert got == want
 
     @pytest.mark.parametrize("label_sets, n_warnings", [
@@ -376,8 +379,7 @@ class TestSplitMatchesOracle:
     ], ids=["label-free", "singletons", "ties", "all-labels"])
     @pytest.mark.parametrize("seed", range(4))
     def test_edge_cases(self, label_sets, n_warnings, seed):
-        got, want = split_both_ways(label_sets, self.CLASSES,
-                                    SplitSpec(0.5, seed))
+        got, want = split_both_ways(label_sets, self.CLASSES, 0.5, seed)
         assert got == want
         assert len(got[2]) == n_warnings
 

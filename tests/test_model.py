@@ -82,7 +82,7 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", -0.1), ("weight_init_scale", float("nan")),
         ("weight_init_scale", float("inf")),
-        ("weight_init_scale", -float("inf"))])
+        ("weight_init_scale", -float("inf")), ("weight_init_scale", -0.1)])
     def test_rejects_non_finite_or_negative(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
@@ -323,7 +323,7 @@ class TestTrain:
         params = train(init_model(build_vocab(corpus, rows), 4, cfg), corpus,
                        rows, cfg)
         out, _ = logits(params, pooled(params, corpus))
-        assert out[0, label_space.index("HI")] > np.log(9)  # sigmoid > 0.9
+        assert out[0, label_space.classes.index("HI")] > np.log(9)  # sigmoid > 0.9
 
     def test_loss_decreases_on_separable_data(self, small_synth):
         corpus, _ = small_synth

@@ -19,8 +19,8 @@ from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
                                  run_pipeline, run_round, write_aggregates)
 from reference_round import (AggregateRecord, WordScoreRecord,
                              aggregate_records, fold_rounds,
-                             reference_aggregate, table_from_json, table_of,
-                             top_n_words)
+                             reference_aggregate, same_selections, same_table,
+                             table_from_json, table_of, top_n_words)
 
 
 def rec(word, score, doc_id="d1", class_name="a"):
@@ -64,7 +64,7 @@ def make_round(index, records, corpus):
     """A round whose selections are ``records``, as columns over the
     tables of ``corpus``."""
     selections = Selections(
-        class_idx=np.array([corpus.label_space.index(r.class_name)
+        class_idx=np.array([corpus.label_space.classes.index(r.class_name)
                             for r in records], dtype=np.intp),
         word_idx=np.array([corpus.words.index(r.word) for r in records],
                           dtype=np.intp),
@@ -154,8 +154,7 @@ class TestFilterKeywords:
         config = toy_config(sf_threshold=0.0, min_doc_frequency=0)
         records = [agg("x", 0.9, 10, 0.1), agg("y", 0.9, 10, 0.7),
                    agg("z", 0.9, 10, 0.7, class_name="b")]
-        kept = filter_keywords(table_of(records), config,
-                               class_order=("a", "b"))
+        kept = filter_keywords(table_of(records), config)
         assert kept.pairs() == [("a", "y"), ("a", "x"), ("b", "z")]
 
     def test_soundness(self):
@@ -170,9 +169,7 @@ class TestFilterKeywords:
             assert (r.word in kept_set) == passes
 
 
-    @pytest.mark.parametrize("class_order", [None, ("c", "a"),
-                                             ("d", "c", "b", "a")])
-    def test_order_equals_the_record_sort(self, class_order):
+    def test_order_equals_the_record_sort(self):
         config = toy_config(sf_threshold=0.3, min_doc_frequency=2)
         rng = np.random.default_rng(1)
         pairs = sorted({(c, f"w{int(i)}") for c in "bacd"
@@ -181,15 +178,13 @@ class TestFilterKeywords:
                        int(rng.integers(0, 6)),
                        score=float(rng.choice([0.1, 0.25, 0.5])),
                        class_name=c) for c, w in pairs]
-        rank = {c: i for i, c in enumerate(class_order or ())}
         want = sorted(
             (r for r in records if r.selection_frequency > 0.3
              and r.doc_frequency > 2),
-            key=lambda r: (rank.get(r.class_name, len(rank)), r.class_name,
-                           -r.mean_score, r.word))
+            key=lambda r: (r.class_name, -r.mean_score, r.word))
         assert len(want) > 20
-        assert aggregate_records(filter_keywords(
-            table_of(records), config, class_order=class_order)) == want
+        assert aggregate_records(filter_keywords(table_of(records),
+                                                 config)) == want
 
 
 def selected_gold(result, corpus):
@@ -217,7 +212,7 @@ class TestRunRound:
         config = toy_config()
         a = run_round(corpus, config, 1)
         b = run_round(corpus, config, 1)
-        assert a.selections == b.selections
+        assert same_selections(a.selections, b.selections)
         assert a.micro_f1 == b.micro_f1
 
     def test_top_n_cap(self, small_synth):
@@ -252,15 +247,15 @@ class TestRunPipeline:
             assert len(loaded.selections) == len(ran.selections) == 0
         assert dumped[0]
         aggregates = load_aggregates(tmp_path)
-        assert aggregates == result.aggregates
-        assert aggregates == table_from_json(tmp_path)
+        assert same_table(aggregates, result.aggregates)
+        assert same_table(aggregates, table_from_json(tmp_path))
 
     def test_a_run_removes_an_earlier_runs_files(self, small_synth,
                                                  tmp_path):
         corpus, markers = small_synth
         earlier = run_pipeline(corpus, toy_config(rounds=3), out_dir=tmp_path)
-        report.write_reports(earlier, tmp_path, top_m=5, planted=markers,
-                             class_names=corpus.label_space.classes)
+        report.write_reports(earlier, tmp_path, corpus.label_space.classes,
+                             markers)
         assert set(report.REPORT_FILES) <= set(os.listdir(tmp_path))
         run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
         assert sorted(os.listdir(tmp_path)) == [
@@ -295,7 +290,7 @@ class TestRunPipeline:
         # The failed round adds nothing, and selection frequency still
         # divides by the three configured rounds.
         table = result.aggregates
-        assert table == fold_rounds(survivors, corpus, config)
+        assert same_table(table, fold_rounds(survivors, corpus, config))
         assert table.rounds_selected.max() <= 2
         assert (table.selection_frequency == table.rounds_selected / 3).all()
 
@@ -306,7 +301,7 @@ class TestRunPipeline:
         serial = run_pipeline(corpus, config, out_dir=tmp_path / "1")
         parallel = run_pipeline(corpus, dataclasses.replace(config, workers=2),
                                 out_dir=tmp_path / "2")
-        assert serial.aggregates == parallel.aggregates
+        assert same_table(serial.aggregates, parallel.aggregates)
         assert [r.micro_f1 for r in serial.rounds] == \
             [r.micro_f1 for r in parallel.rounds]
         names = sorted(os.listdir(tmp_path / "1"))
@@ -360,7 +355,7 @@ class TestAggregatesNpz:
         table = table_of(records)
         write_aggregates(table, tmp_path)
         loaded = load_aggregates(tmp_path)
-        assert loaded == table
+        assert same_table(loaded, table)
         assert aggregate_records(loaded) == records
         for strings in (loaded.classes, loaded.words):
             assert all(type(value) is str for value in strings)
@@ -375,10 +370,10 @@ class TestAggregatesNpz:
             table, class_idx=table.class_idx + 1, word_idx=table.word_idx * 2,
             classes=["unused", *table.classes],
             words=[w for word in table.words for w in (word, "unused")])
-        assert padded == table
+        assert same_table(padded, table)
         write_aggregates(padded, tmp_path)
         loaded = load_aggregates(tmp_path)
-        assert loaded == table
+        assert same_table(loaded, table)
         assert "unused" not in loaded.classes + loaded.words
         # in the order of the written tables
         assert loaded.classes == list(table.classes)

@@ -41,7 +41,7 @@ class TestKeywordTable:
     def test_truncation_to_top_m(self):
         records = [agg("a", "high", 0.9, 1.0), agg("a", "low", 0.1, 1.0)]
         table = build_keyword_table(aggregate_table(records), ["a"], 1)
-        assert [w for w, _, _ in table.rows["a"]] == ["high"]
+        assert [w for w, _, _ in table["a"]] == ["high"]
 
     def test_json_round_trip(self):
         records = [agg("a", "word", 0.12345, 0.87)]
@@ -58,16 +58,16 @@ class TestF1Summary:
         rounds = [round_result(0, 0.6, per_class),
                   round_result(1, 0.7, per_class)]
         summary = f1_summary(rounds)
-        assert summary.micro_mean == pytest.approx(0.65)
-        assert summary.micro_sd == pytest.approx(0.05)
-        assert summary.per_class["a"]["mean_support"] == 10.0
+        assert summary["micro_mean"] == pytest.approx(0.65)
+        assert summary["micro_sd"] == pytest.approx(0.05)
+        assert summary["per_class"]["a"]["mean_support"] == 10.0
 
     def test_single_round_sd_zero(self):
         rounds = [round_result(0, 0.6, {"a": {"precision": 0, "recall": 0,
                                               "f1": 0.4, "support": 3.0}})]
         summary = f1_summary(rounds)
-        assert summary.micro_sd == 0.0
-        assert summary.per_class["a"]["sd_f1"] == 0.0
+        assert summary["micro_sd"] == 0.0
+        assert summary["per_class"]["a"]["sd_f1"] == 0.0
 
     def test_failed_rounds_excluded(self):
         good = round_result(0, 0.6, {"a": {"precision": 0, "recall": 0,
@@ -75,7 +75,7 @@ class TestF1Summary:
         bad = RoundResult(round_index=1, selections=Selections.empty(), per_class={},
                           micro_f1=0.0, val_doc_count=0, failed=True)
         summary = f1_summary([good, bad])
-        assert summary.rounds == 1
+        assert summary["rounds"] == 1
 
     def test_no_successful_rounds_rejected(self):
         bad = RoundResult(round_index=0, selections=Selections.empty(), per_class={},
@@ -91,31 +91,28 @@ class TestF1Summary:
         assert "Micro AVG" in out
 
 
-def table_of(lists, top_m=None):
-    rows = {c: [(w, 0.5, 100) for w in words] for c, words in lists.items()}
-    m = top_m or max(len(v) for v in lists.values())
-    from igkeywords.report import KeywordTable
-    return KeywordTable(rows=rows, top_m=m)
+def table_of(lists):
+    return {c: [(w, 0.5, 100) for w in words] for c, words in lists.items()}
 
 
 class TestUniqueness:
     def test_disjoint_lists(self):
         stat = uniqueness(table_of({"a": ["x", "y"], "b": ["z", "w"]}))
-        assert stat.per_class == {"a": 2, "b": 2}
+        assert stat["per_class"] == {"a": 2, "b": 2}
 
     def test_identical_lists(self):
         stat = uniqueness(table_of({"a": ["x", "y"], "b": ["x", "y"]}))
-        assert stat.per_class == {"a": 0, "b": 0}
+        assert stat["per_class"] == {"a": 0, "b": 0}
 
     def test_partial_overlap(self):
         stat = uniqueness(table_of({"A": ["x", "y", "z"], "B": ["z", "w", "v"]}))
-        assert stat.per_class == {"A": 2, "B": 2}
-        assert stat.mean == pytest.approx(2.0)
+        assert stat["per_class"] == {"A": 2, "B": 2}
+        assert stat["mean"] == pytest.approx(2.0)
 
     def test_bounds(self):
         stat = uniqueness(table_of({"a": ["x", "y", "z"], "b": ["x", "q", "r"],
                                     "c": ["x", "s", "t"]}))
-        for count in stat.per_class.values():
+        for count in stat["per_class"].values():
             assert 0 <= count <= 3
 
 
