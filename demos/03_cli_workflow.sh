@@ -41,8 +41,9 @@ cat "$workdir/run/recovery.json"
 echo
 
 # report rewrites every report file from the run directory alone
-# (round artifacts, aggregates.npz and config.json; aggregates.json and
-# aggregates.tsv are exports it does not read)
+# (config.json, whose "format" must be the one this version writes, the
+# round artifacts and aggregates.npz; aggregates.json and aggregates.tsv
+# are exports it does not read)
 igkeywords report --run-dir "$workdir/run"
 
 # numerical self-checks: gradients, IG completeness, aggregation oracle,

@@ -3,9 +3,9 @@ that integrated gradients takes (``model.path_mean_gradients``), against
 finite differences of the path-averaged logit, the integrated gradients
 that score keywords (``attribution.pair_weights`` and ``token_scores``)
 against the completeness axiom, the pipeline's aggregates against a naive
-recomputation from dumped rounds, and the closed-form path mean of the
-activation slope (``model.path_mean_slopes``) against quadrature.  Both
-path integrals are taken with the nodes of ``path_nodes``.
+recomputation from the rounds' dumped rows, and the closed-form path mean
+of the activation slope (``model.path_mean_slopes``) against quadrature.
+Both path integrals are taken with the nodes of ``path_nodes``.
 
 Each check function returns what it measures.  ``run_checks`` holds the
 measurements against their bounds for ``igkeywords check``; acceptance
@@ -14,14 +14,11 @@ criteria 1, 3 and 4 call the same functions with the same bounds.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import Counter
 
 import numpy as np
 
-from . import attribution, model, pipeline
+from . import attribution, model, pipeline, rundir
 from .corpus import (_WORD_RE, SynthConfig, generate_synthetic,
                      stratified_split)
 
@@ -38,13 +35,12 @@ ORACLE_BOUND = 1e-12
 #: must stay finite and >= 0
 PATH_MEAN_BOUND, QUADRATURE_REACH = 1e-12, 100.0
 
-#: the corpus and the run whose dumped rounds the oracle check reads
+#: the corpus and the run whose rounds the oracle check recomputes
 ORACLE_SYNTH = SynthConfig(num_classes=4, docs_per_class=12,
                            background_vocab_size=150, markers_per_class=2,
                            doc_length=(8, 15))
 ORACLE_CONFIG = pipeline.PipelineConfig(
-    ratio=0.6, top_n=5, rounds=5, min_doc_frequency=1,
-    master_seed=11, dump_scores=True,
+    ratio=0.6, top_n=5, rounds=5, min_doc_frequency=1, master_seed=11,
     train_config=model.TrainConfig(epochs=10, d=8, h=8))
 
 
@@ -175,23 +171,21 @@ def path_mean_error() -> tuple[float, bool]:
 
 def oracle_error() -> float:
     """The largest |difference| between an aggregate mean score and the mean
-    of its scores in the dumped ``round_*.json`` files of a run of
-    ORACLE_CONFIG on ORACLE_SYNTH.  Raises ``CheckFailure`` if the
-    aggregates' keys, instance counts, rounds selected, selection
-    frequencies or document frequencies (recounted from the texts)
-    differ.
+    of its scores in the dumped rows (``rundir.dumped``) of the rounds of a
+    run of ORACLE_CONFIG on ORACLE_SYNTH, as ``run_pipeline`` hands them
+    over.  Raises ``CheckFailure`` if the aggregates' keys, instance
+    counts, rounds selected, selection frequencies or document frequencies
+    (recounted from the texts) differ.
     """
     corpus, _ = generate_synthetic(ORACLE_SYNTH, seed=404)
     rounds = ORACLE_CONFIG.rounds
     scores, hits = {}, {}  # the scores and the rounds of each (class, word)
-    with tempfile.TemporaryDirectory() as out_dir:
-        result = pipeline.run_pipeline(corpus, ORACLE_CONFIG, out_dir=out_dir)
-        for i in range(rounds):
-            path = os.path.join(out_dir, pipeline._round_file(i))
-            with open(path, encoding="utf-8") as fh:
-                for class_name, word, _, score in json.load(fh)["selections"]:
-                    scores.setdefault((class_name, word), []).append(score)
-                    hits.setdefault((class_name, word), set()).add(i)
+
+    def dump(rr):
+        for class_name, word, _, score in rundir.dumped(rr.selections, corpus):
+            scores.setdefault((class_name, word), []).append(score)
+            hits.setdefault((class_name, word), set()).add(rr.round_index)
+    result = pipeline.run_pipeline(corpus, ORACLE_CONFIG, on_round=dump)
     df = Counter(w for text in corpus.texts
                  for w in set(_WORD_RE.findall(text.lower())))
 

@@ -11,31 +11,25 @@ leading dashes) may set any option of the command except the required
 ``--out``/``--corpus``; options on the command line win.  run still
 accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
 gradients no longer use: it prints one note to stderr and changes nothing.
+A boolean key takes true/false, yes/no, on/off or 1/0, in any case.
 
-Before round 0, run writes ``config.json`` into its output directory
-(every ``PipelineConfig`` field, ``top_m`` among them, ``TrainConfig``
-nested under ``train_config``, ``classes`` and, if ``--markers`` was
-given, ``markers``, the planted words per class) and removes an earlier
-run's reports.  report reads it back, ignoring the ``_RETIRED_FIELDS`` of
-earlier versions, and rewrites every report file run wrote.
+run and report hand their work to ``rundir.write_run`` and
+``rundir.rewrite_reports``: ``rundir`` owns every file of a run directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 import time
 import warnings
 
-from . import checks, model, pipeline, report
+from . import checks, model, pipeline, rundir
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
-                     ValidationError, _is_string_list, generate_synthetic,
-                     load_corpus, load_markers, marker_sets, save_corpus,
-                     save_markers)
-from .fileio import atomic_write, malformed, utf8_lines
+                     ValidationError, generate_synthetic, load_corpus,
+                     load_markers, save_corpus, save_markers)
+from .fileio import utf8_lines
 
 # Option -> the config field it sets.
 _SYNTH_OPTIONS = {
@@ -144,6 +138,11 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
+#: the values a boolean key takes in a --config file, in any case
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
+             "on": True, "off": False, "1": True, "0": False}
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Parse a command line; a ``--config`` file's values become the
     command's defaults, converted like the options they set."""
@@ -156,7 +155,11 @@ def parse_args(argv) -> argparse.Namespace:
         if key not in vars(args) or key in ("config", "command"):
             raise ValidationError(f"unknown config key {key!r}")
         if isinstance(getattr(args, key), bool):
-            values[key] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _BOOLEANS:
+                raise ValidationError(
+                    f"config key {key!r} is {raw!r}, not one of "
+                    f"{'/'.join(_BOOLEANS)}")
+            values[key] = _BOOLEANS[raw.lower()]
     commands[args.command].set_defaults(**values)
     return parser.parse_args(argv)
 
@@ -171,47 +174,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _from_fields(cls, values):
-    """``cls(**values)``; ``values`` must name every field of ``cls``, each
-    with a value of its default's type (an int will do for a float)."""
-    defaults = cls()
-    for f in dataclasses.fields(cls):
-        value, kind = values[f.name], type(getattr(defaults, f.name))
-        if type(value) is not kind and (kind, type(value)) != (float, int):
-            raise TypeError(f"{f.name} is {value!r}, not a {kind.__name__}")
-    return cls(**values)
-
-
-#: Fields that earlier versions saved in config.json, at its top level or
-#: under train_config, and that no longer change what report writes
-_RETIRED_FIELDS = ("ig_steps", "mean_mode", "optimizer", "adam_beta1",
-                   "adam_beta2", "adam_eps")
-
-
-def load_run_config(run_dir):
-    """The ``PipelineConfig``, class order and planted markers (None if
-    run had none) that ``run`` saved in ``config.json``."""
-    path = os.path.join(run_dir, "config.json")
-    with open(path, "rb") as fh, \
-            malformed(path, "run config", ValidationError):
-        saved = json.loads(fh.read().decode("utf-8"))
-        classes = saved.pop("classes")
-        if not _is_string_list(classes):
-            raise TypeError("classes is not a list of strings")
-        LabelSpace(tuple(classes))  # rejects no, repeated and bad names
-        train = saved.pop("train_config")
-        for name in _RETIRED_FIELDS:
-            saved.pop(name, None)
-            train.pop(name, None)
-        markers = saved.pop("markers", None)
-        if markers is not None:
-            markers = marker_sets(markers)
-        train = _from_fields(model.TrainConfig, train)
-        config = _from_fields(pipeline.PipelineConfig,
-                              dict(saved, train_config=train))
-    return config, classes, markers
-
-
 def _cmd_run(args) -> int:
     config = pipeline_config(args)
     if args.ig_steps is not None:
@@ -220,34 +182,17 @@ def _cmd_run(args) -> int:
     # Without --classes, the classes are the labels the corpus holds.
     corpus = load_corpus(args.corpus, LabelSpace(tuple(
         args.classes.split(","))) if args.classes else None)
-    classes = corpus.label_space.classes
     planted = load_markers(args.markers) if args.markers else None
     out_dir = args.out_dir or os.path.join(
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
-    # Saved before round 0, which removes the earlier run's files, so that
-    # a run that stops part way leaves only its own.
-    saved = dict(dataclasses.asdict(config), classes=list(classes))
-    if planted is not None:
-        saved["markers"] = {c: sorted(words) for c, words in planted.items()}
-    os.makedirs(out_dir, exist_ok=True)
-    with atomic_write(os.path.join(out_dir, "config.json")) as fh:
-        json.dump(saved, fh, indent=2)
-    result = pipeline.run_pipeline(corpus, config, out_dir=out_dir)
-    report.write_reports(result, out_dir, classes, planted)
+    rundir.write_run(corpus, config, out_dir, planted)
     print(f"run complete; reports in {out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    run_dir = args.run_dir
-    config, classes, planted = load_run_config(run_dir)
-    rounds = pipeline.load_round_artifacts(run_dir, config.rounds, classes)
-    aggregates = pipeline.load_aggregates(run_dir, classes)
-    keywords = pipeline.filter_keywords(aggregates, config)
-    result = pipeline.PipelineResult(rounds=rounds, aggregates=aggregates,
-                                     keywords=keywords, config=config)
-    report.write_reports(result, run_dir, classes, planted)
-    print(f"re-rendered reports in {run_dir}")
+    rundir.rewrite_reports(args.run_dir)
+    print(f"re-rendered reports in {args.run_dir}")
     return 0
 
 

@@ -11,42 +11,28 @@ A round works on rows of it and on ``model.piece_rows``, the model row of
 every corpus piece.  Its explain half is array code over the validation
 rows, and its selections are columns of indices into the corpus's tables.
 ``run_pipeline`` takes the rounds in round order and, as each finishes,
-folds it into an ``AggregateFold``, writes its ``round_NNNN.json`` and
-drops its selections: the ``RoundResult``s it returns carry metrics, not
-selections.  Before round 0 it removes an earlier run's round artifacts,
-aggregates and reports, so a run that stops part way leaves only its own
-finished rounds.  The fold's ``Aggregates`` table holds class and word ids
+folds it into an ``AggregateFold``, hands it to its ``on_round`` callback
+and drops its selections: the ``RoundResult``s it returns carry metrics,
+not selections.  The fold's ``Aggregates`` table holds class and word ids
 into the corpus's tables; the filter keeps a subset of its rows, classes by
 name and each by mean score.  ``PipelineConfig`` holds every setting of a
-run, ``top_m``, the report tables' rows per class, among them.
-``write_aggregates`` stores the columns in ``aggregates.npz``, which
-``load_aggregates`` reads back for ``report``, and exports them as
-``aggregates.json``/``.tsv``, which nothing in the program reads.  Every
-file of a run directory is written atomically (``fileio.atomic_write``).
+run, ``top_m``, the report tables' rows per class, among them.  This
+module writes no file: ``rundir`` keeps a run's files.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import attribution, model, report
-from .corpus import (Corpus, ValidationError, _is_string_list,
-                     stratified_split)
-from .fileio import atomic_write, malformed
+from . import attribution, model
+from .corpus import Corpus, ValidationError, stratified_split
 
 SELECTION_TARGETS = ("true-positive", "false-positive", "false-negative")
-
-#: rows per slice when writing the aggregate exports, so that neither
-#: file's whole text is held in memory at once
-DUMP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -98,33 +84,17 @@ class Selections:
     def __len__(self) -> int:
         return self.score.size
 
-    def dumped(self, corpus: Corpus) -> list[list]:
-        """``[class, word, doc_id, score]`` per selection, as dumped."""
-        classes, words, doc_ids = (corpus.label_space.classes, corpus.words,
-                                   corpus.doc_ids)
-        return [[classes[c], words[w], doc_ids[d], s]
-                for c, w, d, s in zip(self.class_idx.tolist(),
-                                      self.word_idx.tolist(),
-                                      self.doc_idx.tolist(),
-                                      self.score.tolist())]
-
 
 @dataclass
 class RoundResult:
     round_index: int
     # Empty once run_pipeline has folded the round, and in rounds read
-    # back by load_round_artifacts.
+    # back by rundir.load_rounds.
     selections: Selections
     per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
     micro_f1: float
     val_doc_count: int
     failed: bool = False
-
-
-#: The numeric columns of Aggregates, by their dtype kind in aggregates.npz
-_NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
-                  "rounds_selected": "i", "instance_count": "i",
-                  "doc_frequency": "i"}
 
 
 @dataclass(eq=False)
@@ -282,8 +252,9 @@ def filter_keywords(table: Aggregates, config: PipelineConfig) -> Aggregates:
     class_rank = np.array([rank[c] for c in table.classes],
                           dtype=np.intp)[table.class_idx[rows]]
     kept = rows[np.lexsort((-table.mean_score[rows], class_rank))]
-    return replace(table, **{f: getattr(table, f)[kept] for f in
-                             ("class_idx", "word_idx", *_NUMERIC_KINDS)})
+    return replace(table, **{f.name: getattr(table, f.name)[kept]
+                             for f in fields(table)
+                             if f.name not in ("classes", "words")})
 
 
 @dataclass
@@ -291,7 +262,6 @@ class PipelineResult:
     rounds: list[RoundResult]  # their metrics; the selections are folded
     aggregates: Aggregates
     keywords: Aggregates  # the rows filter_keywords keeps, in its order
-    config: PipelineConfig
 
 
 # A pool worker's corpus, handed over once by the pool's initializer
@@ -310,15 +280,13 @@ def _round_task(args):
 
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig,
-                 out_dir=None) -> PipelineResult:
+                 on_round=None) -> PipelineResult:
     """Run all rounds (optionally across processes), aggregate, and filter.
 
-    Each round is folded, written to ``out_dir`` and its selections dropped
-    as it finishes, in round order, so results are identical for any
-    worker count (rounds are seeded individually).
+    Each round is folded, handed to ``on_round`` if given and its
+    selections dropped as it finishes, in round order, so results are
+    identical for any worker count (rounds are seeded individually).
     """
-    if out_dir is not None:
-        _remove_run_files(out_dir)
     fold, rounds = AggregateFold(corpus, config), []
     indices = range(config.rounds)
     with contextlib.ExitStack() as stack:
@@ -333,221 +301,11 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
             finished = pool.map(_round_task, [(config, i) for i in indices])
         for rr in finished:
             fold.add(rr.selections)
-            if out_dir is not None:
-                _write_round(rr, corpus, config.dump_scores, out_dir)
+            if on_round is not None:
+                on_round(rr)
             rr.selections = Selections.empty()
             rounds.append(rr)
     aggregates = fold.table()
     keywords = filter_keywords(aggregates, config)
-    if out_dir is not None:
-        write_aggregates(aggregates, out_dir)
     return PipelineResult(rounds=rounds, aggregates=aggregates,
-                          keywords=keywords, config=config)
-
-
-def _round_file(round_index: int) -> str:
-    return f"round_{round_index:04d}.json"
-
-
-def _remove_run_files(out_dir) -> None:
-    """Remove the round artifacts, aggregates and reports left in
-    ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name in os.listdir(out_dir):
-        if (name.startswith("round_") and name.endswith(".json")
-                or name in _AGGREGATE_FILES or name in report.REPORT_FILES):
-            os.remove(os.path.join(out_dir, name))
-
-
-def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
-                 out_dir) -> None:
-    """Write a round's artifact, with its selections if ``dump_scores``."""
-    payload = {f: getattr(rr, f) for f in ("round_index", "failed", "micro_f1",
-                                           "per_class", "val_doc_count")}
-    if dump_scores:
-        payload["selections"] = rr.selections.dumped(corpus)
-    with atomic_write(os.path.join(out_dir,
-                                   _round_file(rr.round_index))) as fh:
-        fh.write(json.dumps(payload))
-
-
-def load_round_artifacts(out_dir, rounds: int,
-                         classes) -> list[RoundResult]:
-    """Read the metrics in the artifacts of rounds 0..rounds-1; other
-    files are ignored, and so are dumped selections.  A file that is
-    not JSON, lacks a field, holds a field of the wrong type (a boolean is
-    not a number), describes another round than its name, or is of a
-    successful round whose ``per_class`` does not hold exactly ``classes``
-    raises ``ValidationError`` naming it.
-    """
-    results = []
-    for round_index in range(rounds):
-        path = os.path.join(out_dir, _round_file(round_index))
-        with open(path, encoding="utf-8") as fh, \
-                malformed(path, "round artifact", ValidationError):
-            payload = json.load(fh)
-            per_class, micro_f1 = payload["per_class"], payload["micro_f1"]
-            if not (isinstance(per_class, dict) and all(
-                    isinstance(stats, dict)
-                    and type(stats["f1"]) in (int, float)
-                    and type(stats["support"]) in (int, float)
-                    for stats in per_class.values())):
-                raise TypeError("per_class is not an object of objects with "
-                                "numeric f1 and support")
-            if type(micro_f1) not in (int, float):
-                raise TypeError("micro_f1 is not a number")
-            if not isinstance(payload["failed"], bool):
-                raise TypeError("failed is not a boolean")
-            if type(payload["val_doc_count"]) is not int:
-                raise TypeError("val_doc_count is not an integer")
-            if not (type(payload["round_index"]) is int
-                    and payload["round_index"] == round_index):
-                raise ValueError(f"round_index is {payload['round_index']!r}"
-                                 f", not {round_index}")
-            if not payload["failed"] and set(per_class) != set(classes):
-                raise ValueError(f"per_class holds {sorted(per_class)}, "
-                                 f"not the run's classes {sorted(classes)}")
-            results.append(RoundResult(
-                round_index=round_index,
-                selections=Selections.empty(),
-                per_class=per_class, micro_f1=micro_f1,
-                val_doc_count=payload["val_doc_count"],
-                failed=payload["failed"]))
-    return results
-
-
-#: The files write_aggregates writes
-_AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
-#: The columns of aggregates.json/.tsv
-_AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
-                "rounds_selected", "instance_count", "doc_frequency")
-#: Each id column of Aggregates, its string table and its aggregates.npz key
-_ID_COLUMNS = (("class_idx", "classes", "class_name"),
-               ("word_idx", "words", "word"))
-# One row's text with None where each value goes: a row dict as json.dumps
-# writes it, opened by the end of the row before, and a TSV line.
-_JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
-_JSON_ROW[0] = "}, {" + _JSON_ROW[0][len(", "):]
-_TSV_ROW = [text for _ in _AGG_COLUMNS for text in (None, "\t")]
-_TSV_ROW[-1] = "\n"
-# json.dumps's spelling of the floats that have no JSON number
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _value_texts(column, text=repr) -> tuple[list[str], np.ndarray]:
-    """The ``text`` of each distinct value of ``column``, in value order,
-    and, per row, the index of its value's text."""
-    values, codes = np.unique(column, return_inverse=True)
-    return list(map(text, values.tolist())), codes
-
-
-def _aggregate_lines(table: Aggregates, part: slice,
-                     lookups) -> tuple[str, str]:
-    """The ``aggregates.json`` rows (joined by ", ") and ``aggregates.tsv``
-    lines of the rows in ``part``, which holds at least one row.
-
-    ``lookups`` holds each other column's value texts in JSON and in TSV
-    and each row's index into them.  JSON spells strings with the
-    ``ensure_ascii`` encoder of json.dumps and numbers by ``repr``, as
-    json.dumps does a finite float and an int.  Selection frequencies are
-    round counts over the configured rounds, so they are finite; a mean
-    score that is not is spelt as json.dumps spells it.
-    """
-    scores = table.mean_score[part]
-    means = list(map(float.__repr__, scores.tolist()))
-    json_means = means if np.isfinite(scores).all() else [
-        _JSON_NON_FINITE.get(m, m) for m in means]
-    columns = []
-    for json_texts, tsv_texts, codes in lookups:
-        rows = codes[part].tolist()
-        tsv_column = list(map(tsv_texts.__getitem__, rows))
-        columns.append((tsv_column if json_texts is tsv_texts
-                        else list(map(json_texts.__getitem__, rows)),
-                        tsv_column))
-    columns.insert(2, (json_means, means))
-    # Each value goes into its slots of the repeated row texts.
-    json_parts, tsv_parts = _JSON_ROW * len(means), _TSV_ROW * len(means)
-    width = len(_JSON_ROW)
-    for j, (json_column, tsv_column) in enumerate(columns):
-        json_parts[2 * j + 1::width] = json_column
-        tsv_parts[2 * j::width] = tsv_column
-    json_parts[0] = json_parts[0][len("}, "):]  # no row before the first
-    return "".join(json_parts) + "}", "".join(tsv_parts)
-
-
-def write_aggregates(table: Aggregates, out_dir) -> None:
-    """Write the columns to ``aggregates.npz``, each id column as int32
-    codes into the bytes of an ``ensure_ascii`` JSON list of the entries
-    of its table that rows use (numpy's string arrays drop trailing NULs),
-    and export them as ``aggregates.json`` (the bytes of ``json.dumps`` of
-    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time."""
-    os.makedirs(out_dir, exist_ok=True)
-    arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
-    lookups = []
-    for ids, strings, key in _ID_COLUMNS:
-        texts, codes = _value_texts(getattr(table, ids),
-                                    getattr(table, strings).__getitem__)
-        arrays[key] = codes.astype(np.int32)
-        arrays[key + "_values"] = np.frombuffer(
-            json.dumps(texts).encode("ascii"), dtype=np.uint8)
-        lookups.append((list(map(encode_basestring_ascii, texts)), texts,
-                        codes))
-    for f in list(_NUMERIC_KINDS)[1:]:  # the columns after the mean score
-        texts, codes = _value_texts(getattr(table, f))
-        lookups.append((texts, texts, codes))
-    with atomic_write(os.path.join(out_dir, "aggregates.npz"),
-                      binary=True) as npz, \
-            atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
-            atomic_write(os.path.join(out_dir, "aggregates.tsv")) as fh:
-        np.savez(npz, **arrays)
-        js.write("[")
-        fh.write("\t".join(_AGG_COLUMNS) + "\n")
-        for start in range(0, len(table), DUMP_ROWS):
-            json_text, tsv_text = _aggregate_lines(
-                table, slice(start, start + DUMP_ROWS), lookups)
-            js.write((", " if start else "") + json_text)
-            fh.write(tsv_text)
-        js.write("]")
-
-
-def _column(archive, name: str, kind: str) -> np.ndarray:
-    column = archive[name]
-    if column.ndim != 1 or column.dtype.kind != kind:
-        raise TypeError(f"{name} is {column.dtype} of shape {column.shape}, "
-                        f"not a 1-D column of dtype kind {kind!r}")
-    return column
-
-
-def load_aggregates(out_dir, classes=None) -> Aggregates:
-    """The table that ``write_aggregates`` wrote to ``aggregates.npz``,
-    over the archive's string tables, in whatever order they are.
-
-    A file that is not such an archive, lacks a column, holds a column of
-    the wrong dtype kind or length, a code out of range, values that are
-    not a JSON list of strings or, if ``classes`` is given, a class not
-    among them raises ``ValidationError`` naming it.
-    """
-    path = os.path.join(out_dir, "aggregates.npz")
-    # np.load leaves a file it opened itself open if the archive is damaged
-    with open(path, "rb") as fh, \
-            malformed(path, "aggregates", ValidationError), \
-            np.load(fh, allow_pickle=False) as archive:
-        columns = {f: _column(archive, f, kind)
-                   for f, kind in _NUMERIC_KINDS.items()}
-        tables = {}
-        for ids, strings, key in _ID_COLUMNS:
-            codes = _column(archive, key, "i")
-            values = json.loads(_column(archive, key + "_values",
-                                        "u").tobytes())
-            if not _is_string_list(values):
-                raise TypeError(f"{key}_values is not a JSON list of strings")
-            if codes.size and not (0 <= codes.min()
-                                   and codes.max() < len(values)):
-                raise ValueError(f"{key} holds a code out of range")
-            columns[ids], tables[strings] = codes, values
-        if len({column.size for column in columns.values()}) > 1:
-            raise ValueError("columns of unequal length")
-        if classes is not None and set(tables["classes"]) - set(classes):
-            raise ValueError(f"class_name_values holds classes not in "
-                             f"{sorted(classes)}")
-        return Aggregates(**columns, **tables)
+                          keywords=keywords)

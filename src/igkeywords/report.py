@@ -1,23 +1,18 @@
 """Keyword tables, F1 summaries, uniqueness statistics, and synthetic
-marker recovery scoring, as plain dicts and lists.
+marker recovery scoring, as plain dicts and lists, and their texts.
 
 A keyword table is ``{class: [(word, mean score, SF percent)]}``, at most
-``top_m`` rows a class; ``write_reports`` takes ``top_m`` from the config
-of the ``PipelineResult`` it renders.
+``top_m`` rows a class.  ``rundir`` writes the texts into a run
+directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from .corpus import ValidationError
-from .fileio import atomic_write
 
 EMPTY_CLASS_MARKER = "- no stable keywords -"
-#: The files write_reports writes into a run directory
-REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
-                "f1_summary.tsv", "uniqueness.json", "recovery.json")
 
 
 def build_keyword_table(keywords, class_names, top_m: int) -> dict:
@@ -129,32 +124,3 @@ def marker_recovery(keywords, planted: dict[str, set[str]]):
         precision = len(hit) / len(found) if found else 1.0
         out[c] = {"recall": recall, "precision": precision}
     return out
-
-
-def write_reports(result, out_dir, class_names, planted=None) -> None:
-    """Emit the standard report files into a run directory, the keyword
-    tables' classes in the order ``class_names`` and ``top_m`` rows per
-    class at most, and no ``recovery.json`` without ``planted``.  Every
-    text is built before the first file is written, so a report that
-    cannot be built writes no file."""
-    top_m = result.config.top_m
-    table = build_keyword_table(result.keywords, class_names, top_m)
-    texts = {
-        "keywords.tsv": render_keyword_table(table, "tsv"),
-        "keywords.json": render_keyword_table(table, "json"),
-        "keywords.md": render_keyword_table(table, "markdown"),
-        "f1_summary.tsv": render_f1_summary(f1_summary(result.rounds)),
-        "uniqueness.json": json.dumps(dict(uniqueness(table), top_m=top_m),
-                                      indent=2, sort_keys=True),
-    }
-    if planted is not None:
-        texts["recovery.json"] = json.dumps(
-            marker_recovery(result.keywords, planted), indent=2,
-            sort_keys=True)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in texts.items():
-        with atomic_write(os.path.join(out_dir, name)) as fh:
-            fh.write(text)
-    if planted is None and os.path.exists(
-            stale := os.path.join(out_dir, "recovery.json")):
-        os.remove(stale)

@@ -1,0 +1,366 @@
+"""The run directory: every file a run writes and ``report`` reads.
+
+``config.json`` holds ``"format": FORMAT`` first, then every
+``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
+``classes`` and any planted ``markers``.  A ``round_NNNN.json`` holds a
+round's metrics and, with ``dump_scores``, its selections;
+``aggregates.npz`` the aggregate table ``report`` reads, exported as
+``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
+is written atomically (``fileio.atomic_write``).  A directory of another
+format, or of none, is refused rather than read, so a new layout raises
+``FORMAT`` instead of adding a reader of the old one.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import json
+import os
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+from . import model, pipeline, report
+from .corpus import (Corpus, LabelSpace, ValidationError, _is_string_list,
+                     marker_sets)
+from .fileio import atomic_write, malformed
+from .pipeline import Aggregates, PipelineConfig, PipelineResult, RoundResult
+
+#: the layout of the directories this module writes, the one it reads
+FORMAT = 1
+REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
+                "f1_summary.tsv", "uniqueness.json", "recovery.json")
+_AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
+
+#: rows per slice when writing the aggregate exports, so that neither
+#: file's whole text is held in memory at once
+DUMP_ROWS = 1024
+
+
+def round_file(round_index: int) -> str:
+    return f"round_{round_index:04d}.json"
+
+
+def write_run(corpus: Corpus, config: PipelineConfig, run_dir,
+              planted=None) -> PipelineResult:
+    """Run the pipeline into ``run_dir``: ``config.json``, the removal of
+    an earlier run's files, each round as it finishes, in round order, then
+    the aggregates and the reports (``recovery.json`` only if ``planted``),
+    so a run that stops part way leaves only its own finished rounds."""
+    classes = corpus.label_space.classes
+    saved = {"format": FORMAT, **dataclasses.asdict(config),
+             "classes": list(classes)}
+    if planted is not None:
+        saved["markers"] = {c: sorted(words) for c, words in planted.items()}
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"{run_dir}: not a directory") from exc
+    with atomic_write(os.path.join(run_dir, "config.json")) as fh:
+        json.dump(saved, fh, indent=2)
+    _clear(run_dir)
+    result = pipeline.run_pipeline(
+        corpus, config, on_round=lambda rr: _write_round(
+            rr, corpus, config.dump_scores, run_dir))
+    write_aggregates(result.aggregates, run_dir)
+    _write_reports(run_dir, config, result.rounds, result.keywords, classes,
+                   planted)
+    return result
+
+
+def rewrite_reports(run_dir) -> None:
+    """Write the reports of ``run_dir`` again from its config, rounds and
+    aggregates."""
+    config, classes, planted = load_config(run_dir)
+    rounds = load_rounds(run_dir, config.rounds, classes)
+    keywords = pipeline.filter_keywords(load_aggregates(run_dir, classes),
+                                        config)
+    _write_reports(run_dir, config, rounds, keywords, classes, planted)
+
+
+def _clear(run_dir) -> None:
+    """Remove the rounds, aggregates and reports left in ``run_dir``, and
+    the temporary files (``.<name>.<pid>.tmp``) of those and of
+    ``config.json`` that a killed run left."""
+    for name in os.listdir(run_dir):
+        temporary = name.startswith(".") and name.endswith(".tmp")
+        target = name[1:].rsplit(".", 2)[0] if temporary else name
+        if (target.startswith("round_") and target.endswith(".json")
+                or target in _AGGREGATE_FILES + REPORT_FILES
+                or temporary and target == "config.json"):
+            os.remove(os.path.join(run_dir, name))
+
+
+def _write_reports(run_dir, config: PipelineConfig, rounds, keywords,
+                   class_names, planted) -> None:
+    """Every report file, classes in the order ``class_names``; every text
+    is built first, so a report that cannot be built writes no file."""
+    top_m = config.top_m
+    table = report.build_keyword_table(keywords, class_names, top_m)
+    texts = {
+        "keywords.tsv": report.render_keyword_table(table, "tsv"),
+        "keywords.json": report.render_keyword_table(table, "json"),
+        "keywords.md": report.render_keyword_table(table, "markdown"),
+        "f1_summary.tsv": report.render_f1_summary(
+            report.f1_summary(rounds)),
+        "uniqueness.json": json.dumps(
+            dict(report.uniqueness(table), top_m=top_m), indent=2,
+            sort_keys=True),
+    }
+    if planted is not None:
+        texts["recovery.json"] = json.dumps(
+            report.marker_recovery(keywords, planted), indent=2,
+            sort_keys=True)
+    for name, text in texts.items():
+        with atomic_write(os.path.join(run_dir, name)) as fh:
+            fh.write(text)
+    if planted is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, "recovery.json"))
+
+
+def _from_fields(cls, values):
+    """``cls(**values)``; ``values`` must name every field of ``cls``, each
+    with a value of its default's type (an int will do for a float)."""
+    defaults = cls()
+    for f in dataclasses.fields(cls):
+        value, kind = values[f.name], type(getattr(defaults, f.name))
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise TypeError(f"{f.name} is {value!r}, not a {kind.__name__}")
+    return cls(**values)
+
+
+def load_config(run_dir):
+    """The ``PipelineConfig``, class order and planted markers (None if
+    the run had none) saved in ``config.json``.  A file of another format
+    than ``FORMAT``, or of none, raises ``ValidationError`` naming the
+    format it holds."""
+    if not os.path.isdir(run_dir):
+        raise ValidationError(f"{run_dir}: not a directory")
+    path = os.path.join(run_dir, "config.json")
+    with open(path, "rb") as fh, \
+            malformed(path, "run config", ValidationError):
+        saved = json.loads(fh.read().decode("utf-8"))
+        found = saved.pop("format", None)
+    if type(found) is not int or found != FORMAT:
+        raise ValidationError(f"{path}: format {found!r}, not {FORMAT}: "
+                              f"another version wrote it; run the pipeline "
+                              f"again")
+    with malformed(path, "run config", ValidationError):
+        classes = saved.pop("classes")
+        if not _is_string_list(classes):
+            raise TypeError("classes is not a list of strings")
+        LabelSpace(tuple(classes))  # rejects no, repeated and bad names
+        markers = saved.pop("markers", None)
+        if markers is not None:
+            markers = marker_sets(markers)
+        train = _from_fields(model.TrainConfig, saved.pop("train_config"))
+        config = _from_fields(PipelineConfig, dict(saved, train_config=train))
+    return config, classes, markers
+
+
+def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
+                 out_dir) -> None:
+    """Write a round's artifact, with its selections if ``dump_scores``."""
+    payload = {f: getattr(rr, f) for f in ("round_index", "failed", "micro_f1",
+                                           "per_class", "val_doc_count")}
+    if dump_scores:
+        payload["selections"] = dumped(rr.selections, corpus)
+    with atomic_write(os.path.join(out_dir,
+                                   round_file(rr.round_index))) as fh:
+        fh.write(json.dumps(payload))
+
+
+def dumped(selections: pipeline.Selections, corpus: Corpus) -> list[list]:
+    """``[class, word, doc_id, score]`` per selection, as dumped."""
+    classes, words, doc_ids = (corpus.label_space.classes, corpus.words,
+                               corpus.doc_ids)
+    return [[classes[c], words[w], doc_ids[d], s]
+            for c, w, d, s in zip(selections.class_idx.tolist(),
+                                  selections.word_idx.tolist(),
+                                  selections.doc_idx.tolist(),
+                                  selections.score.tolist())]
+
+
+def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
+    """Read the metrics in the artifacts of rounds 0..rounds-1; other
+    files are ignored, and so are dumped selections.  A file that is
+    not JSON, lacks a field, holds a field of the wrong type (a boolean is
+    not a number), describes another round than its name, or is of a
+    successful round whose ``per_class`` does not hold exactly ``classes``
+    raises ``ValidationError`` naming it.
+    """
+    results = []
+    for round_index in range(rounds):
+        path = os.path.join(out_dir, round_file(round_index))
+        with open(path, encoding="utf-8") as fh, \
+                malformed(path, "round artifact", ValidationError):
+            payload = json.load(fh)
+            per_class, micro_f1 = payload["per_class"], payload["micro_f1"]
+            if not (isinstance(per_class, dict) and all(
+                    isinstance(stats, dict)
+                    and type(stats["f1"]) in (int, float)
+                    and type(stats["support"]) in (int, float)
+                    for stats in per_class.values())):
+                raise TypeError("per_class is not an object of objects with "
+                                "numeric f1 and support")
+            if type(micro_f1) not in (int, float):
+                raise TypeError("micro_f1 is not a number")
+            if not isinstance(payload["failed"], bool):
+                raise TypeError("failed is not a boolean")
+            if type(payload["val_doc_count"]) is not int:
+                raise TypeError("val_doc_count is not an integer")
+            if not (type(payload["round_index"]) is int
+                    and payload["round_index"] == round_index):
+                raise ValueError(f"round_index is {payload['round_index']!r}"
+                                 f", not {round_index}")
+            if not payload["failed"] and set(per_class) != set(classes):
+                raise ValueError(f"per_class holds {sorted(per_class)}, "
+                                 f"not the run's classes {sorted(classes)}")
+            results.append(RoundResult(
+                round_index=round_index,
+                selections=pipeline.Selections.empty(),
+                per_class=per_class, micro_f1=micro_f1,
+                val_doc_count=payload["val_doc_count"],
+                failed=payload["failed"]))
+    return results
+
+
+#: The numeric columns of Aggregates, by their dtype kind in aggregates.npz
+_NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
+                  "rounds_selected": "i", "instance_count": "i",
+                  "doc_frequency": "i"}
+#: The columns of aggregates.json/.tsv
+_AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
+                "rounds_selected", "instance_count", "doc_frequency")
+#: Each id column of Aggregates, its string table and its aggregates.npz key
+_ID_COLUMNS = (("class_idx", "classes", "class_name"),
+               ("word_idx", "words", "word"))
+# One row's text with None where each value goes: a row dict as json.dumps
+# writes it, opened by the end of the row before, and a TSV line.
+_JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
+_JSON_ROW[0] = "}, {" + _JSON_ROW[0][len(", "):]
+_TSV_ROW = [text for _ in _AGG_COLUMNS for text in (None, "\t")]
+_TSV_ROW[-1] = "\n"
+# json.dumps's spelling of the floats that have no JSON number
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _value_texts(column, text=repr) -> tuple[list[str], np.ndarray]:
+    """The ``text`` of each distinct value of ``column``, in value order,
+    and, per row, the index of its value's text."""
+    values, codes = np.unique(column, return_inverse=True)
+    return list(map(text, values.tolist())), codes
+
+
+def _aggregate_lines(table: Aggregates, part: slice,
+                     lookups) -> tuple[str, str]:
+    """The ``aggregates.json`` rows (joined by ", ") and ``aggregates.tsv``
+    lines of the rows in ``part``, which holds at least one row.
+
+    ``lookups`` holds each other column's value texts in JSON and in TSV
+    and each row's index into them.  JSON spells strings with the
+    ``ensure_ascii`` encoder of json.dumps and numbers by ``repr``, as
+    json.dumps does a finite float and an int.  Selection frequencies are
+    round counts over the configured rounds, so they are finite; a mean
+    score that is not is spelt as json.dumps spells it.
+    """
+    scores = table.mean_score[part]
+    means = list(map(float.__repr__, scores.tolist()))
+    json_means = means if np.isfinite(scores).all() else [
+        _JSON_NON_FINITE.get(m, m) for m in means]
+    columns = []
+    for json_texts, tsv_texts, codes in lookups:
+        rows = codes[part].tolist()
+        tsv_column = list(map(tsv_texts.__getitem__, rows))
+        columns.append((tsv_column if json_texts is tsv_texts
+                        else list(map(json_texts.__getitem__, rows)),
+                        tsv_column))
+    columns.insert(2, (json_means, means))
+    # Each value goes into its slots of the repeated row texts.
+    json_parts, tsv_parts = _JSON_ROW * len(means), _TSV_ROW * len(means)
+    width = len(_JSON_ROW)
+    for j, (json_column, tsv_column) in enumerate(columns):
+        json_parts[2 * j + 1::width] = json_column
+        tsv_parts[2 * j::width] = tsv_column
+    json_parts[0] = json_parts[0][len("}, "):]  # no row before the first
+    return "".join(json_parts) + "}", "".join(tsv_parts)
+
+
+def write_aggregates(table: Aggregates, out_dir) -> None:
+    """Write the columns to ``aggregates.npz``, each id column as int32
+    codes into the bytes of an ``ensure_ascii`` JSON list of the entries
+    of its table that rows use (numpy's string arrays drop trailing NULs),
+    and export them as ``aggregates.json`` (the bytes of ``json.dumps`` of
+    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time."""
+    os.makedirs(out_dir, exist_ok=True)
+    arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
+    lookups = []
+    for ids, strings, key in _ID_COLUMNS:
+        texts, codes = _value_texts(getattr(table, ids),
+                                    getattr(table, strings).__getitem__)
+        arrays[key] = codes.astype(np.int32)
+        arrays[key + "_values"] = np.frombuffer(
+            json.dumps(texts).encode("ascii"), dtype=np.uint8)
+        lookups.append((list(map(encode_basestring_ascii, texts)), texts,
+                        codes))
+    for f in list(_NUMERIC_KINDS)[1:]:  # the columns after the mean score
+        texts, codes = _value_texts(getattr(table, f))
+        lookups.append((texts, texts, codes))
+    with atomic_write(os.path.join(out_dir, "aggregates.npz"),
+                      binary=True) as npz, \
+            atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
+            atomic_write(os.path.join(out_dir, "aggregates.tsv")) as fh:
+        np.savez(npz, **arrays)
+        js.write("[")
+        fh.write("\t".join(_AGG_COLUMNS) + "\n")
+        for start in range(0, len(table), DUMP_ROWS):
+            json_text, tsv_text = _aggregate_lines(
+                table, slice(start, start + DUMP_ROWS), lookups)
+            js.write((", " if start else "") + json_text)
+            fh.write(tsv_text)
+        js.write("]")
+
+
+def _column(archive, name: str, kind: str) -> np.ndarray:
+    column = archive[name]
+    if column.ndim != 1 or column.dtype.kind != kind:
+        raise TypeError(f"{name} is {column.dtype} of shape {column.shape}, "
+                        f"not a 1-D column of dtype kind {kind!r}")
+    return column
+
+
+def load_aggregates(out_dir, classes=None) -> Aggregates:
+    """The table that ``write_aggregates`` wrote to ``aggregates.npz``,
+    over the archive's string tables, in whatever order they are.
+
+    A file that is not such an archive, lacks a column, holds a column of
+    the wrong dtype kind or length, a code out of range, values that are
+    not a JSON list of strings or, if ``classes`` is given, a class not
+    among them raises ``ValidationError`` naming it.
+    """
+    path = os.path.join(out_dir, "aggregates.npz")
+    # np.load leaves a file it opened itself open if the archive is damaged
+    with open(path, "rb") as fh, \
+            malformed(path, "aggregates", ValidationError), \
+            np.load(fh, allow_pickle=False) as archive:
+        columns = {f: _column(archive, f, kind)
+                   for f, kind in _NUMERIC_KINDS.items()}
+        tables = {}
+        for ids, strings, key in _ID_COLUMNS:
+            codes = _column(archive, key, "i")
+            values = json.loads(_column(archive, key + "_values",
+                                        "u").tobytes())
+            if not _is_string_list(values):
+                raise TypeError(f"{key}_values is not a JSON list of strings")
+            if codes.size and not (0 <= codes.min()
+                                   and codes.max() < len(values)):
+                raise ValueError(f"{key} holds a code out of range")
+            columns[ids], tables[strings] = codes, values
+        if len({column.size for column in columns.values()}) > 1:
+            raise ValueError("columns of unequal length")
+        if classes is not None and set(tables["classes"]) - set(classes):
+            raise ValueError(f"class_name_values holds classes not in "
+                             f"{sorted(classes)}")
+        return Aggregates(**columns, **tables)

@@ -37,8 +37,9 @@ import numpy as np
 
 from igkeywords import model
 from igkeywords.corpus import ValidationError
-from igkeywords.pipeline import (_NUMERIC_KINDS, AggregateFold, Aggregates,
-                                 _f1_metrics, round_seeds)
+from igkeywords.pipeline import (AggregateFold, Aggregates, _f1_metrics,
+                                 round_seeds)
+from igkeywords.rundir import _NUMERIC_KINDS
 from reference_corpus import documents_of, reference_stratified_split
 
 

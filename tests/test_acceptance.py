@@ -13,8 +13,9 @@ from igkeywords.corpus import (LabelSpace, SynthConfig, build_corpus,
                                generate_synthetic)
 from igkeywords.model import (TrainConfig, init_model, piece_rows,
                               pool_documents)
-from igkeywords.pipeline import PipelineConfig, filter_keywords, run_pipeline
-from igkeywords.report import build_keyword_table, uniqueness, write_reports
+from igkeywords.pipeline import PipelineConfig, filter_keywords
+from igkeywords.report import build_keyword_table, uniqueness
+from igkeywords.rundir import write_run
 from reference_round import aggregate_records
 
 
@@ -45,9 +46,8 @@ def big_run(tmp_path_factory):
     corpus, markers = generate_synthetic(SYNTH_CONFIG, seed=20260826)
     out_dir = tmp_path_factory.mktemp("acceptance_run")
     start = time.perf_counter()
-    result = run_pipeline(corpus, PIPE_CONFIG, out_dir=out_dir)
+    result = write_run(corpus, PIPE_CONFIG, out_dir, markers)
     elapsed = time.perf_counter() - start
-    write_reports(result, out_dir, corpus.label_space.classes, markers)
     return {"corpus": corpus, "markers": markers, "result": result,
             "out_dir": out_dir, "elapsed": elapsed}
 
@@ -150,8 +150,7 @@ def test_criterion_7_worker_determinism(big_run, tmp_path):
         corpus = big_run["corpus"]
         markers = big_run["markers"]
         config4 = dataclasses.replace(PIPE_CONFIG, workers=4)
-        result4 = run_pipeline(corpus, config4, out_dir=tmp_path)
-        write_reports(result4, tmp_path, corpus.label_space.classes, markers)
+        write_run(corpus, config4, tmp_path, markers)
         for name in ("keywords.tsv", "f1_summary.tsv"):
             a = (big_run["out_dir"] / name).read_bytes()
             b = (tmp_path / name).read_bytes()

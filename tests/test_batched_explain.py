@@ -17,14 +17,14 @@ import re
 import numpy as np
 import pytest
 
-from igkeywords import attribution, checks, cli, model, pipeline
+from igkeywords import attribution, checks, cli, model, rundir
 from igkeywords.corpus import (LabelSpace, ValidationError,
                                build_corpus, generate_synthetic, load_corpus,
                                save_corpus, stratified_split)
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
-                                 load_aggregates, round_seeds, run_pipeline,
-                                 run_round, write_aggregates)
+                                 round_seeds, run_pipeline, run_round)
+from igkeywords.rundir import load_aggregates, write_aggregates
 from reference_corpus import documents_of, records_of
 from reference_round import (AggregateRecord, WordScoreRecord,
                              aggregate_records, fold_rounds,
@@ -86,7 +86,7 @@ def as_columns(records, corpus):
 
 def as_records(selections, corpus):
     return [WordScoreRecord(word=w, doc_id=d, class_name=c, score=s)
-            for c, w, d, s in selections.dumped(corpus)]
+            for c, w, d, s in rundir.dumped(selections, corpus)]
 
 
 def assert_round_matches_reference(corpus, config, round_index):
@@ -435,8 +435,8 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
                                                monkeypatch, dump_rows):
     corpus, _ = small_synth
     config = small_config(rounds=2, dump_scores=True)
-    monkeypatch.setattr(pipeline, "DUMP_ROWS", dump_rows)
-    result = run_pipeline(corpus, config, out_dir=tmp_path)
+    monkeypatch.setattr(rundir, "DUMP_ROWS", dump_rows)
+    result = rundir.write_run(corpus, config, tmp_path)
     selections = [run_round(corpus, config, rr.round_index).selections
                   for rr in result.rounds]
     # 7 rows per slice splits both files into several slices
@@ -494,7 +494,7 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
         LabelSpace(tuple(names.values())))
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(renamed, corpus_path)
-    monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
+    monkeypatch.setattr(rundir, "DUMP_ROWS", 7)
     argv = ["--rounds", "2", "--epochs", "20",
             "--learning-rate", "0.05", "--embedding-dim", "8",
             "--hidden-dim", "8", "--top-n", "5", "--min-doc-frequency", "1"]
@@ -539,9 +539,9 @@ def test_non_finite_gradient_fails_the_round(small_synth, monkeypatch,
 
     monkeypatch.setattr(attribution, "path_mean_gradients", poisoned)
     with pytest.warns(UserWarning, match="round 0 failed: non-finite"):
-        result = run_pipeline(corpus, small_config(rounds=2,
-                                                   dump_scores=True),
-                              out_dir=tmp_path)
+        result = rundir.write_run(corpus, small_config(rounds=2,
+                                                       dump_scores=True),
+                                  tmp_path)
     assert [r.failed for r in result.rounds] == [True, False]
     dumped = [json.loads((tmp_path / f"round_{i:04d}.json").read_text(
         encoding="utf-8"))["selections"] for i in range(2)]

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igkeywords import checks, model, pipeline, report
-from igkeywords.cli import (load_run_config, main, parse_args,
+from igkeywords import checks, model, pipeline, rundir
+from igkeywords.cli import (main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
-from igkeywords.pipeline import PipelineConfig, load_aggregates
+from igkeywords.pipeline import PipelineConfig
+from igkeywords.rundir import load_aggregates, load_config
 from reference_round import (aggregate_records, first_row_archive,
                              same_table, table_from_json)
 
@@ -177,7 +178,7 @@ class TestRun:
         assert "no successful rounds" in capsys.readouterr().err
         assert "round_0001.json" in os.listdir(out_dir)
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
-        assert not set(report.REPORT_FILES) & set(os.listdir(out_dir))
+        assert not set(rundir.REPORT_FILES) & set(os.listdir(out_dir))
 
     def test_failed_round_warns_in_one_line(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -315,6 +316,39 @@ class TestRun:
         assert run_cli("run", "--corpus", str(corpus_path), "--top-m", "0",
                        "--out-dir", str(out_dir), *SMALL_RUN) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("YES", True), ("On", True), ("1", True),
+        ("False", False), ("no", False), ("OFF", False), ("0", False),
+        ("ture", None), ("", None), ("2", None), ("y", None)])
+    def test_config_file_booleans(self, tmp_path, capsys, value, expected):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"dump-scores = {value}\n")
+        argv = ["--config", str(cfg), "run", "--corpus", "x"]
+        if expected is None:  # a typo must not read as false
+            assert run_cli(*argv) == 1
+            assert "'dump_scores'" in capsys.readouterr().err
+        else:
+            assert pipeline_config(parse_args(argv)).dump_scores is expected
+
+    @pytest.mark.parametrize("argv, target", [
+        (["run", "--out-dir", "{file}"], "{file}"),
+        (["run", "--out-dir", "{file}/sub"], "{file}/sub"),
+        (["report", "--run-dir", "{file}"], "{file}")],
+        ids=["run-into-a-file", "run-under-a-file", "report-of-a-file"])
+    def test_run_directory_that_is_a_file_exit_code(
+            self, synth_files, tmp_path, capsys, argv, target):
+        corpus_path, _ = synth_files
+        file = tmp_path / "file"
+        file.write_text("x")
+        argv = [arg.format(file=file) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--corpus", str(corpus_path), *SMALL_RUN]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert (f"{target.format(file=file)}: not a directory"
+                in capsys.readouterr().err)
+        assert file.read_text() == "x"
 
     def test_unknown_config_key(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
@@ -473,7 +507,7 @@ class TestReport:
                 "--selection-target", "false-negative", *SMALL_RUN]
         for name in ("a", "b"):
             assert run_cli(*argv, "--out-dir", str(tmp_path / name)) == 0
-        config, classes, markers = load_run_config(tmp_path / "a")
+        config, classes, markers = load_config(tmp_path / "a")
         assert config == pipeline_config(parse_args(argv))
         assert config.train_config.learning_rate == 0.05
         assert (classes, config.top_m) == (["c0", "c1", "c2"], 15)
@@ -481,31 +515,40 @@ class TestReport:
         assert markers == {c: set(words) for c, words in planted.items()}
         assert ((tmp_path / "a" / "config.json").read_bytes()
                 == (tmp_path / "b" / "config.json").read_bytes())
-        assert "ig_steps" not in json.loads(
-            (tmp_path / "a" / "config.json").read_text())
+        saved = json.loads((tmp_path / "a" / "config.json").read_text())
+        assert "ig_steps" not in saved
+        assert list(saved.items())[0] == ("format", rundir.FORMAT)
 
-    def test_report_reads_a_config_json_with_ig_steps(self, synth_files,
-                                                      tmp_path):
-        # config.json as written when IG took a step count, and when the
-        # aggregate mean, the optimizer and Adam's constants were fields
+    def test_report_refuses_another_format(self, synth_files, tmp_path,
+                                           capsys):
+        # config.json without a format is what earlier versions wrote
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
                        "--markers", str(markers_path),
                        "--out-dir", str(out_dir), *SMALL_RUN) == 0
-        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
         saved = json.loads((out_dir / "config.json").read_text())
-        for retired in ("ig_steps", "mean_mode", "optimizer", "adam_beta1",
-                        "adam_beta2", "adam_eps"):
-            assert retired not in saved and retired not in saved[
-                "train_config"]
-        saved.update(ig_steps=50, mean_mode="pooled")
-        saved["train_config"].update(optimizer="adam", adam_beta1=0.9,
-                                     adam_beta2=0.999, adam_eps=1e-8)
-        (out_dir / "config.json").write_text(json.dumps(saved))
-        assert run_cli("report", "--run-dir", str(out_dir)) == 0
-        for name in REPORT_FILES:
-            assert (out_dir / name).read_bytes() == before[name], name
+        for found, edit in (
+                ("None", lambda saved: saved.pop("format")),
+                ("None", lambda saved: saved.update(format=None)),
+                ("2", lambda saved: saved.update(format=2)),
+                ("0", lambda saved: saved.update(format=0)),
+                ("'1'", lambda saved: saved.update(format="1")),
+                ("True", lambda saved: saved.update(format=True)),
+                ("1.0", lambda saved: saved.update(format=1.0))):
+            edited = json.loads(json.dumps(saved))
+            edit(edited)
+            (out_dir / "config.json").write_text(json.dumps(edited))
+            files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                     for p in out_dir.iterdir()}
+            capsys.readouterr()
+            assert run_cli("report", "--run-dir", str(out_dir)) == 1, found
+            err = capsys.readouterr().err
+            assert (f"{out_dir / 'config.json'}: format {found}, not 1"
+                    in err), err
+            assert "run the pipeline again" in err
+            assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in out_dir.iterdir()} == files, found
 
     @pytest.mark.parametrize("edit", [
         lambda saved: saved.pop("top_n"),
@@ -644,7 +687,7 @@ class TestReport:
         assert saved["sf_threshold"] == 0.0
         (out_dir / "config.json").write_text(
             json.dumps(dict(saved, sf_threshold=0)))
-        assert load_run_config(out_dir)[0].sf_threshold == 0
+        assert load_config(out_dir)[0].sf_threshold == 0
         (out_dir / "keywords.tsv").unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         assert (out_dir / "keywords.tsv").read_bytes() == keywords

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igkeywords import model, pipeline, report
+from igkeywords import model, pipeline, rundir
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
-                                 filter_keywords, load_aggregates,
-                                 load_round_artifacts, round_seeds,
-                                 run_pipeline, run_round, write_aggregates)
+                                 filter_keywords, round_seeds, run_pipeline,
+                                 run_round)
+from igkeywords.rundir import load_aggregates, write_aggregates
 from reference_round import (AggregateRecord, WordScoreRecord,
                              aggregate_records, fold_rounds,
                              reference_aggregate, same_selections, same_table,
@@ -233,14 +233,14 @@ class TestRunPipeline:
     def test_artifacts_round_trip(self, small_synth, tmp_path):
         corpus, _ = small_synth
         config = toy_config(rounds=2, dump_scores=True)
-        result = run_pipeline(corpus, config, out_dir=tmp_path)
-        rounds = load_round_artifacts(tmp_path, 2, corpus.label_space.classes)
+        result = rundir.write_run(corpus, config, tmp_path)
+        rounds = rundir.load_rounds(tmp_path, 2, corpus.label_space.classes)
         assert len(rounds) == 2
-        dumped = [json.loads((tmp_path / pipeline._round_file(i)).read_text(
+        dumped = [json.loads((tmp_path / rundir.round_file(i)).read_text(
             encoding="utf-8"))["selections"] for i in range(2)]
         for i, (loaded, ran) in enumerate(zip(rounds, result.rounds)):
-            assert dumped[i] == run_round(corpus, config,
-                                          i).selections.dumped(corpus)
+            assert dumped[i] == rundir.dumped(
+                run_round(corpus, config, i).selections, corpus)
             assert ([getattr(loaded, f) for f in ROUND_METRICS]
                     == [getattr(ran, f) for f in ROUND_METRICS])
             # folded rounds and rounds read back carry no selections
@@ -251,16 +251,29 @@ class TestRunPipeline:
         assert same_table(aggregates, table_from_json(tmp_path))
 
     def test_a_run_removes_an_earlier_runs_files(self, small_synth,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
         corpus, markers = small_synth
-        earlier = run_pipeline(corpus, toy_config(rounds=3), out_dir=tmp_path)
-        report.write_reports(earlier, tmp_path, corpus.label_space.classes,
-                             markers)
-        assert set(report.REPORT_FILES) <= set(os.listdir(tmp_path))
-        run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
-        assert sorted(os.listdir(tmp_path)) == [
-            "aggregates.json", "aggregates.npz", "aggregates.tsv",
-            "round_0000.json", "round_0001.json"]
+        rundir.write_run(corpus, toy_config(rounds=3), tmp_path, markers)
+        assert set(rundir.REPORT_FILES) <= set(os.listdir(tmp_path))
+        # the temporary files of a run killed while writing, and files
+        # that are not a run's
+        killed = [".round_0001.json.4242.tmp", ".aggregates.npz.4242.tmp",
+                  ".keywords.tsv.4242.tmp", ".config.json.4242.tmp"]
+        others = ["notes.txt", ".notes.txt.4242.tmp", ".round_0001.json"]
+        for name in killed + others:
+            (tmp_path / name).write_text("x")
+        run_round = pipeline.run_round
+
+        def stop_at_round_1(corpus, config, round_index):
+            if round_index == 1:
+                raise RuntimeError("stopped at round 1")
+            return run_round(corpus, config, round_index)
+
+        monkeypatch.setattr(pipeline, "run_round", stop_at_round_1)
+        with pytest.raises(RuntimeError, match="stopped at round 1"):
+            rundir.write_run(corpus, toy_config(rounds=2), tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["config.json", "round_0000.json", *others])
 
     def test_sf_bounds_and_round_counts(self, small_synth):
         corpus, _ = small_synth
@@ -298,15 +311,16 @@ class TestRunPipeline:
                                                   tmp_path):
         corpus, _ = small_synth
         config = toy_config(rounds=3, dump_scores=True)
-        serial = run_pipeline(corpus, config, out_dir=tmp_path / "1")
-        parallel = run_pipeline(corpus, dataclasses.replace(config, workers=2),
-                                out_dir=tmp_path / "2")
+        serial = rundir.write_run(corpus, config, tmp_path / "1")
+        parallel = rundir.write_run(
+            corpus, dataclasses.replace(config, workers=2), tmp_path / "2")
         assert same_table(serial.aggregates, parallel.aggregates)
         assert [r.micro_f1 for r in serial.rounds] == \
             [r.micro_f1 for r in parallel.rounds]
         names = sorted(os.listdir(tmp_path / "1"))
         assert names == sorted(os.listdir(tmp_path / "2"))
         assert "round_0002.json" in names
+        names.remove("config.json")  # which holds the worker count
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
@@ -314,12 +328,12 @@ class TestRunPipeline:
     def test_failed_aggregate_write_keeps_the_previous_files(
             self, small_synth, tmp_path, monkeypatch):
         corpus, _ = small_synth
-        monkeypatch.setattr(pipeline, "DUMP_ROWS", 7)
-        result = run_pipeline(corpus, toy_config(rounds=2), out_dir=tmp_path)
+        monkeypatch.setattr(rundir, "DUMP_ROWS", 7)
+        result = rundir.write_run(corpus, toy_config(rounds=2), tmp_path)
         assert len(result.aggregates) > 7
         names = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
         before = {name: (tmp_path / name).read_bytes() for name in names}
-        format_rows = pipeline._aggregate_lines
+        format_rows = rundir._aggregate_lines
         calls = []
 
         def crash_after_one_slice(*args):
@@ -328,7 +342,7 @@ class TestRunPipeline:
             calls.append(1)
             return format_rows(*args)
 
-        monkeypatch.setattr(pipeline, "_aggregate_lines",
+        monkeypatch.setattr(rundir, "_aggregate_lines",
                             crash_after_one_slice)
         other = dataclasses.replace(result.aggregates,
                                     mean_score=result.aggregates.mean_score / 2)
