@@ -27,9 +27,10 @@ corpus, markers = generate_synthetic(synth, seed=7)
 # of each half.
 train_rows, val_rows = stratified_split(corpus, 0.67, 0)
 
-cfg = TrainConfig(epochs=25, d=12, h=16, seed=3)
-params = train(init_model(build_vocab(corpus, train_rows), 3, cfg), corpus,
-               train_rows, cfg)
+# The model's initial weights and each epoch's shuffle are drawn from seed 3.
+cfg = TrainConfig(epochs=25, d=12, h=16)
+params = train(init_model(build_vocab(corpus, train_rows), 3, cfg, seed=3),
+               corpus, train_rows, cfg, seed=3)
 
 # One document as a row; its pieces and their words are positions in the
 # corpus's piece_ids and word_ids, and its model input is the pooled vector.

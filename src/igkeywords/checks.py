@@ -72,9 +72,9 @@ def gradient_error() -> float:
         d, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         n_classes = int(rng.integers(2, 5))
         cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
-                                activation=("tanh", "identity")[i % 2],
-                                seed=int(rng.integers(2**31)))
-        params = model.init_model(np.arange(20), n_classes, cfg)
+                                activation=("tanh", "identity")[i % 2])
+        params = model.init_model(np.arange(20), n_classes, cfg,
+                                  int(rng.integers(2**31)))
         n_rows = int(rng.integers(1, 5))
         pooled = rng.normal(size=(n_rows, d))
         classes = rng.integers(n_classes, size=n_rows)
@@ -100,10 +100,10 @@ def completeness_model():
                         doc_length=(15, 30))
     corpus, _ = generate_synthetic(synth, seed=303)
     train_rows, val_rows = stratified_split(corpus, 0.67, 1)
-    cfg = model.TrainConfig(epochs=20, d=12, h=16, seed=5)
+    cfg = model.TrainConfig(epochs=20, d=12, h=16)
     params = model.train(
-        model.init_model(model.build_vocab(corpus, train_rows), 3, cfg),
-        corpus, train_rows, cfg)
+        model.init_model(model.build_vocab(corpus, train_rows), 3, cfg, 5),
+        corpus, train_rows, cfg, 5)
     return params, corpus, val_rows
 
 
@@ -143,9 +143,9 @@ def path_mean_error() -> tuple[float, bool]:
     for i in range(100):
         d, h = (int(n) for n in rng.integers(2, 9, size=2))
         cfg = model.TrainConfig(d=d, h=h, weight_init_scale=0.5,
-                                activation=("tanh", "identity")[i % 2],
-                                seed=int(rng.integers(2**31)))
-        params = model.init_model(np.arange(1), 2, cfg)
+                                activation=("tanh", "identity")[i % 2])
+        params = model.init_model(np.arange(1), 2, cfg,
+                                  int(rng.integers(2**31)))
         params.hidden_bias = 4.0 * rng.normal(size=h)
         # pooled vectors from 0 out to |a| of about 1e8
         pooled = (rng.normal(size=(12, d))

@@ -3,15 +3,17 @@
 Subcommands: synth (emit a synthetic corpus), run (full pipeline),
 report (re-render a run directory's reports), check (numerical self-checks).
 
-The options of synth and run set fields of ``SynthConfig``,
-``PipelineConfig`` and ``TrainConfig``: each takes its type and default
-from its field, and the config's own checks reject bad values.  A plain
-key=value file given with ``--config`` (keys are option names without the
-leading dashes) may set any option of the command except the required
+The options of synth and run are the fields of ``SynthConfig``,
+``PipelineConfig`` and ``TrainConfig`` that hold a number, a string or a
+boolean (``_options``): each takes its type and default from its field,
+and the config's own checks reject bad values.  A plain key=value file
+given with ``--config`` (keys are option names without the leading
+dashes) may set any option of the command except the required
 ``--out``/``--corpus``; options on the command line win.  run still
 accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
 gradients no longer use: it prints one note to stderr and changes nothing.
-A boolean key takes true/false, yes/no, on/off or 1/0, in any case.
+A boolean key takes true/false, yes/no, on/off or 1/0, in any case.  A
+path that is a directory, or lies under a file, exits 1 as a missing one.
 
 run and report hand their work to ``rundir.write_run`` and
 ``rundir.rewrite_reports``: ``rundir`` owns every file of a run directory.
@@ -20,6 +22,7 @@ run and report hand their work to ``rundir.write_run`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -31,27 +34,8 @@ from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
                      load_markers, save_corpus, save_markers)
 from .fileio import utf8_lines
 
-# Option -> the config field it sets.
-_SYNTH_OPTIONS = {
-    "--num-classes": "num_classes", "--docs-per-class": "docs_per_class",
-    "--background-vocab-size": "background_vocab_size",
-    "--markers-per-class": "markers_per_class",
-    "--marker-injection-prob": "marker_injection_prob",
-    "--multilabel-prob": "multilabel_prob", "--zipf-exponent": "zipf_exponent",
-}
-_PIPELINE_OPTIONS = {
-    "--ratio": "ratio", "--top-n": "top_n", "--top-m": "top_m",
-    "--rounds": "rounds", "--sf-threshold": "sf_threshold",
-    "--min-doc-frequency": "min_doc_frequency",
-    "--selection-target": "selection_target", "--master-seed": "master_seed",
-    "--workers": "workers", "--dump-scores": "dump_scores",
-}
-_TRAIN_OPTIONS = {
-    "--epochs": "epochs", "--learning-rate": "learning_rate",
-    "--batch-size": "batch_size", "--embedding-dim": "d", "--hidden-dim": "h",
-    "--weight-init-scale": "weight_init_scale",
-    "--decision-threshold": "decision_threshold", "--activation": "activation",
-}
+#: the options not named after the field they set
+_RENAMED = {"d": "--embedding-dim", "h": "--hidden-dim"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,32 +43,41 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_options(parser, options, defaults) -> None:
-    for option, name in options.items():
-        default = getattr(defaults, name)
+def _options(cls):
+    """``(option, field, default)`` of each field of ``cls`` that holds a
+    number, a string or a boolean: ``--`` and its name with dashes."""
+    defaults = cls()
+    for f in dataclasses.fields(cls):
+        default = getattr(defaults, f.name)
+        if isinstance(default, (int, float, str)):
+            yield (_RENAMED.get(f.name, "--" + f.name.replace("_", "-")),
+                   f.name, default)
+
+
+def _add_options(parser, cls) -> None:
+    for option, _, default in _options(cls):
         if isinstance(default, bool):
             parser.add_argument(option, action="store_true", default=default)
         else:
             parser.add_argument(option, type=type(default), default=default)
 
 
-def _config(cls, options, args, **fields):
+def _config(cls, args, **fields):
     fields.update((name, getattr(args, option[2:].replace("-", "_")))
-                  for option, name in options.items())
+                  for option, name, _ in _options(cls))
     return cls(**fields)
 
 
 def synth_config(args) -> SynthConfig:
     """The ``SynthConfig`` that parsed synth options describe."""
-    return _config(SynthConfig, _SYNTH_OPTIONS, args,
+    return _config(SynthConfig, args,
                    doc_length=(args.doc_length_min, args.doc_length_max))
 
 
 def pipeline_config(args) -> pipeline.PipelineConfig:
     """The ``PipelineConfig`` that parsed run options describe."""
-    return _config(pipeline.PipelineConfig, _PIPELINE_OPTIONS, args,
-                   train_config=_config(model.TrainConfig, _TRAIN_OPTIONS,
-                                        args))
+    return _config(pipeline.PipelineConfig, args,
+                   train_config=_config(model.TrainConfig, args))
 
 
 def _build_parser():
@@ -96,7 +89,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_options(p_synth, _SYNTH_OPTIONS, SynthConfig())
+    _add_options(p_synth, SynthConfig)
     doc_length = SynthConfig().doc_length
     p_synth.add_argument("--doc-length-min", type=int, default=doc_length[0])
     p_synth.add_argument("--doc-length-max", type=int, default=doc_length[1])
@@ -112,9 +105,8 @@ def _build_parser():
     p_run.add_argument("--markers", default=None,
                        help="planted-marker sidecar JSON for recovery scoring")
     p_run.add_argument("--out-dir", default=None)
-    defaults = pipeline.PipelineConfig()
-    _add_options(p_run, _PIPELINE_OPTIONS, defaults)
-    _add_options(p_run, _TRAIN_OPTIONS, defaults.train_config)
+    _add_options(p_run, pipeline.PipelineConfig)
+    _add_options(p_run, model.TrainConfig)
     p_run.add_argument("--ig-steps", type=int, default=None,
                        help="ignored: IG integrates its path exactly")
 
@@ -220,7 +212,8 @@ def main(argv=None) -> int:
         handler = {"synth": _cmd_synth, "run": _cmd_run,
                    "report": _cmd_report, "check": _cmd_check}[args.command]
         return handler(args)
-    except (ValidationError, CorpusParseError, FileNotFoundError) as exc:
+    except (ValidationError, CorpusParseError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -3,7 +3,8 @@
 Architecture: subword embedding lookup -> mean pooling -> one hidden
 layer (tanh by default) -> per-class logits (``logits``).  The backward
 pass is written out by hand so that gradients with respect to the input
-token embeddings are exact and cheap.
+token embeddings are exact and cheap.  ``init_model`` and ``train`` take
+their seed as an argument, so each round of a run passes its own.
 
 Mean pooling makes the model a linear function of a bag-of-pieces
 matrix.  Every batch of documents works over the distinct model rows it
@@ -72,7 +73,6 @@ class TrainConfig:
     weight_init_scale: float = 0.1
     decision_threshold: float = 0.5
     activation: str = "tanh"  # "tanh" or "identity"
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.d, self.h) <= 0:
@@ -120,14 +120,14 @@ def build_vocab(corpus: Corpus, rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(present)
 
 
-def init_model(vocab: np.ndarray, num_classes: int,
-               config: TrainConfig) -> ModelParams:
+def init_model(vocab: np.ndarray, num_classes: int, config: TrainConfig,
+               seed: int = 0) -> ModelParams:
     """A model with an embedding row per corpus piece id of ``vocab`` and
     one for the unknown piece: uniform weights in [-scale, scale], zero
-    biases; seeded."""
+    biases; drawn from ``seed``."""
     if not len(vocab):
         raise ValidationError("vocabulary must be non-empty")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed & (2**64 - 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
     s = config.weight_init_scale
     def uniform(*shape):
         return rng.uniform(-s, s, size=shape)
@@ -348,9 +348,9 @@ def batch_loss_and_grads(params: ModelParams, pieces: np.ndarray,
 
 
 def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
-          config: TrainConfig) -> ModelParams:
+          config: TrainConfig, seed: int = 0) -> ModelParams:
     """Minimize mean per-class BCE over the documents ``rows`` of ``corpus``
-    with Adam and seeded shuffling; returns new params.
+    with Adam, shuffling each epoch from ``seed``; returns new params.
 
     The five parameters, their gradients and the Adam moments each live in
     one flat buffer (the returned fields and the step's gradients are views
@@ -385,7 +385,7 @@ def train(params: ModelParams, corpus: Corpus, rows: np.ndarray,
     pieces = piece_rows(params, corpus)
     lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
     rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
+        np.random.SeedSequence([seed & (2**64 - 1), 1]))
     step = 0
 
     # A diverging run overflows silently; the loss and parameter checks

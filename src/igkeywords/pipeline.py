@@ -148,10 +148,11 @@ def run_round(corpus: Corpus, config: PipelineConfig,
     train_rows, val_rows = stratified_split(corpus, config.ratio, split_seed)
 
     vocab = model.build_vocab(corpus, train_rows)
-    train_cfg = replace(config.train_config, seed=train_seed)
-    params = model.init_model(vocab, len(corpus.label_space), train_cfg)
+    params = model.init_model(vocab, len(corpus.label_space),
+                              config.train_config, train_seed)
     try:
-        params = model.train(params, corpus, train_rows, train_cfg)
+        params = model.train(params, corpus, train_rows, config.train_config,
+                             train_seed)
         selections, counts = _explain(params, corpus, val_rows, config)
     except (model.TrainingDivergedError, attribution.AttributionError) as exc:
         warnings.warn(f"round {round_index} failed: {exc}", stacklevel=2)

@@ -2,13 +2,14 @@
 
 ``config.json`` holds ``"format": FORMAT`` first, then every
 ``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
-``classes`` and any planted ``markers``.  A ``round_NNNN.json`` holds a
-round's metrics and, with ``dump_scores``, its selections;
-``aggregates.npz`` the aggregate table ``report`` reads, exported as
-``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
-is written atomically (``fileio.atomic_write``).  A directory of another
-format, or of none, is refused rather than read, so a new layout raises
-``FORMAT`` instead of adding a reader of the old one.
+``classes`` and any planted ``markers``; each round's split and training
+seeds come from ``master_seed`` and its index (``pipeline.round_seeds``).
+A ``round_NNNN.json`` holds a round's metrics and, with ``dump_scores``,
+its selections; ``aggregates.npz`` the aggregate table ``report`` reads,
+exported as ``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.
+Every file is written atomically (``fileio.atomic_write``).  A directory
+of another format, or of none, is refused rather than read, so a new
+layout raises ``FORMAT`` instead of adding a reader of the old one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .fileio import atomic_write, malformed
 from .pipeline import Aggregates, PipelineConfig, PipelineResult, RoundResult
 
 #: the layout of the directories this module writes, the one it reads
-FORMAT = 1
+FORMAT = 2
 REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
                 "f1_summary.tsv", "uniqueness.json", "recovery.json")
 _AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
@@ -47,7 +48,10 @@ def write_run(corpus: Corpus, config: PipelineConfig, run_dir,
     """Run the pipeline into ``run_dir``: ``config.json``, the removal of
     an earlier run's files, each round as it finishes, in round order, then
     the aggregates and the reports (``recovery.json`` only if ``planted``),
-    so a run that stops part way leaves only its own finished rounds."""
+    so a run that stops part way leaves only its own finished rounds.  A
+    document without a piece raises ``ValidationError`` before
+    ``run_dir`` is made."""
+    model._positions(corpus, np.arange(len(corpus)))
     classes = corpus.label_space.classes
     saved = {"format": FORMAT, **dataclasses.asdict(config),
              "classes": list(classes)}

@@ -94,6 +94,47 @@ MUTANTS = (
            '''                    and payload["round_index"] == round_index):''',
            "                    ):",
            ("test_cli.py::TestReport::test_malformed_run_artifact_exit_code",)),
+    # A known gap: it changes only the rounding of the pooled vectors,
+    # which no test pins.
+    Mutant("pooling-by-reduceat", "model.py",
+           "    pooled = np.matmul(bag, embedding[used], out=out)\n",
+           """    pooled = np.add.reduceat(embedding[model_rows],
+                             np.cumsum(counts) - counts, axis=0)
+    if out is not None:
+        out[...], pooled = pooled, out
+""",
+           ("test_batched_training.py", "test_model.py::TestPoolDocuments"),
+           known_gap=True),
+    Mutant("adam-divides-before-alpha", "model.py",
+           """                np.multiply(m_scaled, alpha, out=update)
+                update /= scratch
+""",
+           """                np.divide(m_scaled, scratch, out=update)
+                update *= alpha
+""",
+           ("test_model.py::TestTrain::test_overflowing_last_update_raises",)),
+    Mutant("lowercased-word-by-word", "corpus.py",
+           "found = _WORD_RE.findall(text.lower())",
+           "found = [w.lower() for w in _WORD_RE.findall(text)]",
+           ("test_corpus.py::TestTokenize::test_text_is_lowercased_whole",)),
+    Mutant("split-demand-not-updated", "corpus.py",
+           "            demand[lab][split] -= 1\n", "            pass\n",
+           ("test_corpus.py::TestSplitMatchesOracle",)),
+    Mutant("path-mean-gradient-class-mix-up", "model.py",
+           "slopes *= params.output_weights.T[class_index]",
+           "slopes *= params.output_weights.T[np.asarray(class_index).flat[0]]",
+           ("test_model.py::TestPathMean",)),
+    Mutant("embedding-dim-option-not-renamed", "cli.py",
+           '_RENAMED = {"d": "--embedding-dim", "h": "--hidden-dim"}',
+           '_RENAMED = {"h": "--hidden-dim"}',
+           ("test_cli.py::TestParse::test_options_are_the_scalar_fields",)),
+    Mutant("run-directory-before-document-check", "rundir.py",
+           "    model._positions(corpus, np.arange(len(corpus)))\n", "",
+           ("test_cli.py::TestRun::test_document_without_subwords_leaves_no_run_directory",)),
+    Mutant("directory-path-is-a-runtime-failure", "cli.py",
+           "            IsADirectoryError, NotADirectoryError) as exc:",
+           "            NotADirectoryError) as exc:",
+           ("test_cli.py::TestUsageErrors::test_path_that_is_a_directory_exit_code",)),
 )
 
 

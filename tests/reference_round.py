@@ -31,7 +31,7 @@ midpoint rule, the oracle the closed form is shown to be the limit of.
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,9 +234,11 @@ def reference_run_round(corpus, config, round_index):
     piece_id = {p: i for i, p in enumerate(corpus.pieces)}
     vocab = np.array(sorted({piece_id[p] for i in train_idx
                              for p, _ in documents[i].subwords}))
-    train_cfg = replace(config.train_config, seed=train_seed)
-    params = model.init_model(vocab, len(corpus.label_space), train_cfg)
-    params = model.train(params, corpus, np.array(train_idx), train_cfg)
+    train_cfg = config.train_config
+    params = model.init_model(vocab, len(corpus.label_space), train_cfg,
+                              train_seed)
+    params = model.train(params, corpus, np.array(train_idx), train_cfg,
+                         train_seed)
 
     threshold = train_cfg.decision_threshold
     class_counts = {c: [0, 0, 0] for c in classes}  # tp, fp, fn

@@ -70,10 +70,10 @@ def test_criterion_2_ig_linear_exactness():
         start = time.perf_counter()
         rng = np.random.default_rng(202)
         label_space = LabelSpace(("a", "b"))
-        cfg = TrainConfig(d=6, h=4, activation="identity", seed=3)
+        cfg = TrainConfig(d=6, h=4, activation="identity")
         corpus = build_corpus([("lin", "p1 p2 p3 p4 p5", {"a"})],
                               label_space)
-        params = init_model(np.arange(len(corpus.pieces)), 2, cfg)
+        params = init_model(np.arange(len(corpus.pieces)), 2, cfg, seed=3)
         rows = np.array([0])
         pieces = piece_rows(params, corpus)
         pooled = pool_documents(params, pieces, corpus, rows)

@@ -28,15 +28,15 @@ def ig_from_gradient_fn(gradient_fn, inputs: np.ndarray, baseline: np.ndarray,
 
 def linear_model(rng, vocab_size, d=4, h=3, n_classes=2):
     """Identity activation makes the logit linear in the inputs."""
-    cfg = TrainConfig(d=d, h=h, activation="identity",
+    cfg = TrainConfig(d=d, h=h, activation="identity")
+    return init_model(np.arange(vocab_size), n_classes, cfg,
                       seed=int(rng.integers(2**31)))
-    return init_model(np.arange(vocab_size), n_classes, cfg)
 
 
-def trained_on_all(corpus, cfg):
+def trained_on_all(corpus, cfg, seed):
     rows = np.arange(len(corpus))
-    return train(init_model(build_vocab(corpus, rows), 4, cfg), corpus, rows,
-                 cfg)
+    return train(init_model(build_vocab(corpus, rows), 4, cfg, seed), corpus,
+                 rows, cfg, seed)
 
 
 def effective_weights(params, class_index):
@@ -84,8 +84,8 @@ class TestIntegratedGradients:
 
     def test_matches_generic_path_integral(self, small_synth):
         corpus, _ = small_synth
-        cfg = TrainConfig(epochs=5, d=8, h=8, seed=3)
-        params = trained_on_all(corpus, cfg)
+        cfg = TrainConfig(epochs=5, d=8, h=8)
+        params = trained_on_all(corpus, cfg, seed=3)
         values, inputs = attribute_row(params, corpus, 3, 1)
         reference = ig_from_gradient_fn(
             lambda x: input_gradients_from_embeddings(params, x, 1),

@@ -157,9 +157,10 @@ def test_chunk_size_does_not_change_selections(small_synth, monkeypatch,
 def test_batched_predictions_match_predict(small_synth):
     corpus, _ = small_synth
     train_rows, val_rows = stratified_split(corpus, 0.6, 5)
-    cfg = dataclasses.replace(train_config(), seed=3)
-    params = model.init_model(model.build_vocab(corpus, train_rows), 4, cfg)
-    params = model.train(params, corpus, train_rows, cfg)
+    cfg = train_config()
+    params = model.init_model(model.build_vocab(corpus, train_rows), 4, cfg,
+                              seed=3)
+    params = model.train(params, corpus, train_rows, cfg, seed=3)
     pieces = model.piece_rows(params, corpus)
     predicted = model.predict_pooled(
         params, model.pool_documents(params, pieces, corpus, val_rows), 0.5)

@@ -101,15 +101,16 @@ def textbook_adam_update(param, grad, m_state, v_state, step, lr):
     param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def reference_train(params, corpus, rows, config, adam=scaled_adam_update):
-    """Training with the production step and one ``adam`` update per
-    parameter array."""
+def reference_train(params, corpus, rows, config, seed,
+                    adam=scaled_adam_update):
+    """Training with the production step, shuffled from ``seed``, and one
+    ``adam`` update per parameter array."""
     params = dataclasses.replace(
         params, **{k: getattr(params, k).copy() for k in PARAM_NAMES})
     pieces = piece_rows(params, corpus)
     n_docs = len(rows)
     rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed & (2**64 - 1), 1]))
+        np.random.SeedSequence([seed & (2**64 - 1), 1]))
 
     m_state = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
     v_state = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
@@ -146,8 +147,9 @@ def _vocab_without_unknowns(corpus):
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 def test_batch_loss_and_grads_match_per_document_loop(mixed_corpus,
                                                       activation):
-    cfg = TrainConfig(d=4, h=5, seed=3, activation=activation)
-    params = init_model(_vocab_without_unknowns(mixed_corpus), 4, cfg)
+    cfg = TrainConfig(d=4, h=5, activation=activation)
+    params = init_model(_vocab_without_unknowns(mixed_corpus), 4, cfg,
+                        seed=3)
     # Multiples of 1/64 in [-1, 1], rows of comparable size: every sum of
     # a document's pieces is exact, in any order.
     rng = np.random.default_rng(5)
@@ -179,13 +181,12 @@ def test_trained_parameters_match_per_parameter_loop(small_synth,
                                                      activation):
     corpus, _ = small_synth
     rows = np.arange(len(corpus))
-    cfg = TrainConfig(epochs=3, d=8, h=8, seed=11,
-                      learning_rate=learning_rate, batch_size=16,
-                      activation=activation)
+    cfg = TrainConfig(epochs=3, d=8, h=8, learning_rate=learning_rate,
+                      batch_size=16, activation=activation)
     # vocabulary from half the corpus, so the other half has unknown pieces
-    params = init_model(build_vocab(corpus, rows[::2]), 4, cfg)
-    trained = train(params, corpus, rows, cfg)
-    expected = reference_train(params, corpus, rows, cfg)
+    params = init_model(build_vocab(corpus, rows[::2]), 4, cfg, seed=11)
+    trained = train(params, corpus, rows, cfg, seed=11)
+    expected = reference_train(params, corpus, rows, cfg, seed=11)
     for name in PARAM_NAMES:
         assert np.array_equal(getattr(trained, name),
                               getattr(expected, name)), name
@@ -201,12 +202,11 @@ def test_adam_matches_the_textbook_update(small_synth, learning_rate,
     # of rounding would, so that rate is left out.
     corpus, _ = small_synth
     rows = np.arange(len(corpus))
-    cfg = TrainConfig(epochs=3, d=8, h=8, seed=11,
-                      learning_rate=learning_rate, batch_size=16,
-                      activation=activation)
-    params = init_model(build_vocab(corpus, rows[::2]), 4, cfg)
-    trained = train(params, corpus, rows, cfg)
-    textbook = reference_train(params, corpus, rows, cfg,
+    cfg = TrainConfig(epochs=3, d=8, h=8, learning_rate=learning_rate,
+                      batch_size=16, activation=activation)
+    params = init_model(build_vocab(corpus, rows[::2]), 4, cfg, seed=11)
+    trained = train(params, corpus, rows, cfg, seed=11)
+    textbook = reference_train(params, corpus, rows, cfg, seed=11,
                                adam=textbook_adam_update)
     for name in PARAM_NAMES:
         expected = getattr(textbook, name)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from igkeywords import checks, model, pipeline, rundir
-from igkeywords.cli import (main, parse_args,
+from igkeywords.cli import (_build_parser, main, parse_args,
                             pipeline_config, synth_config)
 from igkeywords.corpus import SynthConfig, ValidationError
 from igkeywords.pipeline import PipelineConfig
@@ -62,6 +63,35 @@ class TestParse:
             ["synth", "--out", "x", "--doc-length-min", "3",
              "--doc-length-max", "9", "--zipf-exponent", "1.5"]))
         assert synth.doc_length == (3, 9) and synth.zipf_exponent == 1.5
+
+    def test_options_are_the_scalar_fields(self):
+        # Each field that holds a number, a string or a boolean is the
+        # option of its name with dashes (d and h are spelt out), of its
+        # default and type; the other options are listed here.
+        renamed = {"d": "--embedding-dim", "h": "--hidden-dim"}
+        _, commands = _build_parser()
+        for command, classes, others in (
+                ("synth", (SynthConfig,),
+                 {"--doc-length-min", "--doc-length-max", "--seed", "--out",
+                  "--markers-out"}),
+                ("run", (PipelineConfig, model.TrainConfig),
+                 {"--corpus", "--classes", "--markers", "--out-dir",
+                  "--ig-steps"})):
+            actions = {action.option_strings[0]: action
+                       for action in commands[command]._actions
+                       if action.option_strings != ["-h", "--help"]}
+            fields = {renamed.get(f.name, "--" + f.name.replace("_", "-")):
+                      getattr(cls(), f.name)
+                      for cls in classes for f in dataclasses.fields(cls)
+                      if f.type in ("int", "float", "str", "bool")}
+            assert set(actions) == set(fields) | others, command
+            for option, default in fields.items():
+                action = actions[option]
+                assert (action.default, action.type) == (
+                    default, None if type(default) is bool
+                    else type(default)), option
+        # each round draws its own seeds from --master-seed
+        assert "--seed" not in actions
 
     def test_benchmark_workload_flags(self, monkeypatch):
         monkeypatch.syspath_prepend(str(BENCH_DIR))
@@ -350,6 +380,19 @@ class TestRun:
                 in capsys.readouterr().err)
         assert file.read_text() == "x"
 
+    def test_document_without_subwords_leaves_no_run_directory(
+            self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        records = [{"id": f"d{i}", "text": "some words here",
+                    "labels": [f"c{i % 2}"]} for i in range(8)]
+        records.append({"id": "a", "text": "?!", "labels": ["c0"]})
+        corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), "--rounds", "1") == 1
+        assert "document 'a' has no subwords" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key(self, synth_files, tmp_path):
         corpus_path, _ = synth_files
         cfg = tmp_path / "bad.conf"
@@ -517,11 +560,14 @@ class TestReport:
                 == (tmp_path / "b" / "config.json").read_bytes())
         saved = json.loads((tmp_path / "a" / "config.json").read_text())
         assert "ig_steps" not in saved
-        assert list(saved.items())[0] == ("format", rundir.FORMAT)
+        assert list(saved.items())[0] == ("format", 2)
+        # each round's seeds come from master_seed and the round index
+        assert "seed" not in saved["train_config"]
 
     def test_report_refuses_another_format(self, synth_files, tmp_path,
                                            capsys):
-        # config.json without a format is what earlier versions wrote
+        # config.json without a format is what earlier versions wrote;
+        # format 1 also held train_config's seed
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
@@ -531,11 +577,14 @@ class TestReport:
         for found, edit in (
                 ("None", lambda saved: saved.pop("format")),
                 ("None", lambda saved: saved.update(format=None)),
-                ("2", lambda saved: saved.update(format=2)),
+                ("1", lambda saved: (saved.update(format=1),
+                                     saved["train_config"].update(seed=0))),
+                ("1", lambda saved: saved.update(format=1)),
+                ("3", lambda saved: saved.update(format=3)),
                 ("0", lambda saved: saved.update(format=0)),
-                ("'1'", lambda saved: saved.update(format="1")),
+                ("'2'", lambda saved: saved.update(format="2")),
                 ("True", lambda saved: saved.update(format=True)),
-                ("1.0", lambda saved: saved.update(format=1.0))):
+                ("2.0", lambda saved: saved.update(format=2.0))):
             edited = json.loads(json.dumps(saved))
             edit(edited)
             (out_dir / "config.json").write_text(json.dumps(edited))
@@ -544,7 +593,7 @@ class TestReport:
             capsys.readouterr()
             assert run_cli("report", "--run-dir", str(out_dir)) == 1, found
             err = capsys.readouterr().err
-            assert (f"{out_dir / 'config.json'}: format {found}, not 1"
+            assert (f"{out_dir / 'config.json'}: format {found}, not 2"
                     in err), err
             assert "run the pipeline again" in err
             assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
@@ -865,6 +914,33 @@ class TestCheck:
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--corpus", "{dir}"],
+        ["run", "--corpus", "{corpus}", "--markers", "{dir}"],
+        ["--config", "{dir}", "run", "--corpus", "{corpus}"],
+        ["synth", "--out", "{dir}"],
+        ["synth", "--out", "{tmp}/c.jsonl", "--markers-out", "{dir}"],
+        ["run", "--corpus", "{corpus}/x"]],
+        ids=["run-corpus", "run-markers", "config", "synth-out",
+             "synth-markers-out", "run-corpus-under-a-file"])
+    def test_path_that_is_a_directory_exit_code(self, synth_files, tmp_path,
+                                                capsys, argv):
+        # an input or output file that is a directory, or that lies under
+        # a regular file, is a usage error
+        corpus_path, _ = synth_files
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        argv = [arg.format(dir=directory, corpus=corpus_path, tmp=tmp_path)
+                for arg in argv]
+        argv += (["--out-dir", str(tmp_path / "run"), *SMALL_RUN]
+                 if "run" in argv else ["--docs-per-class", "5"])
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            "Is a directory" in err or "Not a directory" in err), err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_flag_value(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path / "x"),

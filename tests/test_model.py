@@ -73,8 +73,8 @@ def pooled(params, corpus):
 
 
 def random_model(rng, vocab_size=12, d=4, h=4, n_classes=3):
-    cfg = TrainConfig(d=d, h=h, seed=int(rng.integers(2**31)))
-    return init_model(np.arange(vocab_size), n_classes, cfg)
+    return init_model(np.arange(vocab_size), n_classes, TrainConfig(d=d, h=h),
+                      seed=int(rng.integers(2**31)))
 
 
 class TestTrainConfig:
@@ -90,9 +90,9 @@ class TestTrainConfig:
 
 class TestInitModel:
     def test_deterministic(self):
-        cfg = TrainConfig(seed=5)
-        vocab = np.arange(2)
-        p1, p2 = init_model(vocab, 3, cfg), init_model(vocab, 3, cfg)
+        cfg, vocab = TrainConfig(), np.arange(2)
+        p1, p2 = (init_model(vocab, 3, cfg, seed=5),
+                  init_model(vocab, 3, cfg, seed=5))
         assert np.array_equal(p1.embedding, p2.embedding)
         assert np.array_equal(p1.output_weights, p2.output_weights)
 
@@ -162,7 +162,7 @@ class TestPoolDocuments:
         corpus = corpus_of(self.TEXTS, label_space)
         rows = np.array([7, 0, 1, 2, 3, 4, 5, 6, 1])
         params = init_model(build_vocab(corpus, np.arange(5)), 4,
-                            TrainConfig(d=3, h=2, seed=7))
+                            TrainConfig(d=3, h=2), seed=7)
         assert params.embedding.shape[0] == 10
         pieces = piece_rows(params, corpus)
         assert (pieces == params.unk_index).any()
@@ -286,7 +286,7 @@ class TestParameterGradients:
             label_space)
         batch = all_rows(corpus)
         params = init_model(build_vocab(corpus, batch), 4,
-                            TrainConfig(d=4, h=4, seed=2))
+                            TrainConfig(d=4, h=4), seed=2)
         _, grads = step(params, corpus, batch)
         h = 1e-5
         for name in ("hidden_weights", "output_weights", "hidden_bias",
@@ -319,30 +319,30 @@ class TestTrain:
         corpus = build_corpus([("a", "alpha beta gamma", {"HI"})],
                               label_space)
         rows = all_rows(corpus)
-        cfg = TrainConfig(epochs=200, learning_rate=0.05, d=8, h=8, seed=1)
-        params = train(init_model(build_vocab(corpus, rows), 4, cfg), corpus,
-                       rows, cfg)
+        cfg = TrainConfig(epochs=200, learning_rate=0.05, d=8, h=8)
+        params = train(init_model(build_vocab(corpus, rows), 4, cfg, seed=1),
+                       corpus, rows, cfg, seed=1)
         out, _ = logits(params, pooled(params, corpus))
         assert out[0, label_space.classes.index("HI")] > np.log(9)  # sigmoid > 0.9
 
     def test_loss_decreases_on_separable_data(self, small_synth):
         corpus, _ = small_synth
         rows = all_rows(corpus)
-        cfg = TrainConfig(epochs=1, d=8, h=8, seed=4)
+        cfg = TrainConfig(epochs=1, d=8, h=8)
         vocab = build_vocab(corpus, rows)
-        params0 = init_model(vocab, len(corpus.label_space), cfg)
-        after_one = train(params0, corpus, rows, cfg)
-        cfg_full = TrainConfig(epochs=15, d=8, h=8, seed=4)
-        after_full = train(params0, corpus, rows, cfg_full)
+        params0 = init_model(vocab, len(corpus.label_space), cfg, seed=4)
+        after_one = train(params0, corpus, rows, cfg, seed=4)
+        cfg_full = TrainConfig(epochs=15, d=8, h=8)
+        after_full = train(params0, corpus, rows, cfg_full, seed=4)
         assert corpus_loss(after_full, corpus) <= corpus_loss(after_one, corpus)
 
     def test_deterministic(self, small_synth):
         corpus, _ = small_synth
         rows = all_rows(corpus)
-        cfg = TrainConfig(epochs=3, d=8, h=8, seed=7)
+        cfg = TrainConfig(epochs=3, d=8, h=8)
         vocab = build_vocab(corpus, rows)
-        a = train(init_model(vocab, 4, cfg), corpus, rows, cfg)
-        b = train(init_model(vocab, 4, cfg), corpus, rows, cfg)
+        a = train(init_model(vocab, 4, cfg, seed=7), corpus, rows, cfg, seed=7)
+        b = train(init_model(vocab, 4, cfg, seed=7), corpus, rows, cfg, seed=7)
         assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.output_weights, b.output_weights)
 
@@ -350,8 +350,8 @@ class TestTrain:
                                              monkeypatch):
         corpus, _ = small_synth
         rows = all_rows(corpus)  # 160 documents: 5 steps an epoch
-        cfg = TrainConfig(epochs=4, d=8, h=8, seed=4)
-        params = init_model(build_vocab(corpus, rows), 4, cfg)
+        cfg = TrainConfig(epochs=4, d=8, h=8)
+        params = init_model(build_vocab(corpus, rows), 4, cfg, seed=4)
         bce, calls = model._bce_from_logits, []
 
         def diverging(z, targets):  # NaN at the third step of epoch 3
@@ -360,7 +360,7 @@ class TestTrain:
         monkeypatch.setattr(model, "_bce_from_logits", diverging)
         with pytest.raises(TrainingDivergedError,
                            match="non-finite loss at epoch 3 "):
-            train(params, corpus, rows, cfg)
+            train(params, corpus, rows, cfg, seed=4)
         assert len(calls) == 13
 
     def test_overflowing_last_update_raises(self, small_synth):
@@ -370,13 +370,13 @@ class TestTrain:
         rows = all_rows(corpus)
         cfg = TrainConfig(epochs=1, batch_size=len(rows),
                           learning_rate=1e308, weight_init_scale=10.0,
-                          d=8, h=8, seed=4, activation="identity")
-        params = init_model(build_vocab(corpus, rows), 4, cfg)
+                          d=8, h=8, activation="identity")
+        params = init_model(build_vocab(corpus, rows), 4, cfg, seed=4)
         assert np.isfinite(corpus_loss(params, corpus))
         # the update overflows silently, under warnings as errors
         with pytest.raises(TrainingDivergedError,
                            match="non-finite parameter after epoch 1 "):
-            train(params, corpus, rows, cfg)
+            train(params, corpus, rows, cfg, seed=4)
 
     def test_diverging_run_raises_without_warnings(self, small_synth):
         # The pooling product and the logits overflow to inf and NaN on
@@ -385,10 +385,10 @@ class TestTrain:
         corpus, _ = small_synth
         rows = all_rows(corpus)
         cfg = TrainConfig(epochs=3, learning_rate=1e308,
-                          weight_init_scale=10.0, d=8, h=8, seed=4)
-        params = init_model(build_vocab(corpus, rows), 4, cfg)
+                          weight_init_scale=10.0, d=8, h=8)
+        params = init_model(build_vocab(corpus, rows), 4, cfg, seed=4)
         with pytest.raises(TrainingDivergedError, match="non-finite loss"):
-            train(params, corpus, rows, cfg)
+            train(params, corpus, rows, cfg, seed=4)
 
 
 class TestPredict:
