@@ -31,8 +31,8 @@ import warnings
 from . import checks, model, pipeline, rundir
 from .corpus import (CorpusParseError, LabelSpace, SynthConfig,
                      ValidationError, generate_synthetic, load_corpus,
-                     load_markers, save_corpus, save_markers)
-from .fileio import utf8_lines
+                     load_markers, save_markers, write_corpus)
+from .fileio import atomic_write, utf8_lines
 
 #: the options not named after the field they set
 _RENAMED = {"d": "--embedding-dim", "h": "--hidden-dim"}
@@ -158,9 +158,12 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _cmd_synth(args) -> int:
     corpus, markers = generate_synthetic(synth_config(args), args.seed)
-    save_corpus(corpus, args.out)
     markers_out = args.markers_out or args.out + ".markers.json"
-    save_markers(markers, markers_out)
+    # Both files are written before the corpus replaces its path, which
+    # atomic_write checked when it opened, so a failed synth leaves neither.
+    with atomic_write(args.out) as fh:
+        write_corpus(corpus, fh)
+        save_markers(markers, markers_out)
     print(f"wrote {len(corpus)} documents to {args.out}")
     print(f"wrote markers to {markers_out}")
     return 0

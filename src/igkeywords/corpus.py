@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fileio import malformed, utf8_lines
+from .fileio import atomic_write, malformed, utf8_lines
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -270,13 +270,18 @@ def load_corpus(path, label_space: LabelSpace | None = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    with atomic_write(path) as fh:
+        write_corpus(corpus, fh)
+
+
+def write_corpus(corpus: Corpus, fh) -> None:
+    """Write ``corpus`` to the text file ``fh``, a JSON object a line."""
     classes = corpus.label_space.classes
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, text, row in zip(corpus.doc_ids, corpus.texts,
-                                     corpus.labels):
-            labels = sorted(classes[c] for c in np.flatnonzero(row))
-            record = {"id": doc_id, "text": text, "labels": labels}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    for doc_id, text, row in zip(corpus.doc_ids, corpus.texts,
+                                 corpus.labels):
+        labels = sorted(classes[c] for c in np.flatnonzero(row))
+        record = {"id": doc_id, "text": text, "labels": labels}
+        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def stratified_split(corpus: Corpus, ratio: float,
@@ -403,7 +408,7 @@ def generate_synthetic(config: SynthConfig, seed: int):
 
 
 def save_markers(markers: dict[str, set[str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump({c: sorted(ws) for c, ws in markers.items()}, fh, indent=2)
 
 

@@ -5,6 +5,7 @@ naming the file, for a file that cannot be parsed."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import zipfile
 
@@ -17,7 +18,11 @@ def atomic_write(path, binary=False):
     The text goes to a temporary file in the same directory, which
     ``os.replace`` moves over ``path`` once the block has finished; if the
     block raises, the temporary file is removed and ``path`` is untouched.
+    A ``path`` that is a directory raises ``IsADirectoryError`` as the
+    block opens, as ``open`` would, not once it has finished.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
     directory, name = os.path.split(os.fspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:

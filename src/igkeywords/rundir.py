@@ -241,12 +241,6 @@ _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
 #: Each id column of Aggregates, its string table and its aggregates.npz key
 _ID_COLUMNS = (("class_idx", "classes", "class_name"),
                ("word_idx", "words", "word"))
-# One row's text with None where each value goes: a row dict as json.dumps
-# writes it, opened by the end of the row before, and a TSV line.
-_JSON_ROW = [text for c in _AGG_COLUMNS for text in (f', "{c}": ', None)]
-_JSON_ROW[0] = "}, {" + _JSON_ROW[0][len(", "):]
-_TSV_ROW = [text for _ in _AGG_COLUMNS for text in (None, "\t")]
-_TSV_ROW[-1] = "\n"
 # json.dumps's spelling of the floats that have no JSON number
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -258,60 +252,36 @@ def _value_texts(column, text=repr) -> tuple[list[str], np.ndarray]:
     return list(map(text, values.tolist())), codes
 
 
-def _aggregate_lines(table: Aggregates, part: slice,
-                     lookups) -> tuple[str, str]:
-    """The ``aggregates.json`` rows (joined by ", ") and ``aggregates.tsv``
-    lines of the rows in ``part``, which holds at least one row.
-
-    ``lookups`` holds each other column's value texts in JSON and in TSV
-    and each row's index into them.  JSON spells strings with the
-    ``ensure_ascii`` encoder of json.dumps and numbers by ``repr``, as
-    json.dumps does a finite float and an int.  Selection frequencies are
-    round counts over the configured rounds, so they are finite; a mean
-    score that is not is spelt as json.dumps spells it.
-    """
-    scores = table.mean_score[part]
-    means = list(map(float.__repr__, scores.tolist()))
-    json_means = means if np.isfinite(scores).all() else [
-        _JSON_NON_FINITE.get(m, m) for m in means]
-    columns = []
-    for json_texts, tsv_texts, codes in lookups:
-        rows = codes[part].tolist()
-        tsv_column = list(map(tsv_texts.__getitem__, rows))
-        columns.append((tsv_column if json_texts is tsv_texts
-                        else list(map(json_texts.__getitem__, rows)),
-                        tsv_column))
-    columns.insert(2, (json_means, means))
-    # Each value goes into its slots of the repeated row texts.
-    json_parts, tsv_parts = _JSON_ROW * len(means), _TSV_ROW * len(means)
-    width = len(_JSON_ROW)
-    for j, (json_column, tsv_column) in enumerate(columns):
-        json_parts[2 * j + 1::width] = json_column
-        tsv_parts[2 * j::width] = tsv_column
-    json_parts[0] = json_parts[0][len("}, "):]  # no row before the first
-    return "".join(json_parts) + "}", "".join(tsv_parts)
-
-
 def write_aggregates(table: Aggregates, out_dir) -> None:
     """Write the columns to ``aggregates.npz``, each id column as int32
     codes into the bytes of an ``ensure_ascii`` JSON list of the entries
     of its table that rows use (numpy's string arrays drop trailing NULs),
     and export them as ``aggregates.json`` (the bytes of ``json.dumps`` of
-    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time."""
+    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time.
+
+    Each exported row is one f-string that looks its values up in the
+    texts of each column's distinct values, so each class name, word and
+    count is spelt once.  JSON spells strings with the ``ensure_ascii``
+    encoder of json.dumps and numbers by ``repr``, as json.dumps does a
+    finite float and an int.  Selection frequencies are round counts over
+    the configured rounds, so they are finite; a mean score that is not
+    is spelt as json.dumps spells it.
+    """
     os.makedirs(out_dir, exist_ok=True)
     arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
-    lookups = []
-    for ids, strings, key in _ID_COLUMNS:
-        texts, codes = _value_texts(getattr(table, ids),
-                                    getattr(table, strings).__getitem__)
-        arrays[key] = codes.astype(np.int32)
+    columns = [_value_texts(getattr(table, ids),
+                            getattr(table, strings).__getitem__)
+               for ids, strings, _ in _ID_COLUMNS]
+    for (strings, column), (_, _, key) in zip(columns, _ID_COLUMNS):
+        arrays[key] = column.astype(np.int32)
         arrays[key + "_values"] = np.frombuffer(
-            json.dumps(texts).encode("ascii"), dtype=np.uint8)
-        lookups.append((list(map(encode_basestring_ascii, texts)), texts,
-                        codes))
-    for f in list(_NUMERIC_KINDS)[1:]:  # the columns after the mean score
-        texts, codes = _value_texts(getattr(table, f))
-        lookups.append((texts, texts, codes))
+            json.dumps(strings).encode("ascii"), dtype=np.uint8)
+    columns += [_value_texts(getattr(table, f))  # after the mean score
+                for f in list(_NUMERIC_KINDS)[1:]]
+    texts, codes = zip(*columns)
+    classes, words, frequencies, rounds, instances, docs = texts
+    json_classes, json_words = (list(map(encode_basestring_ascii, strings))
+                                for strings in (classes, words))
     with atomic_write(os.path.join(out_dir, "aggregates.npz"),
                       binary=True) as npz, \
             atomic_write(os.path.join(out_dir, "aggregates.json")) as js, \
@@ -320,10 +290,22 @@ def write_aggregates(table: Aggregates, out_dir) -> None:
         js.write("[")
         fh.write("\t".join(_AGG_COLUMNS) + "\n")
         for start in range(0, len(table), DUMP_ROWS):
-            json_text, tsv_text = _aggregate_lines(
-                table, slice(start, start + DUMP_ROWS), lookups)
-            js.write((", " if start else "") + json_text)
-            fh.write(tsv_text)
+            part = slice(start, start + DUMP_ROWS)
+            rows = list(zip(map(float.__repr__,
+                                table.mean_score[part].tolist()),
+                            *(column[part].tolist() for column in codes)))
+            js.write((", " if start else "") + ", ".join(
+                f'{{"class": {json_classes[c]}, "word": {json_words[w]}, '
+                f'"mean_score": {_JSON_NON_FINITE.get(m, m)}, '
+                f'"selection_frequency": {frequencies[s]}, '
+                f'"rounds_selected": {rounds[r]}, '
+                f'"instance_count": {instances[i]}, '
+                f'"doc_frequency": {docs[d]}}}'
+                for m, c, w, s, r, i, d in rows))
+            fh.write("".join(
+                f"{classes[c]}\t{words[w]}\t{m}\t{frequencies[s]}\t"
+                f"{rounds[r]}\t{instances[i]}\t{docs[d]}\n"
+                for m, c, w, s, r, i, d in rows))
         js.write("]")
 
 

@@ -76,9 +76,17 @@ MUTANTS = (
                  encoding="utf-8") as fh:''',
            ("test_pipeline.py::TestRunPipeline::test_failed_aggregate_write_keeps_the_previous_files",)),
     Mutant("aggregate-strings-unescaped", "rundir.py",
-           "lookups.append((list(map(encode_basestring_ascii, texts)), texts,",
-           "lookups.append(([f'\"{t}\"' for t in texts], texts,",
+           "json_classes, json_words = (list(map(encode_basestring_ascii, strings))",
+           "json_classes, json_words = ([f'\"{t}\"' for t in strings]",
            ("test_batched_explain.py::test_aggregate_files_escape_names_and_words",)),
+    Mutant("aggregate-json-non-finite-as-repr", "rundir.py",
+           """f'"mean_score": {_JSON_NON_FINITE.get(m, m)}, '""",
+           """f'"mean_score": {m}, '""",
+           ("test_batched_explain.py::test_aggregate_files_spell_non_finite_scores_like_json",)),
+    Mutant("aggregate-separator-before-the-first-slice", "rundir.py",
+           """js.write((", " if start else "") + ", ".join(""",
+           """js.write(", " + ", ".join(""",
+           ("test_batched_explain.py::test_dumps_are_byte_identical_to_json_dump",)),
     Mutant("report-skips-the-format-check", "rundir.py",
            "if type(found) is not int or found != FORMAT:", "if False:",
            ("test_cli.py::TestReport::test_report_refuses_another_format",)),
@@ -135,6 +143,9 @@ MUTANTS = (
            "            IsADirectoryError, NotADirectoryError) as exc:",
            "            NotADirectoryError) as exc:",
            ("test_cli.py::TestUsageErrors::test_path_that_is_a_directory_exit_code",)),
+    Mutant("directory-refused-only-when-replaced", "fileio.py",
+           "    if os.path.isdir(path):\n", "    if False:\n",
+           ("test_cli.py::TestSynth::test_directory_destination_writes_neither_file",)),
 )
 
 

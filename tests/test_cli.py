@@ -153,6 +153,18 @@ class TestSynth:
         assert "zipf_exponent" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv", [("--out", "c.jsonl", "--markers-out",
+                                       "dir"), ("--out", "dir")],
+                             ids=["markers-out", "out"])
+    def test_directory_destination_writes_neither_file(
+            self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "dir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--docs-per-class", "5", *argv) == 1
+        assert "Is a directory: 'dir'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dir"]
+        assert not os.listdir(tmp_path / "dir")
+
 
 class TestRun:
     def test_full_run_emits_reports(self, synth_files, tmp_path):

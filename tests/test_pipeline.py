@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igkeywords import model, pipeline, rundir
+from igkeywords import fileio, model, pipeline, rundir
 from igkeywords.corpus import LabelSpace, ValidationError, build_corpus
 from igkeywords.model import TrainConfig
 from igkeywords.pipeline import (PipelineConfig, RoundResult, Selections,
@@ -21,6 +21,7 @@ from reference_round import (AggregateRecord, WordScoreRecord,
                              aggregate_records, fold_rounds,
                              reference_aggregate, same_selections, same_table,
                              table_from_json, table_of, top_n_words)
+from test_batched_explain import assert_aggregate_files
 
 
 def rec(word, score, doc_id="d1", class_name="a"):
@@ -333,22 +334,32 @@ class TestRunPipeline:
         assert len(result.aggregates) > 7
         names = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
         before = {name: (tmp_path / name).read_bytes() for name in names}
-        format_rows = rundir._aggregate_lines
-        calls = []
+        written = []
 
-        def crash_after_one_slice(*args):
-            if calls:
-                raise OSError("disk full")
-            calls.append(1)
-            return format_rows(*args)
+        def open_filling_up(file, mode="r", *args, **kwargs):
+            # aggregates.json, or its temporary file, fills up the disk
+            # once it holds a row: after the first slice of DUMP_ROWS rows
+            fh = open(file, mode, *args, **kwargs)
+            if "aggregates.json" in os.fspath(file) and "w" in mode:
+                write = fh.write
 
-        monkeypatch.setattr(rundir, "_aggregate_lines",
-                            crash_after_one_slice)
+                def write_until_full(text):
+                    if '"class"' in "".join(written):
+                        raise OSError("disk full")
+                    written.append(text)
+                    return write(text)
+
+                fh.write = write_until_full
+            return fh
+
+        for module in (fileio, rundir):
+            monkeypatch.setattr(module, "open", open_filling_up,
+                                raising=False)
         other = dataclasses.replace(result.aggregates,
                                     mean_score=result.aggregates.mean_score / 2)
         with pytest.raises(OSError, match="disk full"):
             write_aggregates(other, tmp_path)
-        assert calls
+        assert len(json.loads("".join(written) + "]")) == 7
         assert {name: (tmp_path / name).read_bytes() for name in names} \
             == before
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
@@ -363,11 +374,20 @@ class TestAggregatesNpz:
                AggregateRecord('"q"', "naïve", 1e-300, 2, 1.0, 4, 7),
                AggregateRecord("é", "☃", 0.125, 1, 0.5, 1, 8)]
 
-    @pytest.mark.parametrize("records", [RECORDS, []],
-                             ids=["strings", "no-rows"])
-    def test_round_trip_is_exact(self, tmp_path, records):
+    # DUMP_ROWS: the default (named by the records alone), and 1, 2 and 5,
+    # which split the 5 rows into slices of one row, into slices of two and
+    # a last one of one row, and into one slice that ends with the rows
+    @pytest.mark.parametrize("records,dump_rows", [
+        pytest.param(records, rows, id=name + ("" if rows == 1024
+                                               else f"-{rows}-rows"))
+        for name, records in (("strings", RECORDS), ("no-rows", []))
+        for rows in (1024, 1, 2, 5)])
+    def test_round_trip_is_exact(self, tmp_path, monkeypatch, records,
+                                 dump_rows):
+        monkeypatch.setattr(rundir, "DUMP_ROWS", dump_rows)
         table = table_of(records)
         write_aggregates(table, tmp_path)
+        assert_aggregate_files(tmp_path, records)
         loaded = load_aggregates(tmp_path)
         assert same_table(loaded, table)
         assert aggregate_records(loaded) == records
