@@ -53,9 +53,9 @@ class LabelSpace:
         if len(set(self.classes)) != len(self.classes):
             raise ValidationError("duplicate class names in label space")
         for name in self.classes:  # each is a field of the TSV reports
-            if not {"\t", "\n", "\r"}.isdisjoint(name):
-                raise ValidationError(
-                    f"class name {name!r} holds a tab or a line break")
+            if not name or not {"\t", "\n", "\r"}.isdisjoint(name):
+                raise ValidationError(f"class name {name!r} is empty or "
+                                      f"holds a tab or a line break")
         object.__setattr__(self, "classes", tuple(self.classes))
 
     def __len__(self) -> int:

@@ -85,16 +85,17 @@ class Selections:
         return self.score.size
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundResult:
+    """A round's record; its ``round_NNNN.json`` holds every field, in order,
+    but ``selections``, which are empty once folded and in rounds read back."""
+
     round_index: int
-    # Empty once run_pipeline has folded the round, and in rounds read
-    # back by rundir.load_rounds.
-    selections: Selections
-    per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
-    micro_f1: float
-    val_doc_count: int
     failed: bool = False
+    micro_f1: float
+    per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
+    val_doc_count: int
+    selections: Selections = field(default_factory=Selections.empty)
 
 
 @dataclass(eq=False)
@@ -156,10 +157,9 @@ def run_round(corpus: Corpus, config: PipelineConfig,
         selections, counts = _explain(params, corpus, val_rows, config)
     except (model.TrainingDivergedError, attribution.AttributionError) as exc:
         warnings.warn(f"round {round_index} failed: {exc}", stacklevel=2)
-        return RoundResult(round_index=round_index,
-                           selections=Selections.empty(), per_class={},
-                           micro_f1=0.0, val_doc_count=len(val_rows),
-                           failed=True)
+        return RoundResult(round_index=round_index, failed=True,
+                           micro_f1=0.0, per_class={},
+                           val_doc_count=len(val_rows))
 
     per_class = {}
     for c, (tp, fp, fn) in zip(corpus.label_space.classes, counts.T.tolist()):
@@ -167,9 +167,9 @@ def run_round(corpus: Corpus, config: PipelineConfig,
         per_class[c] = {"precision": precision, "recall": recall, "f1": f1,
                         "support": float(tp + fn)}  # tp + fn = gold count
     _, _, micro_f1 = _f1_metrics(counts.sum(axis=1).tolist())
-    return RoundResult(round_index=round_index, selections=selections,
-                       per_class=per_class, micro_f1=micro_f1,
-                       val_doc_count=len(val_rows))
+    return RoundResult(round_index=round_index, micro_f1=micro_f1,
+                       per_class=per_class, val_doc_count=len(val_rows),
+                       selections=selections)
 
 
 def _explain(params: model.ModelParams, corpus: Corpus,
@@ -290,14 +290,15 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
     """
     fold, rounds = AggregateFold(corpus, config), []
     indices = range(config.rounds)
+    workers = min(config.workers, config.rounds)  # a pool starts all at once
     with contextlib.ExitStack() as stack:
         finished = (run_round(corpus, config, i) for i in indices)
-        if config.workers > 1:
+        if workers > 1:
             # imported here, so that a run without a pool never loads it
             from concurrent.futures import ProcessPoolExecutor
             # Rounds never read the document texts, so workers get none.
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_init_worker,
+                max_workers=workers, initializer=_init_worker,
                 initargs=(replace(corpus, texts=()),)))
             finished = pool.map(_round_task, [(config, i) for i in indices])
         for rr in finished:

@@ -4,20 +4,23 @@
 ``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
 ``classes`` and any planted ``markers``; each round's split and training
 seeds come from ``master_seed`` and its index (``pipeline.round_seeds``).
-A ``round_NNNN.json`` holds a round's metrics and, with ``dump_scores``,
-its selections; ``aggregates.npz`` the aggregate table ``report`` reads,
-exported as ``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.
-Every file is written atomically (``fileio.atomic_write``).  A directory
-of another format, or of none, is refused rather than read, so a new
-layout raises ``FORMAT`` instead of adding a reader of the old one.
+A ``round_NNNN.json`` holds a round's ``RoundResult`` fields and, with
+``dump_scores``, its selections; ``_from_fields`` reads both files' fields
+by type.  ``aggregates.npz`` holds the table ``report`` reads, exported as
+``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
+is written atomically (``fileio.atomic_write``).  A directory of another
+format, or of none, is refused rather than read, so a new layout raises
+``FORMAT`` instead of adding a reader of the old one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
+import typing
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -37,6 +40,9 @@ _AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
 #: rows per slice when writing the aggregate exports, so that neither
 #: file's whole text is held in memory at once
 DUMP_ROWS = 1024
+
+#: each dataclass's field types, evaluated once (not per file: that is slow)
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def round_file(round_index: int) -> str:
@@ -124,15 +130,25 @@ def _write_reports(run_dir, config: PipelineConfig, rounds, keywords,
             os.remove(os.path.join(run_dir, "recovery.json"))
 
 
-def _from_fields(cls, values):
-    """``cls(**values)``; ``values`` must name every field of ``cls``, each
-    with a value of its default's type (an int will do for a float)."""
-    defaults = cls()
-    for f in dataclasses.fields(cls):
-        value, kind = values[f.name], type(getattr(defaults, f.name))
-        if type(value) is not kind and (kind, type(value)) != (float, int):
-            raise TypeError(f"{f.name} is {value!r}, not a {kind.__name__}")
-    return cls(**values)
+def _from_fields(cls, values, unsaved=()):
+    """``cls`` read from a JSON object's ``values``, which name every field
+    of ``cls`` but the ``unsaved`` ones (those keep their defaults, whatever
+    ``values`` holds under their names) and no other key.  Each value is of
+    its field's type: an int will do for a float, and only a bool for a
+    bool; the object of a dataclass field is read by this same rule."""
+    types = _field_types(cls)
+    if values.keys() - types:
+        raise TypeError(f"unknown fields {sorted(values.keys() - types)}")
+    read = {name: values[name] for name in types if name not in unsaved}
+    for name, value in read.items():
+        kind = types[name]
+        nested = dataclasses.is_dataclass(kind)
+        saved = dict if nested else typing.get_origin(kind) or kind
+        if type(value) is not saved and (saved, type(value)) != (float, int):
+            raise TypeError(f"{name} is {value!r}, not a {saved.__name__}")
+        if nested:
+            read[name] = _from_fields(kind, value)
+    return cls(**read)
 
 
 def load_config(run_dir):
@@ -159,16 +175,14 @@ def load_config(run_dir):
         markers = saved.pop("markers", None)
         if markers is not None:
             markers = marker_sets(markers)
-        train = _from_fields(model.TrainConfig, saved.pop("train_config"))
-        config = _from_fields(PipelineConfig, dict(saved, train_config=train))
-    return config, classes, markers
+        return _from_fields(PipelineConfig, saved), classes, markers
 
 
 def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
                  out_dir) -> None:
     """Write a round's artifact, with its selections if ``dump_scores``."""
-    payload = {f: getattr(rr, f) for f in ("round_index", "failed", "micro_f1",
-                                           "per_class", "val_doc_count")}
+    payload = {f.name: getattr(rr, f.name) for f in dataclasses.fields(rr)
+               if f.name != "selections"}
     if dump_scores:
         payload["selections"] = dumped(rr.selections, corpus)
     with atomic_write(os.path.join(out_dir,
@@ -188,46 +202,29 @@ def dumped(selections: pipeline.Selections, corpus: Corpus) -> list[list]:
 
 
 def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
-    """Read the metrics in the artifacts of rounds 0..rounds-1; other
-    files are ignored, and so are dumped selections.  A file that is
-    not JSON, lacks a field, holds a field of the wrong type (a boolean is
-    not a number), describes another round than its name, or is of a
+    """The ``RoundResult`` of each of rounds 0..rounds-1, read from its
+    artifact by ``_from_fields`` without its dumped selections.  A file
+    that is not JSON, breaks that rule, holds a non-numeric ``f1`` or
+    ``support``, describes another round than its name, or is of a
     successful round whose ``per_class`` does not hold exactly ``classes``
-    raises ``ValidationError`` naming it.
-    """
+    raises ``ValidationError`` naming it; other files are ignored."""
     results = []
     for round_index in range(rounds):
         path = os.path.join(out_dir, round_file(round_index))
         with open(path, encoding="utf-8") as fh, \
                 malformed(path, "round artifact", ValidationError):
-            payload = json.load(fh)
-            per_class, micro_f1 = payload["per_class"], payload["micro_f1"]
-            if not (isinstance(per_class, dict) and all(
-                    isinstance(stats, dict)
-                    and type(stats["f1"]) in (int, float)
-                    and type(stats["support"]) in (int, float)
-                    for stats in per_class.values())):
-                raise TypeError("per_class is not an object of objects with "
-                                "numeric f1 and support")
-            if type(micro_f1) not in (int, float):
-                raise TypeError("micro_f1 is not a number")
-            if not isinstance(payload["failed"], bool):
-                raise TypeError("failed is not a boolean")
-            if type(payload["val_doc_count"]) is not int:
-                raise TypeError("val_doc_count is not an integer")
-            if not (type(payload["round_index"]) is int
-                    and payload["round_index"] == round_index):
-                raise ValueError(f"round_index is {payload['round_index']!r}"
-                                 f", not {round_index}")
-            if not payload["failed"] and set(per_class) != set(classes):
-                raise ValueError(f"per_class holds {sorted(per_class)}, "
+            rr = _from_fields(RoundResult, json.load(fh), ("selections",))
+            if not all(type(stats[key]) in (int, float)
+                       for stats in rr.per_class.values()
+                       for key in ("f1", "support")):
+                raise TypeError("per_class holds a non-numeric f1 or support")
+            if rr.round_index != round_index:
+                raise ValueError(f"round_index is {rr.round_index}, not "
+                                 f"{round_index}")
+            if not rr.failed and set(rr.per_class) != set(classes):
+                raise ValueError(f"per_class holds {sorted(rr.per_class)}, "
                                  f"not the run's classes {sorted(classes)}")
-            results.append(RoundResult(
-                round_index=round_index,
-                selections=pipeline.Selections.empty(),
-                per_class=per_class, micro_f1=micro_f1,
-                val_doc_count=payload["val_doc_count"],
-                failed=payload["failed"]))
+            results.append(rr)
     return results
 
 

@@ -99,9 +99,19 @@ MUTANTS = (
            "temporary = False",
            ("test_pipeline.py::TestRunPipeline::test_a_run_removes_an_earlier_runs_files",)),
     Mutant("round-reader-takes-any-round-index", "rundir.py",
-           '''                    and payload["round_index"] == round_index):''',
-           "                    ):",
+           "if rr.round_index != round_index:", "if False:",
            ("test_cli.py::TestReport::test_malformed_run_artifact_exit_code",)),
+    Mutant("typed-field-rule-takes-a-bool-for-an-int", "rundir.py",
+           "if type(value) is not saved and",
+           "if not isinstance(value, saved) and",
+           ("test_cli.py::TestReport::test_wrongly_typed_field_exit_code",)),
+    Mutant("pool-not-capped-at-the-rounds", "pipeline.py",
+           "workers = min(config.workers, config.rounds)",
+           "workers = config.workers",
+           ("test_pipeline.py::TestRunPipeline::test_the_pool_has_no_more_workers_than_rounds",)),
+    Mutant("empty-class-name-accepted", "corpus.py",
+           "if not name or not {", "if not {",
+           ("test_cli.py::TestRun::test_class_name_that_breaks_a_tsv_row_exit_code",)),
     # A known gap: it changes only the rounding of the pooled vectors,
     # which no test pins.
     Mutant("pooling-by-reduceat", "model.py",

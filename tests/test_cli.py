@@ -292,8 +292,9 @@ class TestRun:
                     in capsys.readouterr().err), extra
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("name", ["x\ty", "z\nw", "r\r"],
-                             ids=["tab", "newline", "carriage-return"])
+    @pytest.mark.parametrize("name", ["x\ty", "z\nw", "r\r", ""],
+                             ids=["tab", "newline", "carriage-return",
+                                  "empty"])
     def test_class_name_that_breaks_a_tsv_row_exit_code(self, tmp_path,
                                                         capsys, name):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -306,8 +307,8 @@ class TestRun:
                            "--out-dir", str(tmp_path / "run"),
                            "--rounds", "1", *extra)
             assert code == 1, extra
-            assert (f"class name {name!r} holds a tab or a line break"
-                    in capsys.readouterr().err), extra
+            assert (f"class name {name!r} is empty or holds a tab or a "
+                    f"line break" in capsys.readouterr().err), extra
         assert not (tmp_path / "run").exists()
 
     def test_non_utf8_corpus_line_exit_code(self, tmp_path, capsys):
@@ -458,15 +459,17 @@ class TestRun:
         assert bad.returncode == 1
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # only a run with workers > 1 imports the pool
+        # only a run with workers > 1 imports the pool, and only check
+        # imports the self-checks
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-c", "import sys, igkeywords.cli; "
-             "print('concurrent.futures' in sys.modules)"],
+             "print('concurrent.futures' in sys.modules, "
+             "'igkeywords.checks' in sys.modules)"],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
             text=True, check=False)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
 
 def aggregates_npz_damages(run_dir) -> list[bytes]:
@@ -669,12 +672,13 @@ class TestReport:
             assert not value["failed"]
             missing_class = dict(value["per_class"])
             del missing_class["c1"]
-            # wrong types, a successful round without a class, and the
-            # index of another round
+            # wrong types, a successful round without a class, the index
+            # of another round, and a key that is not a field
             edits = [("per_class", {"c0": 5}), ("micro_f1", "x"),
                      ("failed", "no"), ("per_class", missing_class),
                      ("val_doc_count", 12.5), ("val_doc_count", True),
-                     ("round_index", str(value["round_index"]))]
+                     ("round_index", str(value["round_index"])),
+                     ("loss", [0.7, 0.5])]
             value.pop(next(iter(value)))  # a missing field
             damages[name] = [intact[:len(intact) // 2],
                              json.dumps(value).encode(),
@@ -710,6 +714,8 @@ class TestReport:
         ("config.json", lambda saved: saved.update(
             classes=["c0", "c1", "c0"])),
         ("config.json", lambda saved: saved.update(classes=[])),
+        ("config.json", lambda saved: saved.update(
+            classes=saved["classes"] + [""])),
         ("round_0000.json", lambda saved: saved.update(micro_f1=True)),
         ("round_0001.json", lambda saved: saved["per_class"]["c1"].update(
             f1=False)),
@@ -718,6 +724,7 @@ class TestReport:
     ], ids=["markers-a-string", "top-m-a-bool", "rounds-a-bool",
             "rounds-a-float", "epochs-a-float", "ratio-a-string",
             "dump-scores-an-int", "duplicate-classes", "no-classes",
+            "empty-class-name",
             "micro-f1-a-bool", "f1-a-bool", "support-a-bool"])
     def test_wrongly_typed_field_exit_code(self, synth_files, tmp_path,
                                            capsys, name, edit):

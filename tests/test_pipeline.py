@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -325,6 +326,38 @@ class TestRunPipeline:
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
+
+    def test_the_pool_has_no_more_workers_than_rounds(self, small_synth,
+                                                      monkeypatch):
+        corpus, _ = small_synth
+        config = toy_config(rounds=2)
+        opened = []
+
+        class InlinePool:  # records its size, runs the tasks in this process
+            def __init__(self, max_workers, initializer, initargs):
+                opened.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, args):
+                return map(task, args)
+
+        monkeypatch.setattr(pipeline, "_worker_corpus", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        pooled = run_pipeline(corpus, dataclasses.replace(config, workers=8))
+        serial = run_pipeline(corpus, config)
+        assert opened == [2]
+        assert ([[getattr(r, f) for f in ROUND_METRICS] for r in pooled.rounds]
+                == [[getattr(r, f) for f in ROUND_METRICS]
+                    for r in serial.rounds])
+        assert same_table(pooled.aggregates, serial.aggregates)
+        assert same_table(pooled.keywords, serial.keywords)
 
     def test_failed_aggregate_write_keeps_the_previous_files(
             self, small_synth, tmp_path, monkeypatch):
