@@ -10,17 +10,12 @@ integrates that path exactly; ``pair_weights`` is ``g / T`` for any number
 of (corpus row, class) pairs at once, and it is the one IG.
 
 ``token_scores`` sums each token's values over the embedding dimensions,
-``embedding[t] @ (g / T)``, without forming them: per batch of
-``model.DOC_BATCH`` pairs, one table of every pair's weights dotted with
-every model row the batch uses (``model.used_rows``), from which each
-token takes its own.  ``top_word_scores`` adds the normalization, the
-subword max and the top-n pick.  No batch sorts its tokens:
-``Corpus.word_order``, computed once per corpus, holds each document's
-pieces in word order and the first piece of each word, so a pair's
-subword max is one ``np.maximum.reduceat`` over its tokens gathered in
-that order.  The top n of each pair come from one sort of a unique
-integer key per (pair, word) group, built from the pair, the dense rank
-of the group's score and the group's place in word order.
+``embedding[t] @ (g / T)``, without forming them, for all the pairs at
+once; only its score tables, whose width grows with the model rows they
+span, are filled ``model.DOC_BATCH`` pairs at a time.  ``top_word_scores``
+then normalizes, takes the subword max and picks the top n, each once
+over a round's pairs and without sorting a token: ``Corpus.word_order``,
+computed once per corpus, holds each document's pieces in word order.
 """
 
 from __future__ import annotations
@@ -69,25 +64,26 @@ def pair_weights(params: ModelParams, corpus: Corpus, pair_rows: np.ndarray,
 
 def token_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
                  pair_rows: np.ndarray, weights: np.ndarray):
-    """Each pair's token scores, its IG values summed over the embedding
-    dimensions, ``model.DOC_BATCH`` pairs at a time.
-
-    ``weights`` are the ``pair_weights`` of the pairs and ``pieces`` the
-    corpus's ``model.piece_rows``.  A batch's scores come from one
-    [pairs, k] table of every pair's weights dotted with each of the k
-    model rows the batch uses.  Yields, per batch: its first pair, the
-    positions of its tokens in ``corpus.piece_ids``/``word_ids`` pair after
-    pair, each of its pairs' token counts, the batch's pair of each token,
-    and the tokens' scores.
+    """The token scores of all the pairs, their IG values summed over the
+    embedding dimensions, as ``(tokens, token_pair, scores)``: the tokens'
+    positions in ``corpus.piece_ids``/``word_ids``, pair after pair, and
+    each token's pair and score.  ``weights`` are the pairs' ``pair_weights``
+    and ``pieces`` the corpus's ``model.piece_rows``.  The scores are filled
+    ``model.DOC_BATCH`` pairs at a time, each batch's from one [pairs, k]
+    table of its weights dotted with the k model rows it uses, so no table
+    grows with the model's width.
     """
-    for first in range(0, pair_rows.size, model.DOC_BATCH):
+    tokens, counts = corpus.positions(pair_rows)
+    token_pair = np.repeat(np.arange(counts.size), counts)
+    scores = np.empty(tokens.size)
+    for first in range(0, counts.size, model.DOC_BATCH):
         batch = slice(first, first + model.DOC_BATCH)
-        tokens, counts = corpus.positions(pair_rows[batch])
-        used, columns = model.used_rows(pieces[tokens],
+        span = slice(*np.searchsorted(token_pair, (batch.start, batch.stop)))
+        used, columns = model.used_rows(pieces[tokens[span]],
                                         params.embedding.shape[0])
         table = weights[batch] @ params.embedding[used].T
-        token_pair = np.repeat(np.arange(counts.size), counts)
-        yield first, tokens, counts, token_pair, table[token_pair, columns]
+        scores[span] = table[token_pair[span] - first, columns]
+    return tokens, token_pair, scores
 
 
 def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
@@ -106,49 +102,45 @@ def top_word_scores(params: ModelParams, pieces: np.ndarray, corpus: Corpus,
     """
     word_order, first_of_word = corpus.word_order
     weights = pair_weights(params, corpus, pair_rows, pooled, pair_classes)
-    columns = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-                np.empty(0))]
-    for first, tokens, counts, token_pair, scores in token_scores(
-            params, pieces, corpus, pair_rows, weights):
-        n_pairs = counts.size
-        # L2 norm per pair, its squares added in token order
-        with np.errstate(over="ignore"):  # a non-finite norm raises below
-            norms = np.sqrt(np.bincount(token_pair, weights=scores * scores,
-                                        minlength=n_pairs))
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise _pair_error("token-score norm", corpus, pair_rows,
-                              pair_classes, first + bad[0])
-        norms[norms == 0.0] = 1.0
-        scores /= norms[token_pair]
-        # Max per (pair, word).  A pair's tokens are its document's pieces
-        # in place, so the document's cached word order, shifted from the
-        # document's place in the corpus to the pair's in the batch, sorts
-        # them, and the cached flags start its word groups.
-        in_order = word_order[tokens]
-        starts = np.flatnonzero(first_of_word[tokens])
-        best = np.maximum.reduceat(
-            scores[in_order - tokens + np.arange(tokens.size)], starts)
-        group_pair = token_pair[starts]
-        group_word = corpus.word_ids[in_order[starts]]
-        # The top n of each pair by (-score, word), from one sort of a
-        # unique key per group that orders (pair, dense rank of -score,
-        # group); a pair's groups already come in word order.  The pair
-        # whose groups start at group f owns keys f * n_ranks on: its i-th
-        # group, of rank r, gets f * n_ranks + r * (its group count) + i.
-        _, dense = np.unique(-best, return_inverse=True)
-        n_groups, n_ranks = best.size, int(dense.max()) + 1
-        if n_groups * n_ranks > np.iinfo(np.int64).max:
-            raise OverflowError("too many word groups in one batch to rank")
-        per_pair = np.bincount(group_pair, minlength=n_pairs)
-        pair_first = np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
-        in_pair = np.arange(n_groups) - pair_first
-        ranked = np.argsort(pair_first * n_ranks + dense * per_pair[group_pair]
-                            + in_pair)
-        # The sort keeps each pair's block of groups in place, so in_pair
-        # is also the rank of ranked's entries within their pair.
-        kept = ranked[in_pair < top_n]
-        columns.append((first + group_pair[kept], group_word[kept],
-                        best[kept]))
-    pair, word, score = (np.concatenate(c) for c in zip(*columns))
-    return pair, word, score
+    tokens, token_pair, scores = token_scores(params, pieces, corpus,
+                                              pair_rows, weights)
+    # L2 norm per pair, its squares added in token order
+    with np.errstate(over="ignore"):  # a non-finite norm raises below
+        norms = np.sqrt(np.bincount(token_pair, weights=np.square(scores),
+                                    minlength=pair_rows.size))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise _pair_error("token-score norm", corpus, pair_rows, pair_classes,
+                          bad[0])
+    norms[norms == 0.0] = 1.0
+    scores /= norms[token_pair]
+    # Max per (pair, word): a pair's tokens are its document's pieces, so
+    # the document's cached word order, shifted from its place in the
+    # corpus to the pair's among the tokens, sorts them, and the cached
+    # flags start its word groups.
+    in_order = word_order[tokens]
+    starts = np.flatnonzero(first_of_word[tokens])
+    group_word = corpus.word_ids[in_order[starts]]
+    in_order -= tokens
+    in_order += np.arange(tokens.size)
+    best = np.maximum.reduceat(scores[in_order], starts)
+    group_pair = token_pair[starts]
+    del tokens, token_pair, scores, in_order  # not held through the ranking
+    # The top n of each pair by (-score, word), from one sort of a unique
+    # key per group that orders (pair, dense rank of -score, group); a
+    # pair's groups already come in word order.  The pair whose groups
+    # start at group f owns keys f * n_ranks on: its i-th group, of rank r,
+    # gets f * n_ranks + r * (its group count) + i.
+    _, dense = np.unique(-best, return_inverse=True)
+    n_groups, n_ranks = best.size, int(dense.max(initial=-1)) + 1
+    if n_groups * n_ranks > np.iinfo(np.int64).max:
+        raise OverflowError("too many word groups to rank")
+    per_pair = np.bincount(group_pair, minlength=pair_rows.size)
+    pair_first = np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    in_pair = np.arange(n_groups) - pair_first
+    ranked = np.argsort(pair_first * n_ranks + dense * per_pair[group_pair]
+                        + in_pair)
+    # The sort keeps each pair's block of groups in place, so in_pair is
+    # also the rank of ranked's entries within their pair.
+    kept = ranked[in_pair < top_n]
+    return group_pair[kept], group_word[kept].astype(np.intp), best[kept]

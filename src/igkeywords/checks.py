@@ -122,10 +122,9 @@ def completeness_ratios() -> np.ndarray:
     deltas = f_x[np.arange(len(val_rows)), classes] - f_0[classes]
     weights = attribution.pair_weights(params, corpus, val_rows, pooled,
                                        classes)
-    totals = np.concatenate([
-        np.bincount(token_pair, weights=scores, minlength=counts.size)
-        for _, _, counts, token_pair, scores in attribution.token_scores(
-            params, pieces, corpus, val_rows, weights)])
+    _, token_pair, scores = attribution.token_scores(params, pieces, corpus,
+                                                     val_rows, weights)
+    totals = np.bincount(token_pair, weights=scores, minlength=len(val_rows))
     return np.abs(totals - deltas) / np.maximum(1.0, np.abs(deltas))
 
 

@@ -8,8 +8,8 @@ The options of synth and run are the fields of ``SynthConfig``,
 boolean (``_options``): each takes its type and default from its field,
 and the config's own checks reject bad values.  A plain key=value file
 given with ``--config`` (keys are option names without the leading
-dashes) may set any option of the command except the required
-``--out``/``--corpus``; options on the command line win.  run still
+dashes) may set any option of the command but a required one, such as
+``--corpus``, which exits 1; options on the command line win.  run still
 accepts ``--ig-steps`` (or ``ig-steps`` in the file), which integrated
 gradients no longer use: it prints one note to stderr and changes nothing.
 A boolean key takes true/false, yes/no, on/off or 1/0, in any case.  A
@@ -143,9 +143,11 @@ def parse_args(argv) -> argparse.Namespace:
     if args.config is None:
         return args
     values = _read_config_file(args.config)
+    settable = {action.dest for action in commands[args.command]._actions
+                if not action.required} & vars(args).keys()
     for key, raw in values.items():
-        if key not in vars(args) or key in ("config", "command"):
-            raise ValidationError(f"unknown config key {key!r}")
+        if key not in settable:
+            raise ValidationError(f"unknown or required config key {key!r}")
         if isinstance(getattr(args, key), bool):
             if raw.lower() not in _BOOLEANS:
                 raise ValidationError(
@@ -177,7 +179,8 @@ def _cmd_run(args) -> int:
     # Without --classes, the classes are the labels the corpus holds.
     corpus = load_corpus(args.corpus, LabelSpace(tuple(
         args.classes.split(","))) if args.classes else None)
-    planted = load_markers(args.markers) if args.markers else None
+    planted = (load_markers(args.markers, corpus.label_space.classes)
+               if args.markers else None)
     out_dir = args.out_dir or os.path.join(
         "runs", time.strftime("%Y%m%d-%H%M%S") + f"_{config.master_seed}")
     rundir.write_run(corpus, config, out_dir, planted)

@@ -412,18 +412,22 @@ def save_markers(markers: dict[str, set[str]], path) -> None:
         json.dump({c: sorted(ws) for c, ws in markers.items()}, fh, indent=2)
 
 
-def load_markers(path) -> dict[str, set[str]]:
+def load_markers(path, classes) -> dict[str, set[str]]:
     """The planted words per class of a markers file: a JSON object of
-    string lists."""
+    string lists, each under one of the ``classes``."""
     with open(path, "rb") as fh, \
             malformed(path, "markers file", ValidationError):
-        return marker_sets(json.loads(fh.read().decode("utf-8")))
+        return marker_sets(json.loads(fh.read().decode("utf-8")), classes)
 
 
-def marker_sets(markers) -> dict[str, set[str]]:
+def marker_sets(markers, classes) -> dict[str, set[str]]:
     """The planted words per class of a parsed JSON object of string
-    lists; any other value raises ``TypeError``."""
+    lists; any other value raises ``TypeError``, and a class not among
+    ``classes`` ``ValidationError``."""
     if not (isinstance(markers, dict)
             and all(map(_is_string_list, markers.values()))):
         raise TypeError("not an object of string lists")
+    if not markers.keys() <= set(classes):
+        raise ValidationError(f"markers of classes the run does not have: "
+                              f"{sorted(markers.keys() - set(classes))}")
     return {c: set(words) for c, words in markers.items()}

@@ -48,11 +48,11 @@ from .corpus import Corpus, ValidationError
 #: batch of ``attribution.token_scores``.  A batch's bag and score table
 #: span only the model rows the batch uses, never the model's width.  On
 #: the benchmark corpora (about 1,100 rows) the explain half of a round
-#: took the same time at 32 and 64 (medians of 7: 11.9 and 11.6 ms on
-#: explain-bound, 7.3 and 6.8 ms on train-bound) and 1.5-2 times as long
-#: at 16.  On a random-word corpus (38,850 rows), where a batch's
-#: documents share few rows and its bag grows with the square of its size,
-#: 64 took 1.3 times as long as 16-32, and pooling alone twice as long.
+#: took the same time at 32 and 64 (medians of 9: 22.2 and 22.5 ms on
+#: explain-bound, 7.9 and 7.7 ms on train-bound) and 9-11% longer at 16.
+#: On a random-word corpus (39,046 rows), where a batch's documents share
+#: few rows and its bag grows with the square of its size, 64 took 1.15 to
+#: 1.2 times as long as 16-32, and pooling alone twice as long.
 DOC_BATCH = 32
 
 #: Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)

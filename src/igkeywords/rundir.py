@@ -55,14 +55,15 @@ def write_run(corpus: Corpus, config: PipelineConfig, run_dir,
     an earlier run's files, each round as it finishes, in round order, then
     the aggregates and the reports (``recovery.json`` only if ``planted``),
     so a run that stops part way leaves only its own finished rounds.  A
-    document without a piece raises ``ValidationError`` before
-    ``run_dir`` is made."""
+    document without a piece, or markers of a class the corpus's label
+    space lacks, raise ``ValidationError`` before ``run_dir`` is made."""
     model._positions(corpus, np.arange(len(corpus)))
     classes = corpus.label_space.classes
     saved = {"format": FORMAT, **dataclasses.asdict(config),
              "classes": list(classes)}
     if planted is not None:
         saved["markers"] = {c: sorted(words) for c, words in planted.items()}
+        marker_sets(saved["markers"], classes)  # as load_config reads them
     try:
         os.makedirs(run_dir, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -174,7 +175,7 @@ def load_config(run_dir):
         LabelSpace(tuple(classes))  # rejects no, repeated and bad names
         markers = saved.pop("markers", None)
         if markers is not None:
-            markers = marker_sets(markers)
+            markers = marker_sets(markers, classes)
         return _from_fields(PipelineConfig, saved), classes, markers
 
 

@@ -58,8 +58,15 @@ MUTANTS = (
            "by_name = np.arange(len(classes))",
            ("test_pipeline.py::TestAggregate::test_fold_equals_reference_aggregate",)),
     Mutant("zero-norm-unguarded", "attribution.py",
-           "        norms[norms == 0.0] = 1.0\n", "",
+           "    norms[norms == 0.0] = 1.0\n", "",
            ("test_batched_explain.py::test_all_zero_attributions_score_zero",)),
+    Mutant("ranking-across-pairs", "attribution.py",
+           "ranked = np.argsort(pair_first * n_ranks + dense",
+           "ranked = np.argsort(dense",
+           ("test_batched_explain.py::test_words_tied_by_a_shared_piece_rank_by_word",)),
+    Mutant("no-pair-ranks-nothing-unguarded", "attribution.py",
+           "int(dense.max(initial=-1))", "int(dense.max())",
+           ("test_batched_explain.py::test_round_without_an_attributed_pair_selects_nothing",)),
     Mutant("split-ties-broken-by-index", "corpus.py",
            "left = [(rows.size, classes[lab], lab)",
            "left = [(rows.size, lab, lab)",
@@ -153,6 +160,18 @@ MUTANTS = (
            "            IsADirectoryError, NotADirectoryError) as exc:",
            "            NotADirectoryError) as exc:",
            ("test_cli.py::TestUsageErrors::test_path_that_is_a_directory_exit_code",)),
+    Mutant("markers-of-any-class-accepted", "corpus.py",
+           "if not markers.keys() <= set(classes):", "if False:",
+           ("test_cli.py::TestRun::test_markers_of_an_unknown_class_leave_no_run_directory",
+            "test_cli.py::TestReport::test_wrongly_typed_field_exit_code")),
+    Mutant("run-directory-before-marker-check", "rundir.py",
+           "        marker_sets(saved[\"markers\"], classes)", "        pass",
+           ("test_pipeline.py::TestRunPipeline::test_markers_of_an_unknown_class_make_no_run_directory",)),
+    Mutant("config-file-sets-a-required-option", "cli.py",
+           "                if not action.required} & vars(args).keys()",
+           "                } & vars(args).keys()",
+           ("test_cli.py::TestRun::test_config_key_for_the_corpus_exit_code",
+            "test_cli.py::TestSynth::test_config_key_for_the_output_exit_code")),
     Mutant("directory-refused-only-when-replaced", "fileio.py",
            "    if os.path.isdir(path):\n", "    if False:\n",
            ("test_cli.py::TestSynth::test_directory_destination_writes_neither_file",)),

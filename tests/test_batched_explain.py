@@ -129,14 +129,19 @@ def test_criterion_4_rounds_match_per_document_loop(criterion_4_corpus,
 
 
 def batch_pair_counts(monkeypatch):
-    """A list that gets the pair count of each batch ``token_scores``
-    yields from now on."""
+    """A list that gets the pair count of each score table ``token_scores``
+    fills from now on: the rows of each product of the pairs' weights."""
     sizes, token_scores = [], attribution.token_scores
 
-    def recorded(*args):
-        for batch in token_scores(*args):
-            sizes.append(batch[2].size)
-            yield batch
+    class Weights(np.ndarray):
+        def __matmul__(self, other):
+            table = np.asarray(self) @ other
+            sizes.append(table.shape[0])
+            return table
+
+    def recorded(params, pieces, corpus, pair_rows, weights):
+        return token_scores(params, pieces, corpus, pair_rows,
+                            weights.view(Weights))
     monkeypatch.setattr(attribution, "token_scores", recorded)
     return sizes
 
@@ -233,7 +238,7 @@ def assert_pair_weights_match(params, corpus, rows, classes, per_call,
 
 def test_oracle_gradients_unchanged(small_synth):
     # Every class of ten documents, 7 pairs per call: calls split the
-    # pairs of a document, as batches of top_word_scores do.
+    # pairs of a document, as the score tables of token_scores do.
     corpus, _ = small_synth
     for activation in ("tanh", "identity"):
         cfg = TrainConfig(epochs=5, d=8, h=8, activation=activation)
@@ -380,11 +385,11 @@ def test_batches_span_only_the_model_rows_they_use(monkeypatch):
     assert widths == [(3, 3), (2, 2), (2, 2)]
     weights = attribution.pair_weights(params, corpus, pair_rows, pooled,
                                        classes)
-    for first, tokens, _, token_pair, scores in attribution.token_scores(
-            params, pieces, corpus, pair_rows, weights):
-        want = np.einsum("td,td->t", embedding[pieces[tokens]],
-                         weights[first + token_pair])
-        assert np.allclose(scores, want, rtol=1e-13, atol=0.0)
+    tokens, token_pair, scores = attribution.token_scores(
+        params, pieces, corpus, pair_rows, weights)
+    want = np.einsum("td,td->t", embedding[pieces[tokens]],
+                     weights[token_pair])
+    assert np.allclose(scores, want, rtol=1e-13, atol=0.0)
     # The view itself aside, every array computed from the embedding is
     # one batch's: a [2, 3] or [2, 2] table, the rows it spans, or its
     # scores, of which t0's two pairs have the most, 8.
@@ -412,6 +417,32 @@ def test_all_zero_class_matches_reference(small_synth, monkeypatch, batch):
     assert {repr(s) for s in score[silenced].tolist()} == {"0.0"}
     assert (score[~silenced] != 0.0).all()
     assert sizes == {1: [1] * 48, 15: [15, 15, 15, 3]}.get(batch, [48])
+
+
+def test_round_without_an_attributed_pair_selects_nothing(small_synth,
+                                                          monkeypatch):
+    # A model that predicts no class has no true-positive pair: no score
+    # table is filled, and the word-score columns are empty, of the dtypes
+    # that pairs give them.
+    corpus, _ = small_synth
+    params = untrained_model(corpus, d=2)
+    pieces = model.piece_rows(params, corpus)
+    rows = np.arange(4)
+    pooled = model.pool_documents(params, pieces, corpus, rows)
+    some = attribution.top_word_scores(params, pieces, corpus, rows, pooled,
+                                       rows % 2, 3)
+    sizes = batch_pair_counts(monkeypatch)
+    none = attribution.top_word_scores(params, pieces, corpus, rows[:0],
+                                       pooled[:0], rows[:0], 3)
+    assert [column.size for column in none] == [0, 0, 0]
+    assert [column.dtype for column in none] == \
+        [column.dtype for column in some] == [np.intp, np.intp, float]
+    monkeypatch.setattr(model, "predict_pooled",
+                        lambda params, pooled, threshold: np.zeros(
+                            (len(pooled), params.num_classes), dtype=bool))
+    rr = run_round(corpus, small_config(), 0)
+    assert not rr.failed and len(rr.selections) == 0
+    assert sizes == []
 
 
 def test_grouped_aggregate_equals_dict_aggregate(small_synth):

@@ -153,6 +153,18 @@ class TestSynth:
         assert "zipf_exponent" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_config_key_for_the_output_exit_code(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # The file may not set the required --out: the key exits 1, named,
+        # and neither path gets a file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "synth.conf").write_text("out = other.jsonl\n")
+        assert run_cli("--config", "synth.conf", "synth",
+                       "--docs-per-class", "5", "--out", "c.jsonl") == 1
+        assert "unknown or required config key 'out'" in \
+            capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["synth.conf"]
+
     @pytest.mark.parametrize("argv", [("--out", "c.jsonl", "--markers-out",
                                        "dir"), ("--out", "dir")],
                              ids=["markers-out", "out"])
@@ -404,6 +416,37 @@ class TestRun:
         assert run_cli("run", "--corpus", str(corpus_path),
                        "--out-dir", str(out_dir), "--rounds", "1") == 1
         assert "document 'a' has no subwords" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_key_for_the_corpus_exit_code(self, synth_files,
+                                                 tmp_path, capsys):
+        # The file may not set the required --corpus, even to the path the
+        # command line gives.
+        corpus_path, _ = synth_files
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"corpus = {corpus_path}\n")
+        out_dir = tmp_path / "run"
+        assert run_cli("--config", str(cfg), "run",
+                       "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 1
+        assert "unknown or required config key 'corpus'" in \
+            capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_markers_of_an_unknown_class_leave_no_run_directory(
+            self, synth_files, tmp_path, capsys):
+        # Markers planted in a class the run does not have would be scored
+        # as missed (recall 0.0, precision 1.0); they exit 1 instead.
+        corpus_path, markers_path = synth_files
+        markers = json.loads(markers_path.read_text())
+        markers["zz"] = ["qaa"]
+        markers_path.write_text(json.dumps(markers))
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 1
+        assert "markers of classes the run does not have: ['zz']" in \
+            capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_unknown_config_key(self, synth_files, tmp_path):
@@ -716,6 +759,7 @@ class TestReport:
         ("config.json", lambda saved: saved.update(classes=[])),
         ("config.json", lambda saved: saved.update(
             classes=saved["classes"] + [""])),
+        ("config.json", lambda saved: saved["markers"].update(zz=["qaa"])),
         ("round_0000.json", lambda saved: saved.update(micro_f1=True)),
         ("round_0001.json", lambda saved: saved["per_class"]["c1"].update(
             f1=False)),
@@ -724,7 +768,7 @@ class TestReport:
     ], ids=["markers-a-string", "top-m-a-bool", "rounds-a-bool",
             "rounds-a-float", "epochs-a-float", "ratio-a-string",
             "dump-scores-an-int", "duplicate-classes", "no-classes",
-            "empty-class-name",
+            "empty-class-name", "markers-of-an-unknown-class",
             "micro-f1-a-bool", "f1-a-bool", "support-a-bool"])
     def test_wrongly_typed_field_exit_code(self, synth_files, tmp_path,
                                            capsys, name, edit):

@@ -277,6 +277,15 @@ class TestRunPipeline:
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["config.json", "round_0000.json", *others])
 
+    def test_markers_of_an_unknown_class_make_no_run_directory(
+            self, small_synth, tmp_path):
+        # A library call checks the markers as the command line does.
+        corpus, markers = small_synth
+        with pytest.raises(ValidationError, match=r"does not have: \['zz'\]"):
+            rundir.write_run(corpus, toy_config(rounds=1), tmp_path / "run",
+                             dict(markers, zz={"qaa"}))
+        assert not (tmp_path / "run").exists()
+
     def test_sf_bounds_and_round_counts(self, small_synth):
         corpus, _ = small_synth
         config = toy_config(rounds=2)
