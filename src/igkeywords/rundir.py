@@ -4,9 +4,11 @@
 ``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
 ``classes`` and any planted ``markers``; each round's split and training
 seeds come from ``master_seed`` and its index (``pipeline.round_seeds``).
-A ``round_NNNN.json`` holds a round's ``RoundResult`` fields and, with
-``dump_scores``, its selections; ``_from_fields`` reads both files' fields
-by type.  ``aggregates.npz`` holds the table ``report`` reads, exported as
+A ``round_NNNN.json`` holds a round's ``RoundResult`` fields on its
+first line; with ``dump_scores`` that line also holds the SHA-256 of the
+selections that follow it, so ``report`` checks them without parsing
+them.  ``_from_fields`` reads both files' fields by type.
+``aggregates.npz`` holds the table ``report`` reads, exported as
 ``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
 is written atomically (``fileio.atomic_write``).  A directory of another
 format, or of none, is refused rather than read, so a new layout raises
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import typing
@@ -32,10 +35,12 @@ from .fileio import atomic_write, malformed
 from .pipeline import Aggregates, PipelineConfig, PipelineResult, RoundResult
 
 #: the layout of the directories this module writes, the one it reads
-FORMAT = 2
+FORMAT = 3
 REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
                 "f1_summary.tsv", "uniqueness.json", "recovery.json")
 _AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
+#: what precedes the dumped selections' text on a round file's second line
+_SELECTIONS = b'"selections": '
 
 #: rows per slice when writing the aggregate exports, so that neither
 #: file's whole text is held in memory at once
@@ -133,14 +138,14 @@ def _write_reports(run_dir, config: PipelineConfig, rounds, keywords,
 
 def _from_fields(cls, values, unsaved=()):
     """``cls`` read from a JSON object's ``values``, which name every field
-    of ``cls`` but the ``unsaved`` ones (those keep their defaults, whatever
-    ``values`` holds under their names) and no other key.  Each value is of
-    its field's type: an int will do for a float, and only a bool for a
-    bool; the object of a dataclass field is read by this same rule."""
+    of ``cls`` but the ``unsaved`` ones (those keep their defaults) and no
+    other key.  Each value is of its field's type: an int will do for a
+    float, and only a bool for a bool; the object of a dataclass field is
+    read by this same rule."""
     types = _field_types(cls)
-    if values.keys() - types:
-        raise TypeError(f"unknown fields {sorted(values.keys() - types)}")
     read = {name: values[name] for name in types if name not in unsaved}
+    if values.keys() - read:
+        raise TypeError(f"unknown fields {sorted(values.keys() - read)}")
     for name, value in read.items():
         kind = types[name]
         nested = dataclasses.is_dataclass(kind)
@@ -181,14 +186,25 @@ def load_config(run_dir):
 
 def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
                  out_dir) -> None:
-    """Write a round's artifact, with its selections if ``dump_scores``."""
-    payload = {f.name: getattr(rr, f.name) for f in dataclasses.fields(rr)
-               if f.name != "selections"}
-    if dump_scores:
-        payload["selections"] = dumped(rr.selections, corpus)
+    """Write a round's artifact: ``json.dumps`` of its record, the
+    ``RoundResult`` fields but ``selections``.  With ``dump_scores`` the
+    record also holds ``selections_sha256``, the hex SHA-256 of the text
+    of ``json.dumps`` of its ``dumped`` selections, and its line ends in
+    ``,``; the next line is ``"selections": ``, that text and ``}``.  The
+    file stays one JSON object, and ``load_rounds`` reads the record
+    without parsing the selections."""
+    record = {f.name: getattr(rr, f.name) for f in dataclasses.fields(rr)
+              if f.name != "selections"}
     with atomic_write(os.path.join(out_dir,
                                    round_file(rr.round_index))) as fh:
-        fh.write(json.dumps(payload))
+        if not dump_scores:
+            fh.write(json.dumps(record))
+            return
+        selections = json.dumps(dumped(rr.selections, corpus))
+        record["selections_sha256"] = hashlib.sha256(
+            selections.encode("ascii")).hexdigest()
+        fh.write(json.dumps(record)[:-1] + ",\n")
+        fh.write(_SELECTIONS.decode("ascii") + selections + "}")
 
 
 def dumped(selections: pipeline.Selections, corpus: Corpus) -> list[list]:
@@ -203,18 +219,37 @@ def dumped(selections: pipeline.Selections, corpus: Corpus) -> list[list]:
 
 
 def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
-    """The ``RoundResult`` of each of rounds 0..rounds-1, read from its
-    artifact by ``_from_fields`` without its dumped selections.  A file
-    that is not JSON, breaks that rule, holds a non-numeric ``f1`` or
-    ``support``, describes another round than its name, or is of a
-    successful round whose ``per_class`` does not hold exactly ``classes``
-    raises ``ValidationError`` naming it; other files are ignored."""
+    """The ``RoundResult`` of each of rounds 0..rounds-1, read by
+    ``_from_fields`` from its artifact's record, the first line.  A file
+    with more after that line holds dumped selections: its record must end in
+    ``,`` and the rest of the file be ``"selections": ``, a text whose
+    SHA-256 is the record's ``selections_sha256``, and ``}``; the text
+    itself is not parsed.  A file that breaks that layout, whose record is
+    not UTF-8 JSON, breaks the rule of ``_from_fields``, holds a
+    non-numeric ``f1`` or ``support``, describes another round than its
+    name, or is of a successful round whose ``per_class`` does not hold
+    exactly ``classes`` raises ``ValidationError`` naming it; other files
+    are ignored."""
     results = []
     for round_index in range(rounds):
         path = os.path.join(out_dir, round_file(round_index))
-        with open(path, encoding="utf-8") as fh, \
+        with open(path, "rb") as fh, \
                 malformed(path, "round artifact", ValidationError):
-            rr = _from_fields(RoundResult, json.load(fh), ("selections",))
+            record, _, tail = fh.read().partition(b"\n")
+            if tail:
+                if not (record.endswith(b",") and tail.startswith(_SELECTIONS)
+                        and tail.endswith(b"}")):
+                    raise ValueError('not a record line ending in "," and a '
+                                     'line of "selections": ... "}"')
+                record = record[:-1] + b"}"
+            values = json.loads(record.decode("utf-8"))
+            if tail:
+                digest = values.pop("selections_sha256", None)
+                if digest != hashlib.sha256(
+                        tail[len(_SELECTIONS):-1]).hexdigest():
+                    raise ValueError("the dumped selections do not match "
+                                     "their selections_sha256")
+            rr = _from_fields(RoundResult, values, ("selections",))
             if not all(type(stats[key]) in (int, float)
                        for stats in rr.per_class.values()
                        for key in ("f1", "support")):

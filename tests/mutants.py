@@ -108,6 +108,17 @@ MUTANTS = (
     Mutant("round-reader-takes-any-round-index", "rundir.py",
            "if rr.round_index != round_index:", "if False:",
            ("test_cli.py::TestReport::test_malformed_run_artifact_exit_code",)),
+    Mutant("dump-hash-unchecked", "rundir.py",
+           "if digest != hashlib.sha256(",
+           "if False and digest != hashlib.sha256(",
+           ("test_cli.py::TestReport::test_malformed_run_artifact_exit_code",)),
+    Mutant("dump-parsed-whole", "rundir.py",
+           'values = json.loads(record.decode("utf-8"))\n',
+           """values = json.loads((record[:-1] + b",\\n" + tail if tail
+                                else record).decode("utf-8"))
+            values.pop("selections", None)
+""",
+           ("test_cli.py::TestReport::test_report_parses_no_dumped_selections",)),
     Mutant("typed-field-rule-takes-a-bool-for-an-int", "rundir.py",
            "if type(value) is not saved and",
            "if not isinstance(value, saved) and",

@@ -10,6 +10,7 @@ values, and the two round differently.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -474,16 +475,22 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
     # 7 rows per slice splits both files into several slices
     assert min(len(selections[0]), len(result.aggregates)) > 7
     for rr, selected in zip(result.rounds, selections):
-        payload = {"round_index": rr.round_index, "failed": rr.failed,
-                   "micro_f1": rr.micro_f1, "per_class": rr.per_class,
-                   "val_doc_count": rr.val_doc_count,
-                   "selections": [[r.class_name, r.word, r.doc_id, r.score]
-                                  for r in as_records(selected, corpus)]}
-        expected = io.StringIO()
-        json.dump(payload, expected)
+        record = {"round_index": rr.round_index, "failed": rr.failed,
+                  "micro_f1": rr.micro_f1, "per_class": rr.per_class,
+                  "val_doc_count": rr.val_doc_count}
+        dumped = [[r.class_name, r.word, r.doc_id, r.score]
+                  for r in as_records(selected, corpus)]
+        text = json.dumps(dumped)
+        record["selections_sha256"] = hashlib.sha256(
+            text.encode("ascii")).hexdigest()
+        # the record line of json.dumps, open, then the selections' text
+        expected = (json.dumps(record)[:-1] + ',\n"selections": ' + text
+                    + "}")
         written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
             encoding="utf-8")
-        assert written == expected.getvalue()
+        assert written == expected
+        # the whole file is the JSON object of the record and selections
+        assert json.loads(written) == dict(record, selections=dumped)
     assert_aggregate_files(tmp_path, aggregate_records(result.aggregates))
 
 

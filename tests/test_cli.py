@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -515,6 +516,55 @@ class TestRun:
         assert done.stdout.strip() == "False False"
 
 
+def report_files(run_dir) -> dict:
+    """Each report file's bytes and modification time."""
+    return {name: ((run_dir / name).read_bytes(),
+                   (run_dir / name).stat().st_mtime_ns)
+            for name in REPORT_FILES if (run_dir / name).exists()}
+
+
+def round_file_damages(intact: bytes) -> list[bytes]:
+    """Damaged copies of a successful round's dumped ``round_NNNN.json``
+    that all stay JSON, but the first two: a record line that is not
+    UTF-8 or does not end in ``,``; the hash altered or removed, one score
+    digit changed, the selections under another key; and records with a
+    field missing, of a wrong type, a successful round without a class,
+    the index of another round and a key that is not a field."""
+    record_line, _, tail = intact.partition(b"\n")
+    record = json.loads(record_line[:-1] + b"}")
+    assert not record["failed"]
+
+    def edited(**changes):
+        line = json.dumps({k: v for k, v in dict(record, **changes).items()
+                           if v is not None})
+        return line[:-1].encode() + b",\n" + tail
+
+    digest = record["selections_sha256"]
+    # the last digit of the last score, before "]]}"
+    digit = intact[-4:-3]
+    assert digit.isdigit()
+    changed_score = intact[:-4] + str((int(digit) + 1) % 10).encode() + \
+        intact[-3:]
+    assert json.loads(changed_score)["selections"] != \
+        json.loads(intact)["selections"]
+    missing_class = dict(record["per_class"])
+    del missing_class["c1"]
+    return [
+        intact.replace(b'"c0"', b'"c\xe9"', 1),
+        record_line[:-1] + b"}\n" + tail,
+        edited(selections_sha256=digest[:-1] + ("0" if digest[-1] != "0"
+                                                else "1")),
+        edited(selections_sha256=None),
+        changed_score,
+        intact.replace(b'\n"selections": ', b'\n"dumped": '),
+        edited(round_index=None),
+        edited(per_class={"c0": 5}), edited(micro_f1="x"),
+        edited(failed="no"), edited(per_class=missing_class),
+        edited(val_doc_count=12.5), edited(val_doc_count=True),
+        edited(round_index=str(record["round_index"])),
+        edited(loss=[0.7, 0.5])]
+
+
 def aggregates_npz_damages(run_dir) -> list[bytes]:
     """Damaged copies of ``aggregates.npz``: truncated, empty, not an
     archive, and archives with a column missing, of the wrong dtype kind,
@@ -576,6 +626,9 @@ class TestReport:
         stale = json.loads((out_dir / "round_0001.json").read_text())
         stale.update(round_index=2, micro_f1=0.0)
         (out_dir / "round_0002.json").write_text(json.dumps(stale))
+        # nor is one line break after a record without a dump an error
+        with open(out_dir / "round_0001.json", "a") as fh:
+            fh.write("\n")
         (out_dir / "f1_summary.tsv").unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         assert (out_dir / "f1_summary.tsv").read_bytes() == before
@@ -618,14 +671,15 @@ class TestReport:
                 == (tmp_path / "b" / "config.json").read_bytes())
         saved = json.loads((tmp_path / "a" / "config.json").read_text())
         assert "ig_steps" not in saved
-        assert list(saved.items())[0] == ("format", 2)
+        assert list(saved.items())[0] == ("format", 3)
         # each round's seeds come from master_seed and the round index
         assert "seed" not in saved["train_config"]
 
     def test_report_refuses_another_format(self, synth_files, tmp_path,
                                            capsys):
         # config.json without a format is what earlier versions wrote;
-        # format 1 also held train_config's seed
+        # format 1 also held train_config's seed, and format 2 wrote a
+        # dumped round's selections on its record's line, without a hash
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
@@ -638,11 +692,12 @@ class TestReport:
                 ("1", lambda saved: (saved.update(format=1),
                                      saved["train_config"].update(seed=0))),
                 ("1", lambda saved: saved.update(format=1)),
-                ("3", lambda saved: saved.update(format=3)),
+                ("2", lambda saved: saved.update(format=2)),
+                ("4", lambda saved: saved.update(format=4)),
                 ("0", lambda saved: saved.update(format=0)),
-                ("'2'", lambda saved: saved.update(format="2")),
+                ("'3'", lambda saved: saved.update(format="3")),
                 ("True", lambda saved: saved.update(format=True)),
-                ("2.0", lambda saved: saved.update(format=2.0))):
+                ("3.0", lambda saved: saved.update(format=3.0))):
             edited = json.loads(json.dumps(saved))
             edit(edited)
             (out_dir / "config.json").write_text(json.dumps(edited))
@@ -651,7 +706,7 @@ class TestReport:
             capsys.readouterr()
             assert run_cli("report", "--run-dir", str(out_dir)) == 1, found
             err = capsys.readouterr().err
-            assert (f"{out_dir / 'config.json'}: format {found}, not 2"
+            assert (f"{out_dir / 'config.json'}: format {found}, not 3"
                     in err), err
             assert "run the pipeline again" in err
             assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
@@ -706,29 +761,15 @@ class TestReport:
         assert run_cli("run", "--corpus", str(corpus_path),
                        "--out-dir", str(out_dir), "--dump-scores",
                        "--learning-rate", "0.1", *SMALL_RUN) == 0
-        keywords = (out_dir / "keywords.tsv").read_bytes()
+        reports = report_files(out_dir)
         damages = {"aggregates.npz": aggregates_npz_damages(out_dir)}
         names = ("round_0000.json", "round_0001.json")
         for name, other in zip(names, reversed(names)):
             intact = (out_dir / name).read_bytes()
-            value = json.loads(intact)
-            assert not value["failed"]
-            missing_class = dict(value["per_class"])
-            del missing_class["c1"]
-            # wrong types, a successful round without a class, the index
-            # of another round, and a key that is not a field
-            edits = [("per_class", {"c0": 5}), ("micro_f1", "x"),
-                     ("failed", "no"), ("per_class", missing_class),
-                     ("val_doc_count", 12.5), ("val_doc_count", True),
-                     ("round_index", str(value["round_index"])),
-                     ("loss", [0.7, 0.5])]
-            value.pop(next(iter(value)))  # a missing field
             damages[name] = [intact[:len(intact) // 2],
-                             json.dumps(value).encode(),
                              # the file of the other round copied over it
-                             (out_dir / other).read_bytes()] + [
-                json.dumps(dict(json.loads(intact), **{k: v})).encode()
-                for k, v in edits]
+                             (out_dir / other).read_bytes()]
+            damages[name] += round_file_damages(intact)
         for name, named_damages in damages.items():
             intact = (out_dir / name).read_bytes()
             for damaged in named_damages:
@@ -736,14 +777,40 @@ class TestReport:
                 capsys.readouterr()
                 assert run_cli("report", "--run-dir", str(out_dir)) == 1
                 assert f"{name}: malformed" in capsys.readouterr().err
-                assert (out_dir / "keywords.tsv").read_bytes() == keywords
+                assert report_files(out_dir) == reports
             (out_dir / name).write_bytes(intact)
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
         # A run directory written before aggregates.npz existed
         (out_dir / "aggregates.npz").unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 1
         assert "aggregates.npz" in capsys.readouterr().err
-        assert (out_dir / "keywords.tsv").read_bytes() == keywords
+        assert (out_dir / "keywords.tsv").read_bytes() == reports[
+            "keywords.tsv"][0]
+
+    def test_report_parses_no_dumped_selections(self, synth_files, tmp_path,
+                                                monkeypatch):
+        corpus_path, _ = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--out-dir", str(out_dir), "--dump-scores",
+                       "--learning-rate", "0.1", *SMALL_RUN) == 0
+        selections = [(out_dir / f"round_000{i}.json").read_bytes()
+                      .partition(b"\n")[2] for i in range(2)]
+        parsed = []
+        loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text.encode() if isinstance(text, str) else text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(rundir.json, "loads", spy)
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
+        monkeypatch.undo()
+        assert sum(b'"round_index"' in text for text in parsed) == 2
+        # the config, the rounds' records and the aggregates' string
+        # tables, under 1 KB each here, and never the dumps after them
+        assert max(map(len, parsed)) < 2 * 1024 < min(map(len, selections))
+        assert not any(b'"selections"' in text for text in parsed)
 
     @pytest.mark.parametrize("name, edit", [
         ("config.json", lambda saved: saved.update(markers={"c0": "qaa"})),
@@ -765,11 +832,17 @@ class TestReport:
             f1=False)),
         ("round_0000.json", lambda saved: saved["per_class"]["c2"].update(
             support=True)),
+        # a round's record holds neither its selections nor, without
+        # their dump after it, their hash
+        ("round_0000.json", lambda saved: saved.update(selections=[])),
+        ("round_0001.json", lambda saved: saved.update(
+            selections_sha256=hashlib.sha256(b"[]").hexdigest())),
     ], ids=["markers-a-string", "top-m-a-bool", "rounds-a-bool",
             "rounds-a-float", "epochs-a-float", "ratio-a-string",
             "dump-scores-an-int", "duplicate-classes", "no-classes",
             "empty-class-name", "markers-of-an-unknown-class",
-            "micro-f1-a-bool", "f1-a-bool", "support-a-bool"])
+            "micro-f1-a-bool", "f1-a-bool", "support-a-bool",
+            "selections-in-the-record", "hash-without-a-dump"])
     def test_wrongly_typed_field_exit_code(self, synth_files, tmp_path,
                                            capsys, name, edit):
         corpus_path, markers_path = synth_files
