@@ -170,18 +170,18 @@ def path_mean_error() -> tuple[float, bool]:
 
 def oracle_error() -> float:
     """The largest |difference| between an aggregate mean score and the mean
-    of its scores in the dumped rows (``rundir.dumped``) of the rounds of a
-    run of ORACLE_CONFIG on ORACLE_SYNTH, as ``run_pipeline`` hands them
-    over.  Raises ``CheckFailure`` if the aggregates' keys, instance
-    counts, rounds selected, selection frequencies or document frequencies
-    (recounted from the texts) differ.
+    of its scores in the dumped rows (``rundir.dumped``) of the selections
+    that ``run_pipeline`` hands to ``on_round`` beside each round's record,
+    in a run of ORACLE_CONFIG on ORACLE_SYNTH.  Raises ``CheckFailure`` if
+    the aggregates' keys, instance counts, rounds selected, selection
+    frequencies or document frequencies (recounted from the texts) differ.
     """
     corpus, _ = generate_synthetic(ORACLE_SYNTH, seed=404)
     rounds = ORACLE_CONFIG.rounds
     scores, hits = {}, {}  # the scores and the rounds of each (class, word)
 
-    def dump(rr):
-        for class_name, word, _, score in rundir.dumped(rr.selections, corpus):
+    def dump(rr, selections):
+        for class_name, word, _, score in rundir.dumped(selections, corpus):
             scores.setdefault((class_name, word), []).append(score)
             hits.setdefault((class_name, word), set()).add(rr.round_index)
     result = pipeline.run_pipeline(corpus, ORACLE_CONFIG, on_round=dump)

@@ -10,14 +10,15 @@ The corpus is piece and word ids over sorted tables (``corpus.Corpus``).
 A round works on rows of it and on ``model.piece_rows``, the model row of
 every corpus piece.  Its explain half is array code over the validation
 rows, and its selections are columns of indices into the corpus's tables.
-``run_pipeline`` takes the rounds in round order and, as each finishes,
-folds it into an ``AggregateFold``, hands it to its ``on_round`` callback
-and drops its selections: the ``RoundResult``s it returns carry metrics,
-not selections.  The fold's ``Aggregates`` table holds class and word ids
-into the corpus's tables; the filter keeps a subset of its rows, classes by
-name and each by mean score.  ``PipelineConfig`` holds every setting of a
-run, ``top_m``, the report tables' rows per class, among them.  This
-module writes no file: ``rundir`` keeps a run's files.
+``run_round`` returns a round's record, its ``RoundResult``, beside its
+``Selections``.  ``run_pipeline`` takes the rounds in round order and, as
+each finishes, folds its selections into an ``AggregateFold`` and hands
+both to its ``on_round`` callback; it keeps the records.  The fold's
+``Aggregates`` table holds class and word ids into the corpus's tables;
+the filter keeps a subset of its rows, classes by name and each by mean
+score.  ``PipelineConfig`` holds every setting of a run, ``top_m``, the
+report tables' rows per class, among them.  This module writes no file:
+``rundir`` keeps a run's files.
 """
 
 from __future__ import annotations
@@ -87,15 +88,13 @@ class Selections:
 
 @dataclass(kw_only=True)
 class RoundResult:
-    """A round's record; its ``round_NNNN.json`` holds every field, in order,
-    but ``selections``, which are empty once folded and in rounds read back."""
+    """A round's record: its ``round_NNNN.json`` holds every field."""
 
     round_index: int
     failed: bool = False
     micro_f1: float
     per_class: dict[str, dict[str, float]]  # precision/recall/f1/support
     val_doc_count: int
-    selections: Selections = field(default_factory=Selections.empty)
 
 
 @dataclass(eq=False)
@@ -140,11 +139,12 @@ def _f1_metrics(counts):
 
 
 def run_round(corpus: Corpus, config: PipelineConfig,
-              round_index: int) -> RoundResult:
-    """One split/train/attribute/select round on rows of ``corpus``;
-    failures are recorded, not raised."""
-    if round_index >= config.rounds:
-        raise ValidationError("round_index must be below the configured rounds")
+              round_index: int) -> tuple[RoundResult, Selections]:
+    """One split/train/attribute/select round on rows of ``corpus``: its
+    record and its selections.  Failures are recorded, not raised; a failed
+    round selects nothing."""
+    if not 0 <= round_index < config.rounds:
+        raise ValidationError("round_index must lie in [0, rounds)")
     split_seed, train_seed = round_seeds(config.master_seed, round_index)
     train_rows, val_rows = stratified_split(corpus, config.ratio, split_seed)
 
@@ -159,7 +159,7 @@ def run_round(corpus: Corpus, config: PipelineConfig,
         warnings.warn(f"round {round_index} failed: {exc}", stacklevel=2)
         return RoundResult(round_index=round_index, failed=True,
                            micro_f1=0.0, per_class={},
-                           val_doc_count=len(val_rows))
+                           val_doc_count=len(val_rows)), Selections.empty()
 
     per_class = {}
     for c, (tp, fp, fn) in zip(corpus.label_space.classes, counts.T.tolist()):
@@ -168,8 +168,8 @@ def run_round(corpus: Corpus, config: PipelineConfig,
                         "support": float(tp + fn)}  # tp + fn = gold count
     _, _, micro_f1 = _f1_metrics(counts.sum(axis=1).tolist())
     return RoundResult(round_index=round_index, micro_f1=micro_f1,
-                       per_class=per_class, val_doc_count=len(val_rows),
-                       selections=selections)
+                       per_class=per_class,
+                       val_doc_count=len(val_rows)), selections
 
 
 def _explain(params: model.ModelParams, corpus: Corpus,
@@ -260,7 +260,7 @@ def filter_keywords(table: Aggregates, config: PipelineConfig) -> Aggregates:
 
 @dataclass
 class PipelineResult:
-    rounds: list[RoundResult]  # their metrics; the selections are folded
+    rounds: list[RoundResult]  # their records; the selections are folded
     aggregates: Aggregates
     keywords: Aggregates  # the rows filter_keywords keeps, in its order
 
@@ -284,8 +284,8 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
                  on_round=None) -> PipelineResult:
     """Run all rounds (optionally across processes), aggregate, and filter.
 
-    Each round is folded, handed to ``on_round`` if given and its
-    selections dropped as it finishes, in round order, so results are
+    As each round finishes, in round order, its selections are folded and
+    handed with its record to ``on_round`` if given, so results are
     identical for any worker count (rounds are seeded individually).
     """
     fold, rounds = AggregateFold(corpus, config), []
@@ -301,12 +301,12 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig,
                 max_workers=workers, initializer=_init_worker,
                 initargs=(replace(corpus, texts=()),)))
             finished = pool.map(_round_task, [(config, i) for i in indices])
-        for rr in finished:
-            fold.add(rr.selections)
+        for rr, selections in finished:
+            fold.add(selections)
             if on_round is not None:
-                on_round(rr)
-            rr.selections = Selections.empty()
+                on_round(rr, selections)
             rounds.append(rr)
+            del selections  # not held while the next round runs
     aggregates = fold.table()
     keywords = filter_keywords(aggregates, config)
     return PipelineResult(rounds=rounds, aggregates=aggregates,

@@ -4,10 +4,10 @@
 ``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
 ``classes`` and any planted ``markers``; each round's split and training
 seeds come from ``master_seed`` and its index (``pipeline.round_seeds``).
-A ``round_NNNN.json`` holds a round's ``RoundResult`` fields on its
-first line; with ``dump_scores`` that line also holds the SHA-256 of the
-selections that follow it, so ``report`` checks them without parsing
-them.  ``_from_fields`` reads both files' fields by type.
+A ``round_NNNN.json`` holds a round's ``RoundResult`` on its first
+line; with ``dump_scores`` that line also holds the SHA-256 of the
+round's selections, which follow it, so ``report`` checks them without
+parsing them.  ``_from_fields`` reads both files' fields by type.
 ``aggregates.npz`` holds the table ``report`` reads, exported as
 ``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
 is written atomically (``fileio.atomic_write``).  A directory of another
@@ -77,8 +77,8 @@ def write_run(corpus: Corpus, config: PipelineConfig, run_dir,
         json.dump(saved, fh, indent=2)
     _clear(run_dir)
     result = pipeline.run_pipeline(
-        corpus, config, on_round=lambda rr: _write_round(
-            rr, corpus, config.dump_scores, run_dir))
+        corpus, config, on_round=lambda rr, selections: _write_round(
+            rr, selections, corpus, config.dump_scores, run_dir))
     write_aggregates(result.aggregates, run_dir)
     _write_reports(run_dir, config, result.rounds, result.keywords, classes,
                    planted)
@@ -136,14 +136,13 @@ def _write_reports(run_dir, config: PipelineConfig, rounds, keywords,
             os.remove(os.path.join(run_dir, "recovery.json"))
 
 
-def _from_fields(cls, values, unsaved=()):
+def _from_fields(cls, values):
     """``cls`` read from a JSON object's ``values``, which name every field
-    of ``cls`` but the ``unsaved`` ones (those keep their defaults) and no
-    other key.  Each value is of its field's type: an int will do for a
-    float, and only a bool for a bool; the object of a dataclass field is
-    read by this same rule."""
+    of ``cls`` and no other key.  Each value is of its field's type: an int
+    will do for a float, and only a bool for a bool; the object of a
+    dataclass field is read by this same rule."""
     types = _field_types(cls)
-    read = {name: values[name] for name in types if name not in unsaved}
+    read = {name: values[name] for name in types}
     if values.keys() - read:
         raise TypeError(f"unknown fields {sorted(values.keys() - read)}")
     for name, value in read.items():
@@ -184,27 +183,26 @@ def load_config(run_dir):
         return _from_fields(PipelineConfig, saved), classes, markers
 
 
-def _write_round(rr: RoundResult, corpus: Corpus, dump_scores: bool,
-                 out_dir) -> None:
-    """Write a round's artifact: ``json.dumps`` of its record, the
-    ``RoundResult`` fields but ``selections``.  With ``dump_scores`` the
-    record also holds ``selections_sha256``, the hex SHA-256 of the text
-    of ``json.dumps`` of its ``dumped`` selections, and its line ends in
-    ``,``; the next line is ``"selections": ``, that text and ``}``.  The
-    file stays one JSON object, and ``load_rounds`` reads the record
-    without parsing the selections."""
-    record = {f.name: getattr(rr, f.name) for f in dataclasses.fields(rr)
-              if f.name != "selections"}
+def _write_round(rr: RoundResult, selections: pipeline.Selections,
+                 corpus: Corpus, dump_scores: bool, out_dir) -> None:
+    """Write a round's artifact: ``json.dumps`` of its record,
+    ``dataclasses.asdict(rr)``.  With ``dump_scores`` the record also holds
+    ``selections_sha256``, the hex SHA-256 of the text of ``json.dumps`` of
+    the ``dumped`` ``selections``, and its line ends in ``,``; the next
+    line is ``"selections": ``, that text and ``}``.  The file stays one
+    JSON object, and ``load_rounds`` reads the record without parsing the
+    selections."""
+    record = dataclasses.asdict(rr)
     with atomic_write(os.path.join(out_dir,
                                    round_file(rr.round_index))) as fh:
         if not dump_scores:
             fh.write(json.dumps(record))
             return
-        selections = json.dumps(dumped(rr.selections, corpus))
+        text = json.dumps(dumped(selections, corpus))
         record["selections_sha256"] = hashlib.sha256(
-            selections.encode("ascii")).hexdigest()
+            text.encode("ascii")).hexdigest()
         fh.write(json.dumps(record)[:-1] + ",\n")
-        fh.write(_SELECTIONS.decode("ascii") + selections + "}")
+        fh.write(_SELECTIONS.decode("ascii") + text + "}")
 
 
 def dumped(selections: pipeline.Selections, corpus: Corpus) -> list[list]:
@@ -225,7 +223,8 @@ def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
     ``,`` and the rest of the file be ``"selections": ``, a text whose
     SHA-256 is the record's ``selections_sha256``, and ``}``; the text
     itself is not parsed.  A file that breaks that layout, whose record is
-    not UTF-8 JSON, breaks the rule of ``_from_fields``, holds a
+    not UTF-8 JSON, breaks the rule of ``_from_fields`` (a record holding
+    ``selections`` names a field ``RoundResult`` lacks), holds a
     non-numeric ``f1`` or ``support``, describes another round than its
     name, or is of a successful round whose ``per_class`` does not hold
     exactly ``classes`` raises ``ValidationError`` naming it; other files
@@ -249,7 +248,7 @@ def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
                         tail[len(_SELECTIONS):-1]).hexdigest():
                     raise ValueError("the dumped selections do not match "
                                      "their selections_sha256")
-            rr = _from_fields(RoundResult, values, ("selections",))
+            rr = _from_fields(RoundResult, values)
             if not all(type(stats[key]) in (int, float)
                        for stats in rr.per_class.values()
                        for key in ("f1", "support")):

@@ -123,6 +123,22 @@ MUTANTS = (
            "if type(value) is not saved and",
            "if not isinstance(value, saved) and",
            ("test_cli.py::TestReport::test_wrongly_typed_field_exit_code",)),
+    Mutant("on-round-gets-no-selections", "pipeline.py",
+           "on_round(rr, selections)", "on_round(rr, Selections.empty())",
+           ("test_batched_explain.py::test_dumps_are_byte_identical_to_json_dump",)),
+    Mutant("selections-held-across-rounds", "pipeline.py",
+           "            del selections  # not held while the next round runs\n",
+           "",
+           ("test_pipeline.py::TestRunPipeline::test_a_rounds_selections_are_released_before_the_next_round",)),
+    Mutant("round-file-drops-a-field", "rundir.py",
+           "    record = dataclasses.asdict(rr)\n",
+           "    record = dataclasses.asdict(rr)\n"
+           "    record.pop(\"val_doc_count\")\n",
+           ("test_pipeline.py::TestRunPipeline::test_artifacts_round_trip",)),
+    Mutant("negative-round-index-accepted", "pipeline.py",
+           "if not 0 <= round_index < config.rounds:",
+           "if round_index >= config.rounds:",
+           ("test_pipeline.py::TestRunRound::test_round_index_out_of_range",)),
     Mutant("pool-not-capped-at-the-rounds", "pipeline.py",
            "workers = min(config.workers, config.rounds)",
            "workers = config.workers",

@@ -10,7 +10,8 @@ gradients that the closed-form path integral replaced; of the
 written before they held the entries of the run's tables in table order.
 ``AggregateRecord``, one aggregate row with its class name and word
 spelt out, is the row type of the dict aggregate and of the tests;
-``fold_rounds`` folds a list of rounds the way ``run_pipeline`` does;
+``fold_rounds`` folds a list of rounds' selections the way
+``run_pipeline`` does;
 ``same_selections`` and ``same_table`` compare rounds' selections and
 aggregate tables column by column;
 ``gamma`` is the rounding constant of the bounds on sums that the
@@ -353,11 +354,12 @@ def table_from_json(run_dir) -> Aggregates:
 
 
 def fold_rounds(rounds, corpus, config) -> Aggregates:
-    """The aggregate table of ``rounds`` (``RoundResult``s in any order),
-    folded in round order as ``run_pipeline`` folds them."""
+    """The aggregate table of ``rounds`` (``(RoundResult, Selections)``
+    pairs, as ``run_round`` returns them, in any order), folded in round
+    order as ``run_pipeline`` folds them."""
     fold = AggregateFold(corpus, config)
-    for rr in sorted(rounds, key=lambda r: r.round_index):
-        fold.add(rr.selections)
+    for _, selections in sorted(rounds, key=lambda r: r[0].round_index):
+        fold.add(selections)
     return fold.table()
 
 

@@ -91,10 +91,9 @@ def as_records(selections, corpus):
 
 
 def assert_round_matches_reference(corpus, config, round_index):
-    batched = run_round(corpus, config, round_index)
+    batched, got = run_round(corpus, config, round_index)
     records, per_class, micro_f1 = reference_run_round(corpus, config,
                                                        round_index)
-    got = batched.selections
     *want, want_score = as_columns(records, corpus)
     for name, column in zip(("class_idx", "word_idx", "doc_idx"), want):
         assert np.array_equal(getattr(got, name), column), name
@@ -283,7 +282,7 @@ def test_all_zero_attributions_score_zero(small_synth, monkeypatch):
     corpus, _ = small_synth
     config = small_config(selection_target="false-negative")
     assert assert_round_matches_reference(corpus, config, 0) > 0
-    selections = run_round(corpus, config, 0).selections
+    _, selections = run_round(corpus, config, 0)
     silenced = selections.class_idx == 1
     assert silenced.any() and (selections.score[silenced] == 0.0).all()
 
@@ -441,8 +440,8 @@ def test_round_without_an_attributed_pair_selects_nothing(small_synth,
     monkeypatch.setattr(model, "predict_pooled",
                         lambda params, pooled, threshold: np.zeros(
                             (len(pooled), params.num_classes), dtype=bool))
-    rr = run_round(corpus, small_config(), 0)
-    assert not rr.failed and len(rr.selections) == 0
+    rr, selections = run_round(corpus, small_config(), 0)
+    assert not rr.failed and len(selections) == 0
     assert sizes == []
 
 
@@ -450,27 +449,31 @@ def test_grouped_aggregate_equals_dict_aggregate(small_synth):
     corpus, _ = small_synth
     config = small_config(rounds=4, selection_target="false-negative")
     rounds = [run_round(corpus, config, i) for i in range(3)]
-    rounds.append(RoundResult(round_index=3, selections=Selections.empty(),
-                              per_class={}, micro_f1=0.0, val_doc_count=64,
-                              failed=True))
+    rounds.append((RoundResult(round_index=3, per_class={}, micro_f1=0.0,
+                               val_doc_count=64, failed=True),
+                   Selections.empty()))
     rounds = [rounds[2], rounds[3], rounds[0], rounds[1]]  # any order
-    assert all(len(r.selections) for r in rounds if not r.failed)
+    assert all(len(s) for r, s in rounds if not r.failed)
     want = reference_aggregate(
-        [(r.round_index, as_records(r.selections, corpus)) for r in rounds],
+        [(r.round_index, as_records(s, corpus)) for r, s in rounds],
         corpus, config)
     assert aggregate_records(fold_rounds(rounds, corpus, config)) == want
     assert any(r.rounds_selected < 3 for r in want)
     assert any(r.instance_count > r.rounds_selected for r in want)
 
 
-@pytest.mark.parametrize("dump_rows", [7, 4096])
+@pytest.mark.parametrize(
+    ("dump_rows", "dump_scores"),
+    [(7, True), (4096, True), (7, False), (4096, False)],
+    ids=["7", "4096", "7-without-dump", "4096-without-dump"])
 def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
-                                               monkeypatch, dump_rows):
+                                               monkeypatch, dump_rows,
+                                               dump_scores):
     corpus, _ = small_synth
-    config = small_config(rounds=2, dump_scores=True)
+    config = small_config(rounds=2, dump_scores=dump_scores)
     monkeypatch.setattr(rundir, "DUMP_ROWS", dump_rows)
     result = rundir.write_run(corpus, config, tmp_path)
-    selections = [run_round(corpus, config, rr.round_index).selections
+    selections = [run_round(corpus, config, rr.round_index)[1]
                   for rr in result.rounds]
     # 7 rows per slice splits both files into several slices
     assert min(len(selections[0]), len(result.aggregates)) > 7
@@ -478,6 +481,12 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
         record = {"round_index": rr.round_index, "failed": rr.failed,
                   "micro_f1": rr.micro_f1, "per_class": rr.per_class,
                   "val_doc_count": rr.val_doc_count}
+        written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
+            encoding="utf-8")
+        if not dump_scores:
+            # the record's fields, spelt out in their order
+            assert written == json.dumps(record)
+            continue
         dumped = [[r.class_name, r.word, r.doc_id, r.score]
                   for r in as_records(selected, corpus)]
         text = json.dumps(dumped)
@@ -486,8 +495,6 @@ def test_dumps_are_byte_identical_to_json_dump(small_synth, tmp_path,
         # the record line of json.dumps, open, then the selections' text
         expected = (json.dumps(record)[:-1] + ',\n"selections": ' + text
                     + "}")
-        written = (tmp_path / f"round_{rr.round_index:04d}.json").read_text(
-            encoding="utf-8")
         assert written == expected
         # the whole file is the JSON object of the record and selections
         assert json.loads(written) == dict(record, selections=dumped)
@@ -609,7 +616,7 @@ def test_non_finite_gradient_names_its_pair(small_synth, monkeypatch, bad):
     monkeypatch.setattr(attribution, "top_word_scores", recorded)
     monkeypatch.setattr(attribution, "path_mean_gradients", poisoned)
     with pytest.warns(UserWarning) as warned:
-        result = run_round(corpus, small_config(), 0)
+        result, _ = run_round(corpus, small_config(), 0)
     assert result.failed
     pair_rows, pair_classes = pairs[0]
     assert [str(w.message) for w in warned

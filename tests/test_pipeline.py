@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -63,8 +64,8 @@ class TestRoundSeeds:
 
 
 def make_round(index, records, corpus):
-    """A round whose selections are ``records``, as columns over the
-    tables of ``corpus``."""
+    """A round and its selections, ``records`` as columns over the tables
+    of ``corpus``."""
     selections = Selections(
         class_idx=np.array([corpus.label_space.classes.index(r.class_name)
                             for r in records], dtype=np.intp),
@@ -72,8 +73,8 @@ def make_round(index, records, corpus):
                           dtype=np.intp),
         doc_idx=np.zeros(len(records), dtype=np.intp),
         score=np.array([r.score for r in records], dtype=float))
-    return RoundResult(round_index=index, selections=selections, per_class={},
-                       micro_f1=0.5, val_doc_count=10)
+    return RoundResult(round_index=index, per_class={}, micro_f1=0.5,
+                       val_doc_count=10), selections
 
 
 def one_document_corpus(text):
@@ -189,46 +190,47 @@ class TestFilterKeywords:
                                                  config)) == want
 
 
-def selected_gold(result, corpus):
+def selected_gold(selections, corpus):
     """Whether each selection's class is a gold label of its document."""
-    return corpus.labels[result.selections.doc_idx,
-                         result.selections.class_idx] == 1
+    return corpus.labels[selections.doc_idx, selections.class_idx] == 1
 
 
 class TestRunRound:
     def test_target_rule_exclusivity(self, small_synth):
         corpus, _ = small_synth
         config = toy_config()
-        result = run_round(corpus, config, 0)
-        assert len(result.selections)
-        assert selected_gold(result, corpus).all()
+        _, selections = run_round(corpus, config, 0)
+        assert len(selections)
+        assert selected_gold(selections, corpus).all()
 
     def test_false_positive_target_excludes_gold(self, small_synth):
         corpus, _ = small_synth
         config = toy_config(selection_target="false-positive")
-        result = run_round(corpus, config, 0)
-        assert not selected_gold(result, corpus).any()
+        _, selections = run_round(corpus, config, 0)
+        assert not selected_gold(selections, corpus).any()
 
     def test_determinism(self, small_synth):
         corpus, _ = small_synth
         config = toy_config()
-        a = run_round(corpus, config, 1)
-        b = run_round(corpus, config, 1)
-        assert same_selections(a.selections, b.selections)
+        (a, a_selections), (b, b_selections) = (run_round(corpus, config, 1)
+                                                for _ in range(2))
+        assert same_selections(a_selections, b_selections)
         assert a.micro_f1 == b.micro_f1
 
     def test_top_n_cap(self, small_synth):
         corpus, _ = small_synth
         config = toy_config(top_n=3)
-        result = run_round(corpus, config, 0)
-        per_doc_class = Counter(zip(result.selections.doc_idx.tolist(),
-                                    result.selections.class_idx.tolist()))
+        _, selections = run_round(corpus, config, 0)
+        per_doc_class = Counter(zip(selections.doc_idx.tolist(),
+                                    selections.class_idx.tolist()))
         assert per_doc_class
         assert all(n <= 3 for n in per_doc_class.values())
 
-
-ROUND_METRICS = ("round_index", "failed", "micro_f1", "per_class",
-                 "val_doc_count")
+    @pytest.mark.parametrize("round_index", [-1, 3])
+    def test_round_index_out_of_range(self, small_synth, round_index):
+        corpus, _ = small_synth
+        with pytest.raises(ValidationError, match=r"\[0, rounds\)"):
+            run_round(corpus, toy_config(rounds=3), round_index)
 
 
 class TestRunPipeline:
@@ -242,11 +244,8 @@ class TestRunPipeline:
             encoding="utf-8"))["selections"] for i in range(2)]
         for i, (loaded, ran) in enumerate(zip(rounds, result.rounds)):
             assert dumped[i] == rundir.dumped(
-                run_round(corpus, config, i).selections, corpus)
-            assert ([getattr(loaded, f) for f in ROUND_METRICS]
-                    == [getattr(ran, f) for f in ROUND_METRICS])
-            # folded rounds and rounds read back carry no selections
-            assert len(loaded.selections) == len(ran.selections) == 0
+                run_round(corpus, config, i)[1], corpus)
+            assert loaded == ran  # field by field
         assert dumped[0]
         aggregates = load_aggregates(tmp_path)
         assert same_table(aggregates, result.aggregates)
@@ -285,6 +284,21 @@ class TestRunPipeline:
             rundir.write_run(corpus, toy_config(rounds=1), tmp_path / "run",
                              dict(markers, zz={"qaa"}))
         assert not (tmp_path / "run").exists()
+
+    def test_a_rounds_selections_are_released_before_the_next_round(
+            self, small_synth, monkeypatch):
+        corpus, _ = small_synth
+        run_round, selections, alive = pipeline.run_round, [], []
+
+        def tracked(corpus, config, round_index):
+            alive.append(sum(ref() is not None for ref in selections))
+            rr, selected = run_round(corpus, config, round_index)
+            selections.append(weakref.ref(selected))
+            return rr, selected
+
+        monkeypatch.setattr(pipeline, "run_round", tracked)
+        run_pipeline(corpus, toy_config(rounds=3))
+        assert alive == [0, 0, 0]
 
     def test_sf_bounds_and_round_counts(self, small_synth):
         corpus, _ = small_synth
@@ -362,9 +376,7 @@ class TestRunPipeline:
         pooled = run_pipeline(corpus, dataclasses.replace(config, workers=8))
         serial = run_pipeline(corpus, config)
         assert opened == [2]
-        assert ([[getattr(r, f) for f in ROUND_METRICS] for r in pooled.rounds]
-                == [[getattr(r, f) for f in ROUND_METRICS]
-                    for r in serial.rounds])
+        assert pooled.rounds == serial.rounds
         assert same_table(pooled.aggregates, serial.aggregates)
         assert same_table(pooled.keywords, serial.keywords)
 
