@@ -159,8 +159,11 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _cmd_synth(args) -> int:
-    corpus, markers = generate_synthetic(synth_config(args), args.seed)
     markers_out = args.markers_out or args.out + ".markers.json"
+    if os.path.realpath(args.out) == os.path.realpath(markers_out):
+        raise ValidationError(f"--out {args.out} and --markers-out "
+                              f"{markers_out} are the same file")
+    corpus, markers = generate_synthetic(synth_config(args), args.seed)
     # Both files are written before the corpus replaces its path, which
     # atomic_write checked when it opened, so a failed synth leaves neither.
     with atomic_write(args.out) as fh:
@@ -178,7 +181,7 @@ def _cmd_run(args) -> int:
               "exact path integral", file=sys.stderr)
     # Without --classes, the classes are the labels the corpus holds.
     corpus = load_corpus(args.corpus, LabelSpace(tuple(
-        args.classes.split(","))) if args.classes else None)
+        args.classes.split(","))) if args.classes is not None else None)
     planted = (load_markers(args.markers, corpus.label_space.classes)
                if args.markers else None)
     out_dir = args.out_dir or os.path.join(

@@ -14,8 +14,9 @@ rows, and its selections are columns of indices into the corpus's tables.
 ``Selections``.  ``run_pipeline`` takes the rounds in round order and, as
 each finishes, folds its selections into an ``AggregateFold`` and hands
 both to its ``on_round`` callback; it keeps the records.  The fold's
-``Aggregates`` table holds class and word ids into the corpus's tables;
-the filter keeps a subset of its rows, classes by name and each by mean
+``Aggregates`` table holds class and word ids into the corpus's tables,
+in id order, so its classes are in the run's class order; the filter
+keeps a subset of its rows in that class order, each class by mean
 score.  ``PipelineConfig`` holds every setting of a run, ``top_m``, the
 report tables' rows per class, among them.  This module writes no file:
 ``rundir`` keeps a run's files.
@@ -100,7 +101,7 @@ class RoundResult:
 @dataclass(eq=False)
 class Aggregates:
     """Per-(class, word) aggregates as columns, one row per pair in
-    (class name, word) order: ids into the ``classes`` and ``words``
+    (class id, word id) order: ids into the ``classes`` and ``words``
     tables (a run's label space and corpus words), float mean scores and
     selection frequencies, and integer counts."""
 
@@ -222,11 +223,10 @@ class AggregateFold:
         np.add.at(self.score_sum, cells, selections.score)
 
     def table(self) -> Aggregates:
-        """The cells selected at least once, in (class name, word) order."""
+        """The cells selected at least once, in (class id, word id) order:
+        a cell is ``class * W + word``."""
         classes, words = self.corpus.label_space.classes, self.corpus.words
-        by_name = np.argsort(np.array(classes, dtype=object))
-        cells = (by_name[:, None] * len(words) + np.arange(len(words))).ravel()
-        cells = cells[self.instances[cells] > 0]
+        cells = np.flatnonzero(self.instances)
         class_idx, word_idx = np.divmod(cells, len(words))
         instances, rounds_selected = (self.instances[cells],
                                       self.rounds_selected[cells])
@@ -242,17 +242,14 @@ class AggregateFold:
 
 def filter_keywords(table: Aggregates, config: PipelineConfig) -> Aggregates:
     """Keep the rows with SF strictly above t and df strictly above k,
-    classes by name, each sorted by mean score descending.
+    classes in id order, each sorted by mean score descending.
 
-    The sort is stable over the table's (class name, word) row order, so
+    The sort is stable over the table's (class id, word id) row order, so
     the word breaks ties.
     """
     rows = np.flatnonzero((table.selection_frequency > config.sf_threshold)
                           & (table.doc_frequency > config.min_doc_frequency))
-    rank = {c: i for i, c in enumerate(sorted(table.classes))}
-    class_rank = np.array([rank[c] for c in table.classes],
-                          dtype=np.intp)[table.class_idx[rows]]
-    kept = rows[np.lexsort((-table.mean_score[rows], class_rank))]
+    kept = rows[np.lexsort((-table.mean_score[rows], table.class_idx[rows]))]
     return replace(table, **{f.name: getattr(table, f.name)[kept]
                              for f in fields(table)
                              if f.name not in ("classes", "words")})

@@ -4,11 +4,13 @@
 ``PipelineConfig`` field (``TrainConfig`` under ``train_config``), the
 ``classes`` and any planted ``markers``; each round's split and training
 seeds come from ``master_seed`` and its index (``pipeline.round_seeds``).
-A ``round_NNNN.json`` holds a round's ``RoundResult`` on its first
-line; with ``dump_scores`` that line also holds the SHA-256 of the
-round's selections, which follow it, so ``report`` checks them without
-parsing them.  ``_from_fields`` reads both files' fields by type.
-``aggregates.npz`` holds the table ``report`` reads, exported as
+Its ``classes`` are the run's one class table, and rows of other files
+come in their order.  A ``round_NNNN.json`` holds a round's
+``RoundResult`` on its first line; with ``dump_scores`` that line also
+holds the SHA-256 of the round's selections, which follow it, so
+``report`` checks them without parsing them.  ``_from_fields`` reads
+both files' fields by type.  ``aggregates.npz`` holds the table
+``report`` reads, its class column as ids into ``classes``, exported as
 ``aggregates.json``/``.tsv``; then come the ``REPORT_FILES``.  Every file
 is written atomically (``fileio.atomic_write``).  A directory of another
 format, or of none, is refused rather than read, so a new layout raises
@@ -35,7 +37,7 @@ from .fileio import atomic_write, malformed
 from .pipeline import Aggregates, PipelineConfig, PipelineResult, RoundResult
 
 #: the layout of the directories this module writes, the one it reads
-FORMAT = 3
+FORMAT = 4
 REPORT_FILES = ("keywords.tsv", "keywords.json", "keywords.md",
                 "f1_summary.tsv", "uniqueness.json", "recovery.json")
 _AGGREGATE_FILES = ("aggregates.npz", "aggregates.json", "aggregates.tsv")
@@ -227,8 +229,8 @@ def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
     ``selections`` names a field ``RoundResult`` lacks), holds a
     non-numeric ``f1`` or ``support``, describes another round than its
     name, or is of a successful round whose ``per_class`` does not hold
-    exactly ``classes`` raises ``ValidationError`` naming it; other files
-    are ignored."""
+    exactly ``classes`` in their order raises ``ValidationError`` naming
+    it; other files are ignored."""
     results = []
     for round_index in range(rounds):
         path = os.path.join(out_dir, round_file(round_index))
@@ -256,9 +258,9 @@ def load_rounds(out_dir, rounds: int, classes) -> list[RoundResult]:
             if rr.round_index != round_index:
                 raise ValueError(f"round_index is {rr.round_index}, not "
                                  f"{round_index}")
-            if not rr.failed and set(rr.per_class) != set(classes):
-                raise ValueError(f"per_class holds {sorted(rr.per_class)}, "
-                                 f"not the run's classes {sorted(classes)}")
+            if not rr.failed and list(rr.per_class) != list(classes):
+                raise ValueError(f"per_class holds {list(rr.per_class)}, "
+                                 f"not the run's classes {list(classes)}")
             results.append(rr)
     return results
 
@@ -270,9 +272,6 @@ _NUMERIC_KINDS = {"mean_score": "f", "selection_frequency": "f",
 #: The columns of aggregates.json/.tsv
 _AGG_COLUMNS = ("class", "word", "mean_score", "selection_frequency",
                 "rounds_selected", "instance_count", "doc_frequency")
-#: Each id column of Aggregates, its string table and its aggregates.npz key
-_ID_COLUMNS = (("class_idx", "classes", "class_name"),
-               ("word_idx", "words", "word"))
 # json.dumps's spelling of the floats that have no JSON number
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -285,33 +284,34 @@ def _value_texts(column, text=repr) -> tuple[list[str], np.ndarray]:
 
 
 def write_aggregates(table: Aggregates, out_dir) -> None:
-    """Write the columns to ``aggregates.npz``, each id column as int32
-    codes into the bytes of an ``ensure_ascii`` JSON list of the entries
-    of its table that rows use (numpy's string arrays drop trailing NULs),
-    and export them as ``aggregates.json`` (the bytes of ``json.dumps`` of
-    the rows as dicts) and ``aggregates.tsv``, DUMP_ROWS rows at a time.
+    """Write the columns to ``aggregates.npz``, the class column as int32
+    ids into the table's ``classes`` (the run's, which ``config.json``
+    holds) and the word column as int32 codes into the bytes of an
+    ``ensure_ascii`` JSON list of the words that rows use (numpy's string
+    arrays drop trailing NULs), and export them as ``aggregates.json``
+    (the bytes of ``json.dumps`` of the rows as dicts) and
+    ``aggregates.tsv``, DUMP_ROWS rows at a time.
 
     Each exported row is one f-string that looks its values up in the
-    texts of each column's distinct values, so each class name, word and
-    count is spelt once.  JSON spells strings with the ``ensure_ascii``
-    encoder of json.dumps and numbers by ``repr``, as json.dumps does a
-    finite float and an int.  Selection frequencies are round counts over
-    the configured rounds, so they are finite; a mean score that is not
-    is spelt as json.dumps spells it.
+    run's class names and the texts of each other column's distinct
+    values, so each class name, word and count is spelt once.  JSON
+    spells strings with the ``ensure_ascii`` encoder of json.dumps and
+    numbers by ``repr``, as json.dumps does a finite float and an int.
+    Selection frequencies are round counts over the configured rounds, so
+    they are finite; a mean score that is not is spelt as json.dumps
+    spells it.
     """
     os.makedirs(out_dir, exist_ok=True)
+    classes = table.classes
+    words, word_codes = _value_texts(table.word_idx, table.words.__getitem__)
     arrays = {f: getattr(table, f) for f in _NUMERIC_KINDS}
-    columns = [_value_texts(getattr(table, ids),
-                            getattr(table, strings).__getitem__)
-               for ids, strings, _ in _ID_COLUMNS]
-    for (strings, column), (_, _, key) in zip(columns, _ID_COLUMNS):
-        arrays[key] = column.astype(np.int32)
-        arrays[key + "_values"] = np.frombuffer(
-            json.dumps(strings).encode("ascii"), dtype=np.uint8)
-    columns += [_value_texts(getattr(table, f))  # after the mean score
-                for f in list(_NUMERIC_KINDS)[1:]]
-    texts, codes = zip(*columns)
-    classes, words, frequencies, rounds, instances, docs = texts
+    arrays["class_id"] = table.class_idx.astype(np.int32)
+    arrays["word"] = word_codes.astype(np.int32)
+    arrays["word_values"] = np.frombuffer(json.dumps(words).encode("ascii"),
+                                          dtype=np.uint8)
+    (frequencies, rounds, instances, docs), codes = zip(
+        *(_value_texts(getattr(table, f))  # after the mean score
+          for f in list(_NUMERIC_KINDS)[1:]))
     json_classes, json_words = (list(map(encode_basestring_ascii, strings))
                                 for strings in (classes, words))
     with atomic_write(os.path.join(out_dir, "aggregates.npz"),
@@ -325,7 +325,8 @@ def write_aggregates(table: Aggregates, out_dir) -> None:
             part = slice(start, start + DUMP_ROWS)
             rows = list(zip(map(float.__repr__,
                                 table.mean_score[part].tolist()),
-                            *(column[part].tolist() for column in codes)))
+                            *(column[part].tolist() for column in
+                              (table.class_idx, word_codes, *codes))))
             js.write((", " if start else "") + ", ".join(
                 f'{{"class": {json_classes[c]}, "word": {json_words[w]}, '
                 f'"mean_score": {_JSON_NON_FINITE.get(m, m)}, '
@@ -341,44 +342,41 @@ def write_aggregates(table: Aggregates, out_dir) -> None:
         js.write("]")
 
 
-def _column(archive, name: str, kind: str) -> np.ndarray:
+def _column(archive, name: str, kind: str, count=None) -> np.ndarray:
+    """The 1-D column ``name`` of dtype kind ``kind``; given ``count``,
+    each of its values lies in ``range(count)``."""
     column = archive[name]
     if column.ndim != 1 or column.dtype.kind != kind:
         raise TypeError(f"{name} is {column.dtype} of shape {column.shape}, "
                         f"not a 1-D column of dtype kind {kind!r}")
+    if count is not None and column.size and not (
+            0 <= column.min() and column.max() < count):
+        raise ValueError(f"{name} holds an id outside range({count})")
     return column
 
 
-def load_aggregates(out_dir, classes=None) -> Aggregates:
+def load_aggregates(out_dir, classes) -> Aggregates:
     """The table that ``write_aggregates`` wrote to ``aggregates.npz``,
-    over the archive's string tables, in whatever order they are.
+    over ``classes`` (the run's, from ``config.json``) and the archive's
+    words, in whatever order they are.
 
     A file that is not such an archive, lacks a column, holds a column of
-    the wrong dtype kind or length, a code out of range, values that are
-    not a JSON list of strings or, if ``classes`` is given, a class not
-    among them raises ``ValidationError`` naming it.
+    the wrong dtype kind or length, a class id that does not index
+    ``classes``, a word code out of range or words that are not a JSON
+    list of strings raises ``ValidationError`` naming it.
     """
     path = os.path.join(out_dir, "aggregates.npz")
     # np.load leaves a file it opened itself open if the archive is damaged
     with open(path, "rb") as fh, \
             malformed(path, "aggregates", ValidationError), \
             np.load(fh, allow_pickle=False) as archive:
+        words = json.loads(_column(archive, "word_values", "u").tobytes())
+        if not _is_string_list(words):
+            raise TypeError("word_values is not a JSON list of strings")
         columns = {f: _column(archive, f, kind)
                    for f, kind in _NUMERIC_KINDS.items()}
-        tables = {}
-        for ids, strings, key in _ID_COLUMNS:
-            codes = _column(archive, key, "i")
-            values = json.loads(_column(archive, key + "_values",
-                                        "u").tobytes())
-            if not _is_string_list(values):
-                raise TypeError(f"{key}_values is not a JSON list of strings")
-            if codes.size and not (0 <= codes.min()
-                                   and codes.max() < len(values)):
-                raise ValueError(f"{key} holds a code out of range")
-            columns[ids], tables[strings] = codes, values
+        columns["class_idx"] = _column(archive, "class_id", "i", len(classes))
+        columns["word_idx"] = _column(archive, "word", "i", len(words))
         if len({column.size for column in columns.values()}) > 1:
             raise ValueError("columns of unequal length")
-        if classes is not None and set(tables["classes"]) - set(classes):
-            raise ValueError(f"class_name_values holds classes not in "
-                             f"{sorted(classes)}")
-        return Aggregates(**columns, **tables)
+        return Aggregates(**columns, classes=tuple(classes), words=words)

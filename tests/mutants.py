@@ -42,8 +42,8 @@ MUTANTS = (
            "scratch += ADAM_EPS / c\n", "scratch += ADAM_EPS\n",
            ("test_batched_training.py::test_adam_matches_the_textbook_update",)),
     Mutant("filter-sort-reversed", "pipeline.py",
-           "np.lexsort((-table.mean_score[rows], class_rank))",
-           "np.lexsort((table.mean_score[rows], class_rank))",
+           "np.lexsort((-table.mean_score[rows], table.class_idx[rows]))",
+           "np.lexsort((table.mean_score[rows], table.class_idx[rows]))",
            ("test_pipeline.py::TestFilterKeywords",)),
     Mutant("rounds-selected-counts-instances", "pipeline.py",
            "self.rounds_selected += counts > 0",
@@ -53,10 +53,6 @@ MUTANTS = (
            "(table.selection_frequency > config.sf_threshold)",
            "(table.selection_frequency >= config.sf_threshold)",
            ("test_pipeline.py::TestFilterKeywords::test_strict_threshold_grid",)),
-    Mutant("fold-classes-in-label-order", "pipeline.py",
-           "by_name = np.argsort(np.array(classes, dtype=object))",
-           "by_name = np.arange(len(classes))",
-           ("test_pipeline.py::TestAggregate::test_fold_equals_reference_aggregate",)),
     Mutant("zero-norm-unguarded", "attribution.py",
            "    norms[norms == 0.0] = 1.0\n", "",
            ("test_batched_explain.py::test_all_zero_attributions_score_zero",)),
@@ -123,6 +119,21 @@ MUTANTS = (
            "if type(value) is not saved and",
            "if not isinstance(value, saved) and",
            ("test_cli.py::TestReport::test_wrongly_typed_field_exit_code",)),
+    Mutant("class-ids-unchecked", "rundir.py",
+           '_column(archive, "class_id", "i", len(classes))',
+           '_column(archive, "class_id", "i")',
+           ("test_cli.py::TestReport::test_class_not_in_config_json_exit_code",)),
+    Mutant("per-class-compared-as-a-set", "rundir.py",
+           "if not rr.failed and list(rr.per_class) != list(classes):",
+           "if not rr.failed and set(rr.per_class) != set(classes):",
+           ("test_cli.py::TestReport::test_permuted_classes_exit_code",)),
+    Mutant("empty-classes-option-ignored", "cli.py",
+           'if args.classes is not None else None', 'if args.classes else None',
+           ("test_cli.py::TestRun::test_class_name_that_breaks_a_tsv_row_exit_code",)),
+    Mutant("synth-to-one-file-twice", "cli.py",
+           "if os.path.realpath(args.out) == os.path.realpath(markers_out):",
+           "if False:",
+           ("test_cli.py::TestSynth::test_directory_destination_writes_neither_file",)),
     Mutant("on-round-gets-no-selections", "pipeline.py",
            "on_round(rr, selections)", "on_round(rr, Selections.empty())",
            ("test_batched_explain.py::test_dumps_are_byte_identical_to_json_dump",)),

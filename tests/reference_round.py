@@ -326,18 +326,15 @@ def aggregate_records(table: Aggregates) -> list[AggregateRecord]:
 
 
 def first_row_archive(table: Aggregates) -> dict[str, np.ndarray]:
-    """The arrays of an ``aggregates.npz`` of ``table`` whose string
-    tables hold each column's distinct values in order of first row."""
-    arrays = {f: getattr(table, f) for f in NUMERIC_FIELDS}
-    pairs = table.pairs()
-    for key, column in (("class_name", [c for c, _ in pairs]),
-                        ("word", [w for _, w in pairs])):
-        index = {}
-        arrays[key] = np.array([index.setdefault(v, len(index))
-                                for v in column], dtype=np.int32)
-        arrays[key + "_values"] = np.frombuffer(
-            json.dumps(list(index)).encode("ascii"), dtype=np.uint8)
-    return arrays
+    """The arrays of an ``aggregates.npz`` of ``table`` whose word table
+    holds the words in order of first row."""
+    index = {}
+    codes = [index.setdefault(w, len(index)) for _, w in table.pairs()]
+    return {**{f: getattr(table, f) for f in NUMERIC_FIELDS},
+            "class_id": table.class_idx.astype(np.int32),
+            "word": np.array(codes, dtype=np.int32),
+            "word_values": np.frombuffer(json.dumps(list(index)).encode(
+                "ascii"), dtype=np.uint8)}
 
 
 def table_from_json(run_dir) -> Aggregates:
@@ -373,7 +370,8 @@ def running_sum(values) -> float:
 
 
 def reference_aggregate(rounds, corpus, config):
-    """``rounds`` is a list of (round_index, [WordScoreRecord])."""
+    """``rounds`` is a list of (round_index, [WordScoreRecord]); the rows
+    come in the label space's class order, each class's by word."""
     rounds = sorted(rounds, key=lambda r: r[0])
     doc_frequency = compute_doc_frequency(documents_of(corpus))
     scores = {}
@@ -384,8 +382,10 @@ def reference_aggregate(rounds, corpus, config):
             scores.setdefault(key, []).append(rec.score)
             round_hits.setdefault(key, set()).add(round_index)
 
+    classes = corpus.label_space.classes
     out = []
-    for (class_name, word) in sorted(scores):
+    for (class_name, word) in sorted(
+            scores, key=lambda key: (classes.index(key[0]), key[1])):
         pooled = scores[(class_name, word)]  # in round, then record, order
         n_selected = len(round_hits[(class_name, word)])
         out.append(AggregateRecord(

@@ -556,7 +556,8 @@ def test_aggregate_files_escape_names_and_words(small_synth, tmp_path,
     assert {r.class_name for r in records} == set(names.values())
     assert {r.word.rstrip("0123456789") for r in records} >= set(prefixes)
     assert_aggregate_files(run_dir, records)
-    assert same_table(load_aggregates(run_dir), table_from_json(run_dir))
+    assert same_table(load_aggregates(run_dir, sorted(names.values())),
+                      table_from_json(run_dir))
     keywords = (run_dir / "keywords.tsv").read_text(encoding="utf-8")
     assert '"hi"' in keywords and "日本" in keywords
     assert cli.main(["report", "--run-dir", str(run_dir)]) == 0

@@ -166,15 +166,22 @@ class TestSynth:
             capsys.readouterr().err
         assert os.listdir(tmp_path) == ["synth.conf"]
 
-    @pytest.mark.parametrize("argv", [("--out", "c.jsonl", "--markers-out",
-                                       "dir"), ("--out", "dir")],
-                             ids=["markers-out", "out"])
+    @pytest.mark.parametrize("argv,message", [
+        (("--out", "c.jsonl", "--markers-out", "dir"),
+         "Is a directory: 'dir'"),
+        (("--out", "dir"), "Is a directory: 'dir'"),
+        # one file for both: they would share a temporary file
+        (("--out", "c.jsonl", "--markers-out", "c.jsonl"),
+         "--out c.jsonl and --markers-out c.jsonl are the same file"),
+        (("--out", "c.jsonl", "--markers-out", "./c.jsonl"),
+         "--out c.jsonl and --markers-out ./c.jsonl are the same file")],
+        ids=["markers-out", "out", "same-path", "same-file"])
     def test_directory_destination_writes_neither_file(
-            self, tmp_path, monkeypatch, capsys, argv):
+            self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "dir").mkdir()
         monkeypatch.chdir(tmp_path)
         assert run_cli("synth", "--docs-per-class", "5", *argv) == 1
-        assert "Is a directory: 'dir'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["dir"]
         assert not os.listdir(tmp_path / "dir")
 
@@ -310,18 +317,26 @@ class TestRun:
                                   "empty"])
     def test_class_name_that_breaks_a_tsv_row_exit_code(self, tmp_path,
                                                         capsys, name):
-        corpus_path = tmp_path / "corpus.jsonl"
-        corpus_path.write_text("".join(
-            json.dumps({"id": f"d{i}", "text": "some words here",
-                        "labels": [label]}) + "\n"
-            for i, label in enumerate(["ok", name] * 4)))
-        for extra in ((), ("--classes", f"ok,{name}")):
-            code = run_cli("run", "--corpus", str(corpus_path),
-                           "--out-dir", str(tmp_path / "run"),
-                           "--rounds", "1", *extra)
-            assert code == 1, extra
+        def run_on(name, labels):
+            path = tmp_path / name
+            path.write_text("".join(
+                json.dumps({"id": f"d{i}", "text": "some words here",
+                            "labels": [label]}) + "\n"
+                for i, label in enumerate(labels * 4)))
+            return ["run", "--corpus", str(path),
+                    "--out-dir", str(tmp_path / "run"), "--rounds", "1"]
+        run = run_on("corpus.jsonl", ["ok", name])
+        # the name given as the only class, to a corpus without it
+        named = [*run_on("ok.jsonl", ["ok"]), "--classes", name]
+        argvs = [run, [*run, "--classes", f"ok,{name}"], named]
+        if not {"\n", "\r"} & set(name):  # a config line holds no break
+            config = tmp_path / "run.conf"
+            config.write_text(f"classes = {name}\n")
+            argvs.append(["--config", str(config), *named[:-2]])
+        for argv in argvs:
+            assert run_cli(*argv) == 1, argv
             assert (f"class name {name!r} is empty or holds a tab or a "
-                    f"line break" in capsys.readouterr().err), extra
+                    f"line break" in capsys.readouterr().err), argv
         assert not (tmp_path / "run").exists()
 
     def test_non_utf8_corpus_line_exit_code(self, tmp_path, capsys):
@@ -568,8 +583,8 @@ def round_file_damages(intact: bytes) -> list[bytes]:
 def aggregates_npz_damages(run_dir) -> list[bytes]:
     """Damaged copies of ``aggregates.npz``: truncated, empty, not an
     archive, and archives with a column missing, of the wrong dtype kind,
-    shape or length, a code out of range, or values that are not a JSON
-    list of strings."""
+    shape or length, an id or code out of range, or words that are not a
+    JSON list of strings."""
     intact = (run_dir / "aggregates.npz").read_bytes()
     with np.load(run_dir / "aggregates.npz", allow_pickle=False) as archive:
         arrays = dict(archive)
@@ -583,14 +598,14 @@ def aggregates_npz_damages(run_dir) -> list[bytes]:
 
     words = len(json.loads(arrays["word_values"].tobytes()))
     return [intact[:len(intact) // 2], b"",
-            archive_of(word=None), archive_of(class_name_values=None),
+            archive_of(word=None), archive_of(class_id=None),
             archive_of(rounds_selected=arrays["rounds_selected"] + 0.5),
             archive_of(word=arrays["word"].astype(np.float64)),
             archive_of(mean_score=arrays["mean_score"][:, None]),
             archive_of(doc_frequency=arrays["doc_frequency"][:-1]),
-            archive_of(class_name=arrays["class_name"][:-1]),
+            archive_of(class_id=arrays["class_id"][:-1]),
             archive_of(word=np.full_like(arrays["word"], words)),
-            archive_of(class_name=arrays["class_name"] - 1),
+            archive_of(class_id=arrays["class_id"] - 1),
             archive_of(word_values=np.frombuffer(b'["w0", ', np.uint8)),
             archive_of(word_values=np.frombuffer(b'[1, 2]', np.uint8)),
             b"not an archive"]
@@ -647,7 +662,8 @@ class TestReport:
         assert [len(rows) for rows in keywords.values()] == [2, 2, 2]
         # The table report reads is the one the JSON export spells, and
         # the exports are not read back.
-        assert same_table(load_aggregates(out_dir), table_from_json(out_dir))
+        assert same_table(load_aggregates(out_dir, load_config(out_dir)[1]),
+                          table_from_json(out_dir))
         for name in REPORT_FILES + ("aggregates.json", "aggregates.tsv"):
             (out_dir / name).unlink()
         assert run_cli("report", "--run-dir", str(out_dir)) == 0
@@ -671,15 +687,16 @@ class TestReport:
                 == (tmp_path / "b" / "config.json").read_bytes())
         saved = json.loads((tmp_path / "a" / "config.json").read_text())
         assert "ig_steps" not in saved
-        assert list(saved.items())[0] == ("format", 3)
+        assert list(saved.items())[0] == ("format", 4)
         # each round's seeds come from master_seed and the round index
         assert "seed" not in saved["train_config"]
 
     def test_report_refuses_another_format(self, synth_files, tmp_path,
                                            capsys):
         # config.json without a format is what earlier versions wrote;
-        # format 1 also held train_config's seed, and format 2 wrote a
-        # dumped round's selections on its record's line, without a hash
+        # format 1 also held train_config's seed, format 2 wrote a dumped
+        # round's selections on its record's line, without a hash, and
+        # format 3's aggregates.npz held a class table of its own
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
@@ -693,11 +710,12 @@ class TestReport:
                                      saved["train_config"].update(seed=0))),
                 ("1", lambda saved: saved.update(format=1)),
                 ("2", lambda saved: saved.update(format=2)),
-                ("4", lambda saved: saved.update(format=4)),
+                ("3", lambda saved: saved.update(format=3)),
+                ("5", lambda saved: saved.update(format=5)),
                 ("0", lambda saved: saved.update(format=0)),
-                ("'3'", lambda saved: saved.update(format="3")),
+                ("'4'", lambda saved: saved.update(format="4")),
                 ("True", lambda saved: saved.update(format=True)),
-                ("3.0", lambda saved: saved.update(format=3.0))):
+                ("4.0", lambda saved: saved.update(format=4.0))):
             edited = json.loads(json.dumps(saved))
             edit(edited)
             (out_dir / "config.json").write_text(json.dumps(edited))
@@ -706,7 +724,7 @@ class TestReport:
             capsys.readouterr()
             assert run_cli("report", "--run-dir", str(out_dir)) == 1, found
             err = capsys.readouterr().err
-            assert (f"{out_dir / 'config.json'}: format {found}, not 3"
+            assert (f"{out_dir / 'config.json'}: format {found}, not 4"
                     in err), err
             assert "run the pipeline again" in err
             assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
@@ -898,8 +916,8 @@ class TestReport:
 
     def test_reads_string_tables_in_first_row_order(self, synth_files,
                                                     tmp_path):
-        # aggregates.npz as written when each string table held a column's
-        # distinct values in order of first row
+        # aggregates.npz as written when its word table held the words in
+        # order of first row
         corpus_path, markers_path = synth_files
         out_dir = tmp_path / "run"
         assert run_cli("run", "--corpus", str(corpus_path),
@@ -908,7 +926,8 @@ class TestReport:
                        "--learning-rate", "0.1", "--sf-threshold", "0.4",
                        *SMALL_RUN) == 0
         before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
-        table = load_aggregates(out_dir)
+        classes = load_config(out_dir)[1]
+        table = load_aggregates(out_dir, classes)
         archive = first_row_archive(table)
         with np.load(out_dir / "aggregates.npz") as written:
             assert set(written) == set(archive)
@@ -917,7 +936,7 @@ class TestReport:
             # the layouts differ, so the test reads another numbering
             assert not np.array_equal(written["word"], archive["word"])
         np.savez(out_dir / "aggregates.npz", **archive)
-        loaded = load_aggregates(out_dir)
+        loaded = load_aggregates(out_dir, classes)
         assert same_table(loaded, table)
         assert aggregate_records(loaded) == aggregate_records(table)
         assert same_table(loaded, table_from_json(out_dir))
@@ -938,17 +957,63 @@ class TestReport:
         before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
         with np.load(out_dir / "aggregates.npz") as archive:
             arrays = dict(archive)
-        names = json.loads(arrays["class_name_values"].tobytes())
-        names[-1] = "zz"
-        arrays["class_name_values"] = np.frombuffer(
-            json.dumps(names).encode("ascii"), dtype=np.uint8)
-        np.savez(out_dir / "aggregates.npz", **arrays)
-        capsys.readouterr()
-        assert run_cli("report", "--run-dir", str(out_dir)) == 1
-        assert (f"{out_dir / 'aggregates.npz'}: malformed"
-                in capsys.readouterr().err)
+        # class ids index config.json's three classes
+        for class_id in (-1, 3):
+            ids = arrays["class_id"].copy()
+            ids[-1] = class_id
+            np.savez(out_dir / "aggregates.npz", **dict(arrays, class_id=ids))
+            capsys.readouterr()
+            assert run_cli("report", "--run-dir", str(out_dir)) == 1
+            err = capsys.readouterr().err
+            assert f"{out_dir / 'aggregates.npz'}: malformed" in err, err
+            assert "class_id holds an id outside range(3)" in err, err
+            for name in REPORT_FILES:
+                assert (out_dir / name).read_bytes() == before[name], name
+
+    def test_aggregates_keep_the_runs_class_order(self, synth_files,
+                                                  tmp_path):
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--classes", "c2,c0,c1", "--out-dir", str(out_dir),
+                       "--learning-rate", "0.1", *SMALL_RUN) == 0
+        rows = json.loads((out_dir / "aggregates.json").read_text())
+        tsv = (out_dir / "aggregates.tsv").read_text().splitlines()[1:]
+        for classes in ([row["class"] for row in rows],
+                        [line.split("\t")[0] for line in tsv]):
+            assert list(dict.fromkeys(classes)) == ["c2", "c0", "c1"]
+            assert classes == sorted(classes, key=["c2", "c0", "c1"].index)
+        before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+        assert list(dict.fromkeys(
+            line.split("\t")[0] for line in
+            before["keywords.tsv"].decode().splitlines())) == [
+                "c2", "c0", "c1"]
+        for name in REPORT_FILES:
+            (out_dir / name).unlink()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 0
         for name in REPORT_FILES:
             assert (out_dir / name).read_bytes() == before[name], name
+
+    def test_permuted_classes_exit_code(self, synth_files, tmp_path, capsys):
+        # the aggregates' class ids would name other classes
+        corpus_path, markers_path = synth_files
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--corpus", str(corpus_path),
+                       "--markers", str(markers_path),
+                       "--out-dir", str(out_dir), *SMALL_RUN) == 0
+        saved = json.loads((out_dir / "config.json").read_text())
+        assert saved["classes"] == ["c0", "c1", "c2"]
+        (out_dir / "config.json").write_text(json.dumps(
+            dict(saved, classes=["c1", "c0", "c2"])))
+        files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                 for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert f"{out_dir / 'round_0000.json'}: malformed" in err, err
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in out_dir.iterdir()} == files
 
     def test_stopped_run_leaves_only_its_finished_rounds(
             self, synth_files, tmp_path, capsys, monkeypatch):

@@ -160,6 +160,14 @@ class TestFilterKeywords:
         kept = filter_keywords(table_of(records), config)
         assert kept.pairs() == [("a", "y"), ("a", "x"), ("b", "z")]
 
+    def test_classes_in_the_tables_order(self):
+        # class ids order the classes, not their names
+        config = toy_config(sf_threshold=0.0, min_doc_frequency=0)
+        records = [agg("x", 0.9, 10, 0.1, class_name="b"),
+                   agg("y", 0.9, 10, 0.7, class_name="a")]
+        kept = filter_keywords(table_of(records), config)
+        assert kept.pairs() == [("b", "x"), ("a", "y")]
+
     def test_soundness(self):
         config = toy_config(sf_threshold=0.5, min_doc_frequency=3)
         rng = np.random.default_rng(0)
@@ -247,7 +255,7 @@ class TestRunPipeline:
                 run_round(corpus, config, i)[1], corpus)
             assert loaded == ran  # field by field
         assert dumped[0]
-        aggregates = load_aggregates(tmp_path)
+        aggregates = load_aggregates(tmp_path, corpus.label_space.classes)
         assert same_table(aggregates, result.aggregates)
         assert same_table(aggregates, table_from_json(tmp_path))
 
@@ -442,17 +450,15 @@ class TestAggregatesNpz:
         table = table_of(records)
         write_aggregates(table, tmp_path)
         assert_aggregate_files(tmp_path, records)
-        loaded = load_aggregates(tmp_path)
+        loaded = load_aggregates(tmp_path, table.classes)
         assert same_table(loaded, table)
         assert aggregate_records(loaded) == records
-        for strings in (loaded.classes, loaded.words):
-            assert all(type(value) is str for value in strings)
-        # the tables hold each distinct class name and word once
-        assert sorted(loaded.classes) == sorted({r.class_name
-                                                 for r in records})
+        assert all(type(value) is str for value in loaded.words)
+        # the class table is the one given; the words are each stored once
+        assert loaded.classes == tuple(table.classes)
         assert sorted(loaded.words) == sorted({r.word for r in records})
 
-    def test_tables_keep_only_the_entries_rows_use(self, tmp_path):
+    def test_word_table_keeps_only_the_words_rows_use(self, tmp_path):
         table = table_of(self.RECORDS)
         padded = dataclasses.replace(
             table, class_idx=table.class_idx + 1, word_idx=table.word_idx * 2,
@@ -460,11 +466,13 @@ class TestAggregatesNpz:
             words=[w for word in table.words for w in (word, "unused")])
         assert same_table(padded, table)
         write_aggregates(padded, tmp_path)
-        loaded = load_aggregates(tmp_path)
+        loaded = load_aggregates(tmp_path, padded.classes)
         assert same_table(loaded, table)
-        assert "unused" not in loaded.classes + loaded.words
-        # in the order of the written tables
-        assert loaded.classes == list(table.classes)
+        assert "unused" not in loaded.words
+        # the class ids index the run's whole class table, as written
+        assert np.array_equal(loaded.class_idx, padded.class_idx)
+        assert loaded.classes == tuple(padded.classes)
+        # in the order of the written table
         assert loaded.words == list(table.words)
 
     def test_damaged_archive_leaves_no_file_open(self, tmp_path):
@@ -474,7 +482,7 @@ class TestAggregatesNpz:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValidationError, match="malformed aggregates"):
-                load_aggregates(tmp_path)
+                load_aggregates(tmp_path, ["a"])
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
